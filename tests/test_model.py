@@ -279,6 +279,30 @@ def test_custom_atoms_moments_and_sampling():
     assert np.mean(a[:, 0] == 2.0) == pytest.approx(0.2, abs=0.01)
 
 
+# every closed-form hook of ModelSpec, called at coordinate j
+HOOKS = {
+    "kappa_exact": lambda spec, j: spec.kappa_exact(j, 1.0),
+    "zero_mass_exact": lambda spec, j: spec.zero_mass_exact(j),
+    "log_abs_mean_exact": lambda spec, j: spec.log_abs_mean_exact(j),
+    "goldie_mean_exact": lambda spec, j: spec.goldie_mean_exact(j, 2.0),
+    "joint_moment_exact[i]": lambda spec, j: spec.joint_moment_exact(j, 0, 1.0, 1.0),
+    "joint_moment_exact[j]": lambda spec, j: spec.joint_moment_exact(0, j, 1.0, 1.0),
+    "constant_magnitude_exact": lambda spec, j: spec.constant_magnitude_exact(j),
+    "a_abscissa": lambda spec, j: spec.a_abscissa(j),
+    "b_moment_exact": lambda spec, j: spec.b_moment_exact(j, 1.0),
+    "b_abscissa": lambda spec, j: spec.b_abscissa(j),
+    "b_is_zero": lambda spec, j: spec.b_is_zero(j),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(HOOKS))
+@pytest.mark.parametrize("j", [2, -1])
+def test_hooks_check_coordinate_index(hook, j):
+    spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5})
+    with pytest.raises(ValueError, match="out of range"):
+        HOOKS[hook](spec, j)
+
+
 def test_custom_callable_roundtrip_is_refused():
     def sampler(rng, n):
         a = rng.uniform(0.2, 0.8, size=(n, 1))
@@ -288,7 +312,8 @@ def test_custom_callable_roundtrip_is_refused():
     a, b = spec.sample_coeffs(RNG(0), 50)
     assert a.shape == (50, 1)
     assert np.all(b == 1.0)
-    assert spec.kappa_exact(0, 1.0) is None
+    for hook in HOOKS.values():
+        assert hook(spec, 0) is None
     with pytest.raises(ConfigurationError):
         spec.to_json()
     assert len(spec.fingerprint()) == 64

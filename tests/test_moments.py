@@ -9,6 +9,7 @@ from heavytail_sre import (
     cross_kappa,
     goldie_mean,
     kappa,
+    log_moment,
     moment_abscissa,
     positivity_check,
     solve_alpha,
@@ -292,3 +293,34 @@ def test_tail_profile_multivariate():
     assert prof.alpha[0] == pytest.approx(prof.alpha[1], abs=1e-10)
     doc = prof.to_dict()
     assert set(doc) == {"alpha", "goldie_mean", "s_inf", "methods", "margin_ok"}
+
+
+# -- route contract ----------------------------------------------------------------
+
+PAIR = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5})
+CALLABLE = ModelSpec(
+    "Custom", 2, {"sampler": lambda rng, n: (rng.uniform(0.2, 0.8, (n, 2)), np.ones((n, 2)))}
+)
+ROUTED = {
+    "kappa": lambda spec, **kw: kappa(spec, 0, 1.0, n=100, **kw),
+    "solve_alpha": lambda spec, **kw: solve_alpha(spec, 0, n=100, **kw),
+    "goldie_mean": lambda spec, **kw: goldie_mean(spec, 0, 2.0, n=100, **kw),
+    "cross_kappa": lambda spec, **kw: cross_kappa(spec, 0, 1, 2.0, 2.0, n=100, **kw),
+    "moment_abscissa": lambda spec, **kw: moment_abscissa(spec, 0, n=100, **kw),
+    "log_moment": lambda spec, **kw: log_moment(spec, 0, n=100, **kw),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTED))
+@pytest.mark.parametrize(
+    "spec, method, rng, message",
+    [
+        (PAIR, "bogus", RNG(0), "method must be"),
+        (CALLABLE, "closed-form", RNG(0), "no closed.form"),
+        (PAIR, "monte-carlo", None, "needs an rng"),
+    ],
+    ids=["unknown-method", "no-closed-form", "monte-carlo-without-rng"],
+)
+def test_route_contract(route, spec, method, rng, message):
+    with pytest.raises(ValueError, match=message):
+        ROUTED[route](spec, method=method, rng=rng)
