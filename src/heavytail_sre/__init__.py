@@ -10,7 +10,7 @@ rates, each with an internal consistency check against an independent
 estimator.
 """
 
-from .blocks import BlockPartition, detect_blocks, project_block
+from .blocks import BlockPartition, detect_blocks
 from .common import (
     AmbiguousPartitionError,
     ConfigurationError,
@@ -24,7 +24,7 @@ from .common import (
     diagnostic_stream,
     stage_stream,
 )
-from .geometry import AlphaNorm, alpha_norm, dilate, polar, subadditivity_constant
+from .geometry import alpha_norm, dilate, polar, subadditivity_constant
 from .independence import (
     CustomTau,
     GammaBound,
@@ -40,7 +40,7 @@ from .independence import (
     submultiplicativity_check,
     tau_gamma_bound,
 )
-from .model import LogMoment, ModelSpec, log_moment, sample_pair
+from .model import LogMoment, ModelSpec, log_moment
 from .moments import (
     AbscissaScan,
     AlphaRoot,
@@ -58,7 +58,6 @@ from .simulate import (
     SamplePool,
     default_burn_in,
     drift_diagnostics,
-    exceedance_filter,
     iterate,
     stationary_pool,
 )
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbscissaScan",
-    "AlphaNorm",
     "AlphaRoot",
     "AmbiguousPartitionError",
     "BlockPartition",
@@ -126,7 +124,6 @@ __all__ = [
     "drift_diagnostics",
     "dilate",
     "empirical_tail_constant",
-    "exceedance_filter",
     "goldie_constant",
     "goldie_mean",
     "hill_estimate",
@@ -138,9 +135,7 @@ __all__ = [
     "moment_estimate",
     "polar",
     "positivity_check",
-    "project_block",
     "quantile_ladder",
-    "sample_pair",
     "solve_alpha",
     "spectral_measure",
     "stage_stream",

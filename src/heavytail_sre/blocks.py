@@ -168,19 +168,3 @@ def _validate_pair(
                 f"[{est.ci_lo:.6g}, {est.ci_hi:.6g}])",
                 pair=(i, j),
             )
-
-
-def project_block(pool, partition: BlockPartition, l: int):
-    """Restrict a pool to the coordinates of class l (records unchanged)."""
-    if not 0 <= l < partition.n_classes:
-        raise IndexError(f"class index {l} out of range")
-    coords = list(partition.classes[l])
-    sub = pool.select(slice(None))
-    sub.x_pre = sub.x_pre[:, coords]
-    sub.a = sub.a[:, coords]
-    sub.b = sub.b[:, coords]
-    sub.x_post = sub.x_post[:, coords]
-    sub.meta.update(
-        {"block_index": l, "block_coords": coords, "parent_d": pool.d}
-    )
-    return sub

@@ -27,15 +27,12 @@ from .common import (
     AmbiguousPartitionError,
     ConfigurationError,
     DivergenceError,
-    Estimate,
     LadderError,
     NonContractiveError,
     TailIndexError,
     TauHeavinessError,
-    binomial_ci,
     stage_stream,
 )
-from .geometry import alpha_norm
 from .independence import (
     build_tau,
     decay_rate_fit,
@@ -44,7 +41,7 @@ from .independence import (
     tau_gamma_bound,
 )
 from .model import ModelSpec, log_moment
-from .moments import goldie_mean, moment_abscissa, positivity_check, solve_alpha
+from .moments import goldie_mean, moment_abscissa, noise_margin_ok, positivity_check, solve_alpha
 from .simulate import SamplePool, stationary_pool
 from .tails import (
     TailConstants,
@@ -53,7 +50,6 @@ from .tails import (
     goldie_constant,
     hill_estimate,
     moment_estimate,
-    quantile_ladder,
     spectral_measure,
 )
 
@@ -309,9 +305,22 @@ class _Runner:
         with open(path) as fh:
             return json.load(fh)
 
+    def _check_origin(self, artifact: str, stage: str, **recorded) -> None:
+        """Refuse an artifact that another model or seed produced."""
+        current = {"model_fingerprint": self.spec.fingerprint(), "seed": self.seed}
+        for key, value in recorded.items():
+            if value != current[key]:
+                raise ConfigurationError(
+                    f"{artifact} records {key} {value!r} but this run has {current[key]!r}; "
+                    f"rerun {stage!r} or point --out at another directory"
+                )
+
     def _get_alphas(self) -> np.ndarray:
         if self._alphas is None:
             doc = self._load_report("solve-alpha")
+            self._check_origin(
+                "solve-alpha.report.json", "solve-alpha", model_fingerprint=doc.get("model_fingerprint")
+            )
             self._alphas = np.asarray(doc["alphas"], dtype=float)
             self._goldie = [float(c["goldie_mean"]["value"]) for c in doc["coordinates"]]
         return self._alphas
@@ -322,7 +331,14 @@ class _Runner:
 
     def _get_pool(self) -> SamplePool:
         if self._pool is None:
-            self._pool = SamplePool.load(self.out / "pool.bin")
+            pool = SamplePool.load(self.out / "pool.bin")
+            self._check_origin(
+                "pool.meta.json",
+                "simulate",
+                model_fingerprint=pool.meta.get("spec_fingerprint"),
+                seed=pool.meta.get("seed"),
+            )
+            self._pool = pool
         return self._pool
 
     def _get_partition(self, required: bool) -> BlockPartition | None:
@@ -388,21 +404,7 @@ class _Runner:
             gm = goldie_mean(spec, j, root.alpha, method=method, n=n, rng=rng)
             scan = moment_abscissa(spec, j, n=scan_n, rng=rng, method=method)
             pos = positivity_check(spec, j, root.alpha, n=scan_n, rng=rng)
-            probe = root.alpha + spec.sigma_margin
-            closed_b = spec.b_moment_exact(j, probe)
-            if closed_b is not None:
-                margin_ok = bool(math.isfinite(closed_b))
-            else:
-                _, b = spec.sample_coeffs(rng, scan_n)
-                cb = np.abs(b[:, j])
-                with np.errstate(over="ignore"):
-                    w = np.where(cb > 0.0, cb**probe, 0.0)
-                half = float(w[: w.size // 2].mean())
-                full = float(w.mean())
-                margin_ok = bool(
-                    np.isfinite(full)
-                    and abs(full - half) <= 0.05 * max(abs(full), 1e-300)
-                )
+            margin_ok = noise_margin_ok(spec, j, root.alpha, scan_n, rng)
             alphas.append(root.alpha)
             coords.append(
                 {
@@ -528,9 +530,16 @@ class _Runner:
             "model_fingerprint": self.spec.fingerprint(),
             "stage": "tails",
         }
-        block_ladder = None
+        # without a partition, c_inf is the single-class block constant
+        whole = tuple(range(pool.d))
+        block_ladder = block_tail_constant(
+            pool,
+            part if part is not None else BlockPartition((whole,), whole, {}),
+            alphas,
+            min_top=min_top,
+        )
+        c_block = ()
         if part is not None:
-            block_ladder = block_tail_constant(pool, part, alphas, min_top=min_top)
             doc["blocks"] = block_ladder.to_dict()
             for r, t in enumerate(block_ladder.thresholds):
                 for l, series in enumerate(block_ladder.block):
@@ -538,27 +547,8 @@ class _Runner:
                     csv_rows.append((f"block{l}", t, e.value, e.ci_lo, e.ci_hi))
                 e = block_ladder.c_inf[r]
                 csv_rows.append(("c_inf", t, e.value, e.ci_lo, e.ci_hi))
-            constants = TailConstants(
-                tuple(c_plus),
-                tuple(c_minus),
-                block_ladder.block_top,
-                block_ladder.c_inf_top,
-            )
-        else:
-            s_full = alpha_norm(pool.x_post, alphas)
-            full_ladder = quantile_ladder(s_full, min_top=min_top)
-            t_top = float(full_ladder[-1])
-            k_top = int((s_full > t_top).sum())
-            est = binomial_ci(k_top, s_full.size)
-            c_inf = Estimate(
-                t_top * est.value,
-                t_top * est.ci_lo,
-                t_top * est.ci_hi,
-                s_full.size,
-                est.method,
-                est.flag,
-            )
-            constants = TailConstants(tuple(c_plus), tuple(c_minus), (), c_inf)
+            c_block = block_ladder.block_top
+        constants = TailConstants(tuple(c_plus), tuple(c_minus), c_block, block_ladder.c_inf_top)
         doc["tail_constants"] = constants.to_dict()
         _dump_json(self._report_path("tails"), doc)
         _write_csv(

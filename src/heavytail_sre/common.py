@@ -125,6 +125,33 @@ def doubling_change(samples: np.ndarray) -> float:
     return abs(full - half) / scale
 
 
+def use_closed_form(method: str, available: bool, what: str, rng) -> bool:
+    """Route one moment computation: True for the closed form, False for
+    Monte Carlo.
+
+    "auto" takes the closed form when the model has one, "closed-form"
+    insists on it, "monte-carlo" always samples.  Raises ValueError for an
+    unknown method, a closed form the model lacks, or a Monte Carlo route
+    without an rng; ``what`` names the quantity in the message.
+    """
+    if method not in ("auto", "closed-form", "monte-carlo"):
+        raise ValueError("method must be auto, closed-form, or monte-carlo")
+    if method != "monte-carlo" and available:
+        return True
+    if method == "closed-form":
+        raise ValueError(f"no closed form for {what} in this model")
+    if rng is None:
+        raise ValueError(f"Monte Carlo {what} needs an rng")
+    return False
+
+
+def abs_pow(mag: np.ndarray, s: float) -> np.ndarray:
+    """mag**s elementwise for magnitudes mag >= 0, with 0 -> 0 for every s
+    (mass at zero is excluded); overflow goes to inf silently."""
+    with np.errstate(over="ignore"):
+        return np.where(mag > 0.0, mag ** s, 0.0)
+
+
 def binomial_ci(k: int, n: int) -> Estimate:
     """Normal-approximation interval for a binomial proportion.
 

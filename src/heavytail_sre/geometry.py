@@ -42,21 +42,6 @@ def subadditivity_constant(alphas) -> float:
     return float(max(1.0, 2.0 ** (float(a.max()) - 1.0)))
 
 
-class AlphaNorm:
-    """Weight vector bundled with its quasi triangle constant."""
-
-    def __init__(self, alphas):
-        self.alphas = _as_weights(alphas)
-        self.c_alpha = subadditivity_constant(self.alphas)
-        self.d = self.alphas.size
-
-    def __call__(self, x):
-        return alpha_norm(x, self.alphas)
-
-    def __repr__(self):
-        return f"AlphaNorm(alphas={self.alphas.tolist()}, c_alpha={self.c_alpha})"
-
-
 def alpha_norm(x, alphas):
     """max_j |x_j|^alpha_j, row-wise for 2-d input.
 

@@ -15,16 +15,10 @@ import math
 
 import numpy as np
 
-from .common import (
-    Estimate,
-    LadderError,
-    TauHeavinessError,
-    binomial_ci,
-    mean_estimate,
-)
+from .common import Estimate, TauHeavinessError, mean_estimate
 from .model import ModelSpec
 from .moments import cross_kappa
-from .tails import DEFAULT_MIN_TOP, _check_ladder, quantile_ladder
+from .tails import DEFAULT_MIN_TOP, _check_ladder, _scaled_binomial, quantile_ladder
 
 
 class Tau:
@@ -335,15 +329,11 @@ def joint_exceedance(
     si = np.abs(pool.x_post[:, i]) ** alphas[i] / r1
     sj = np.abs(pool.x_post[:, j]) ** alphas[j] / r2
     stat = np.minimum(si, sj)
-    if ladder is None:
-        ladder = quantile_ladder(stat, min_top=min_top)
-    else:
-        arr = np.asarray(ladder, dtype=float).ravel()
-        if arr.size == 0 or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise LadderError("ladder thresholds must be positive and finite")
-        if np.any(np.diff(arr) <= 0.0):
-            raise LadderError("ladder thresholds must be strictly increasing")
-        ladder = arr
+    ladder = (
+        quantile_ladder(stat, min_top=min_top)
+        if ladder is None
+        else _check_ladder(ladder, stat, 0)
+    )
     n = stat.size
     counts, probs, norm = [], [], []
     for t in ladder:
@@ -364,13 +354,6 @@ def joint_exceedance(
         normalized=tuple(norm),
         n=n,
         decaying=decaying,
-    )
-
-
-def _scaled_binomial(k: int, n: int, scale: float) -> Estimate:
-    est = binomial_ci(k, n)
-    return Estimate(
-        scale * est.value, scale * est.ci_lo, scale * est.ci_hi, n, est.method, est.flag
     )
 
 

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .common import ConfigurationError, Estimate, exact, mean_estimate, chain_stream
+from .common import ConfigurationError, Estimate, exact, mean_estimate, use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -238,7 +238,52 @@ class _BSpec:
 # Families
 
 
-class _TwoPoint:
+class _Family:
+    """Base of the coefficient families.
+
+    Every closed-form hook answers None ("not available") unless a family
+    overrides it; the noise hooks answer from the per-coordinate noise spec
+    ``b`` when the family has one.  sample_joint draws the A block, then
+    the B block.
+    """
+
+    b: _BSpec | None = None
+
+    def sample_joint(self, rng, n):
+        return self.sample_a(rng, n), self.b.sample(rng, n)
+
+    def kappa_exact(self, j, s):
+        return None
+
+    def zero_mass_exact(self, j):
+        return None
+
+    def log_abs_mean_exact(self, j):
+        return None
+
+    def goldie_mean_exact(self, j, alpha):
+        return None
+
+    def joint_moment_exact(self, i, j, s, u):
+        return None
+
+    def constant_magnitude_exact(self, j):
+        return None
+
+    def a_abscissa(self, j):
+        return None
+
+    def b_moment_exact(self, j, s):
+        return None if self.b is None else self.b.dists[j].abs_moment(s)
+
+    def b_abscissa(self, j):
+        return None if self.b is None else self.b.dists[j].abscissa()
+
+    def b_is_zero(self, j):
+        return None if self.b is None else self.b.dists[j].is_zero()
+
+
+class _TwoPoint(_Family):
     name = "TwoPoint"
 
     def __init__(self, d: int, params: dict):
@@ -313,7 +358,7 @@ class _TwoPoint:
         return math.inf
 
 
-class _LogNormal:
+class _LogNormal(_Family):
     name = "LogNormal"
 
     def __init__(self, d: int, params: dict):
@@ -364,7 +409,7 @@ class _LogNormal:
         return math.inf
 
 
-class _CCCGarch:
+class _CCCGarch(_Family):
     name = "CCCGarch"
 
     def __init__(self, d: int, params: dict):
@@ -453,7 +498,7 @@ class _CCCGarch:
         return math.inf
 
 
-class _BekkDiag:
+class _BekkDiag(_Family):
     name = "BekkDiag"
 
     def __init__(self, d: int, params: dict):
@@ -520,7 +565,7 @@ class _BekkDiag:
         return math.inf
 
 
-class _CustomAtoms:
+class _CustomAtoms(_Family):
     name = "Custom"
 
     def __init__(self, d: int, params: dict):
@@ -600,7 +645,7 @@ class _CustomAtoms:
         return bool(np.all(self.bvals[self.prob > 0.0, j] == 0.0))
 
 
-class _CustomCallable:
+class _CustomCallable(_Family):
     name = "Custom"
 
     def __init__(self, d: int, params: dict):
@@ -675,79 +720,41 @@ class ModelSpec:
         """
         if n < 1:
             raise ValueError("n must be positive")
-        impl = self._impl
-        if hasattr(impl, "sample_joint"):
-            return impl.sample_joint(rng, n)
-        a = impl.sample_a(rng, n)
-        b = impl.b.sample(rng, n)
-        return a, b
+        return self._impl.sample_joint(rng, n)
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 
     def kappa_exact(self, j: int, s: float) -> float | None:
-        self._check_j(j)
-        fn = getattr(self._impl, "kappa_exact", None)
-        return None if fn is None else fn(j, float(s))
+        return self._impl.kappa_exact(self._check_j(j), float(s))
 
     def zero_mass_exact(self, j: int) -> float | None:
-        self._check_j(j)
-        fn = getattr(self._impl, "zero_mass_exact", None)
-        return None if fn is None else fn(j)
+        return self._impl.zero_mass_exact(self._check_j(j))
 
     def log_abs_mean_exact(self, j: int) -> float | None:
         """E[log|A_j| given A_j != 0], or None when unknown/undefined."""
-        self._check_j(j)
-        fn = getattr(self._impl, "log_abs_mean_exact", None)
-        return None if fn is None else fn(j)
+        return self._impl.log_abs_mean_exact(self._check_j(j))
 
     def goldie_mean_exact(self, j: int, alpha: float) -> float | None:
-        self._check_j(j)
-        fn = getattr(self._impl, "goldie_mean_exact", None)
-        return None if fn is None else fn(j, float(alpha))
+        return self._impl.goldie_mean_exact(self._check_j(j), float(alpha))
 
     def joint_moment_exact(self, i: int, j: int, s: float, u: float) -> float | None:
         """E |A_i|^s |A_j|^u, or None when no closed form is available."""
-        self._check_j(i)
-        self._check_j(j)
-        fn = getattr(self._impl, "joint_moment_exact", None)
-        return None if fn is None else fn(i, j, float(s), float(u))
+        return self._impl.joint_moment_exact(self._check_j(i), self._check_j(j), float(s), float(u))
 
     def constant_magnitude_exact(self, j: int) -> bool | None:
-        self._check_j(j)
-        fn = getattr(self._impl, "constant_magnitude_exact", None)
-        return None if fn is None else fn(j)
+        return self._impl.constant_magnitude_exact(self._check_j(j))
 
     def a_abscissa(self, j: int) -> float | None:
-        self._check_j(j)
-        fn = getattr(self._impl, "a_abscissa", None)
-        return None if fn is None else fn(j)
+        return self._impl.a_abscissa(self._check_j(j))
 
     def b_moment_exact(self, j: int, s: float) -> float | None:
-        self._check_j(j)
-        impl = self._impl
-        if hasattr(impl, "b_moment_exact"):
-            return impl.b_moment_exact(j, float(s))
-        if hasattr(impl, "b"):
-            return impl.b.dists[j].abs_moment(float(s))
-        return None
+        return self._impl.b_moment_exact(self._check_j(j), float(s))
 
     def b_abscissa(self, j: int) -> float | None:
-        self._check_j(j)
-        impl = self._impl
-        if hasattr(impl, "b_abscissa"):
-            return impl.b_abscissa(j)
-        if hasattr(impl, "b"):
-            return impl.b.dists[j].abscissa()
-        return None
+        return self._impl.b_abscissa(self._check_j(j))
 
     def b_is_zero(self, j: int) -> bool | None:
-        self._check_j(j)
-        impl = self._impl
-        if hasattr(impl, "b_is_zero"):
-            return impl.b_is_zero(j)
-        if hasattr(impl, "b"):
-            return impl.b.dists[j].is_zero()
-        return None
+        return self._impl.b_is_zero(self._check_j(j))
 
     # -- serialization -------------------------------------------------------
 
@@ -784,18 +791,13 @@ class ModelSpec:
             payload = f"custom-callable:{self._impl.label}:d={self.d}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _check_j(self, j: int) -> None:
+    def _check_j(self, j: int) -> int:
         if not 0 <= int(j) < self.d:
             raise ValueError(f"coordinate index {j} out of range for d={self.d}")
+        return j
 
     def __repr__(self):
         return f"ModelSpec(family={self.family!r}, d={self.d})"
-
-
-def sample_pair(spec: ModelSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one coefficient pair (a, b), each of shape (d,)."""
-    a, b = spec.sample_coeffs(rng, 1)
-    return a[0], b[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -840,14 +842,10 @@ def log_moment(
     The Monte Carlo route certifies contraction only when the 95% interval
     lies strictly below zero (or when mass at zero is observed).
     """
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
     exact_mean = spec.log_abs_mean_exact(j)
     exact_zero = spec.zero_mass_exact(j)
     have_exact = exact_zero is not None and (exact_mean is not None or exact_zero == 1.0)
-    if method == "closed-form" and not have_exact:
-        raise ValueError("no closed form for E log|A_j| in this model")
-    if method != "monte-carlo" and have_exact:
+    if use_closed_form(method, have_exact, "log_moment", rng):
         const = spec.constant_magnitude_exact(j)
         if exact_zero == 1.0:
             return LogMoment(None, 1.0, True, True)
@@ -857,8 +855,6 @@ def log_moment(
             bool(exact_zero > 0.0 or exact_mean < 0.0),
             bool(const) if const is not None else False,
         )
-    if rng is None:
-        raise ValueError("Monte Carlo log_moment needs an rng")
     a, _ = spec.sample_coeffs(rng, n)
     col = np.abs(a[:, j])
     nonzero = col[col > 0.0]

@@ -30,9 +30,11 @@ from .common import (
     STABLE_REL_CHANGE,
     Estimate,
     TailIndexError,
+    abs_pow,
     doubling_change,
     exact,
     mean_estimate,
+    use_closed_form,
 )
 from .model import ModelSpec
 
@@ -86,22 +88,11 @@ def kappa(
     "possibly-infinite" flag.
     """
     s = _require_exponent(s)
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
     closed = spec.kappa_exact(j, s)
-    if method == "closed-form" and closed is None:
-        raise ValueError("no closed-form kappa for this model")
-    if method != "monte-carlo" and closed is not None:
+    if use_closed_form(method, closed is not None, "kappa", rng):
         return exact(closed)
-    if rng is None:
-        raise ValueError("Monte Carlo kappa needs an rng")
     a, _ = spec.sample_coeffs(rng, n)
-    col = np.abs(a[:, j])
-    if s == 0.0:
-        w = (col > 0.0).astype(float)
-    else:
-        with np.errstate(over="ignore"):
-            w = np.where(col > 0.0, col ** s, 0.0)
+    w = abs_pow(np.abs(a[:, j]), s)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
     return mean_estimate(w, flag=flag)
 
@@ -155,14 +146,7 @@ def solve_alpha(
     Monte Carlo calls freeze a single coefficient draw and solve on the
     empirical kappa, so the achieved tolerance is relative to that draw.
     """
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
-    closed_available = spec.kappa_exact(j, 1.0) is not None
-    if method == "closed-form" and not closed_available:
-        raise ValueError("no closed-form kappa for this model")
-    use_closed = method != "monte-carlo" and closed_available
-
-    if use_closed:
+    if use_closed_form(method, spec.kappa_exact(j, 1.0) is not None, "solve_alpha", rng):
         tol = 1e-8 if tol is None else float(tol)
         zero_mass = spec.zero_mass_exact(j)
         mean_log = spec.log_abs_mean_exact(j)
@@ -182,8 +166,6 @@ def solve_alpha(
         tag = "closed-form"
     else:
         tol = 1e-3 if tol is None else float(tol)
-        if rng is None:
-            raise ValueError("Monte Carlo solve_alpha needs an rng")
         a, _ = spec.sample_coeffs(rng, n)
         khat = _KappaHat(np.abs(a[:, j]))
         if khat.logs.size == 0:
@@ -256,15 +238,9 @@ def goldie_mean(
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be finite and positive")
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
     closed = spec.goldie_mean_exact(j, alpha)
-    if method == "closed-form" and closed is None:
-        raise ValueError("no closed-form goldie mean for this model")
-    if method != "monte-carlo" and closed is not None:
+    if use_closed_form(method, closed is not None, "goldie_mean", rng):
         return exact(closed)
-    if rng is None:
-        raise ValueError("Monte Carlo goldie_mean needs an rng")
     a, _ = spec.sample_coeffs(rng, n)
     col = np.abs(a[:, j])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -297,28 +273,20 @@ def cross_kappa(
     for name, val in (("alpha_i", alpha_i), ("alpha_j", alpha_j)):
         if not (math.isfinite(val) and val > 0.0):
             raise ValueError(f"{name} must be finite and positive")
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
     s = float(alpha_i) * xi
     u = float(alpha_j) * (1.0 - xi)
 
-    if i == j:
-        closed = spec.kappa_exact(j, s + u)
-        if method != "monte-carlo" and closed is not None:
-            return exact(closed)
-    closed = spec.joint_moment_exact(i, j, s, u)
-    if method == "closed-form" and closed is None:
-        raise ValueError("no closed-form cross moment for this model")
-    if method != "monte-carlo" and closed is not None:
+    closed = spec.kappa_exact(j, s + u) if i == j else None
+    if closed is None:
+        closed = spec.joint_moment_exact(i, j, s, u)
+    if use_closed_form(method, closed is not None, "cross_kappa", rng):
         return exact(closed)
-    if rng is None:
-        raise ValueError("Monte Carlo cross_kappa needs an rng")
     a, _ = spec.sample_coeffs(rng, n)
     ai = np.abs(a[:, i])
     aj = np.abs(a[:, j])
+    wi = np.ones_like(ai) if s == 0.0 else abs_pow(ai, s)
+    wj = np.ones_like(aj) if u == 0.0 else abs_pow(aj, u)
     with np.errstate(over="ignore"):
-        wi = np.ones_like(ai) if s == 0.0 else np.where(ai > 0.0, ai ** s, 0.0)
-        wj = np.ones_like(aj) if u == 0.0 else np.where(aj > 0.0, aj ** u, 0.0)
         w = wi * wj
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
     return mean_estimate(w, flag=flag)
@@ -367,20 +335,13 @@ def moment_abscissa(
     reported s_inf is the last stable grid point before the first unstable
     one.  This is a cheap divergence heuristic, not a proof.
     """
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError("method must be auto, closed-form, or monte-carlo")
     grid = _default_abscissa_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a positive increasing vector")
     a_abs = spec.a_abscissa(j)
     b_abs = spec.b_abscissa(j)
-    known = a_abs is not None and b_abs is not None
-    if method == "closed-form" and not known:
-        raise ValueError("no closed-form abscissa for this model")
-    if method != "monte-carlo" and known:
+    if use_closed_form(method, a_abs is not None and b_abs is not None, "moment_abscissa", rng):
         return AbscissaScan(float(min(a_abs, b_abs)), "closed-form", tuple(grid), None, None)
-    if rng is None:
-        raise ValueError("Monte Carlo moment_abscissa needs an rng")
     a, b = spec.sample_coeffs(rng, 2 * n)
     ca = np.abs(a[:, j])
     cb = np.abs(b[:, j])
@@ -388,11 +349,8 @@ def moment_abscissa(
     s_inf = 0.0
     hit_unstable = False
     for s in grid:
-        with np.errstate(over="ignore"):
-            wa = np.where(ca > 0.0, ca ** s, 0.0)
-            wb = np.where(cb > 0.0, cb ** s, 0.0)
-        sa = doubling_change(wa) <= STABLE_REL_CHANGE
-        sb = doubling_change(wb) <= STABLE_REL_CHANGE
+        sa = doubling_change(abs_pow(ca, s)) <= STABLE_REL_CHANGE
+        sb = doubling_change(abs_pow(cb, s)) <= STABLE_REL_CHANGE
         a_stable.append(bool(sa))
         b_stable.append(bool(sb))
         if not hit_unstable and sa and sb:
@@ -477,8 +435,8 @@ def positivity_check(
                 draw = (np.abs(a[:, j]), np.abs(b[:, j]))
             ca, cb = draw
             with np.errstate(over="ignore"):
-                num = float(np.where(cb > 0.0, cb ** s, 0.0).mean()) if num is None else num
-                den = float(np.where(ca > 0.0, ca ** s, 0.0).mean()) if den is None else den
+                num = float(abs_pow(cb, s).mean()) if num is None else num
+                den = float(abs_pow(ca, s).mean()) if den is None else den
         ratios.append(math.inf if den == 0.0 else num / den)
     r = np.asarray(ratios)
 
@@ -491,6 +449,20 @@ def positivity_check(
         decaying = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
         status = "satisfied" if decaying else "inconclusive"
     return PositivityReport(status, s_inf, tuple(float(g) for g in grid), tuple(ratios), False)
+
+
+def noise_margin_ok(
+    spec: ModelSpec, j: int, alpha: float, n: int, rng: np.random.Generator | None
+) -> bool:
+    """Whether E|B_j|^(alpha + sigma_margin) looks finite, as the tail
+    limits need: exactly for known noise laws, otherwise by the doubling
+    heuristic on n fresh noise draws."""
+    probe = alpha + spec.sigma_margin
+    closed = spec.b_moment_exact(j, probe)
+    if use_closed_form("auto", closed is not None, "noise_margin_ok", rng):
+        return bool(math.isfinite(closed))
+    _, b = spec.sample_coeffs(rng, n)
+    return bool(doubling_change(abs_pow(np.abs(b[:, j]), probe)) <= STABLE_REL_CHANGE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -522,9 +494,7 @@ def tail_profile(
 ) -> TailProfile:
     """Solve the moment equation coordinate by coordinate.
 
-    margin_ok records whether E|B_j|^(alpha_j + sigma_margin) looks finite
-    (exactly for known noise laws, by the doubling heuristic otherwise);
-    the tail limits need this extra noise moment.
+    margin_ok is noise_margin_ok on n // 5 noise draws.
     """
     alphas, means, abscissas, methods, margins = [], [], [], [], []
     for j in range(spec.d):
@@ -533,16 +503,5 @@ def tail_profile(
         means.append(goldie_mean(spec, j, root.alpha, method=method, n=n, rng=rng))
         abscissas.append(moment_abscissa(spec, j, n=max(1, n // 5), rng=rng, method=method).s_inf)
         methods.append(root.method)
-        probe = root.alpha + spec.sigma_margin
-        closed = spec.b_moment_exact(j, probe)
-        if closed is not None:
-            margins.append(bool(math.isfinite(closed)))
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo tail_profile needs an rng")
-            _, b = spec.sample_coeffs(rng, max(2, n // 5))
-            cb = np.abs(b[:, j])
-            with np.errstate(over="ignore"):
-                w = np.where(cb > 0.0, cb ** probe, 0.0)
-            margins.append(bool(doubling_change(w) <= STABLE_REL_CHANGE))
+        margins.append(noise_margin_ok(spec, j, root.alpha, max(2, n // 5), rng))
     return TailProfile(tuple(alphas), tuple(means), tuple(abscissas), tuple(methods), tuple(margins))

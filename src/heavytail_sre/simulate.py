@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .common import DivergenceError, NonContractiveError, chain_stream, diagnostic_stream
-from .geometry import alpha_norm
 from .model import LogMoment, ModelSpec, log_moment
 
 POOL_SCHEMA = "pool-columnar-v1"
@@ -324,25 +323,3 @@ def stationary_pool(
         "x0": x0.tolist(),
     }
     return SamplePool(x_pre, a_rec, b_rec, x_post, chain_col, step_col, meta)
-
-
-def exceedance_filter(pool: SamplePool, alphas, t: float) -> SamplePool:
-    """Records whose post-update state exceeds t in the weighted max norm.
-
-    t = 0 keeps everything except exact zeros.  The returned pool records
-    the parent size and the exceedance fraction in its meta.
-    """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError("threshold t must be finite and nonnegative")
-    norms = alpha_norm(pool.x_post, alphas)
-    mask = norms > t
-    sub = pool.select(mask)
-    sub.meta.update(
-        {
-            "filter_threshold": t,
-            "parent_records": len(pool),
-            "exceedance_fraction": float(mask.mean()) if len(pool) else 0.0,
-        }
-    )
-    return sub

@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from .common import Estimate, LadderError, Z95, binomial_ci, doubling_change, mean_estimate
+from .common import (
+    STABLE_REL_CHANGE, Estimate, LadderError, Z95, binomial_ci, doubling_change, mean_estimate
+)
 from .geometry import alpha_norm, dilate
 
 DEFAULT_QUANTILES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
@@ -252,7 +254,7 @@ def goldie_constant(pool, j: int, alpha: float, mean_log: float) -> GoldieConsta
         wm = np.maximum(-y, 0.0) ** alpha - np.maximum(-ax, 0.0) ** alpha
     wt = wp + wm
     scale = 1.0 / (alpha * mean_log)
-    unstable = not np.all(np.isfinite(wt)) or doubling_change(wt) > 0.05
+    unstable = not np.all(np.isfinite(wt)) or doubling_change(wt) > STABLE_REL_CHANGE
     ep = _scaled_mean(wp, scale)
     em = _scaled_mean(wm, scale)
     et = _scaled_mean(wt, scale)
@@ -480,7 +482,7 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     with np.errstate(over="ignore"):
         w = np.abs(pool.x_post[:, j]) ** s
     rel = doubling_change(w)
-    stable = bool(rel <= 0.05 and np.all(np.isfinite(w)))
+    stable = bool(rel <= STABLE_REL_CHANGE and np.all(np.isfinite(w)))
     est = mean_estimate(w, flag=None if stable else "unstable")
     return MomentCheck(s, est, float(rel), stable)
 

@@ -6,8 +6,6 @@ from heavytail_sre import (
     BlockPartition,
     ModelSpec,
     detect_blocks,
-    project_block,
-    stationary_pool,
 )
 from heavytail_sre.moments import solve_alpha
 
@@ -113,30 +111,3 @@ def test_class_of_out_of_range():
     part = BlockPartition(((0,),), (0,), {})
     with pytest.raises(IndexError):
         part.class_of(1)
-
-
-def test_project_block_slices_columns():
-    spec = ModelSpec(
-        "TwoPoint",
-        3,
-        {
-            "p": [0.2, 0.2, 0.3],
-            "up": 2.0,
-            "down": 0.5,
-            "comonotone": True,
-            "b": {"dist": "exponential", "rate": 1.0},
-        },
-    )
-    pool = stationary_pool(spec, seed=5, chains=4, n_per_chain=20)
-    part = BlockPartition(((0, 1), (2,)), (0, 1, 2), {})
-    sub = project_block(pool, part, 0)
-    assert sub.d == 2
-    assert len(sub) == len(pool)
-    np.testing.assert_array_equal(sub.x_post, pool.x_post[:, [0, 1]])
-    assert sub.meta["block_index"] == 0
-    assert sub.meta["block_coords"] == [0, 1]
-    assert sub.meta["parent_d"] == 3
-    one = project_block(pool, part, 1)
-    np.testing.assert_array_equal(one.x_post, pool.x_post[:, [2]])
-    with pytest.raises(IndexError):
-        project_block(pool, part, 2)

@@ -218,6 +218,37 @@ def test_standalone_stage_reuses_artifacts(full_run):
     assert (out / "tails.report.json").read_bytes() == before
 
 
+def test_artifacts_of_another_model_or_seed_exit_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": [
+            "solve-alpha",
+            {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100, "thin": 2}},
+        ],
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    capsys.readouterr()
+
+    assert main(["tails", "--config", cfg, "--seed", "4"]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation"
+    assert "pool.meta.json" in err["detail"] and "seed 3" in err["detail"]
+
+    changed = json.loads(json.dumps(doc))
+    changed["model"]["params"]["up"] = 1.9
+    cfg2 = write_config(tmp_path / "c2.json", changed)
+    assert main(["tails", "--config", cfg2]) == 2
+    assert "pool.meta.json" in last_stderr_doc(capsys)["detail"]
+    assert main(["blocks", "--config", cfg2]) == 2
+    assert "solve-alpha.report.json" in last_stderr_doc(capsys)["detail"]
+    assert not (out / "tails.report.json").exists()
+    assert not (out / "blocks.report.json").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out = tmp_path / "o"
     cfg = write_config(

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytail_sre import alpha_norm, dilate, polar, subadditivity_constant
-from heavytail_sre.geometry import AlphaNorm
 
 ALPHAS = np.array([1.0, 2.0])
 
@@ -48,13 +47,6 @@ def test_norm_batch_shape():
     out = alpha_norm(x, ALPHAS)
     assert out.shape == (100,)
     assert np.all(out >= 0)
-
-
-def test_callable_norm_object():
-    nrm = AlphaNorm(ALPHAS)
-    assert nrm([3.0, 2.0]) == 4.0
-    assert nrm.c_alpha == 2.0
-    assert nrm.d == 2
 
 
 def test_overflow_guard_matches_log_path():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from heavytail_sre import ConfigurationError, ModelSpec, log_moment, sample_pair
+from heavytail_sre import ConfigurationError, ModelSpec, log_moment
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -232,13 +232,6 @@ def test_two_point_sampling_matches_kappa():
     assert set(np.unique(a)) == {0.5, 2.0}
     assert np.mean(a) == pytest.approx(0.8, rel=0.02)
     assert np.mean(b) == pytest.approx(1.0, rel=0.02)
-
-
-def test_sample_pair_shape():
-    spec = ModelSpec("TwoPoint", 3, {"p": 0.2, "up": 2.0, "down": 0.5})
-    a, b = sample_pair(spec, RNG(0))
-    assert a.shape == (3,)
-    assert b.shape == (3,)
 
 
 def test_sampling_is_reproducible():

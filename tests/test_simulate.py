@@ -9,10 +9,8 @@ from heavytail_sre import (
     ModelSpec,
     NonContractiveError,
     SamplePool,
-    alpha_norm,
     default_burn_in,
     drift_diagnostics,
-    exceedance_filter,
     iterate,
     stationary_pool,
 )
@@ -240,26 +238,3 @@ def test_select_copies():
     assert len(sub) == 5
     sub.x_post[:] = -1.0
     assert not np.any(pool.x_post == -1.0)
-
-
-# -- exceedance_filter ------------------------------------------------------------
-
-
-def test_exceedance_filter_mask_and_meta():
-    pool = stationary_pool(REFERENCE, seed=6, chains=20, n_per_chain=100)
-    t = 8.0
-    sub = exceedance_filter(pool, [2.0], t)
-    norms = alpha_norm(pool.x_post, [2.0])
-    assert len(sub) == int((norms > t).sum())
-    assert np.all(alpha_norm(sub.x_post, [2.0]) > t)
-    assert sub.meta["filter_threshold"] == t
-    assert sub.meta["parent_records"] == len(pool)
-    assert sub.meta["exceedance_fraction"] == pytest.approx(len(sub) / len(pool))
-
-
-def test_exceedance_filter_validates_threshold():
-    pool = stationary_pool(REFERENCE, seed=6, chains=2, n_per_chain=5)
-    with pytest.raises(ValueError):
-        exceedance_filter(pool, [2.0], -1.0)
-    with pytest.raises(ValueError):
-        exceedance_filter(pool, [2.0], math.inf)
