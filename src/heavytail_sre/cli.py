@@ -147,14 +147,34 @@ class _DirLock:
         self.fd = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self.path} exists)"
-            ) from None
+        for attempt in range(2):
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._holder_gone():
+                    raise RuntimeError(
+                        f"output directory is locked by another run ({self.path} exists)"
+                    ) from None
+            # a crashed run left its lock behind; reclaim it
+            try:
+                os.unlink(self.path)
+            except FileNotFoundError:
+                pass
         os.write(self.fd, f"{os.getpid()}\n".encode())
         return self
+
+    def _holder_gone(self) -> bool:
+        """True when the lock is gone or names a process that no longer exists."""
+        try:
+            pid = int(self.path.read_text())
+            if pid > 0:
+                os.kill(pid, 0)
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        except (OSError, ValueError):
+            pass
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
@@ -172,7 +192,6 @@ class _RunPlan:
     seed: int
     out: Path
     pipeline: list[tuple[str, dict]]
-    workers: int | None
     config_sha: str
 
 
@@ -259,7 +278,7 @@ def _load_plan(args) -> _RunPlan:
     sha = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return _RunPlan(model, int(seed), Path(out), pipeline, args.workers, sha)
+    return _RunPlan(model, int(seed), Path(out), pipeline, sha)
 
 
 class _Runner:
@@ -374,8 +393,8 @@ class _Runner:
 
     def execute(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
-        self.preflight()
         with _DirLock(self.out):
+            self.preflight()
             existing = self.out / "manifest.json"
             if existing.exists():
                 try:
@@ -430,7 +449,6 @@ class _Runner:
         self._finish_stage("solve-alpha", params, ["solve-alpha.report.json"])
 
     def _stage_simulate(self, params: dict) -> None:
-        workers = params.get("workers", self.plan.workers) or 1
         pool = stationary_pool(
             self.spec,
             seed=self.seed,
@@ -439,7 +457,6 @@ class _Runner:
             burn_in=params.get("burn_in"),
             thin=int(params.get("thin", 10)),
             x0=params.get("x0"),
-            workers=int(workers),
         )
         pool.save(self.out / "pool.bin", self.out / "pool.meta.json")
         doc = {
@@ -711,9 +728,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--workers", type=int, default=None, help="worker threads for simulation"
-        )
     return parser
 
 

@@ -180,8 +180,8 @@ def chain_stream(seed: int, chain: int) -> np.random.Generator:
     """Generator for one chain, derived from the master seed by chain index.
 
     The derivation depends only on (seed, chain), never on how chains are
-    grouped into workers, so pooled output is invariant under the worker
-    count.
+    batched into blocks, so pooled output is invariant under chain
+    batching.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_NS_CHAIN, int(chain)))
     return np.random.default_rng(ss)

@@ -7,9 +7,9 @@ independent of (a, b) within a row; several estimators rely on exactly
 this independence and must use x_pre, never x_post.
 
 Chain c draws from a generator derived from (master seed, c) alone.  The
-pooled records are therefore a pure function of the arguments, independent
-of worker count or chain batching, and a pool with more chains extends a
-pool with fewer chains record for record.
+pooled records are therefore a pure function of the arguments, invariant
+under how chains are batched into blocks, and a pool with more chains
+extends a pool with fewer chains record for record.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -110,24 +108,9 @@ class SamplePool:
         expected = n * 8 * (2 + 4 * d)
         if raw.size != expected:
             raise ValueError(f"pool file has {raw.size} bytes, expected {expected}")
-        off = 0
-
-        def take(dtype):
-            nonlocal off
-            col = np.frombuffer(raw, dtype=dtype, count=n, offset=off).copy()
-            off += n * 8
-            return col
-
-        chain = take("<i8")
-        step = take("<i8")
-        groups = {}
-        for group in _FLOAT_GROUPS:
-            cols = [take("<f8") for _ in range(d)]
-            groups[group] = np.column_stack(cols) if d > 1 else cols[0].reshape(-1, 1)
-        return cls(
-            groups["x_pre"], groups["a"], groups["b"], groups["x_post"],
-            chain, step, doc.get("meta", {}),
-        )
+        chain, step = np.frombuffer(raw, "<i8", count=2 * n).reshape(2, n)
+        floats = np.frombuffer(raw, "<f8", offset=16 * n).reshape(4, d, n)
+        return cls(*(group.T for group in floats), chain, step, doc.get("meta", {}))
 
     def to_csv(self, path) -> None:
         """RFC 4180 export (CRLF, header row, full float precision)."""
@@ -205,7 +188,6 @@ def stationary_pool(
     burn_in: int | None = None,
     thin: int = 10,
     x0=None,
-    workers: int = 1,
     contractivity: tuple[LogMoment, ...] | None = None,
     drift_check_n: int = 100_000,
 ) -> SamplePool:
@@ -216,13 +198,11 @@ def stationary_pool(
     drift (pass ``contractivity`` to reuse a previous check).  The default
     burn-in is ceil(20 / |median_j E log|A_j||).
 
-    ``workers`` only batches the chain blocks across threads; the output
-    is byte-identical for every value.
+    A divergence reports the earliest failing step and, among the chains
+    failing there, the lowest chain, whatever the chain batching.
     """
     if chains < 1 or n_per_chain < 1 or thin < 1:
         raise ValueError("chains, n_per_chain, and thin must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     d = spec.d
     if x0 is None:
         x0 = np.zeros(d)
@@ -248,69 +228,46 @@ def stationary_pool(
         raise ValueError("burn_in must be nonnegative")
 
     steps = burn_in + n_per_chain * thin
+    # slab index of the first recorded step; records sit at first::thin
+    first = burn_in + thin - 1
     n_records = chains * n_per_chain
-    x_pre = np.empty((n_records, d))
-    a_rec = np.empty((n_records, d))
-    b_rec = np.empty((n_records, d))
-    x_post = np.empty((n_records, d))
-    chain_col = np.empty(n_records, dtype=np.int64)
-    step_col = np.empty(n_records, dtype=np.int64)
+    groups = [np.empty((n_records, d)) for _ in _FLOAT_GROUPS]
+    x_pre, a_rec, b_rec, x_post = (g.reshape(chains, n_per_chain, d) for g in groups)
+    failures = []
 
     block = max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1))
-    rec_steps = burn_in + thin * np.arange(1, n_per_chain + 1)
-
-    def run_block(c0: int, nb: int) -> None:
-        a_blk = np.empty((steps, nb, d))
-        b_blk = np.empty((steps, nb, d))
+    for c0 in range(0, chains, block):
+        nb = min(block, chains - c0)
+        rows = slice(c0, c0 + nb)
+        # chain-major slabs; the recursion overwrites the b slab with states
+        a = np.empty((nb, steps, d))
+        x = np.empty((nb, steps, d))
         for c in range(nb):
-            rng = chain_stream(seed, c0 + c)
-            a_c, b_c = spec.sample_coeffs(rng, steps)
-            a_blk[:, c, :] = a_c
-            b_blk[:, c, :] = b_c
-        xp = np.empty((n_per_chain, nb, d))
-        ar = np.empty((n_per_chain, nb, d))
-        br = np.empty((n_per_chain, nb, d))
-        xq = np.empty((n_per_chain, nb, d))
-        x = np.broadcast_to(x0, (nb, d)).copy()
-        k = 0
-        for i in range(steps):
-            a_t = a_blk[i]
-            b_t = b_blk[i]
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_new = a_t * x + b_t
-            if not np.isfinite(x_new).all():
-                t = i + 1
-                bad_chain = int(np.argwhere(~np.isfinite(x_new).all(axis=1))[0, 0])
-                raise DivergenceError(
-                    f"chain {c0 + bad_chain} left the representable range at step {t}",
-                    step=t,
-                    chain=c0 + bad_chain,
-                )
-            t = i + 1
-            if t > burn_in and (t - burn_in) % thin == 0:
-                xp[k] = x
-                ar[k] = a_t
-                br[k] = b_t
-                xq[k] = x_new
-                k += 1
-            x = x_new
-        lo, hi = c0 * n_per_chain, (c0 + nb) * n_per_chain
-        x_pre[lo:hi] = xp.transpose(1, 0, 2).reshape(-1, d)
-        a_rec[lo:hi] = ar.transpose(1, 0, 2).reshape(-1, d)
-        b_rec[lo:hi] = br.transpose(1, 0, 2).reshape(-1, d)
-        x_post[lo:hi] = xq.transpose(1, 0, 2).reshape(-1, d)
-        chain_col[lo:hi] = np.repeat(np.arange(c0, c0 + nb, dtype=np.int64), n_per_chain)
-        step_col[lo:hi] = np.tile(rec_steps.astype(np.int64), nb)
-
-    jobs = [(c0, min(block, chains - c0)) for c0 in range(0, chains, block)]
-    if workers == 1 or len(jobs) == 1:
-        for c0, nb in jobs:
-            run_block(c0, nb)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_block, c0, nb) for c0, nb in jobs]
-            for fut in futures:
-                fut.result()
+            a[c], x[c] = spec.sample_coeffs(chain_stream(seed, c0 + c), steps)
+        a_rec[rows] = a[:, first::thin]
+        b_rec[rows] = x[:, first::thin]
+        prev = x0
+        # overflow here is the divergence being detected, not an anomaly
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(steps):
+                prev = np.add(a[:, i] * prev, x[:, i], out=x[:, i])
+        # a non-finite state stays non-finite, so the last one tells
+        if not np.isfinite(prev).all():
+            lost = ~np.isfinite(x).all(axis=2)
+            i = int(lost.any(axis=0).argmax())
+            failures.append((i + 1, c0 + int(lost[:, i].argmax())))
+            continue
+        x_post[rows] = x[:, first::thin]
+        if first:
+            x_pre[rows] = x[:, first - 1 : -1 : thin]
+        else:
+            x_pre[rows, 0] = x0
+            x_pre[rows, 1:] = x[:, :-1]
+    if failures:
+        t, c = min(failures)
+        raise DivergenceError(
+            f"chain {c} left the representable range at step {t}", step=t, chain=c
+        )
 
     meta = {
         "burn_in": burn_in,
@@ -322,4 +279,6 @@ def stationary_pool(
         "thin": thin,
         "x0": x0.tolist(),
     }
-    return SamplePool(x_pre, a_rec, b_rec, x_post, chain_col, step_col, meta)
+    chain_col = np.repeat(np.arange(chains, dtype=np.int64), n_per_chain)
+    step_col = np.tile(burn_in + thin * np.arange(1, n_per_chain + 1, dtype=np.int64), chains)
+    return SamplePool(*groups, chain_col, step_col, meta)

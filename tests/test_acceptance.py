@@ -249,7 +249,7 @@ def test_cross_moment_and_gamma_bound():
 
 
 def test_reproducible_reports(tmp_path):
-    def run(out: Path, workers: int) -> int:
+    def config(out: Path) -> str:
         cfg = tmp_path / f"cfg_{out.name}.json"
         cfg.write_text(
             json.dumps(
@@ -269,11 +269,15 @@ def test_reproducible_reports(tmp_path):
                 }
             )
         )
-        return cli_main(["run", "--config", str(cfg), "--workers", str(workers)])
+        return str(cfg)
 
-    outs = [tmp_path / name for name in ("a", "b", "w8")]
-    for out, workers in zip(outs, (1, 1, 8)):
-        assert run(out, workers) == 0
+    # two whole runs, then the same stages as separate subcommands
+    outs = [tmp_path / name for name in ("a", "b", "staged")]
+    for out in outs[:2]:
+        assert cli_main(["run", "--config", config(out)]) == 0
+    staged_cfg = config(outs[2])
+    for stage in ("solve-alpha", "simulate", "tails", "report"):
+        assert cli_main([stage, "--config", staged_cfg]) == 0
 
     artifacts = [
         "solve-alpha.report.json",

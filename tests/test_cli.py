@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -150,13 +151,33 @@ def test_runtime_error_names_stage(tmp_path, capsys):
 def test_locked_output_directory(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
-    (out / ".lock").write_text("12345\n")
+    # preflight runs under the lock, so the lock is reported before the
+    # missing upstream artifacts of 'tails'
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["tails"]},
+    )
+    # a live process (this one) or an unreadable PID keeps the lock
+    for holder in (f"{os.getpid()}\n", ""):
+        (out / ".lock").write_text(holder)
+        assert main(["run", "--config", cfg]) == 1
+        assert "locked" in last_stderr_doc(capsys)["detail"]
+        assert (out / ".lock").read_text() == holder
+
+
+def test_lock_of_a_finished_process_is_reclaimed(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / ".lock").write_text(f"{child.pid}\n")
     cfg = write_config(
         tmp_path / "c.json",
         {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["report"]},
     )
-    assert main(["run", "--config", cfg]) == 1
-    assert "locked" in last_stderr_doc(capsys)["detail"]
+    assert main(["run", "--config", cfg]) == 0
+    assert (out / "report.json").exists()
+    assert not (out / ".lock").exists()
 
 
 def test_full_run_artifacts(full_run):

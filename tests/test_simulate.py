@@ -14,6 +14,7 @@ from heavytail_sre import (
     iterate,
     stationary_pool,
 )
+from heavytail_sre import simulate
 from heavytail_sre.common import chain_stream, exact
 from heavytail_sre.model import LogMoment
 
@@ -122,12 +123,39 @@ def test_pool_chain_matches_iterate():
         np.testing.assert_array_equal(got[:, 0], path[steps - 1, 0])
 
 
-def test_pool_worker_invariance():
-    one = stationary_pool(REFERENCE, seed=5, chains=16, n_per_chain=10, workers=1)
-    many = stationary_pool(REFERENCE, seed=5, chains=16, n_per_chain=10, workers=8)
-    np.testing.assert_array_equal(one.x_post, many.x_post)
-    np.testing.assert_array_equal(one.x_pre, many.x_pre)
-    np.testing.assert_array_equal(one.chain, many.chain)
+@pytest.mark.parametrize("burn_in, thin", [(0, 1), (5, 3)])
+def test_pool_is_invariant_under_chain_blocks(monkeypatch, burn_in, thin):
+    one = stationary_pool(REFERENCE, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
+    # blocks of three chains: 3 + 3 + 1
+    monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * (burn_in + 10 * thin))
+    split = stationary_pool(REFERENCE, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
+    for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
+        np.testing.assert_array_equal(getattr(split, name), getattr(one, name), err_msg=name)
+    assert split.meta == one.meta
+
+
+def test_divergence_is_invariant_under_chain_blocks(monkeypatch):
+    # E log A = 0.6 log 2 > 0: every chain drifts to overflow at its own step
+    expanding = ModelSpec(
+        "TwoPoint", 2, {"p": 0.8, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}
+    )
+    fake = (LogMoment(exact(-1.0), 0.0, True, False),) * 2
+    seed, chains, steps = 5, 7, 3000
+    first = []
+    for c in range(chains):
+        with pytest.raises(DivergenceError) as err:
+            iterate(expanding, np.zeros(2), steps, chain_stream(seed, c))
+        first.append((err.value.step, c))
+    want = min(first)
+    # the earliest divergence lies outside the first block of three chains
+    assert want[1] >= 3
+    monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * steps * 2)
+    with pytest.raises(DivergenceError) as err:
+        stationary_pool(
+            expanding, seed=seed, chains=chains, n_per_chain=steps, thin=1,
+            burn_in=0, contractivity=fake,
+        )
+    assert (err.value.step, err.value.chain) == want
 
 
 def test_pool_extends_by_adding_chains():
@@ -152,8 +180,8 @@ def test_pool_divergence_reports_chain():
             expanding, seed=0, chains=2, n_per_chain=2000, thin=1,
             burn_in=0, contractivity=fake,
         )
-    assert err.value.chain in (0, 1)
-    assert err.value.step > 500
+    # x_t = 2^t - 1 first overflows at t = 1024, on every chain at once
+    assert (err.value.step, err.value.chain) == (1024, 0)
 
 
 def test_pool_validates_arguments():
@@ -161,8 +189,6 @@ def test_pool_validates_arguments():
         stationary_pool(REFERENCE, seed=0, chains=0, n_per_chain=10)
     with pytest.raises(ValueError):
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, thin=0)
-    with pytest.raises(ValueError):
-        stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, workers=0)
     with pytest.raises(ValueError):
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, x0=np.zeros(3))
 
