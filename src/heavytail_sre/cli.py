@@ -31,6 +31,7 @@ from .common import (
     NonContractiveError,
     TailIndexError,
     TauHeavinessError,
+    atomic_write,
     stage_stream,
 )
 from .independence import (
@@ -115,7 +116,7 @@ def _jsonable(obj):
 
 
 def _dump_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(_jsonable(doc), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -133,7 +134,7 @@ def _csv_cell(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\r\n")

@@ -1,9 +1,11 @@
-"""Shared result containers, error types, and RNG stream derivation."""
+"""Shared result containers, error types, RNG stream derivation, file writes."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 
 import numpy as np
 
@@ -197,3 +199,20 @@ def diagnostic_stream(seed: int) -> np.random.Generator:
     """Generator reserved for internal validation draws (drift checks)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_NS_DIAG,))
     return np.random.default_rng(ss)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Write through ``path + '.tmp'`` and rename it over ``path`` on success.
+
+    On failure the temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

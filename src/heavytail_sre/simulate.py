@@ -10,6 +10,9 @@ Chain c draws from a generator derived from (master seed, c) alone.  The
 pooled records are therefore a pure function of the arguments, invariant
 under how chains are batched into blocks, and a pool with more chains
 extends a pool with fewer chains record for record.
+
+A diagonal A acts coordinate by coordinate, so the simulation slabs are
+coordinate-major, (chain, coordinate, step): one step is one strided run.
 """
 
 from __future__ import annotations
@@ -17,17 +20,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 
-from .common import DivergenceError, NonContractiveError, chain_stream, diagnostic_stream
+from .common import DivergenceError, NonContractiveError, atomic_write, chain_stream, diagnostic_stream
 from .model import LogMoment, ModelSpec, log_moment
 
 POOL_SCHEMA = "pool-columnar-v1"
 _FLOAT_GROUPS = ("x_pre", "a", "b", "x_post")
 
-# Chain blocks are sized so the per-block coefficient draws stay around
-# ~50 MB regardless of steps per chain.
+# Chain blocks are sized so each of the two slabs, allocated once per pool,
+# holds about 6e6 floats (~96 MB for both) regardless of steps per chain.
 _BLOCK_TARGET_FLOATS = 6_000_000
 
 
@@ -72,11 +76,14 @@ class SamplePool:
         """Write raw little-endian columns plus a JSON sidecar.
 
         Layout: chain and step as int64, then each float64 group
-        coordinate by coordinate, every column contiguous.
+        coordinate by coordinate, every column contiguous.  Both files are
+        replaced atomically, and the sidecar, removed first, is written last:
+        a failed save leaves no pool that loads.
         """
         bin_path = str(bin_path)
         meta_path = _sidecar_path(bin_path) if meta_path is None else str(meta_path)
-        with open(bin_path, "wb") as fh:
+        pathlib.Path(meta_path).unlink(missing_ok=True)
+        with atomic_write(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.chain, dtype="<i8").tobytes())
             fh.write(np.ascontiguousarray(self.step, dtype="<i8").tobytes())
             for group in _FLOAT_GROUPS:
@@ -91,7 +98,7 @@ class SamplePool:
             "byte_order": "little",
             "meta": self.meta,
         }
-        with open(meta_path, "w") as fh:
+        with atomic_write(meta_path) as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -194,6 +201,7 @@ def stationary_pool(
     """Simulate independent chains and pool their post-burn-in records.
 
     Record k of chain c is the transition at step t = burn_in + (k+1)*thin.
+    Chains run in blocks through two reused (chain, coordinate, step) slabs.
     Refuses to run unless every coordinate has a certified negative log
     drift (pass ``contractivity`` to reuse a previous check).  The default
     burn-in is ceil(20 / |median_j E log|A_j||).
@@ -232,37 +240,41 @@ def stationary_pool(
     first = burn_in + thin - 1
     n_records = chains * n_per_chain
     groups = [np.empty((n_records, d)) for _ in _FLOAT_GROUPS]
-    x_pre, a_rec, b_rec, x_post = (g.reshape(chains, n_per_chain, d) for g in groups)
+    # (chain, coordinate, record) views of the output, matching the slabs
+    x_pre, a_rec, b_rec, x_post = (g.reshape(chains, n_per_chain, d).swapaxes(1, 2) for g in groups)
     failures = []
 
     block = max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1))
+    # the a and b slabs; the recursion overwrites the b slab with states
+    slabs = np.empty((2, block, d, steps))
     for c0 in range(0, chains, block):
         nb = min(block, chains - c0)
         rows = slice(c0, c0 + nb)
-        # chain-major slabs; the recursion overwrites the b slab with states
-        a = np.empty((nb, steps, d))
-        x = np.empty((nb, steps, d))
+        a, x = slabs[:, :nb]
         for c in range(nb):
-            a[c], x[c] = spec.sample_coeffs(chain_stream(seed, c0 + c), steps)
-        a_rec[rows] = a[:, first::thin]
-        b_rec[rows] = x[:, first::thin]
+            ac, bc = spec.sample_coeffs(chain_stream(seed, c0 + c), steps)
+            a[c], x[c] = ac.T, bc.T
+        a_rec[rows] = a[:, :, first::thin]
+        b_rec[rows] = x[:, :, first::thin]
         prev = x0
         # overflow here is the divergence being detected, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                prev = np.add(a[:, i] * prev, x[:, i], out=x[:, i])
+                prev = np.add(a[:, :, i] * prev, x[:, :, i], out=x[:, :, i])
         # a non-finite state stays non-finite, so the last one tells
         if not np.isfinite(prev).all():
-            lost = ~np.isfinite(x).all(axis=2)
+            lost = ~np.isfinite(x).all(axis=1)
             i = int(lost.any(axis=0).argmax())
             failures.append((i + 1, c0 + int(lost[:, i].argmax())))
             continue
-        x_post[rows] = x[:, first::thin]
+        x_post[rows] = x[:, :, first::thin]
         if first:
-            x_pre[rows] = x[:, first - 1 : -1 : thin]
+            x_pre[rows] = x[:, :, first - 1 : -1 : thin]
         else:
-            x_pre[rows, 0] = x0
-            x_pre[rows, 1:] = x[:, :-1]
+            x_pre[rows, :, 0] = x0
+            x_pre[rows, :, 1:] = x[:, :, :-1]
+    # free the slabs before the chain and step columns are built
+    del slabs, a, x, prev
     if failures:
         t, c = min(failures)
         raise DivergenceError(

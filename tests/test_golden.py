@@ -1,4 +1,5 @@
-"""Behaviour lock: sha256 digests of every artifact of four small CLI runs.
+"""Behaviour lock: sha256 digests of every artifact of four small CLI runs,
+and of two pools built directly by ``stationary_pool``.
 
 manifest.json is skipped because it is the one artifact that carries
 wall-clock state.  The recorded digests pin the numbers the pipeline
@@ -9,8 +10,10 @@ to be explained, never a table to refresh until the test passes.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from heavytail_sre import ModelSpec, stationary_pool
 from heavytail_sre.cli import main
 
 TWO_POINT = {
@@ -130,3 +133,32 @@ def run_digests(name: str, root) -> dict:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifact_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == DIGESTS[name]
+
+
+# distinct per-coordinate atoms, so a coordinate mix-up changes the digest
+POOL_MODEL = ModelSpec(
+    "TwoPoint",
+    3,
+    {
+        "p": [0.2, 0.5, 0.7],
+        "up": [2.0, 1.5, 1.2],
+        "down": [0.5, 0.3, 0.4],
+        "b": {"dist": "exponential", "rate": 1.0},
+    },
+)
+
+# (burn_in, thin) = (0, 1) takes x0 as the first x_pre row; the CLI
+# configs above all use the default thin of 10 and never reach it
+POOL_DIGESTS = {
+    (0, 1): "c2c6e532a7d518bb771df85039889080a99764fc344576e4a5670d9561efb8a0",
+    (7, 4): "8d1925473bc560c81917aa3dfd062f2863b50b11b32461b5f79651cb9b2c8164",
+}
+
+
+@pytest.mark.parametrize("burn_in, thin", sorted(POOL_DIGESTS))
+def test_pool_digests(burn_in, thin):
+    pool = stationary_pool(POOL_MODEL, seed=11, chains=5, n_per_chain=40, burn_in=burn_in, thin=thin)
+    digest = hashlib.sha256()
+    for name in ("chain", "step", "x_pre", "a", "b", "x_post"):
+        digest.update(np.ascontiguousarray(getattr(pool, name)).tobytes())
+    assert digest.hexdigest() == POOL_DIGESTS[burn_in, thin]

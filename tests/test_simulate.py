@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 
@@ -14,17 +15,28 @@ from heavytail_sre import (
     iterate,
     stationary_pool,
 )
-from heavytail_sre import simulate
+from heavytail_sre import common, simulate
 from heavytail_sre.common import chain_stream, exact
 from heavytail_sre.model import LogMoment
 
 RNG = lambda s: np.random.default_rng(s)
 
-REFERENCE = ModelSpec(
-    "TwoPoint",
-    1,
-    {"p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}},
-)
+
+def reference(d):
+    """TwoPoint with distinct atoms per coordinate; p 0.2, up 2, down 1/2 at d = 1."""
+    return ModelSpec(
+        "TwoPoint",
+        d,
+        {
+            "p": [0.2, 0.5, 0.7][:d],
+            "up": [2.0, 1.5, 1.2][:d],
+            "down": [0.5, 0.3, 0.4][:d],
+            "b": {"dist": "exponential", "rate": 1.0},
+        },
+    )
+
+
+REFERENCE = reference(1)
 
 
 def constant_model(a=0.5, b=1.0, d=1):
@@ -58,7 +70,8 @@ def test_iterate_divergence_error():
     bad = constant_model(a=2.0, b=1.0)
     with pytest.raises(DivergenceError) as err:
         iterate(bad, np.zeros(1), 5000, RNG(0))
-    assert err.value.step is not None and err.value.step > 500
+    # x_t = 2^t - 1 first overflows at t = 1024
+    assert err.value.step == 1024
 
 
 # -- burn-in -------------------------------------------------------------------
@@ -102,8 +115,15 @@ def test_pool_shapes_and_meta():
 
 
 def test_pool_records_are_consistent_transitions():
-    pool = stationary_pool(REFERENCE, seed=3, chains=4, n_per_chain=50)
-    np.testing.assert_array_equal(pool.x_post, pool.a * pool.x_pre + pool.b)
+    for d in (1, 2, 3):
+        # thin 1 from burn-in 0 takes x0 as the first x_pre
+        for burn_in, thin in [(None, 10), (0, 1)]:
+            pool = stationary_pool(
+                reference(d), seed=3, chains=4, n_per_chain=50, burn_in=burn_in, thin=thin
+            )
+            np.testing.assert_array_equal(
+                pool.x_post, pool.a * pool.x_pre + pool.b, err_msg=f"d={d} thin={thin}"
+            )
 
 
 def test_pool_record_order():
@@ -114,24 +134,36 @@ def test_pool_record_order():
 
 def test_pool_chain_matches_iterate():
     burn_in, thin, n_per = 5, 3, 6
-    pool = stationary_pool(REFERENCE, seed=11, chains=2, n_per_chain=n_per, thin=thin, burn_in=burn_in)
-    # chain c consumes exactly the stream chain_stream(seed, c)
-    for c in range(2):
-        path = iterate(REFERENCE, np.zeros(1), burn_in + thin * n_per, chain_stream(11, c))
-        steps = burn_in + thin * np.arange(1, n_per + 1)
-        got = pool.x_post[pool.chain == c]
-        np.testing.assert_array_equal(got[:, 0], path[steps - 1, 0])
+    n = burn_in + thin * n_per
+    steps = burn_in + thin * np.arange(1, n_per + 1)
+    for d in (1, 2, 3):
+        spec = reference(d)
+        pool = stationary_pool(spec, seed=11, chains=2, n_per_chain=n_per, thin=thin, burn_in=burn_in)
+        # chain c consumes exactly the stream chain_stream(seed, c)
+        for c in range(2):
+            rows = pool.chain == c
+            path = iterate(spec, np.zeros(d), n, chain_stream(11, c))
+            a, b = spec.sample_coeffs(chain_stream(11, c), n)
+            np.testing.assert_array_equal(pool.x_post[rows], path[steps - 1])
+            np.testing.assert_array_equal(pool.x_pre[rows], path[steps - 2])
+            np.testing.assert_array_equal(pool.a[rows], a[steps - 1])
+            np.testing.assert_array_equal(pool.b[rows], b[steps - 1])
 
 
 @pytest.mark.parametrize("burn_in, thin", [(0, 1), (5, 3)])
 def test_pool_is_invariant_under_chain_blocks(monkeypatch, burn_in, thin):
-    one = stationary_pool(REFERENCE, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
-    # blocks of three chains: 3 + 3 + 1
-    monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * (burn_in + 10 * thin))
-    split = stationary_pool(REFERENCE, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
-    for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
-        np.testing.assert_array_equal(getattr(split, name), getattr(one, name), err_msg=name)
-    assert split.meta == one.meta
+    for d in (1, 2, 3):
+        spec = reference(d)
+        monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 6_000_000)
+        one = stationary_pool(spec, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
+        # blocks of three chains, 3 + 3 + 1, through slabs reused across blocks
+        monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * (burn_in + 10 * thin) * d)
+        split = stationary_pool(spec, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
+        for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
+            np.testing.assert_array_equal(
+                getattr(split, name), getattr(one, name), err_msg=f"d={d} {name}"
+            )
+        assert split.meta == one.meta
 
 
 def test_divergence_is_invariant_under_chain_blocks(monkeypatch):
@@ -222,6 +254,47 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.chain, pool.chain)
     np.testing.assert_array_equal(back.step, pool.step)
     assert back.meta == pool.meta
+
+
+@pytest.mark.parametrize("fail_after", [500, 1_100])
+def test_failed_save_leaves_no_loadable_pool(tmp_path, monkeypatch, fail_after):
+    # the disk fills after fail_after bytes: inside pool.bin (1,008 bytes)
+    # or inside the sidecar, while a previous pool sits in the same place
+    (tmp_path / "out").mkdir()
+    (tmp_path / "ref").mkdir()
+    path = tmp_path / "out" / "pool.bin"
+    stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7).save(path)
+    pool = stationary_pool(REFERENCE, seed=5, chains=3, n_per_chain=7)
+    pool.save(tmp_path / "ref" / "pool.bin")
+    old, new = path.read_bytes(), (tmp_path / "ref" / "pool.bin").read_bytes()
+    real_open = open
+    written = 0
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            nonlocal written
+            written += len(data)
+            if written > fail_after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(common, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        pool.save(path)
+    with pytest.raises(FileNotFoundError):
+        SamplePool.load(path)
+    assert [p.name for p in path.parent.iterdir()] == ["pool.bin"]
+    # pool.bin is whole: the old one, or the new one when the sidecar failed
+    assert path.read_bytes() == (old if fail_after < len(old) else new)
 
 
 def test_load_rejects_truncated_file(tmp_path):
