@@ -45,14 +45,12 @@ from .moments import (
     AbscissaScan,
     AlphaRoot,
     PositivityReport,
-    TailProfile,
     cross_kappa,
     goldie_mean,
     kappa,
     moment_abscissa,
     positivity_check,
     solve_alpha,
-    tail_profile,
 )
 from .simulate import (
     SamplePool,
@@ -109,7 +107,6 @@ __all__ = [
     "TailConstantLadder",
     "TailConstants",
     "TailIndexError",
-    "TailProfile",
     "Tau",
     "TauHeavinessError",
     "alpha_norm",
@@ -142,6 +139,5 @@ __all__ = [
     "stationary_pool",
     "subadditivity_constant",
     "submultiplicativity_check",
-    "tail_profile",
     "tau_gamma_bound",
 ]

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .common import AmbiguousPartitionError, Estimate
+from .common import AmbiguousPartitionError, Estimate, Record
 from .model import ModelSpec
 from .moments import cross_kappa
 
@@ -23,7 +23,7 @@ DEFAULT_XI_PROBES = (0.25, 0.5, 0.75)
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """Ordered coordinate classes plus the pairwise evidence behind them.
 
     classes are each sorted and ordered by smallest member, so the
@@ -50,12 +50,7 @@ class BlockPartition:
         raise IndexError(f"coordinate {j} not covered by the partition")
 
     def to_json(self) -> str:
-        doc = {
-            "classes": [list(c) for c in self.classes],
-            "permutation": list(self.permutation),
-            "evidence": self.evidence,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "BlockPartition":

@@ -491,7 +491,7 @@ class _Runner:
             cross_n=int(params.get("cross_n", 200_000)),
             cross_tol=float(params.get("cross_tol", 5e-3)),
         )
-        doc = json.loads(part.to_json())
+        doc = part.to_dict()
         doc["stage"] = "blocks"
         _dump_json(self._report_path("blocks"), doc)
         self._partition = part
@@ -696,6 +696,10 @@ class _Runner:
             if path.exists():
                 with open(path) as fh:
                     stages[name] = json.load(fh)
+                if "model_fingerprint" in stages[name]:
+                    self._check_origin(
+                        path.name, name, model_fingerprint=stages[name]["model_fingerprint"]
+                    )
         doc = {
             "model_fingerprint": self.spec.fingerprint(),
             "seed": self.seed,

@@ -54,8 +54,28 @@ class TauHeavinessError(RuntimeError):
     """A weight function has no finite moment at the smallest probed exponent."""
 
 
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class Record:
+    """Base of the result dataclasses: ``to_dict`` maps each field by name.
+
+    Nested records go through their own ``to_dict`` and tuples or lists
+    become lists; numpy scalars and non-finite floats are left as they are
+    for the JSON writer to coerce.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
 @dataclasses.dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """Point estimate with a two-sided 95% confidence interval.
 
     Closed-form values carry a degenerate interval (ci_lo == ci_hi == value)
@@ -78,15 +98,9 @@ class Estimate:
         return self.ci_lo <= x <= self.ci_hi
 
     def to_dict(self) -> dict:
-        out = {
-            "value": float(self.value),
-            "ci_lo": float(self.ci_lo),
-            "ci_hi": float(self.ci_hi),
-            "n": int(self.n),
-            "method": self.method,
-        }
-        if self.flag is not None:
-            out["flag"] = self.flag
+        out = super().to_dict()
+        if self.flag is None:
+            del out["flag"]
         return out
 
 
@@ -152,6 +166,12 @@ def abs_pow(mag: np.ndarray, s: float) -> np.ndarray:
     (mass at zero is excluded); overflow goes to inf silently."""
     with np.errstate(over="ignore"):
         return np.where(mag > 0.0, mag ** s, 0.0)
+
+
+def joint_pow(mag: np.ndarray, s: float) -> np.ndarray:
+    """One factor of a joint moment: abs_pow, except that a zero exponent
+    gives a factor 1 everywhere (the convention 0^0 = 1)."""
+    return np.ones_like(mag) if s == 0.0 else abs_pow(mag, s)
 
 
 def binomial_ci(k: int, n: int) -> Estimate:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .common import Estimate, TauHeavinessError, mean_estimate
+from .common import Estimate, Record, TauHeavinessError, joint_pow, mean_estimate
 from .model import ModelSpec
 from .moments import cross_kappa
 from .tails import DEFAULT_MIN_TOP, _check_ladder, _scaled_binomial, quantile_ladder
@@ -182,7 +182,7 @@ def build_tau(doc: dict) -> Tau:
 
 
 @dataclasses.dataclass(frozen=True)
-class SubmultiplicativityCheck:
+class SubmultiplicativityCheck(Record):
     """Randomized audit of tau(g h) <= tau(g) tau(h)."""
 
     passed: bool
@@ -190,15 +190,6 @@ class SubmultiplicativityCheck:
     worst_args: tuple
     n: int
     growth_ok: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_ratio": self.worst_ratio,
-            "worst_args": list(self.worst_args),
-            "n": self.n,
-            "growth_ok": self.growth_ok,
-        }
 
 
 def submultiplicativity_check(
@@ -270,7 +261,7 @@ def submultiplicativity_check(
 
 
 @dataclasses.dataclass(frozen=True)
-class JointExceedance:
+class JointExceedance(Record):
     """Normalized joint exceedance ladder for one coordinate pair.
 
     normalized[r] estimates t_r * P(|X_i|^a_i > t_r r1, |X_j|^a_j > t_r r2);
@@ -288,20 +279,6 @@ class JointExceedance:
     normalized: tuple[Estimate, ...]
     n: int
     decaying: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "r1": self.r1,
-            "r2": self.r2,
-            "thresholds": list(self.thresholds),
-            "counts": list(self.counts),
-            "prob": list(self.prob),
-            "normalized": [e.to_dict() for e in self.normalized],
-            "n": self.n,
-            "decaying": self.decaying,
-        }
 
 
 def joint_exceedance(
@@ -358,16 +335,13 @@ def joint_exceedance(
 
 
 @dataclasses.dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
     """Least-squares decay exponent of log y against log(1 + log t)."""
 
     beta: float
     intercept: float
     residual_rms: float
     n_used: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def decay_rate_fit(thresholds, normalized) -> DecayFit:
@@ -398,7 +372,7 @@ def decay_rate_fit(thresholds, normalized) -> DecayFit:
 
 
 @dataclasses.dataclass(frozen=True)
-class GammaBound:
+class GammaBound(Record):
     """Largest certified gamma with k(gamma) < 1 on a grid plus bisection."""
 
     gamma0: float
@@ -410,19 +384,6 @@ class GammaBound:
     xi: float
     tau_name: str
     refined: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma0": self.gamma0,
-            "gammas": list(self.gammas),
-            "k_values": list(self.k_values),
-            "k_zero": self.k_zero.to_dict(),
-            "k_at_gamma0": self.k_at_gamma0.to_dict(),
-            "cross": self.cross.to_dict(),
-            "xi": self.xi,
-            "tau_name": self.tau_name,
-            "refined": self.refined,
-        }
 
 
 def tau_gamma_bound(
@@ -471,9 +432,7 @@ def tau_gamma_bound(
     a, _ = spec.sample_coeffs(rng, n)
     ai, aj = a[:, i], a[:, j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = _pow_or_one(np.abs(ai), alpha_i * xi) * _pow_or_one(
-            np.abs(aj), alpha_j * (1.0 - xi)
-        )
+        w = joint_pow(np.abs(ai), alpha_i * xi) * joint_pow(np.abs(aj), alpha_j * (1.0 - xi))
         tv = np.asarray(tau.value2(ai, aj), dtype=float)
     # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an
     # unbounded weight can never certify k < 1 and lands in
@@ -544,10 +503,3 @@ def tau_gamma_bound(
         tau_name=tau.name,
         refined=refined,
     )
-
-
-def _pow_or_one(mag: np.ndarray, expo: float) -> np.ndarray:
-    # joint-moment convention: a zero exponent contributes a factor 1
-    if expo == 0.0:
-        return np.ones_like(mag)
-    return mag**expo

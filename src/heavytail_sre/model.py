@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .common import ConfigurationError, Estimate, exact, mean_estimate, use_closed_form
+from .common import ConfigurationError, Estimate, Record, exact, mean_estimate, use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -801,7 +801,7 @@ class ModelSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class LogMoment:
+class LogMoment(Record):
     """Drift diagnostics for one coordinate.
 
     ``mean_given_nonzero`` is E[log|A_j| | A_j != 0] (None when A_j = 0
@@ -817,16 +817,6 @@ class LogMoment:
     zero_mass: float
     contractive: bool
     constant_magnitude: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_given_nonzero": None
-            if self.mean_given_nonzero is None
-            else self.mean_given_nonzero.to_dict(),
-            "zero_mass": float(self.zero_mass),
-            "contractive": bool(self.contractive),
-            "constant_magnitude": bool(self.constant_magnitude),
-        }
 
 
 def log_moment(

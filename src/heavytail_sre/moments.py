@@ -29,10 +29,12 @@ from scipy import optimize
 from .common import (
     STABLE_REL_CHANGE,
     Estimate,
+    Record,
     TailIndexError,
     abs_pow,
     doubling_change,
     exact,
+    joint_pow,
     mean_estimate,
     use_closed_form,
 )
@@ -98,7 +100,7 @@ def kappa(
 
 
 @dataclasses.dataclass(frozen=True)
-class AlphaRoot:
+class AlphaRoot(Record):
     """Positive root of kappa_j(s) = 1 with the achieved residual."""
 
     alpha: float
@@ -106,15 +108,6 @@ class AlphaRoot:
     method: str
     bracket: tuple[float, float]
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": float(self.alpha),
-            "residual": float(self.residual),
-            "method": self.method,
-            "bracket": [float(self.bracket[0]), float(self.bracket[1])],
-            "n": int(self.n),
-        }
 
 
 def _pilot_from_drift(mean_log: float, var_log: float) -> float:
@@ -284,16 +277,14 @@ def cross_kappa(
     a, _ = spec.sample_coeffs(rng, n)
     ai = np.abs(a[:, i])
     aj = np.abs(a[:, j])
-    wi = np.ones_like(ai) if s == 0.0 else abs_pow(ai, s)
-    wj = np.ones_like(aj) if u == 0.0 else abs_pow(aj, u)
     with np.errstate(over="ignore"):
-        w = wi * wj
+        w = joint_pow(ai, s) * joint_pow(aj, u)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
     return mean_estimate(w, flag=flag)
 
 
 @dataclasses.dataclass(frozen=True)
-class AbscissaScan:
+class AbscissaScan(Record):
     """Moment abscissa s_inf = sup { s : E|A|^s + E|B|^s < inf }."""
 
     s_inf: float
@@ -302,16 +293,6 @@ class AbscissaScan:
     a_stable: tuple[bool, ...] | None
     b_stable: tuple[bool, ...] | None
     flag: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "s_inf": float(self.s_inf),
-            "method": self.method,
-            "grid": [float(g) for g in self.grid],
-            "a_stable": None if self.a_stable is None else list(self.a_stable),
-            "b_stable": None if self.b_stable is None else list(self.b_stable),
-            "flag": self.flag,
-        }
 
 
 def _default_abscissa_grid() -> np.ndarray:
@@ -367,7 +348,7 @@ def moment_abscissa(
 
 
 @dataclasses.dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(Record):
     """Sufficient-condition check for strictly positive tail constants.
 
     status is "satisfied" when the probed ratio E|B|^s / kappa(s) stays
@@ -381,15 +362,6 @@ class PositivityReport:
     grid: tuple[float, ...]
     ratios: tuple[float, ...]
     degenerate_b: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "s_inf": float(self.s_inf),
-            "grid": [float(g) for g in self.grid],
-            "ratios": [float(r) for r in self.ratios],
-            "degenerate_b": bool(self.degenerate_b),
-        }
 
 
 def positivity_check(
@@ -464,44 +436,3 @@ def noise_margin_ok(
     _, b = spec.sample_coeffs(rng, n)
     return bool(doubling_change(abs_pow(np.abs(b[:, j]), probe)) <= STABLE_REL_CHANGE)
 
-
-@dataclasses.dataclass(frozen=True)
-class TailProfile:
-    """Per-coordinate tail exponents with their companion constants."""
-
-    alpha: tuple[float, ...]
-    goldie_mean: tuple[Estimate, ...]
-    s_inf: tuple[float, ...]
-    methods: tuple[str, ...]
-    margin_ok: tuple[bool, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": [float(a) for a in self.alpha],
-            "goldie_mean": [g.to_dict() for g in self.goldie_mean],
-            "s_inf": [float(s) for s in self.s_inf],
-            "methods": list(self.methods),
-            "margin_ok": list(self.margin_ok),
-        }
-
-
-def tail_profile(
-    spec: ModelSpec,
-    tol: float | None = None,
-    method: str = "auto",
-    n: int = 10 ** 6,
-    rng: np.random.Generator | None = None,
-) -> TailProfile:
-    """Solve the moment equation coordinate by coordinate.
-
-    margin_ok is noise_margin_ok on n // 5 noise draws.
-    """
-    alphas, means, abscissas, methods, margins = [], [], [], [], []
-    for j in range(spec.d):
-        root = solve_alpha(spec, j, tol=tol, method=method, n=n, rng=rng)
-        alphas.append(root.alpha)
-        means.append(goldie_mean(spec, j, root.alpha, method=method, n=n, rng=rng))
-        abscissas.append(moment_abscissa(spec, j, n=max(1, n // 5), rng=rng, method=method).s_inf)
-        methods.append(root.method)
-        margins.append(noise_margin_ok(spec, j, root.alpha, max(2, n // 5), rng))
-    return TailProfile(tuple(alphas), tuple(means), tuple(abscissas), tuple(methods), tuple(margins))

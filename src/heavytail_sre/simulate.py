@@ -126,7 +126,7 @@ class SamplePool:
             + [getattr(self, g)[:, j] for g in _FLOAT_GROUPS for j in range(self.d)]
         )
         fmt = ["%d", "%d"] + ["%.17g"] * (4 * self.d)
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             np.savetxt(
                 fh, data, fmt=fmt, delimiter=",", newline="\r\n",
                 header=",".join(self.column_names()), comments="",

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .common import (
-    STABLE_REL_CHANGE, Estimate, LadderError, Z95, binomial_ci, doubling_change, mean_estimate
+    STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
+    mean_estimate,
 )
 from .geometry import alpha_norm, dilate
 
@@ -68,7 +69,7 @@ def _check_ladder(ladder, values, min_top: int) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class HillEstimate:
+class HillEstimate(Record):
     """Reciprocal mean log excess over the top k order statistics."""
 
     alpha: float
@@ -78,9 +79,6 @@ class HillEstimate:
     threshold: float
     n: int
     flag: str | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def hill_estimate(values, k: int) -> HillEstimate:
@@ -112,7 +110,7 @@ def hill_estimate(values, k: int) -> HillEstimate:
 
 
 @dataclasses.dataclass(frozen=True)
-class TailConstantLadder:
+class TailConstantLadder(Record):
     """Signed tail constants c_+ and c_- across a threshold ladder.
 
     Row r estimates t_r * P(X > t_r^{1/alpha}) (plus side), the mirrored
@@ -137,21 +135,6 @@ class TailConstantLadder:
     def c_minus(self) -> Estimate:
         return self.minus[-1]
 
-    @property
-    def c_total(self) -> Estimate:
-        return self.total[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "alpha": self.alpha,
-            "thresholds": list(self.thresholds),
-            "plus": [e.to_dict() for e in self.plus],
-            "minus": [e.to_dict() for e in self.minus],
-            "total": [e.to_dict() for e in self.total],
-            "n": self.n,
-            "converged": self.converged,
-        }
 
 
 def _interval_overlap(ests: tuple[Estimate, ...], last: int = 3) -> bool:
@@ -208,7 +191,7 @@ def _scaled_binomial(k: int, n: int, scale: float) -> Estimate:
 
 
 @dataclasses.dataclass(frozen=True)
-class GoldieConstant:
+class GoldieConstant(Record):
     """Tail constants from the stationary moment identity.
 
     total = plus + minus holds exactly by construction.  unstable is set
@@ -223,17 +206,6 @@ class GoldieConstant:
     minus: Estimate
     total: Estimate
     unstable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "alpha": self.alpha,
-            "mean_log": self.mean_log,
-            "plus": self.plus.to_dict(),
-            "minus": self.minus.to_dict(),
-            "total": self.total.to_dict(),
-            "unstable": self.unstable,
-        }
 
 
 def goldie_constant(pool, j: int, alpha: float, mean_log: float) -> GoldieConstant:
@@ -272,7 +244,7 @@ def _scaled_mean(w: np.ndarray, scale: float) -> Estimate:
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockTailLadder:
+class BlockTailLadder(Record):
     """Per-class norm tail constants c_l and the full-norm constant c_inf.
 
     consistent means the top-rung c_inf interval meets the sum of the
@@ -292,15 +264,6 @@ class BlockTailLadder:
     @property
     def c_inf_top(self) -> Estimate:
         return self.c_inf[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "block": [[e.to_dict() for e in series] for series in self.block],
-            "c_inf": [e.to_dict() for e in self.c_inf],
-            "n": self.n,
-            "consistent": self.consistent,
-        }
 
 
 def block_tail_constant(
@@ -340,7 +303,7 @@ def block_tail_constant(
 
 
 @dataclasses.dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(Record):
     """Angular distribution of rescaled exceedances across a ladder.
 
     block_mass[r][l] is the fraction of rung-r exceedances whose angular
@@ -360,24 +323,6 @@ class SpectralEstimate:
     marginals: tuple[tuple[tuple[float, ...], ...], ...]
     eps: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "counts": list(self.counts),
-            "block_mass": [list(row) for row in self.block_mass],
-            "off_block_mass": list(self.off_block_mass),
-            "bins": self.bins,
-            "bin_edges": list(self.bin_edges),
-            "histogram": None
-            if self.histogram is None
-            else [list(row) for row in self.histogram],
-            "marginals": [
-                [list(h) for h in rung] for rung in self.marginals
-            ],
-            "eps": self.eps,
-            "n": self.n,
-        }
 
 
 def spectral_measure(
@@ -453,21 +398,13 @@ def spectral_measure(
 
 
 @dataclasses.dataclass(frozen=True)
-class MomentCheck:
+class MomentCheck(Record):
     """Plain moment estimate plus a doubling-stability verdict."""
 
     order: float
     estimate: Estimate
     rel_change: float
     stable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "estimate": self.estimate.to_dict(),
-            "rel_change": self.rel_change,
-            "stable": self.stable,
-        }
 
 
 def moment_estimate(pool, j: int, s: float) -> MomentCheck:
@@ -488,18 +425,10 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
 
 
 @dataclasses.dataclass(frozen=True)
-class TailConstants:
+class TailConstants(Record):
     """Top-rung tail constants assembled from the ladder estimators."""
 
     c_plus: tuple[Estimate, ...]
     c_minus: tuple[Estimate, ...]
     c_block: tuple[Estimate, ...]
     c_inf: Estimate
-
-    def to_dict(self) -> dict:
-        return {
-            "c_plus": [e.to_dict() for e in self.c_plus],
-            "c_minus": [e.to_dict() for e in self.c_minus],
-            "c_block": [e.to_dict() for e in self.c_block],
-            "c_inf": self.c_inf.to_dict(),
-        }

@@ -270,6 +270,29 @@ def test_artifacts_of_another_model_or_seed_exit_two(tmp_path, capsys):
     assert not (out / "blocks.report.json").exists()
 
 
+def test_report_refuses_reports_of_another_model(tmp_path, capsys):
+    out = tmp_path / "o"
+    simulate = {"stage": "simulate", "params": {"chains": 100, "n_per_chain": 100, "thin": 2}}
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": ["solve-alpha", simulate, "blocks", "tails", "report"],
+    }
+    assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 0
+    before = (out / "report.json").read_bytes()
+    capsys.readouterr()
+
+    changed = json.loads(json.dumps(doc))
+    changed["model"]["params"]["up"] = 1.9
+    changed["pipeline"] = ["solve-alpha", simulate, "report"]
+    assert main(["run", "--config", write_config(tmp_path / "c2.json", changed)]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "report"
+    assert "tails.report.json" in err["detail"]
+    assert (out / "report.json").read_bytes() == before
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out = tmp_path / "o"
     cfg = write_config(

@@ -13,8 +13,8 @@ from heavytail_sre import (
     moment_abscissa,
     positivity_check,
     solve_alpha,
-    tail_profile,
 )
+from heavytail_sre.moments import noise_margin_ok
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -275,24 +275,11 @@ def test_positivity_validates_grid():
         positivity_check(two_point(), 0, 2.0, grid=[1.0, 2.0])
 
 
-# -- tail_profile ------------------------------------------------------------------
-
-
-def test_tail_profile_reference_model():
-    prof = tail_profile(two_point())
-    assert prof.alpha[0] == pytest.approx(2.0, abs=1e-8)
-    assert prof.goldie_mean[0].value == pytest.approx(0.6 * math.log(2.0), rel=1e-12)
-    assert prof.margin_ok == (True,)
-    assert prof.methods == ("closed-form",)
-    assert prof.s_inf == (math.inf,)
-
-
-def test_tail_profile_multivariate():
-    spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5})
-    prof = tail_profile(spec)
-    assert prof.alpha[0] == pytest.approx(prof.alpha[1], abs=1e-10)
-    doc = prof.to_dict()
-    assert set(doc) == {"alpha", "goldie_mean", "s_inf", "methods", "margin_ok"}
+def test_noise_margin_closed_form():
+    # alpha = 2 with the default sigma_margin 0.5 needs E|B|^2.5 < inf
+    assert noise_margin_ok(two_point(), 0, 2.0, 1_000, None) is True
+    heavy = two_point(b={"dist": "pareto", "index": 2.2})
+    assert noise_margin_ok(heavy, 0, 2.0, 1_000, None) is False
 
 
 # -- route contract ----------------------------------------------------------------

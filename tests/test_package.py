@@ -1,4 +1,17 @@
+import dataclasses
+import importlib
+import importlib.util
+import json
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 import heavytail_sre
+from heavytail_sre import cli
+from heavytail_sre.common import Record
+from heavytail_sre.independence import LogTau
 
 
 def test_public_names_resolve():
@@ -10,3 +23,99 @@ def test_star_import():
     ns = {}
     exec("from heavytail_sre import *", ns)
     assert set(heavytail_sre.__all__) <= set(ns)
+
+
+PAIR = heavytail_sre.ModelSpec(
+    "TwoPoint",
+    2,
+    {"p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}},
+)
+
+
+def result_types() -> set:
+    """Every dataclass with a to_dict defined in any module of the package."""
+    modules = [
+        importlib.import_module(f"heavytail_sre.{info.name}")
+        for info in pkgutil.iter_modules(heavytail_sre.__path__)
+    ]
+    return {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and hasattr(obj, "to_dict")
+    }
+
+
+@pytest.fixture(scope="module")
+def results():
+    """One instance of every result type, from the public functions."""
+    hs = heavytail_sre
+    rng = np.random.default_rng(5)
+    pool = hs.stationary_pool(PAIR, seed=3, chains=40, n_per_chain=100)
+    alphas = [hs.solve_alpha(PAIR, j).alpha for j in range(PAIR.d)]
+    part = hs.detect_blocks(PAIR, alphas, rng, n=2_000)
+    ladder = hs.empirical_tail_constant(pool, 0, alphas[0], min_top=10)
+    blocks = hs.block_tail_constant(pool, part, alphas, min_top=10)
+    return [
+        hs.Estimate(0.5, 0.4, 0.6, 10, "monte-carlo"),
+        hs.Estimate(float("inf"), float("inf"), float("inf"), 10, "monte-carlo", "unstable"),
+        hs.solve_alpha(PAIR, 0),
+        hs.moment_abscissa(PAIR, 0),
+        hs.moment_abscissa(PAIR, 0, n=2_000, rng=rng, method="monte-carlo"),
+        hs.positivity_check(PAIR, 0, alphas[0]),
+        hs.log_moment(PAIR, 0),
+        hs.hill_estimate(pool.x_post[:, 0], 50),
+        hs.hill_estimate(np.ones(20), 5),
+        ladder,
+        hs.goldie_constant(pool, 0, alphas[0], hs.goldie_mean(PAIR, 0, alphas[0]).value),
+        blocks,
+        hs.spectral_measure(pool, part, alphas, min_top=10),
+        hs.moment_estimate(pool, 0, 4.0),
+        hs.TailConstants((ladder.c_plus,), (ladder.c_minus,), blocks.block_top, blocks.c_inf_top),
+        hs.submultiplicativity_check(LogTau(1.0), rng, n=1_000),
+        hs.joint_exceedance(pool, 0, 1, alphas, min_top=5),
+        hs.decay_rate_fit([1.0, 10.0, 100.0], [1.0, 0.5, 0.25]),
+        hs.tau_gamma_bound(PAIR, 0, 1, alphas[0], alphas[1], LogTau(1.0), rng, n=20_000),
+        part,
+    ]
+
+
+def assert_plain(doc):
+    """No tuple and no record survives anywhere inside a to_dict result."""
+    assert not isinstance(doc, (tuple, Record))
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    for child in children:
+        assert_plain(child)
+
+
+def test_every_result_type_is_a_record():
+    types = result_types()
+    assert heavytail_sre.Estimate in types
+    assert all(issubclass(t, Record) for t in types)
+
+
+def test_results_serialize_by_field_name(results):
+    assert {type(r) for r in results} == result_types()
+    for rec in results:
+        doc = rec.to_dict()
+        names = [f.name for f in dataclasses.fields(rec)]
+        if isinstance(rec, heavytail_sre.Estimate) and rec.flag is None:
+            names.remove("flag")
+        assert list(doc) == names, type(rec).__name__
+        assert_plain(doc)
+        json.dumps(cli._jsonable(doc), allow_nan=False)
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these by name; a missing one breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    package = tracing.PACKAGE
+    for mod_name, attr in tracing.FUNCTIONS:
+        module = importlib.import_module(f"{package}.{mod_name}")
+        assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
+    for mod_name, cls_name, attr in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"{package}.{mod_name}"), cls_name)
+        assert attr in vars(cls), f"{mod_name}.{cls_name}.{attr}"

@@ -256,17 +256,9 @@ def test_save_load_roundtrip(tmp_path):
     assert back.meta == pool.meta
 
 
-@pytest.mark.parametrize("fail_after", [500, 1_100])
-def test_failed_save_leaves_no_loadable_pool(tmp_path, monkeypatch, fail_after):
-    # the disk fills after fail_after bytes: inside pool.bin (1,008 bytes)
-    # or inside the sidecar, while a previous pool sits in the same place
-    (tmp_path / "out").mkdir()
-    (tmp_path / "ref").mkdir()
-    path = tmp_path / "out" / "pool.bin"
-    stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7).save(path)
-    pool = stationary_pool(REFERENCE, seed=5, chains=3, n_per_chain=7)
-    pool.save(tmp_path / "ref" / "pool.bin")
-    old, new = path.read_bytes(), (tmp_path / "ref" / "pool.bin").read_bytes()
+def fill_disk(monkeypatch, fail_after, *modules):
+    """Make files opened from the given modules raise ENOSPC once more
+    than fail_after bytes have been written through them in total."""
     real_open = open
     written = 0
 
@@ -287,7 +279,24 @@ def test_failed_save_leaves_no_loadable_pool(tmp_path, monkeypatch, fail_after):
                 raise OSError(errno.ENOSPC, "No space left on device")
             return self.fh.write(data)
 
-    monkeypatch.setattr(common, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False)
+    for module in modules:
+        monkeypatch.setattr(
+            module, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False
+        )
+
+
+@pytest.mark.parametrize("fail_after", [500, 1_100])
+def test_failed_save_leaves_no_loadable_pool(tmp_path, monkeypatch, fail_after):
+    # the disk fills after fail_after bytes: inside pool.bin (1,008 bytes)
+    # or inside the sidecar, while a previous pool sits in the same place
+    (tmp_path / "out").mkdir()
+    (tmp_path / "ref").mkdir()
+    path = tmp_path / "out" / "pool.bin"
+    stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7).save(path)
+    pool = stationary_pool(REFERENCE, seed=5, chains=3, n_per_chain=7)
+    pool.save(tmp_path / "ref" / "pool.bin")
+    old, new = path.read_bytes(), (tmp_path / "ref" / "pool.bin").read_bytes()
+    fill_disk(monkeypatch, fail_after, common)
     with pytest.raises(OSError):
         pool.save(path)
     with pytest.raises(FileNotFoundError):
@@ -329,6 +338,19 @@ def test_csv_export_is_rfc4180(tmp_path):
     # %.17g column values parse back bit-exact
     data = np.array([line.split(",") for line in lines[1:-1]], dtype=float)
     np.testing.assert_array_equal(data[:, 5], pool.x_post[:, 0])
+
+
+def test_failed_csv_export_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "pool.csv"
+    stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7).to_csv(path)
+    old = path.read_bytes()
+    pool = stationary_pool(REFERENCE, seed=5, chains=3, n_per_chain=7)
+    # the disk fills halfway through the new CSV, whichever module opens it
+    fill_disk(monkeypatch, len(old) // 2, common, simulate)
+    with pytest.raises(OSError):
+        pool.to_csv(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.csv"]
+    assert path.read_bytes() == old
 
 
 def test_select_copies():
