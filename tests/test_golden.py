@@ -1,5 +1,5 @@
 """Behaviour lock: sha256 digests of every artifact of four small CLI runs,
-and of two pools built directly by ``stationary_pool``.
+and of five pools built directly by ``stationary_pool``.
 
 manifest.json is skipped because it is the one artifact that carries
 wall-clock state.  The recorded digests pin the numbers the pipeline
@@ -146,19 +146,73 @@ POOL_MODEL = ModelSpec(
         "b": {"dist": "exponential", "rate": 1.0},
     },
 )
+# one uniform drives every A_j, and one noise draw every B_j
+COMONOTONE_SHARED = ModelSpec(
+    "TwoPoint",
+    3,
+    {
+        "p": [0.2, 0.5, 0.7],
+        "up": [2.0, 1.5, 1.2],
+        "down": [0.5, 0.3, 0.4],
+        "comonotone": True,
+        "b": {"dist": "pareto", "index": 3.0, "scale": 1.0, "shared": True},
+    },
+)
+# A through a correlated Gaussian factor, B from a different law per coordinate
+LOGNORMAL_CORR = ModelSpec(
+    "LogNormal",
+    3,
+    {
+        "mu": [-0.5, -0.3, -0.2],
+        "sigma": [0.6, 0.5, 0.4],
+        "corr": [[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]],
+        "b": [
+            {"dist": "uniform", "low": -1.0, "high": 2.0},
+            {"dist": "normal", "mean": 0.5, "std": 2.0},
+            {"dist": "lognormal", "mu": 0.0, "sigma": 0.5},
+        ],
+    },
+)
+# joint (a, b) rows from a table lookup
+CUSTOM_ATOMS = ModelSpec(
+    "Custom",
+    2,
+    {
+        "atoms": {
+            "prob": [0.3, 0.5, 0.2],
+            "a": [[1.6, 0.2], [0.4, 0.9], [0.1, 1.3]],
+            "b": [[1.0, -0.5], [0.0, 2.0], [3.0, 0.25]],
+        }
+    },
+)
 
-# (burn_in, thin) = (0, 1) takes x0 as the first x_pre row; the CLI
-# configs above all use the default thin of 10 and never reach it
-POOL_DIGESTS = {
-    (0, 1): "c2c6e532a7d518bb771df85039889080a99764fc344576e4a5670d9561efb8a0",
-    (7, 4): "8d1925473bc560c81917aa3dfd062f2863b50b11b32461b5f79651cb9b2c8164",
+# case -> (model, burn_in, thin, digest).  (burn_in, thin) = (0, 1) takes x0
+# as the first x_pre row; the CLI configs above all use the default thin of
+# 10 and never reach it
+POOL_CASES = {
+    "0-1": (POOL_MODEL, 0, 1, "c2c6e532a7d518bb771df85039889080a99764fc344576e4a5670d9561efb8a0"),
+    "7-4": (POOL_MODEL, 7, 4, "8d1925473bc560c81917aa3dfd062f2863b50b11b32461b5f79651cb9b2c8164"),
+    "comonotone-shared-noise": (
+        COMONOTONE_SHARED, 3, 2, "bf4aba56a8a248a7e60d9a85df00d13f8d7744aa44d504207410d19d5a642149"
+    ),
+    "lognormal-corr-list-noise": (
+        LOGNORMAL_CORR, 3, 2, "05111d1032e131f9759679db5c9063231a7ea6020d3e8d72a61fa27517d4a187"
+    ),
+    "custom-atoms": (
+        CUSTOM_ATOMS, 3, 2, "099283f7d3c2be6af3cfa44e77e82a214c0e3096390b38f0a359cc181f11e63b"
+    ),
 }
 
 
-@pytest.mark.parametrize("burn_in, thin", sorted(POOL_DIGESTS))
-def test_pool_digests(burn_in, thin):
-    pool = stationary_pool(POOL_MODEL, seed=11, chains=5, n_per_chain=40, burn_in=burn_in, thin=thin)
+def pool_digest(model, burn_in, thin) -> str:
+    pool = stationary_pool(model, seed=11, chains=5, n_per_chain=40, burn_in=burn_in, thin=thin)
     digest = hashlib.sha256()
     for name in ("chain", "step", "x_pre", "a", "b", "x_post"):
         digest.update(np.ascontiguousarray(getattr(pool, name)).tobytes())
-    assert digest.hexdigest() == POOL_DIGESTS[burn_in, thin]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_pool_digests(case):
+    model, burn_in, thin, want = POOL_CASES[case]
+    assert pool_digest(model, burn_in, thin) == want
