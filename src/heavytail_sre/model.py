@@ -16,6 +16,11 @@ The noise B is described by a per-coordinate distribution spec under the
 drawn independently across coordinates unless ``"shared": true``.  Custom
 atom tables carry their own joint (a, b) columns instead.
 
+``ModelSpec.sample_coeffs`` returns the draws as (n, d) arrays, or, with
+``out=``, writes the same draws coordinate-major into (d, n) rows, the
+layout of the simulation slabs: A is diagonal, so each coordinate runs its
+own scalar recursion.
+
 Closed-form moment hooks return None when the family cannot provide the
 quantity analytically; callers then fall back to Monte Carlo.  For the
 CCCGarch family the hooks are deterministic Gaussian quadratures, reported
@@ -215,13 +220,18 @@ class _BSpec:
         self.d = d
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.shared:
-            col = self.dists[0].sample(rng, n)
-            return np.tile(col[:, None], (1, self.d))
         out = np.empty((n, self.d))
-        for j, dist in enumerate(self.dists):
-            out[:, j] = dist.sample(rng, n)
+        self.fill(rng, out.T)
         return out
+
+    def fill(self, rng: np.random.Generator, rows: np.ndarray) -> None:
+        """Draw coordinate by coordinate into the (d, n) rows (one shared
+        draw into every row when shared)."""
+        if self.shared:
+            rows[...] = self.dists[0].sample(rng, rows.shape[1])
+            return
+        for row, dist in zip(rows, self.dists):
+            row[...] = dist.sample(rng, rows.shape[1])
 
     def to_doc(self):
         if self.shared:
@@ -244,13 +254,26 @@ class _Family:
     Every closed-form hook answers None ("not available") unless a family
     overrides it; the noise hooks answer from the per-coordinate noise spec
     ``b`` when the family has one.  sample_joint draws the A block, then
-    the B block.
+    the B block, as (n, d) arrays; fill_joint writes the same draws into
+    (d, n) rows, one coordinate per row.  The noise spec fills its rows
+    directly, and so does a family whose A draw is per coordinate, by
+    overriding fill_a; the other draws are copied in transposed.
     """
 
     b: _BSpec | None = None
 
     def sample_joint(self, rng, n):
         return self.sample_a(rng, n), self.b.sample(rng, n)
+
+    def fill_joint(self, rng, a, b):
+        if self.b is None:  # Custom: joint (a, b) draws
+            a[...], b[...] = (v.T for v in self.sample_joint(rng, a.shape[1]))
+            return
+        self.fill_a(rng, a)
+        self.b.fill(rng, b)
+
+    def fill_a(self, rng, rows):
+        rows[...] = self.sample_a(rng, rows.shape[1]).T
 
     def kappa_exact(self, j, s):
         return None
@@ -306,9 +329,16 @@ class _TwoPoint(_Family):
         }
 
     def sample_a(self, rng, n):
-        shape = (n, 1) if self.comonotone else (n, self.d)
-        u = rng.random(shape)
-        return np.where(u < self.p, self.up, self.down)
+        a = np.empty((n, self.d))
+        self.fill_a(rng, a.T)
+        return a
+
+    def fill_a(self, rng, rows):
+        # one uniform per coordinate, or one for all when comonotone
+        u = rng.random((rows.shape[1], 1 if self.comonotone else self.d))
+        for j, row in enumerate(rows):
+            uj = u[:, 0 if self.comonotone else j]
+            row[...] = np.where(uj < self.p[j], self.up[j], self.down[j])
 
     def _atoms(self, j):
         return ((self.p[j], self.up[j]), (1.0 - self.p[j], self.down[j]))
@@ -712,15 +742,28 @@ class ModelSpec:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_coeffs(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_coeffs(
+        self, rng: np.random.Generator, n: int, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n i.i.d. coefficient pairs; returns (a, b) of shape (n, d).
 
         The internal draw order is fixed (A block first, then B block) so a
         given generator state always yields the same pairs.
+
+        ``out=(a, b)`` takes two float64 arrays of shape (d, n) and fills
+        them coordinate-major: row j receives column j of the draw above,
+        from the same random numbers, and the generator ends in the same
+        state.  The filled pair is returned.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        return self._impl.sample_joint(rng, n)
+        if out is None:
+            return self._impl.sample_joint(rng, n)
+        a, b = out
+        if a.shape != (self.d, n) or b.shape != (self.d, n):
+            raise ValueError(f"out must be two arrays of shape ({self.d}, {n})")
+        self._impl.fill_joint(rng, a, b)
+        return a, b
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 

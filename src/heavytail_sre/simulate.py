@@ -12,7 +12,8 @@ under how chains are batched into blocks, and a pool with more chains
 extends a pool with fewer chains record for record.
 
 A diagonal A acts coordinate by coordinate, so the simulation slabs are
-coordinate-major, (chain, coordinate, step): one step is one strided run.
+coordinate-major, (chain, coordinate, step): one step is one strided run,
+and each chain's coefficients are drawn straight into its slab rows.
 """
 
 from __future__ import annotations
@@ -83,13 +84,17 @@ class SamplePool:
         bin_path = str(bin_path)
         meta_path = _sidecar_path(bin_path) if meta_path is None else str(meta_path)
         pathlib.Path(meta_path).unlink(missing_ok=True)
+        # every float column passes through one reused buffer, written as
+        # its byte view: no per-column temporaries
+        col = np.empty(len(self), "<f8")
         with atomic_write(bin_path, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.chain, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(self.step, dtype="<i8").tobytes())
+            fh.write(np.ascontiguousarray(self.chain, dtype="<i8").view(np.uint8))
+            fh.write(np.ascontiguousarray(self.step, dtype="<i8").view(np.uint8))
             for group in _FLOAT_GROUPS:
                 arr = getattr(self, group)
                 for j in range(self.d):
-                    fh.write(np.ascontiguousarray(arr[:, j], dtype="<f8").tobytes())
+                    np.copyto(col, arr[:, j])
+                    fh.write(col.view(np.uint8))
         doc = {
             "format": POOL_SCHEMA,
             "n_records": len(self),
@@ -251,16 +256,17 @@ def stationary_pool(
         nb = min(block, chains - c0)
         rows = slice(c0, c0 + nb)
         a, x = slabs[:, :nb]
+        product = np.empty((nb, d))
         for c in range(nb):
-            ac, bc = spec.sample_coeffs(chain_stream(seed, c0 + c), steps)
-            a[c], x[c] = ac.T, bc.T
+            spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
         a_rec[rows] = a[:, :, first::thin]
         b_rec[rows] = x[:, :, first::thin]
         prev = x0
         # overflow here is the divergence being detected, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(steps):
-                prev = np.add(a[:, :, i] * prev, x[:, :, i], out=x[:, :, i])
+            for ai, xi in zip(a.transpose(2, 0, 1), x.transpose(2, 0, 1)):
+                np.multiply(ai, prev, out=product)
+                prev = np.add(product, xi, out=xi)
         # a non-finite state stays non-finite, so the last one tells
         if not np.isfinite(prev).all():
             lost = ~np.isfinite(x).all(axis=1)
@@ -274,7 +280,7 @@ def stationary_pool(
             x_pre[rows, :, 0] = x0
             x_pre[rows, :, 1:] = x[:, :, :-1]
     # free the slabs before the chain and step columns are built
-    del slabs, a, x, prev
+    del slabs, a, x, ai, xi, prev
     if failures:
         t, c = min(failures)
         raise DivergenceError(

@@ -254,6 +254,93 @@ def test_ccc_shared_factor_columns_match():
     assert not np.allclose(a[:, 0], a[:, 2])
 
 
+# one model per draw route of sample_coeffs(out=...)
+ATOMS3 = {"p": [0.2, 0.5, 0.7], "up": [2.0, 1.5, 1.2], "down": [0.5, 0.3, 0.4]}
+FILL_MODELS = {
+    "two-point": lambda: ModelSpec(
+        "TwoPoint", 3, {**ATOMS3, "b": {"dist": "exponential", "rate": 1.0}}
+    ),
+    "two-point-comonotone": lambda: ModelSpec(
+        "TwoPoint", 3, {**ATOMS3, "comonotone": True, "b": {"dist": "exponential", "rate": 2.0}}
+    ),
+    "lognormal-corr": lambda: ModelSpec(
+        "LogNormal",
+        3,
+        {
+            "mu": [-0.5, -0.3, -0.2],
+            "sigma": [0.6, 0.5, 0.4],
+            "corr": [[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]],
+            "b": {"dist": "pareto", "index": 3.0},
+        },
+    ),
+    "ccc-shared-factor": lambda: ModelSpec(
+        "CCCGarch",
+        3,
+        {"arch": [0.35, 0.35, 0.15], "garch": [0.25, 0.25, 0.55], "z_map": [0, 0, 1]},
+    ),
+    "bekk": lambda: ModelSpec(
+        "BekkDiag",
+        3,
+        {
+            "coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+            "b": {"dist": "uniform", "low": -1.0, "high": 2.0},
+        },
+    ),
+    "custom-atoms": lambda: ModelSpec(
+        "Custom",
+        2,
+        {"atoms": {"prob": [0.3, 0.7], "a": [[1.6, 0.2], [0.4, 0.9]], "b": [[1.0, -0.5], [0.0, 2.0]]}},
+    ),
+    "custom-callable": lambda: ModelSpec(
+        "Custom",
+        2,
+        {"sampler": lambda rng, n: (rng.uniform(0.2, 0.8, size=(n, 2)), rng.normal(size=(n, 2)))},
+    ),
+    "shared-noise": lambda: ModelSpec(
+        "TwoPoint", 3, {**ATOMS3, "b": {"dist": "normal", "mean": 1.0, "std": 2.0, "shared": True}}
+    ),
+    "noise-list": lambda: ModelSpec(
+        "TwoPoint",
+        6,
+        {
+            "p": 0.2,
+            "up": 2.0,
+            "down": 0.5,
+            "b": [
+                {"dist": "constant", "value": 1.5},
+                {"dist": "exponential", "rate": 2.0},
+                {"dist": "pareto", "index": 2.5, "scale": 0.5},
+                {"dist": "uniform", "low": -1.0, "high": 3.0},
+                {"dist": "normal", "mean": -1.0, "std": 0.5},
+                {"dist": "lognormal", "mu": 0.2, "sigma": 0.7},
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_MODELS))
+def test_sample_coeffs_fills_coordinate_major_rows(name):
+    spec, n = FILL_MODELS[name](), 257
+    rng = RNG(17)
+    a, b = spec.sample_coeffs(rng, n)
+    after = rng.random()
+    assert a.shape == b.shape == (n, spec.d)
+    out = tuple(np.full((spec.d, n), np.nan) for _ in range(2))
+    rng = RNG(17)
+    filled = spec.sample_coeffs(rng, n, out=out)
+    assert filled[0] is out[0] and filled[1] is out[1]
+    assert np.array_equal(out[0], a.T)
+    assert np.array_equal(out[1], b.T)
+    # the same draws: the generator ends in the same state
+    assert rng.random() == after
+    for bad in ((n, spec.d), (spec.d, n + 1), (spec.d,)):
+        with pytest.raises(ValueError, match="out must be"):
+            spec.sample_coeffs(RNG(17), n, out=(out[0], np.empty(bad)))
+        with pytest.raises(ValueError, match="out must be"):
+            spec.sample_coeffs(RNG(17), n, out=(np.empty(bad), out[1]))
+
+
 # -- custom models ------------------------------------------------------------
 
 
