@@ -256,15 +256,17 @@ def stationary_pool(
         nb = min(block, chains - c0)
         rows = slice(c0, c0 + nb)
         a, x = slabs[:, :nb]
-        product = np.empty((nb, d))
         for c in range(nb):
             spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
         a_rec[rows] = a[:, :, first::thin]
         b_rec[rows] = x[:, :, first::thin]
-        prev = x0
+        # step i of every (chain, coordinate) pair is one 1-D strided view
+        a_steps, x_steps = (s.reshape(nb * d, steps).T for s in (a, x))
+        product = np.empty(nb * d)
+        prev = np.tile(x0, nb)
         # overflow here is the divergence being detected, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
-            for ai, xi in zip(a.transpose(2, 0, 1), x.transpose(2, 0, 1)):
+            for ai, xi in zip(a_steps, x_steps):
                 np.multiply(ai, prev, out=product)
                 prev = np.add(product, xi, out=xi)
         # a non-finite state stays non-finite, so the last one tells
@@ -279,8 +281,9 @@ def stationary_pool(
         else:
             x_pre[rows, :, 0] = x0
             x_pre[rows, :, 1:] = x[:, :, :-1]
-    # free the slabs before the chain and step columns are built
-    del slabs, a, x, ai, xi, prev
+    # free the slabs, and every view that keeps them alive, before the
+    # chain and step columns are built
+    del slabs, a, x, a_steps, x_steps, ai, xi, prev
     if failures:
         t, c = min(failures)
         raise DivergenceError(

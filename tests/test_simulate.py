@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,24 @@ def test_pool_validates_arguments():
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, thin=0)
     with pytest.raises(ValueError):
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, x0=np.zeros(3))
+
+
+def test_pool_frees_slabs_before_chain_columns():
+    # numpy reports its buffers to tracemalloc; one block of 500 chains
+    spec, chains, n, burn_in, thin = reference(2), 500, 200, 50, 5
+    diags = drift_diagnostics(spec, 3, 1_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stationary_pool(spec, 3, chains, n, burn_in=burn_in, thin=thin, contractivity=diags)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    slabs = 2 * chains * 2 * (burn_in + n * thin) * 8
+    groups = 4 * chains * n * 2 * 8
+    columns = 2 * chains * n * 8
+    # a view of the slabs left alive would add the chain and step columns
+    assert peak < slabs + groups + columns / 2
 
 
 def test_pool_custom_start_point():
