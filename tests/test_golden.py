@@ -204,15 +204,11 @@ POOL_CASES = {
 }
 
 
-def pool_digest(model, burn_in, thin) -> str:
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_pool_digests(case):
+    model, burn_in, thin, want = POOL_CASES[case]
     pool = stationary_pool(model, seed=11, chains=5, n_per_chain=40, burn_in=burn_in, thin=thin)
     digest = hashlib.sha256()
     for name in ("chain", "step", "x_pre", "a", "b", "x_post"):
         digest.update(np.ascontiguousarray(getattr(pool, name)).tobytes())
-    return digest.hexdigest()
-
-
-@pytest.mark.parametrize("case", sorted(POOL_CASES))
-def test_pool_digests(case):
-    model, burn_in, thin, want = POOL_CASES[case]
-    assert pool_digest(model, burn_in, thin) == want
+    assert digest.hexdigest() == want

@@ -257,13 +257,11 @@ def test_ccc_shared_factor_columns_match():
 # one model per draw route of sample_coeffs(out=...)
 ATOMS3 = {"p": [0.2, 0.5, 0.7], "up": [2.0, 1.5, 1.2], "down": [0.5, 0.3, 0.4]}
 FILL_MODELS = {
-    "two-point": lambda: ModelSpec(
-        "TwoPoint", 3, {**ATOMS3, "b": {"dist": "exponential", "rate": 1.0}}
-    ),
-    "two-point-comonotone": lambda: ModelSpec(
+    "two-point": ModelSpec("TwoPoint", 3, {**ATOMS3, "b": {"dist": "exponential", "rate": 1.0}}),
+    "two-point-comonotone": ModelSpec(
         "TwoPoint", 3, {**ATOMS3, "comonotone": True, "b": {"dist": "exponential", "rate": 2.0}}
     ),
-    "lognormal-corr": lambda: ModelSpec(
+    "lognormal-corr": ModelSpec(
         "LogNormal",
         3,
         {
@@ -273,12 +271,12 @@ FILL_MODELS = {
             "b": {"dist": "pareto", "index": 3.0},
         },
     ),
-    "ccc-shared-factor": lambda: ModelSpec(
+    "ccc-shared-factor": ModelSpec(
         "CCCGarch",
         3,
         {"arch": [0.35, 0.35, 0.15], "garch": [0.25, 0.25, 0.55], "z_map": [0, 0, 1]},
     ),
-    "bekk": lambda: ModelSpec(
+    "bekk": ModelSpec(
         "BekkDiag",
         3,
         {
@@ -286,20 +284,20 @@ FILL_MODELS = {
             "b": {"dist": "uniform", "low": -1.0, "high": 2.0},
         },
     ),
-    "custom-atoms": lambda: ModelSpec(
+    "custom-atoms": ModelSpec(
         "Custom",
         2,
         {"atoms": {"prob": [0.3, 0.7], "a": [[1.6, 0.2], [0.4, 0.9]], "b": [[1.0, -0.5], [0.0, 2.0]]}},
     ),
-    "custom-callable": lambda: ModelSpec(
+    "custom-callable": ModelSpec(
         "Custom",
         2,
         {"sampler": lambda rng, n: (rng.uniform(0.2, 0.8, size=(n, 2)), rng.normal(size=(n, 2)))},
     ),
-    "shared-noise": lambda: ModelSpec(
+    "shared-noise": ModelSpec(
         "TwoPoint", 3, {**ATOMS3, "b": {"dist": "normal", "mean": 1.0, "std": 2.0, "shared": True}}
     ),
-    "noise-list": lambda: ModelSpec(
+    "noise-list": ModelSpec(
         "TwoPoint",
         6,
         {
@@ -321,7 +319,7 @@ FILL_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(FILL_MODELS))
 def test_sample_coeffs_fills_coordinate_major_rows(name):
-    spec, n = FILL_MODELS[name](), 257
+    spec, n = FILL_MODELS[name], 257
     rng = RNG(17)
     a, b = spec.sample_coeffs(rng, n)
     after = rng.random()
