@@ -10,7 +10,10 @@ from heavytail_sre import (
     block_tail_constant,
     empirical_tail_constant,
     goldie_constant,
+    alpha_norm,
+    dilate,
     hill_estimate,
+    joint_exceedance,
     moment_estimate,
     quantile_ladder,
     spectral_measure,
@@ -78,6 +81,47 @@ def test_custom_ladder_validated(ref_pool):
     with pytest.raises(LadderError):
         # top rung above the sample maximum keeps nothing
         empirical_tail_constant(ref_pool, 0, 2.0, ladder=[1e12])
+
+
+PAIR_CLASSES = BlockPartition(((0,), (1,)), (0, 1), {})
+LADDER_ESTIMATORS = {
+    "empirical_tail_constant": lambda pool, lad: empirical_tail_constant(
+        pool, 0, 2.0, ladder=lad
+    ),
+    "block_tail_constant": lambda pool, lad: block_tail_constant(
+        pool, PAIR_CLASSES, [2.0, 2.0], ladder=lad
+    ),
+    "spectral_measure": lambda pool, lad: spectral_measure(
+        pool, PAIR_CLASSES, [2.0, 2.0], ladder=lad
+    ),
+    "joint_exceedance": lambda pool, lad: joint_exceedance(
+        pool, 0, 1, [2.0, 2.0], ladder=lad
+    ),
+}
+BAD_LADDERS = {
+    "decreasing": [2.0, 1.0],
+    "non-positive": [0.0, 2.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_LADDERS, "beyond-data"])
+@pytest.mark.parametrize("name", list(LADDER_ESTIMATORS))
+def test_custom_ladder_contract(pair_pool, name, case):
+    # one contract for every ladder estimator: a malformed custom ladder is
+    # a LadderError; a top rung beyond the data is one too, except for the
+    # joint ladder, which bounds an empty rung by the rule of three
+    estimate = LADDER_ESTIMATORS[name]
+    if case in BAD_LADDERS:
+        with pytest.raises(LadderError):
+            estimate(pair_pool, BAD_LADDERS[case])
+    elif name != "joint_exceedance":
+        with pytest.raises(LadderError):
+            estimate(pair_pool, [1.0, 1e12])
+    else:
+        je = estimate(pair_pool, [1.0, 1e12])
+        assert je.counts[-1] == 0
+        assert je.normalized[-1].flag == "rule-of-three"
 
 
 # -- hill_estimate ---------------------------------------------------------------
@@ -227,6 +271,86 @@ def test_spectral_single_class_mass():
     sp = spectral_measure(pool, part, [2.0, 2.0])
     assert all(row == (1.0,) for row in sp.block_mass)
     assert all(off == 0.0 for off in sp.off_block_mass)
+
+
+def _spectral_reference(pool, partition, alphas, ladder, bins=16, eps=0.05):
+    """The rung-by-rung spectral loop: norms and angles recomputed per rung."""
+    alphas = np.asarray(alphas, dtype=float)
+    s = alpha_norm(pool.x_post, alphas)
+    ladder = quantile_ladder(s, min_top=100) if ladder is None else np.asarray(ladder)
+    d = pool.d
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    counts, masses, off_masses, hists, margs = [], [], [], [], []
+    for t in ladder:
+        mask = s > t
+        cnt = int(mask.sum())
+        counts.append(cnt)
+        omega = dilate(1.0 / s[mask], pool.x_post[mask], alphas)
+        row = []
+        near_any = np.zeros(cnt, dtype=bool)
+        for coords in partition.classes:
+            off = [j for j in range(d) if j not in coords]
+            if not off:
+                near = np.ones(cnt, dtype=bool)
+            else:
+                near = alpha_norm(omega[:, off], alphas[off]) < eps
+            row.append(float(near.mean()))
+            near_any |= near
+        masses.append(tuple(row))
+        off_masses.append(float(1.0 - near_any.mean()))
+        clipped = np.clip(omega, -1.0, 1.0)
+        idx = np.clip(np.digitize(clipped, edges) - 1, 0, bins - 1)
+        margs.append(
+            tuple(
+                tuple(np.bincount(idx[:, j], minlength=bins) / cnt)
+                for j in range(d)
+            )
+        )
+        if d <= 3:
+            flat = np.ravel_multi_index(
+                tuple(idx[:, j] for j in range(d)), (bins,) * d
+            )
+            hists.append(tuple(np.bincount(flat, minlength=bins**d) / cnt))
+    return {
+        "thresholds": tuple(float(t) for t in ladder),
+        "counts": tuple(counts),
+        "block_mass": tuple(masses),
+        "off_block_mass": tuple(off_masses),
+        "bins": bins,
+        "bin_edges": tuple(float(e) for e in edges),
+        "histogram": tuple(hists) if d <= 3 else None,
+        "marginals": tuple(margs),
+        "eps": float(eps),
+        "n": s.size,
+    }
+
+
+SPECTRAL_ORACLE_CASES = {
+    # three singleton classes, custom ladder, joint histograms
+    "d3-three-classes": (3, ((0,), (1,), (2,)), [2.0, 10.0, 40.0, 150.0]),
+    # d = 4: marginals only, two two-coordinate classes, quantile ladder
+    "d4-two-classes": (4, ((0, 1), (2, 3)), None),
+    # one class covering every coordinate has no off-class norm
+    "d4-one-class": (4, ((0, 1, 2, 3),), None),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_ORACLE_CASES))
+def test_spectral_matches_rung_by_rung_reference(case):
+    d, classes, ladder = SPECTRAL_ORACLE_CASES[case]
+    spec = ModelSpec(
+        "TwoPoint",
+        d,
+        {"p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}},
+    )
+    pool = stationary_pool(spec, seed=23, chains=400, n_per_chain=300)
+    part = BlockPartition(classes, tuple(j for c in classes for j in c), {})
+    alphas = [2.0] * d
+    got = spectral_measure(pool, part, alphas, ladder=ladder)
+    ref = _spectral_reference(pool, part, alphas, ladder)
+    assert len(got.thresholds) >= 3
+    for field, want in ref.items():
+        assert getattr(got, field) == want, field
 
 
 def test_spectral_validates_arguments(pair_pool):
