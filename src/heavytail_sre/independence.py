@@ -18,7 +18,7 @@ import numpy as np
 from .common import Estimate, Record, TauHeavinessError, joint_pow, mean_estimate
 from .model import ModelSpec
 from .moments import cross_kappa
-from .tails import DEFAULT_MIN_TOP, _check_ladder, _scaled_binomial, quantile_ladder
+from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
 
 
 class Tau:
@@ -306,18 +306,10 @@ def joint_exceedance(
     si = np.abs(pool.x_post[:, i]) ** alphas[i] / r1
     sj = np.abs(pool.x_post[:, j]) ** alphas[j] / r2
     stat = np.minimum(si, sj)
-    ladder = (
-        quantile_ladder(stat, min_top=min_top)
-        if ladder is None
-        else _check_ladder(ladder, stat, 0)
-    )
+    ladder = _ladder(stat, ladder, min_top, custom_top=0)
     n = stat.size
-    counts, probs, norm = [], [], []
-    for t in ladder:
-        k = int((stat > t).sum())
-        counts.append(k)
-        probs.append(k / n)
-        norm.append(_scaled_binomial(k, n, float(t)))
+    counts = _exceedances(stat, ladder)
+    norm = _scaled_binomials(counts, n, ladder)
     vals = [e.value for e in norm[-3:]]
     decaying = bool(len(vals) == 3 and vals[0] > vals[1] > vals[2])
     return JointExceedance(
@@ -327,8 +319,8 @@ def joint_exceedance(
         r2=float(r2),
         thresholds=tuple(float(t) for t in ladder),
         counts=tuple(counts),
-        prob=tuple(probs),
-        normalized=tuple(norm),
+        prob=tuple(k / n for k in counts),
+        normalized=norm,
         n=n,
         decaying=decaying,
     )

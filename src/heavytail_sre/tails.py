@@ -40,10 +40,7 @@ def quantile_ladder(
     if any(not 0.0 < q < 1.0 for q in qs):
         raise LadderError("quantiles must lie strictly inside (0, 1)")
     cuts = np.quantile(v, qs)
-    keep = []
-    for t in cuts:
-        if t > 0.0 and int((v > t).sum()) >= min_top:
-            keep.append(float(t))
+    keep = [float(t) for t, k in zip(cuts, _exceedances(v, cuts)) if t > 0.0 and k >= min_top]
     ladder = np.unique(np.asarray(keep, dtype=float))
     if ladder.size == 0:
         raise LadderError(
@@ -52,7 +49,13 @@ def quantile_ladder(
     return ladder
 
 
-def _check_ladder(ladder, values, min_top: int) -> np.ndarray:
+def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> np.ndarray:
+    """The quantile ladder of stat, or a custom ladder validated against it.
+
+    A custom top rung must keep custom_top exceedances (min_top when None).
+    """
+    if ladder is None:
+        return quantile_ladder(stat, min_top=min_top)
     arr = np.asarray(ladder, dtype=float).ravel()
     if arr.size == 0:
         raise LadderError("ladder must contain at least one threshold")
@@ -60,12 +63,25 @@ def _check_ladder(ladder, values, min_top: int) -> np.ndarray:
         raise LadderError("ladder thresholds must be positive and finite")
     if np.any(np.diff(arr) <= 0.0):
         raise LadderError("ladder thresholds must be strictly increasing")
-    top = int((np.asarray(values).ravel() > arr[-1]).sum())
-    if top < min_top:
-        raise LadderError(
-            f"top rung keeps {top} exceedances, needs at least {min_top}"
-        )
+    need = min_top if custom_top is None else custom_top
+    top = _exceedances(stat, arr[-1:])[0]
+    if top < need:
+        raise LadderError(f"top rung keeps {top} exceedances, needs at least {need}")
     return arr
+
+
+def _exceedances(stat: np.ndarray, cuts) -> list[int]:
+    """Number of entries of stat strictly above each cut."""
+    return [int((stat > t).sum()) for t in cuts]
+
+
+def _scaled_binomials(counts, n: int, ladder) -> tuple[Estimate, ...]:
+    """t * binomial interval of k exceedances out of n, rung by rung."""
+    out = []
+    for k, t in zip(counts, ladder):
+        est = binomial_ci(k, n)
+        out.append(Estimate(t * est.value, t * est.ci_lo, t * est.ci_hi, n, est.method, est.flag))
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,37 +172,20 @@ def empirical_tail_constant(
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
     x = pool.x_post[:, j]
-    mag = np.abs(x) ** alpha
-    ladder = (
-        quantile_ladder(mag, min_top=min_top)
-        if ladder is None
-        else _check_ladder(ladder, mag, min_top)
-    )
-    n = x.size
-    plus, minus, total = [], [], []
-    for t in ladder:
-        cut = t ** (1.0 / alpha)
-        kp = int((x > cut).sum())
-        km = int((x < -cut).sum())
-        plus.append(_scaled_binomial(kp, n, t))
-        minus.append(_scaled_binomial(km, n, t))
-        total.append(_scaled_binomial(kp + km, n, t))
+    ladder = _ladder(np.abs(x) ** alpha, ladder, min_top)
+    cuts = [t ** (1.0 / alpha) for t in ladder]
+    kp = _exceedances(x, cuts)
+    km = _exceedances(-x, cuts)
+    total = _scaled_binomials([a + b for a, b in zip(kp, km)], x.size, ladder)
     return TailConstantLadder(
         coordinate=j,
         alpha=float(alpha),
         thresholds=tuple(float(t) for t in ladder),
-        plus=tuple(plus),
-        minus=tuple(minus),
-        total=tuple(total),
-        n=n,
-        converged=_interval_overlap(tuple(total)),
-    )
-
-
-def _scaled_binomial(k: int, n: int, scale: float) -> Estimate:
-    est = binomial_ci(k, n)
-    return Estimate(
-        scale * est.value, scale * est.ci_lo, scale * est.ci_hi, n, est.method, est.flag
+        plus=_scaled_binomials(kp, x.size, ladder),
+        minus=_scaled_binomials(km, x.size, ladder),
+        total=total,
+        n=x.size,
+        converged=_interval_overlap(total),
     )
 
 
@@ -226,7 +225,8 @@ def goldie_constant(pool, j: int, alpha: float, mean_log: float) -> GoldieConsta
         wm = np.maximum(-y, 0.0) ** alpha - np.maximum(-ax, 0.0) ** alpha
     wt = wp + wm
     scale = 1.0 / (alpha * mean_log)
-    unstable = not np.all(np.isfinite(wt)) or doubling_change(wt) > STABLE_REL_CHANGE
+    # a non-finite summand makes a mean non-finite, which doubling_change maps to inf
+    unstable = doubling_change(wt) > STABLE_REL_CHANGE
     ep = _scaled_mean(wp, scale)
     em = _scaled_mean(wm, scale)
     et = _scaled_mean(wt, scale)
@@ -276,20 +276,14 @@ def block_tail_constant(
     """
     alphas = np.asarray(alphas, dtype=float)
     s_full = alpha_norm(pool.x_post, alphas)
-    ladder = (
-        quantile_ladder(s_full, min_top=min_top)
-        if ladder is None
-        else _check_ladder(ladder, s_full, min_top)
-    )
+    ladder = _ladder(s_full, ladder, min_top)
     n = s_full.size
     block_series = []
     for coords in partition.classes:
         cols = list(coords)
         s_l = alpha_norm(pool.x_post[:, cols], alphas[cols])
-        block_series.append(
-            tuple(_scaled_binomial(int((s_l > t).sum()), n, t) for t in ladder)
-        )
-    c_inf = tuple(_scaled_binomial(int((s_full > t).sum()), n, t) for t in ladder)
+        block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
+    c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))
     hw = c_inf[-1].half_width + sum(s[-1].half_width for s in block_series)
     consistent = bool(abs(c_inf[-1].value - top_sum) <= hw)
@@ -337,7 +331,8 @@ def spectral_measure(
     """Estimate the angular law of exceedances at each ladder rung.
 
     Each exceeding record is rescaled to unit weighted norm; the class
-    masses and histograms summarize where that angular part lives.
+    masses and histograms summarize where that angular part lives.  A
+    rung that keeps no record raises LadderError, whatever min_top says.
     """
     alphas = np.asarray(alphas, dtype=float)
     if not 0.0 < eps < 1.0:
@@ -345,43 +340,38 @@ def spectral_measure(
     if bins < 2:
         raise ValueError("bins must be at least 2")
     s = alpha_norm(pool.x_post, alphas)
-    ladder = (
-        quantile_ladder(s, min_top=min_top)
-        if ladder is None
-        else _check_ladder(ladder, s, min_top)
-    )
+    ladder = _ladder(s, ladder, max(min_top, 1))
     d = pool.d
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts, masses, off_masses, hists, margs = [], [], [], [], []
-    for t in ladder:
-        mask = s > t
-        cnt = int(mask.sum())
-        counts.append(cnt)
-        omega = dilate(1.0 / s[mask], pool.x_post[mask], alphas)
-        row = []
-        near_any = np.zeros(cnt, dtype=bool)
-        for coords in partition.classes:
-            off = [j for j in range(d) if j not in coords]
-            if not off:
-                near = np.ones(cnt, dtype=bool)
-            else:
-                near = alpha_norm(omega[:, off], alphas[off]) < eps
-            row.append(float(near.mean()))
-            near_any |= near
-        masses.append(tuple(row))
-        off_masses.append(float(1.0 - near_any.mean()))
-        clipped = np.clip(omega, -1.0, 1.0)
-        idx = np.clip(np.digitize(clipped, edges) - 1, 0, bins - 1)
+    # angles, class proximity and bins are row-wise, so they are computed
+    # once on the lowest rung and each higher rung takes a nested subset
+    low = s > ladder[0]
+    s_low = s[low]
+    omega = dilate(1.0 / s_low, pool.x_post[low], alphas)
+    near = []
+    for coords in partition.classes:
+        off = [j for j in range(d) if j not in coords]
+        if not off:
+            near.append(np.ones(s_low.size, dtype=bool))
+        else:
+            near.append(alpha_norm(omega[:, off], alphas[off]) < eps)
+    near_any = np.logical_or.reduce(near)
+    idx = np.clip(np.digitize(np.clip(omega, -1.0, 1.0), edges) - 1, 0, bins - 1)
+    counts = _exceedances(s_low, ladder)
+    masses, off_masses, hists, margs = [], [], [], []
+    for t, cnt in zip(ladder, counts):
+        keep = s_low > t
+        masses.append(tuple(float(nr[keep].mean()) for nr in near))
+        off_masses.append(float(1.0 - near_any[keep].mean()))
+        rung = idx[keep]
         margs.append(
             tuple(
-                tuple(np.bincount(idx[:, j], minlength=bins) / cnt)
+                tuple(np.bincount(rung[:, j], minlength=bins) / cnt)
                 for j in range(d)
             )
         )
         if d <= 3:
-            flat = np.ravel_multi_index(
-                tuple(idx[:, j] for j in range(d)), (bins,) * d
-            )
+            flat = np.ravel_multi_index(tuple(rung.T), (bins,) * d)
             hists.append(tuple(np.bincount(flat, minlength=bins**d) / cnt))
     return SpectralEstimate(
         thresholds=tuple(float(t) for t in ladder),
@@ -419,7 +409,7 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     with np.errstate(over="ignore"):
         w = np.abs(pool.x_post[:, j]) ** s
     rel = doubling_change(w)
-    stable = bool(rel <= STABLE_REL_CHANGE and np.all(np.isfinite(w)))
+    stable = bool(rel <= STABLE_REL_CHANGE)
     est = mean_estimate(w, flag=None if stable else "unstable")
     return MomentCheck(s, est, float(rel), stable)
 

@@ -148,6 +148,30 @@ def test_runtime_error_names_stage(tmp_path, capsys):
     assert doc["stage"] == "solve-alpha"
 
 
+def test_empty_spectral_rung_exits_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "model": PAIR_MODEL,
+            "seed": 3,
+            "out": str(out),
+            "pipeline": [
+                "solve-alpha",
+                {"stage": "simulate", "params": {"chains": 100, "n_per_chain": 200}},
+                "blocks",
+                {"stage": "spectral", "params": {"ladder": [1.0, 1e12], "min_top": 0}},
+            ],
+        },
+    )
+    assert main(["run", "--config", cfg]) == 1
+    doc = last_stderr_doc(capsys)
+    assert doc["error"] == "LadderError"
+    assert doc["stage"] == "spectral"
+    assert not (out / "spectral.report.json").exists()
+    assert not (out / "spectral.angular.csv").exists()
+
+
 def test_locked_output_directory(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()

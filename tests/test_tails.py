@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ def test_goldie_constant_flags_unstable_order(ref_pool):
     got = goldie_constant(ref_pool, 0, 6.0, GOLDIE_MEAN)
     assert got.unstable is True
     assert got.total.flag == "unstable"
+    # one infinite record in the second half: only the full mean sees it
+    x = ref_pool.x_post.copy()
+    x[-1, 0] = np.inf
+    pool = SimpleNamespace(a=ref_pool.a, x_pre=ref_pool.x_pre, x_post=x)
+    got = goldie_constant(pool, 0, 2.0, GOLDIE_MEAN)
+    assert got.unstable is True
+    assert got.total.flag == "possibly-infinite"
 
 
 def test_goldie_constant_validates_arguments(ref_pool):
@@ -353,6 +361,12 @@ def test_spectral_matches_rung_by_rung_reference(case):
         assert getattr(got, field) == want, field
 
 
+def test_spectral_empty_rung_raises(pair_pool):
+    # a rung beyond the data keeps no record and so has no angular law
+    with pytest.raises(LadderError):
+        spectral_measure(pair_pool, PAIR_CLASSES, [2.0, 2.0], ladder=[1.0, 1e12], min_top=0)
+
+
 def test_spectral_validates_arguments(pair_pool):
     part = BlockPartition(((0,), (1,)), (0, 1), {})
     with pytest.raises(ValueError):
@@ -377,6 +391,12 @@ def test_moment_estimate_unstable_above_index(ref_pool):
     assert chk.stable is False
     assert chk.estimate.flag == "unstable"
     assert chk.rel_change > 0.05
+    x = ref_pool.x_post.copy()
+    x[-1, 0] = np.inf
+    chk = moment_estimate(SimpleNamespace(x_post=x), 0, 1.0)
+    assert chk.stable is False
+    assert chk.estimate.flag == "unstable"
+    assert chk.rel_change == math.inf
 
 
 def test_moment_estimate_validates_order(ref_pool):
