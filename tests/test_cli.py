@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -315,6 +316,154 @@ def test_report_refuses_reports_of_another_model(tmp_path, capsys):
     assert err["error"] == "validation" and err["stage"] == "report"
     assert "tails.report.json" in err["detail"]
     assert (out / "report.json").read_bytes() == before
+
+
+def test_spectral_refuses_blocks_of_another_model(tmp_path, capsys):
+    out = tmp_path / "o"
+    pipeline = [
+        "solve-alpha",
+        {"stage": "simulate", "params": {"chains": 150, "n_per_chain": 100, "thin": 2}},
+        "blocks",
+        {"stage": "spectral", "params": {"bins": 8, "min_top": 50}},
+    ]
+    doc = {"model": PAIR_MODEL, "seed": 3, "out": str(out), "pipeline": pipeline[:3]}
+    assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 0
+
+    changed = json.loads(json.dumps(doc))
+    changed["model"]["params"]["up"] = 1.9
+    changed["pipeline"] = pipeline[:2]
+    assert main(["run", "--config", write_config(tmp_path / "c2.json", changed)]) == 0
+    capsys.readouterr()
+
+    # blocks.report.json still holds the up = 2.0 partition
+    changed["pipeline"] = pipeline
+    assert main(["spectral", "--config", write_config(tmp_path / "c3.json", changed)]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "spectral"
+    assert "blocks.report.json" in err["detail"]
+    assert not (out / "spectral.report.json").exists()
+
+
+def test_report_refuses_reports_of_another_seed(tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": [
+            "solve-alpha",
+            {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100, "thin": 2}},
+            "tails",
+            "report",
+        ],
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    before = (out / "report.json").read_bytes()
+    assert main(["simulate", "--config", cfg, "--seed", "4"]) == 0
+    capsys.readouterr()
+
+    assert main(["report", "--config", cfg, "--seed", "4"]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "report"
+    assert "solve-alpha.report.json" in err["detail"] and "seed 3" in err["detail"]
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_report_refuses_tails_of_a_replaced_pool(tmp_path, capsys):
+    out = tmp_path / "o"
+
+    def config(chains, pipeline_tail):
+        simulate = {"stage": "simulate", "params": {"chains": chains, "n_per_chain": 50, "thin": 2}}
+        doc = {
+            "model": REF_MODEL,
+            "seed": 3,
+            "out": str(out),
+            "pipeline": ["solve-alpha", simulate] + pipeline_tail,
+        }
+        return write_config(tmp_path / f"c{chains}.json", doc)
+
+    assert main(["run", "--config", config(200, ["tails", "report"])]) == 0
+    before = (out / "report.json").read_bytes()
+    capsys.readouterr()
+
+    # same model and seed, but the 100-chain pool replaces the one tails read
+    assert main(["run", "--config", config(100, ["report"])]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "report"
+    assert "tails.report.json" in err["detail"] and "pool.meta.json" in err["detail"]
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_every_report_carries_its_provenance(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "model": PAIR_MODEL,
+            "seed": 5,
+            "out": str(out),
+            "pipeline": [
+                "solve-alpha",
+                {"stage": "simulate", "params": {"chains": 150, "n_per_chain": 100, "thin": 2}},
+                "blocks",
+                "tails",
+                {"stage": "spectral", "params": {"bins": 8, "min_top": 50}},
+                {"stage": "independence", "params": {"n": 20_000, "submult_n": 5_000}},
+                "report",
+            ],
+        },
+    )
+    assert main(["run", "--config", cfg]) == 0
+    fingerprint = json.loads((out / "manifest.json").read_text())["model_fingerprint"]
+    pool_inputs = {"blocks.report.json", "pool.meta.json", "solve-alpha.report.json"}
+    expected_inputs = {
+        "solve-alpha": set(),
+        "simulate": set(),
+        "blocks": {"solve-alpha.report.json"},
+        "tails": pool_inputs,
+        "spectral": pool_inputs,
+        "independence": pool_inputs,
+        "report": {f"{s}.report.json" for s in ("solve-alpha", "simulate", "blocks", "tails",
+                                                "spectral", "independence")},
+    }
+    for stage, inputs in expected_inputs.items():
+        name = "report.json" if stage == "report" else f"{stage}.report.json"
+        doc = json.loads((out / name).read_text())
+        assert doc["stage"] == stage, name
+        assert doc["model_fingerprint"] == fingerprint, name
+        assert doc["seed"] == 5, name
+        assert set(doc["inputs"]) == inputs, name
+        for dep, digest in doc["inputs"].items():
+            assert hashlib.sha256((out / dep).read_bytes()).hexdigest() == digest, (name, dep)
+
+
+@pytest.mark.parametrize(
+    "name, keep",
+    [("pool.bin", lambda raw: raw[:-8]), ("solve-alpha.report.json", lambda raw: raw[: len(raw) // 2])],
+)
+def test_corrupt_upstream_artifact_exits_two(name, keep, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": [
+            "solve-alpha",
+            {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100, "thin": 2}},
+        ],
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    path = out / name
+    path.write_bytes(keep(path.read_bytes()))
+    capsys.readouterr()
+
+    assert main(["tails", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "tails"
+    assert name in err["detail"]
+    assert not (out / "tails.report.json").exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):
