@@ -53,8 +53,9 @@ class BlockPartition(Record):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "BlockPartition":
-        doc = json.loads(text)
+    def from_json(cls, text: str | dict) -> "BlockPartition":
+        """Partition from its JSON text or the parsed document."""
+        doc = json.loads(text) if isinstance(text, str) else text
         classes = tuple(tuple(int(j) for j in c) for c in doc["classes"])
         perm = tuple(int(j) for j in doc["permutation"])
         got = tuple(j for c in classes for j in c)

@@ -4,8 +4,12 @@ Stages write machine-readable artifacts into one output directory:
 <stage>.report.json files are byte-identical across reruns with the same
 config and seed (wall-clock state lives only in manifest.json), pools go
 to pool.bin plus pool.meta.json, and tabular series to <stage>.<name>.csv.
-Exit code 2 flags configuration problems before any stage runs; exit
-code 1 flags a runtime failure and names the stage on stderr.
+Every report carries its provenance: the stage, the model fingerprint,
+the seed, and the sha256 of each upstream artifact it read (inputs).
+Exit code 2 flags configuration problems, including an upstream artifact
+that is corrupt, records another model or seed, or was computed from
+inputs that have since changed on disk; exit code 1 flags a runtime
+failure and names the stage on stderr.
 """
 
 from __future__ import annotations
@@ -23,17 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockPartition, detect_blocks
-from .common import (
-    AmbiguousPartitionError,
-    ConfigurationError,
-    DivergenceError,
-    LadderError,
-    NonContractiveError,
-    TailIndexError,
-    TauHeavinessError,
-    atomic_write,
-    stage_stream,
-)
+from .common import ConfigurationError, atomic_write, stage_stream
 from .independence import (
     build_tau,
     decay_rate_fit,
@@ -74,16 +68,6 @@ STAGE_DEPS = {
     "report": (),
 }
 
-_RUNTIME_ERRORS = (
-    TailIndexError,
-    NonContractiveError,
-    DivergenceError,
-    LadderError,
-    AmbiguousPartitionError,
-    TauHeavinessError,
-)
-
-
 def _package_version() -> str:
     try:
         from importlib.metadata import version
@@ -119,6 +103,18 @@ def _dump_json(path: Path, doc) -> None:
     with atomic_write(path) as fh:
         json.dump(_jsonable(doc), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _report_name(stage: str) -> str:
+    return "report.json" if stage == "report" else f"{stage}.report.json"
+
+
+def _refusal(name: str, problem: str) -> ConfigurationError:
+    """Exit-2 error naming an upstream artifact and the stage that rewrites it."""
+    stage = "simulate" if name.startswith("pool.") else name.removesuffix(".report.json")
+    return ConfigurationError(
+        f"{name} {problem}; rerun {stage!r} or point --out at another directory"
+    )
 
 
 def _csv_cell(v) -> str:
@@ -288,24 +284,20 @@ class _Runner:
         self.spec = plan.model
         self.seed = plan.seed
         self.out = plan.out
+        self.origin = {"model_fingerprint": plan.model.fingerprint(), "seed": plan.seed}
         self.current_stage: str | None = None
-        self._alphas: np.ndarray | None = None
-        self._goldie: list[float] | None = None
+        self._inputs: dict[str, str] = {}
         self._pool: SamplePool | None = None
-        self._partition: BlockPartition | None = None
         self._manifest_stages: dict = {}
 
     # ---- artifact plumbing -------------------------------------------
-
-    def _report_path(self, stage: str) -> Path:
-        return self.out / f"{stage}.report.json"
 
     def _has_artifact(self, stage: str) -> bool:
         if stage == "simulate":
             return (self.out / "pool.bin").exists() and (
                 self.out / "pool.meta.json"
             ).exists()
-        return self._report_path(stage).exists()
+        return (self.out / _report_name(stage)).exists()
 
     def preflight(self) -> None:
         produced = set()
@@ -318,69 +310,78 @@ class _Runner:
                     )
             produced.add(name)
 
-    def _load_report(self, stage: str) -> dict:
-        path = self._report_path(stage)
-        if not path.exists():
-            raise ConfigurationError(f"missing artifact {path.name}; run {stage!r} first")
-        with open(path) as fh:
-            return json.load(fh)
+    def _read(self, name: str) -> dict:
+        """Load a stage report or pool.meta.json and note its sha256 among
+        the current stage's inputs.
 
-    def _check_origin(self, artifact: str, stage: str, **recorded) -> None:
-        """Refuse an artifact that another model or seed produced."""
-        current = {"model_fingerprint": self.spec.fingerprint(), "seed": self.seed}
-        for key, value in recorded.items():
-            if value != current[key]:
-                raise ConfigurationError(
-                    f"{artifact} records {key} {value!r} but this run has {current[key]!r}; "
-                    f"rerun {stage!r} or point --out at another directory"
+        Refuses an artifact that is missing or corrupt, records another
+        model or seed, or records an input whose file on disk no longer
+        has the recorded sha256.
+        """
+        try:
+            raw = (self.out / name).read_bytes()
+            doc = json.loads(raw)
+        except FileNotFoundError:
+            raise _refusal(name, "is missing") from None
+        except (OSError, ValueError) as exc:
+            raise _refusal(name, f"is corrupt ({exc})") from None
+        # the pool sidecar keeps its provenance in the pool's own meta block
+        if name == "pool.meta.json":
+            meta = doc.get("meta", {})
+            recorded = {
+                "model_fingerprint": meta.get("spec_fingerprint"),
+                "seed": meta.get("seed"),
+            }
+        else:
+            recorded = doc
+        for key, value in self.origin.items():
+            if recorded.get(key) != value:
+                raise _refusal(
+                    name, f"records {key} {recorded.get(key)!r} but this run has {value!r}"
                 )
+        for dep, digest in doc.get("inputs", {}).items():
+            try:
+                current = hashlib.sha256((self.out / dep).read_bytes()).hexdigest()
+            except FileNotFoundError:
+                current = None
+            if current != digest:
+                raise _refusal(name, f"was computed from a {dep} other than the one on disk")
+        self._inputs[name] = hashlib.sha256(raw).hexdigest()
+        return doc
 
-    def _get_alphas(self) -> np.ndarray:
-        if self._alphas is None:
-            doc = self._load_report("solve-alpha")
-            self._check_origin(
-                "solve-alpha.report.json", "solve-alpha", model_fingerprint=doc.get("model_fingerprint")
-            )
-            self._alphas = np.asarray(doc["alphas"], dtype=float)
-            self._goldie = [float(c["goldie_mean"]["value"]) for c in doc["coordinates"]]
-        return self._alphas
-
-    def _get_goldie(self) -> list[float]:
-        self._get_alphas()
-        return self._goldie
+    def _alphas(self) -> np.ndarray:
+        return np.asarray(self._read("solve-alpha.report.json")["alphas"], dtype=float)
 
     def _get_pool(self) -> SamplePool:
+        # pool.bin is a pure function of its sidecar, which is written after
+        # it, so the sidecar stands in for the pool among the inputs
+        self._read("pool.meta.json")
         if self._pool is None:
-            pool = SamplePool.load(self.out / "pool.bin")
-            self._check_origin(
-                "pool.meta.json",
-                "simulate",
-                model_fingerprint=pool.meta.get("spec_fingerprint"),
-                seed=pool.meta.get("seed"),
-            )
-            self._pool = pool
+            try:
+                self._pool = SamplePool.load(self.out / "pool.bin")
+            except (OSError, ValueError) as exc:
+                raise _refusal("pool.bin", f"is corrupt ({exc})") from None
         return self._pool
 
     def _get_partition(self, required: bool) -> BlockPartition | None:
-        if self._partition is None:
-            path = self._report_path("blocks")
-            if not path.exists():
-                if required:
-                    raise ConfigurationError("missing blocks artifact; run 'blocks' first")
-                return None
-            self._partition = BlockPartition.from_json(path.read_text())
-        return self._partition
+        if not required and not (self.out / "blocks.report.json").exists():
+            return None
+        return BlockPartition.from_json(self._read("blocks.report.json"))
 
-    def _finish_stage(self, stage: str, params: dict, artifacts: list[str]) -> None:
+    def _write_report(self, params: dict, doc: dict, *artifacts: str) -> None:
+        """Write the current stage's report under its provenance envelope,
+        then record the stage and everything it wrote in manifest.json."""
+        stage = self.current_stage
+        name = _report_name(stage)
+        _dump_json(self.out / name, {**doc, "stage": stage, **self.origin, "inputs": self._inputs})
         self._manifest_stages[stage] = {
-            "artifacts": sorted(artifacts),
+            "artifacts": sorted([name, *artifacts]),
             "completed_utc": datetime.now(timezone.utc).isoformat(),
             "params": params,
         }
         manifest = {
             "config_sha256": self.plan.config_sha,
-            "model_fingerprint": self.spec.fingerprint(),
-            "seed": self.seed,
+            **self.origin,
             "stages": self._manifest_stages,
             "versions": {
                 "numpy": np.__version__,
@@ -406,6 +407,7 @@ class _Runner:
                     self._manifest_stages = {}
             for name, params in self.plan.pipeline:
                 self.current_stage = name
+                self._inputs = {}
                 getattr(self, "_stage_" + name.replace("-", "_"))(dict(params))
             self.current_stage = None
 
@@ -437,17 +439,8 @@ class _Runner:
                     "positivity": pos.to_dict(),
                 }
             )
-        doc = {
-            "alphas": alphas,
-            "coordinates": coords,
-            "model_fingerprint": spec.fingerprint(),
-            "sigma_margin": spec.sigma_margin,
-            "stage": "solve-alpha",
-        }
-        _dump_json(self._report_path("solve-alpha"), doc)
-        self._alphas = np.asarray(alphas, dtype=float)
-        self._goldie = [float(c["goldie_mean"]["value"]) for c in coords]
-        self._finish_stage("solve-alpha", params, ["solve-alpha.report.json"])
+        doc = {"alphas": alphas, "coordinates": coords, "sigma_margin": spec.sigma_margin}
+        self._write_report(params, doc)
 
     def _stage_simulate(self, params: dict) -> None:
         pool = stationary_pool(
@@ -465,21 +458,16 @@ class _Runner:
             "chains": pool.meta["chains"],
             "column_mean_x_post": [float(v) for v in pool.x_post.mean(axis=0)],
             "d": pool.d,
-            "model_fingerprint": self.spec.fingerprint(),
             "n_per_chain": pool.meta["n_per_chain"],
             "n_records": len(pool),
-            "stage": "simulate",
             "thin": pool.meta["thin"],
         }
-        _dump_json(self._report_path("simulate"), doc)
         self._pool = pool
-        self._finish_stage(
-            "simulate", params, ["pool.bin", "pool.meta.json", "simulate.report.json"]
-        )
+        self._write_report(params, doc, "pool.bin", "pool.meta.json")
 
     def _stage_blocks(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["blocks"])
-        alphas = self._get_alphas()
+        alphas = self._alphas()
         part = detect_blocks(
             self.spec,
             alphas,
@@ -491,16 +479,13 @@ class _Runner:
             cross_n=int(params.get("cross_n", 200_000)),
             cross_tol=float(params.get("cross_tol", 5e-3)),
         )
-        doc = part.to_dict()
-        doc["stage"] = "blocks"
-        _dump_json(self._report_path("blocks"), doc)
-        self._partition = part
-        self._finish_stage("blocks", params, ["blocks.report.json"])
+        self._write_report(params, part.to_dict())
 
     def _stage_tails(self, params: dict) -> None:
         pool = self._get_pool()
-        alphas = self._get_alphas()
-        goldie = self._get_goldie()
+        solved = self._read("solve-alpha.report.json")
+        alphas = np.asarray(solved["alphas"], dtype=float)
+        goldie = [float(c["goldie_mean"]["value"]) for c in solved["coordinates"]]
         part = self._get_partition(required=False)
         min_top = int(params.get("min_top", 50))
         hill_k = params.get("hill_k")
@@ -543,11 +528,7 @@ class _Runner:
                     csv_rows.append(
                         (f"coord{j}_{label}", t, e.value, e.ci_lo, e.ci_hi)
                     )
-        doc = {
-            "coordinates": coord_docs,
-            "model_fingerprint": self.spec.fingerprint(),
-            "stage": "tails",
-        }
+        doc = {"coordinates": coord_docs}
         # without a partition, c_inf is the single-class block constant
         whole = tuple(range(pool.d))
         block_ladder = block_tail_constant(
@@ -568,19 +549,16 @@ class _Runner:
             c_block = block_ladder.block_top
         constants = TailConstants(tuple(c_plus), tuple(c_minus), c_block, block_ladder.c_inf_top)
         doc["tail_constants"] = constants.to_dict()
-        _dump_json(self._report_path("tails"), doc)
         _write_csv(
             self.out / "tails.ladders.csv",
             ["series", "threshold", "value", "ci_lo", "ci_hi"],
             csv_rows,
         )
-        self._finish_stage(
-            "tails", params, ["tails.report.json", "tails.ladders.csv"]
-        )
+        self._write_report(params, doc, "tails.ladders.csv")
 
     def _stage_spectral(self, params: dict) -> None:
         pool = self._get_pool()
-        alphas = self._get_alphas()
+        alphas = self._alphas()
         part = self._get_partition(required=True)
         est = spectral_measure(
             pool,
@@ -591,10 +569,6 @@ class _Runner:
             eps=float(params.get("eps", 0.05)),
             min_top=int(params.get("min_top", 100)),
         )
-        doc = est.to_dict()
-        doc["stage"] = "spectral"
-        doc["model_fingerprint"] = self.spec.fingerprint()
-        _dump_json(self._report_path("spectral"), doc)
         rows = []
         edges = est.bin_edges
         for r, t in enumerate(est.thresholds):
@@ -606,14 +580,12 @@ class _Runner:
             ["threshold", "coordinate", "bin_lo", "bin_hi", "mass"],
             rows,
         )
-        self._finish_stage(
-            "spectral", params, ["spectral.report.json", "spectral.angular.csv"]
-        )
+        self._write_report(params, est.to_dict(), "spectral.angular.csv")
 
     def _stage_independence(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["independence"])
         pool = self._get_pool()
-        alphas = self._get_alphas()
+        alphas = self._alphas()
         part = self._get_partition(required=False)
         pairs = params.get("pairs")
         if pairs is None:
@@ -629,7 +601,7 @@ class _Runner:
             tau, rng, n=int(params.get("submult_n", 50_000))
         )
         pair_docs = []
-        artifacts = ["independence.report.json"]
+        artifacts = []
         for i, j in (tuple(int(v) for v in p) for p in pairs):
             joint = joint_exceedance(
                 pool,
@@ -677,37 +649,20 @@ class _Runner:
             )
             artifacts.append(name)
         doc = {
-            "model_fingerprint": self.spec.fingerprint(),
             "pairs": pair_docs,
-            "stage": "independence",
             "submultiplicativity": check.to_dict(),
             "tau": tau_doc,
             "xi": xi,
         }
-        _dump_json(self._report_path("independence"), doc)
-        self._finish_stage("independence", params, artifacts)
+        self._write_report(params, doc, *artifacts)
 
     def _stage_report(self, params: dict) -> None:
-        stages = {}
-        for name in STAGE_ORDER:
-            if name == "report":
-                continue
-            path = self._report_path(name)
-            if path.exists():
-                with open(path) as fh:
-                    stages[name] = json.load(fh)
-                if "model_fingerprint" in stages[name]:
-                    self._check_origin(
-                        path.name, name, model_fingerprint=stages[name]["model_fingerprint"]
-                    )
-        doc = {
-            "model_fingerprint": self.spec.fingerprint(),
-            "seed": self.seed,
-            "stage": "report",
-            "stages": stages,
+        stages = {
+            name: self._read(_report_name(name))
+            for name in STAGE_ORDER[:-1]
+            if (self.out / _report_name(name)).exists()
         }
-        _dump_json(self.out / "report.json", doc)
-        self._finish_stage("report", params, ["report.json"])
+        self._write_report(params, {"stages": stages})
 
 
 def _emit_error(kind: str, stage: str | None, exc: BaseException) -> None:
@@ -753,10 +708,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         _emit_error("validation", runner.current_stage, exc)
         return 2
-    except _RUNTIME_ERRORS as exc:
-        _emit_error(type(exc).__name__, runner.current_stage, exc)
-        return 1
-    except Exception as exc:  # pragma: no cover - last-resort diagnostics
+    except Exception as exc:  # a runtime failure: name its type and the stage
         _emit_error(type(exc).__name__, runner.current_stage, exc)
         return 1
     return 0

@@ -314,7 +314,7 @@ def test_report_refuses_reports_of_another_model(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path / "c2.json", changed)]) == 2
     err = last_stderr_doc(capsys)
     assert err["error"] == "validation" and err["stage"] == "report"
-    assert "tails.report.json" in err["detail"]
+    assert "blocks.report.json" in err["detail"]
     assert (out / "report.json").read_bytes() == before
 
 

@@ -64,55 +64,55 @@ CONFIGS = {
 
 DIGESTS = {
     "bekk-monte-carlo": {
-        "blocks.report.json": "710429a7263a7f4febaca8037845d63fe27272bfbaa201faeb0182c7670a57fc",
+        "blocks.report.json": "a40729ebf2545145559cd051cd82cc6ce449c7d1ac0b82b448a30948a2a9b166",
         "independence.pair_0_1.csv": "57eebb389630f69d1066b165aef8a447c1321bf36fadba6f7ece0db0a1117fc6",
-        "independence.report.json": "cb3ec858050d47bf118510e031e939724dfe2a8d5ed16a7b0f73f1b83605ca00",
+        "independence.report.json": "47ed7754bd11ddfc60ec9463e28652417c268f659d4ebf295b818a12c13713fb",
         "pool.bin": "d49e90f003fc277c48080bc1ec79ad1b3333638de045ebea401137824ed666c2",
         "pool.meta.json": "d64a0b6b7f7a095ed56877f1c0207a222721e59056527840fd6cdd3b3c6e6231",
-        "report.json": "b8aba53168b9688267770dd05eb6a7180e9d8a9c6b715e6634e43f077271620f",
-        "simulate.report.json": "6c9a2c3011eb5e6fb2aa793ff5865f6b7fdaf375b2d2f7c4763d7ad693a504d3",
-        "solve-alpha.report.json": "5b2e33543ec13b8750aa295ce05d8230c3ec7e2c68c5abc37f05c1ec62de66a8",
+        "report.json": "24bc4833374c5d8509bdd1fd9b55507f7a378787d418f7fca20d8df4bbe96ef6",
+        "simulate.report.json": "7bac3e33406d53706d6e156b6ed1f0843deae651809bc3bef852f3c6df5a3eb1",
+        "solve-alpha.report.json": "b8765df3ea0dd9cf9b0e7b32a806faf55f27a8c1352df7aab85ed5e8821f9b7a",
         "spectral.angular.csv": "c5b30069e3aa714496c75c37961ad5262d3b558e9a6ec5e23000ee077d740612",
-        "spectral.report.json": "5f650f7de82fea59194b64209e09b5abd2b84f9dccc756ebe5c834ecc827dea1",
+        "spectral.report.json": "9affbbbf219938bd999053680fcd9051bd092403201275840abc18654dfb483f",
         "tails.ladders.csv": "db30d43623eca95326fb51fdb5961c45495f644561fb5ac11ff77b3769e21c92",
-        "tails.report.json": "38e6f2241a898d5c8257f90ca33b145f5d8c16d85a2525772a72e1bf7eed2852",
+        "tails.report.json": "c1324223968a5f952d376949c8dd2c5dd830a4190ecba3b18a378210d03e27b2",
     },
     "ccc-shared-factor": {
-        "blocks.report.json": "dfbb83ebe7d796bbc91b220c23561fe3bca44249f37d4c9bfd86a26a988becb6",
+        "blocks.report.json": "48029e4bd0c4785098f0a9edbd93fbcd903a4bd7b0c6a7cf1895e393ba32f525",
         "independence.pair_0_2.csv": "86af84812d9129875305a037fe40c93081dfefb263ace0bdc50f7472d30749f0",
-        "independence.report.json": "41a0eb57303a7b6dd8995e693b2182550a28d74840eb4776a4b2f1d4a607a0bd",
+        "independence.report.json": "bb4a829d793706145c275b1ddce2f656c2c354843c2667e6cd66381f18dc9f58",
         "pool.bin": "a73230de70ef790adade1f3e5108c4171e18eb615e67138946637a7d18513755",
         "pool.meta.json": "9419e14a91a2086b72034af782a798c8afc2609339503ef06f0dab9e7b4c69a5",
-        "report.json": "2400806a9bbe57621e68a0f9c551c88804e6f8a446f38e3fe4c8562e8966c7e9",
-        "simulate.report.json": "419cbed629b0165f2eb123af28307aa79a117034963818ad9360d05da2b2a60e",
-        "solve-alpha.report.json": "6e65cb166d31084c55f69938f06925c55604fe7fa02ca3517d68a36b62f317d2",
+        "report.json": "b27d82c81da65f2f4abcf91f79a81b16e4b09c0cc657498fc305e24c1733a225",
+        "simulate.report.json": "78ba218990114246c80034bd2a5546cd3f8e7bcdf2e02fc5b352fcd6e36f5cb5",
+        "solve-alpha.report.json": "48a4062ad0be03aa88577a00a29c430f573c0e4fe8f034d234feb69ae3c5785f",
         "spectral.angular.csv": "7b981c528b8b8c095f944690ea4d40964526f481384881528ea038a2a184b999",
-        "spectral.report.json": "dc19aa38dfd14ddc5cdee9c0dc22ce9a78fb34586f057d410d7ac73fa47836ee",
+        "spectral.report.json": "e946b8ec05d83d07d5ceac5d7548588a5c15df2b70f8cf413aa04fd9b4825e4b",
         "tails.ladders.csv": "0f43288645dc9251e6c50ae38ee1d7c984ca8f18c86aebfcf6cf7af8453d65c2",
-        "tails.report.json": "44ace5451b11284a888a8567d2517c880f16ad8f8d152d501721239e24688984",
+        "tails.report.json": "9c60d544241b4a7ef46cc2206b6ad1fb18763afa50da3c9fafde23b1ace13814",
     },
     "two-point-all-stages": {
-        "blocks.report.json": "5e71087390036bf3ed3d2bf467cc93d140c2ef0a8abda889a3df47d0aa527920",
+        "blocks.report.json": "4713f8fc0d9ce13c9bf25f402ec3ef97350e1cb6afbd544f0f0b2a6da8ca1c53",
         "independence.pair_0_1.csv": "d763471584b528c74f6d59ba5c5babb0e0089b573690502ef33fdedfa8e893a0",
-        "independence.report.json": "670598dd861df0c1b8d30ecf147d183c0e0e352db809462f30181a14aba935a3",
+        "independence.report.json": "f65f210d5cd657f390a9f3f6d76855f69a17bb27e266530b35b14ffb550193c1",
         "pool.bin": "49f0ce5717a88352930a81a08fa40c83ed7aea138984bfe5e287d5665397e182",
         "pool.meta.json": "bda4366711e488603eafd2ac43f038f6f8a4ebc4acea24860f04ad9e90ece461",
-        "report.json": "fe86c3b0428a2c6e0d361223901f4b512dc1f6ae4e53cb49e332c952ce636139",
-        "simulate.report.json": "f9c0152ee3051fbd0b45471c3dde6970a38dbaba9d049beaf05612a7d45385a6",
-        "solve-alpha.report.json": "ea07eb84678f87b5574ef26720da9bab53a23c1e2afc8a999cd633ea83fca102",
+        "report.json": "c48dfc4fc720b5b6b379875f12befb16bf6a032c5eb3b9af2524f1e438e28f00",
+        "simulate.report.json": "8956eda8a670110b7e154d3cc4a40c65249bfa131b26fb8907e723d28cb5b3ff",
+        "solve-alpha.report.json": "d7ede8c53fc4efd3c69d5e0981708a749c6248a98a78f9759b9e142a6a741c77",
         "spectral.angular.csv": "883129463c52c0e2fc1e7695ebf939165f704cd16c85777128197c2a48f9a13f",
-        "spectral.report.json": "fb4cf83e5d5149ec1018f5d3a44d9c59fad935c9e024a978b9f86a19a0a1d793",
+        "spectral.report.json": "5da462e0797142bb300773de9f22838717301ed76d8e9ddfe459b5c1ff802013",
         "tails.ladders.csv": "766390ea0a48ddb706d1c569d6418db5685006045d175becd5c57b3664146401",
-        "tails.report.json": "a3ec3ae70fadbe2189a4209ff8332579ec42b6e9d34d038724ad748ad49f5086",
+        "tails.report.json": "ebf8a7862ef9be62a8eb3fe2d291aee8bd3f1be4b56da9cdbc4985a1232f8101",
     },
     "two-point-no-blocks": {
         "pool.bin": "49f0ce5717a88352930a81a08fa40c83ed7aea138984bfe5e287d5665397e182",
         "pool.meta.json": "bda4366711e488603eafd2ac43f038f6f8a4ebc4acea24860f04ad9e90ece461",
-        "report.json": "880d73429917d487031ba9af7807e50fdffacff43a85c7eda8a5335947df65e0",
-        "simulate.report.json": "f9c0152ee3051fbd0b45471c3dde6970a38dbaba9d049beaf05612a7d45385a6",
-        "solve-alpha.report.json": "ea07eb84678f87b5574ef26720da9bab53a23c1e2afc8a999cd633ea83fca102",
+        "report.json": "97f3c3bbcd18a1cff5596847d54f0603253bfa6d8e056b0b0fef4134c1bfccd1",
+        "simulate.report.json": "8956eda8a670110b7e154d3cc4a40c65249bfa131b26fb8907e723d28cb5b3ff",
+        "solve-alpha.report.json": "d7ede8c53fc4efd3c69d5e0981708a749c6248a98a78f9759b9e142a6a741c77",
         "tails.ladders.csv": "abb858aaf228358aaaf94ecf32cf659a953c72c7a10aecdb5b0157071bea9634",
-        "tails.report.json": "8adafa77d06df3af2e56857ff65ff1387ab0d7a14b1387887baf4a6052585964",
+        "tails.report.json": "616fdcd8852d9b8348c06a442e5a67b55936db6897202a045214b3ae471857c9",
     },
 }
 
