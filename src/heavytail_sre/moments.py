@@ -60,13 +60,6 @@ class _KappaHat:
         with np.errstate(over="ignore"):
             return float(np.exp(s * self.logs).sum()) / self.n
 
-    def summands(self, s: float) -> np.ndarray:
-        out = np.zeros(self.n)
-        if self.logs.size:
-            with np.errstate(over="ignore"):
-                out[: self.logs.size] = np.exp(s * self.logs)
-        return out
-
 
 def _require_exponent(s: float) -> float:
     s = float(s)
