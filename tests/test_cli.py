@@ -466,6 +466,65 @@ def test_corrupt_upstream_artifact_exits_two(name, keep, tmp_path, capsys):
     assert not (out / "tails.report.json").exists()
 
 
+def test_run_and_stage_by_stage_write_the_same_bytes(tmp_path):
+    # E A_j^2 = 1, so alpha is exactly 2.0: |x_j| ** 2.0 must give the same
+    # bits on the pool a run keeps in memory as on the pool a stage loads
+    model = {
+        "family": "LogNormal",
+        "d": 2,
+        "params": {
+            "mu": [-1.0, -1.0],
+            "sigma": [1.0, 1.0],
+            "b": {"dist": "exponential", "rate": 1.0},
+        },
+    }
+    stages = ["solve-alpha", "simulate", "blocks", "tails", "spectral", "report"]
+    pipeline = [{"stage": "simulate", "params": {"chains": 100, "n_per_chain": 200}}
+                if s == "simulate" else s for s in stages]
+    outs = {}
+    for route in ("run", "staged"):
+        outs[route] = tmp_path / route
+        cfg = write_config(
+            tmp_path / f"{route}.json",
+            {"model": model, "seed": 1, "out": str(outs[route]), "pipeline": pipeline},
+        )
+        for command in ["run"] if route == "run" else stages:
+            assert main([command, "--config", cfg]) == 0, command
+    run, staged = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs.values())
+    del run["manifest.json"], staged["manifest.json"]
+    assert sorted(run) == sorted(staged)
+    assert [name for name in sorted(run) if run[name] != staged[name]] == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: [], lambda doc: {k: v for k, v in doc.items() if k != "alphas"}],
+    ids=["not-an-object", "no-alphas"],
+)
+def test_misshapen_upstream_report_exits_two(edit, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": [
+            "solve-alpha",
+            {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100, "thin": 2}},
+        ],
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    path = out / "solve-alpha.report.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+
+    assert main(["tails", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "tails"
+    assert "solve-alpha.report.json" in err["detail"]
+    assert not (out / "tails.report.json").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out = tmp_path / "o"
     cfg = write_config(

@@ -125,3 +125,14 @@ def test_quasi_subadditivity(xs, ys, data):
     lhs = alpha_norm(x + y, al)
     rhs = c * (alpha_norm(x, al) + alpha_norm(y, al))
     assert lhs <= rhs * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "alphas", [[2.0, 2.0, 2.0], [2.0, 1.0, 0.5], [1.9999999999999998, 2.34, 1.75]]
+)
+def test_alpha_norm_bytes_do_not_depend_on_memory_layout(alphas):
+    x = np.random.default_rng(3).standard_cauchy((20_000, 3))
+    x[:3] = [[1e160, 0.0, 1.0], [-1e250, 1e-300, 2.0], [0.0, 0.0, 0.0]]
+    rows = alpha_norm(np.ascontiguousarray(x), alphas)
+    cols = alpha_norm(np.asfortranarray(x), alphas)
+    assert rows.tobytes() == cols.tobytes()

@@ -244,6 +244,18 @@ def test_pool_frees_slabs_before_chain_columns():
     assert peak < slabs + groups + columns / 2
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pool_is_laid_out_as_loaded(tmp_path, d):
+    # coordinate-major, like pool.bin: every column is contiguous
+    pool = stationary_pool(reference(d), seed=4, chains=3, n_per_chain=7)
+    pool.save(tmp_path / "pool.bin")
+    back = SamplePool.load(tmp_path / "pool.bin")
+    for group in ("x_pre", "a", "b", "x_post"):
+        built = getattr(pool, group)
+        assert built.strides == getattr(back, group).strides, group
+        assert all(built[:, j].flags.c_contiguous for j in range(d)), group
+
+
 def test_pool_custom_start_point():
     a = stationary_pool(REFERENCE, seed=2, chains=1, n_per_chain=3, burn_in=0, thin=1)
     b = stationary_pool(REFERENCE, seed=2, chains=1, n_per_chain=3, burn_in=0, thin=1, x0=[100.0])
@@ -273,6 +285,15 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.chain, pool.chain)
     np.testing.assert_array_equal(back.step, pool.step)
     assert back.meta == pool.meta
+
+
+def test_save_writes_the_same_bytes_from_a_record_major_pool(tmp_path):
+    pool = stationary_pool(reference(2), seed=4, chains=3, n_per_chain=7)
+    rows = pool.select(np.arange(len(pool)))
+    assert rows.x_post.flags.c_contiguous
+    pool.save(tmp_path / "cols.bin")
+    rows.save(tmp_path / "rows.bin")
+    assert (tmp_path / "cols.bin").read_bytes() == (tmp_path / "rows.bin").read_bytes()
 
 
 def fill_disk(monkeypatch, fail_after, *modules):
