@@ -310,13 +310,13 @@ class _Runner:
                     )
             produced.add(name)
 
-    def _read(self, name: str) -> dict:
+    def _read(self, name: str, *keys: str) -> dict:
         """Load a stage report or pool.meta.json and note its sha256 among
         the current stage's inputs.
 
-        Refuses an artifact that is missing or corrupt, records another
-        model or seed, or records an input whose file on disk no longer
-        has the recorded sha256.
+        Refuses an artifact that is missing or corrupt, lacks one of the
+        given keys, records another model or seed, or records an input
+        whose file on disk no longer has the recorded sha256.
         """
         try:
             raw = (self.out / name).read_bytes()
@@ -325,6 +325,8 @@ class _Runner:
             raise _refusal(name, "is missing") from None
         except (OSError, ValueError) as exc:
             raise _refusal(name, f"is corrupt ({exc})") from None
+        if not isinstance(doc, dict) or not doc.keys() >= set(keys):
+            raise _refusal(name, f"is not a JSON object with the keys {list(keys)}")
         # the pool sidecar keeps its provenance in the pool's own meta block
         if name == "pool.meta.json":
             meta = doc.get("meta", {})
@@ -350,7 +352,7 @@ class _Runner:
         return doc
 
     def _alphas(self) -> np.ndarray:
-        return np.asarray(self._read("solve-alpha.report.json")["alphas"], dtype=float)
+        return np.asarray(self._read("solve-alpha.report.json", "alphas")["alphas"], dtype=float)
 
     def _get_pool(self) -> SamplePool:
         # pool.bin is a pure function of its sidecar, which is written after
@@ -366,7 +368,7 @@ class _Runner:
     def _get_partition(self, required: bool) -> BlockPartition | None:
         if not required and not (self.out / "blocks.report.json").exists():
             return None
-        return BlockPartition.from_json(self._read("blocks.report.json"))
+        return BlockPartition.from_json(self._read("blocks.report.json", "classes", "permutation"))
 
     def _write_report(self, params: dict, doc: dict, *artifacts: str) -> None:
         """Write the current stage's report under its provenance envelope,
@@ -456,7 +458,8 @@ class _Runner:
         doc = {
             "burn_in": pool.meta["burn_in"],
             "chains": pool.meta["chains"],
-            "column_mean_x_post": [float(v) for v in pool.x_post.mean(axis=0)],
+            # a record-major copy keeps the row-by-row sum of earlier reports
+            "column_mean_x_post": np.ascontiguousarray(pool.x_post).mean(axis=0).tolist(),
             "d": pool.d,
             "n_per_chain": pool.meta["n_per_chain"],
             "n_records": len(pool),
@@ -483,7 +486,7 @@ class _Runner:
 
     def _stage_tails(self, params: dict) -> None:
         pool = self._get_pool()
-        solved = self._read("solve-alpha.report.json")
+        solved = self._read("solve-alpha.report.json", "alphas", "coordinates")
         alphas = np.asarray(solved["alphas"], dtype=float)
         goldie = [float(c["goldie_mean"]["value"]) for c in solved["coordinates"]]
         part = self._get_partition(required=False)

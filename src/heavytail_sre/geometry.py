@@ -59,11 +59,16 @@ def alpha_norm(x, alphas):
     if xx.ndim != 2 or xx.shape[1] != a.size:
         raise ValueError(f"x must have {a.size} coordinates on its last axis")
     ax = np.abs(xx)
+    out, hot = np.zeros(len(ax)), np.zeros(len(ax), bool)
     with np.errstate(over="ignore"):
-        out = np.max(ax ** a, axis=1)
-        # the threshold itself may overflow to inf for small alpha; such
-        # rows are still caught by the finiteness check on out
-        hot = np.any(ax > 10.0 ** (200.0 / a), axis=1) | ~np.isfinite(out)
+        # column by column, so numpy takes the same power path (and gives
+        # the same bits) whatever the memory layout of x
+        for j, aj in enumerate(a):
+            np.maximum(out, ax[:, j] ** aj, out=out)
+            # the threshold itself may overflow to inf for small alpha; such
+            # rows are still caught by the finiteness check on out
+            np.logical_or(hot, ax[:, j] > 10.0 ** (200.0 / aj), out=hot)
+        hot |= ~np.isfinite(out)
     if np.any(hot):
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = a * np.log(ax[hot])

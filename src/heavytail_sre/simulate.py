@@ -84,17 +84,14 @@ class SamplePool:
         bin_path = str(bin_path)
         meta_path = _sidecar_path(bin_path) if meta_path is None else str(meta_path)
         pathlib.Path(meta_path).unlink(missing_ok=True)
-        # every float column passes through one reused buffer, written as
-        # its byte view: no per-column temporaries
-        col = np.empty(len(self), "<f8")
         with atomic_write(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.chain, dtype="<i8").view(np.uint8))
             fh.write(np.ascontiguousarray(self.step, dtype="<i8").view(np.uint8))
             for group in _FLOAT_GROUPS:
-                arr = getattr(self, group)
-                for j in range(self.d):
-                    np.copyto(col, arr[:, j])
-                    fh.write(col.view(np.uint8))
+                # one (d, n) block, written as its flat byte view: no copy
+                # for a pool in the coordinate-major layout it is built in
+                block = np.ascontiguousarray(getattr(self, group).T, "<f8")
+                fh.write(block.reshape(-1).view(np.uint8))
         doc = {
             "format": POOL_SCHEMA,
             "n_records": len(self),
@@ -244,9 +241,10 @@ def stationary_pool(
     # slab index of the first recorded step; records sit at first::thin
     first = burn_in + thin - 1
     n_records = chains * n_per_chain
-    groups = [np.empty((n_records, d)) for _ in _FLOAT_GROUPS]
+    # the float groups in pool.bin order, so every column is contiguous
+    floats = np.empty((4, d, n_records))
     # (chain, coordinate, record) views of the output, matching the slabs
-    x_pre, a_rec, b_rec, x_post = (g.reshape(chains, n_per_chain, d).swapaxes(1, 2) for g in groups)
+    x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
     failures = []
 
     block = max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1))
@@ -302,4 +300,4 @@ def stationary_pool(
     }
     chain_col = np.repeat(np.arange(chains, dtype=np.int64), n_per_chain)
     step_col = np.tile(burn_in + thin * np.arange(1, n_per_chain + 1, dtype=np.int64), chains)
-    return SamplePool(*groups, chain_col, step_col, meta)
+    return SamplePool(*(g.T for g in floats), chain_col, step_col, meta)
