@@ -38,7 +38,8 @@ _BLOCK_TARGET_FLOATS = 6_000_000
 
 @dataclasses.dataclass
 class SamplePool:
-    """Columnar record pool with provenance metadata."""
+    """Columnar record pool with provenance metadata: each float group is the
+    (n, d) transpose of a (d, n) block, as in pool.bin, so columns are contiguous."""
 
     x_pre: np.ndarray
     a: np.ndarray
