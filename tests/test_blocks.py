@@ -49,6 +49,16 @@ def test_correlated_lognormal_blocks():
     assert part.class_of(2) == 1
 
 
+@pytest.mark.parametrize("seed, dev", [(21, 224.33465150345532), (26, 140.65375089475833)])
+def test_max_rel_dev_keeps_its_bits(seed, dev):
+    # alpha = 2 on every coordinate: |a|^2 must take the same pow path
+    # whatever the memory layout of the draw
+    corr = [[1.0, 0.5], [0.5, 1.0]]
+    spec = ModelSpec("LogNormal", 2, {"mu": [-1.0, -1.0], "sigma": [1.0, 1.0], "corr": corr})
+    part = detect_blocks(spec, [2.0, 2.0], RNG(seed))
+    assert part.evidence["0-1"]["max_rel_dev"] == dev
+
+
 def test_shared_factor_garch_blocks():
     spec = ModelSpec(
         "CCCGarch",

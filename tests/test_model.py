@@ -339,6 +339,90 @@ def test_sample_coeffs_fills_coordinate_major_rows(name):
             spec.sample_coeffs(RNG(17), n, out=(np.empty(bad), out[1]))
 
 
+def lognormal_a(p, rng, n):
+    z = rng.standard_normal((n, len(p["mu"]))) @ np.linalg.cholesky(p["corr"]).T
+    return np.exp(np.asarray(p["mu"]) + np.asarray(p["sigma"]) * z)
+
+
+def ccc_a(p, rng, n):
+    f = rng.standard_normal((n, len(p["corr"]))) @ np.linalg.cholesky(p["corr"]).T
+    z = f[:, p["z_map"]]
+    return np.asarray(p["arch"]) * z * z + np.asarray(p["garch"])
+
+
+def bekk_a(p, rng, n):
+    return rng.standard_normal((n, len(p["coeff"]))) @ np.asarray(p["coeff"])
+
+
+# the A block of each factor family, as a record-major (n, d) formula
+A_REFERENCES = {
+    "lognormal-corr": (FILL_MODELS["lognormal-corr"], lognormal_a),
+    "ccc-shared-factor": (FILL_MODELS["ccc-shared-factor"], ccc_a),
+    "ccc-corr": (
+        ModelSpec(
+            "CCCGarch",
+            3,
+            {"arch": [0.3, 0.2, 0.4], "garch": [0.3, 0.5, 0.2], "z_map": [0, 1, 1], "corr": [[1.0, 0.4], [0.4, 1.0]]},
+        ),
+        ccc_a,
+    ),
+    "bekk": (FILL_MODELS["bekk"], bekk_a),
+    "bekk-one-factor": (ModelSpec("BekkDiag", 3, {"coeff": [[0.8, -0.5, 1.1]]}), bekk_a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(A_REFERENCES))
+def test_coefficient_rows_are_the_record_major_draws(name):
+    spec, reference = A_REFERENCES[name]
+    n = 20_001
+    a, _ = spec.sample_coeffs(RNG(31), n)
+    assert np.array_equal(a, reference(spec.to_json()["params"], RNG(31), n))
+
+
+# each noise law with two parameter sets, and numpy's own sampler for each
+NOISE_REFERENCES = {
+    "constant": (
+        [{"dist": "constant", "value": 1.5}, {"dist": "constant", "value": -0.25}],
+        lambda rng, n, p: np.full(n, p["value"]),
+    ),
+    "exponential": (
+        [{"dist": "exponential", "rate": 2.5}, {"dist": "exponential", "rate": 0.37}],
+        lambda rng, n, p: rng.exponential(scale=1.0 / p["rate"], size=n),
+    ),
+    "pareto": (
+        [{"dist": "pareto", "index": 1.0, "scale": 0.5}, {"dist": "pareto", "index": 2.5, "scale": 1.0}],
+        lambda rng, n, p: p["scale"] * rng.random(n) ** (-1.0 / p["index"]),
+    ),
+    "uniform": (
+        [{"dist": "uniform", "low": -1.0, "high": 3.0}, {"dist": "uniform", "low": 0.1, "high": 0.7}],
+        lambda rng, n, p: rng.uniform(p["low"], p["high"], size=n),
+    ),
+    "normal": (
+        [{"dist": "normal", "mean": -1.0, "std": 0.5}, {"dist": "normal", "mean": 2.0, "std": 3.0}],
+        lambda rng, n, p: rng.normal(p["mean"], p["std"], size=n),
+    ),
+    "lognormal": (
+        [{"dist": "lognormal", "mu": 0.2, "sigma": 0.7}, {"dist": "lognormal", "mu": -1.0, "sigma": 1.5}],
+        lambda rng, n, p: np.exp(rng.normal(p["mu"], p["sigma"], size=n)),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(NOISE_REFERENCES))
+def test_noise_rows_are_numpys_own_draws(law):
+    docs, reference = NOISE_REFERENCES[law]
+    spec, n = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "b": docs}), 30_001
+    want = RNG(29)
+    want.random((n, 2))  # the A block of TwoPoint
+    rows = [reference(want, n, p) for p in docs]
+    after = want.random()
+    for out in (None, tuple(np.empty((2, n)) for _ in range(2))):
+        rng = RNG(29)
+        _, b = spec.sample_coeffs(rng, n, out=out)
+        assert np.array_equal(b if out else b.T, rows)
+        assert rng.random() == after
+
+
 # -- custom models ------------------------------------------------------------
 
 
