@@ -106,13 +106,15 @@ def detect_blocks(
         raise ValueError("xi probes must lie strictly inside (0, 1)")
 
     a, _ = spec.sample_coeffs(rng, n)
-    v = np.abs(a) ** alphas
+    # an exponent array gives every element numpy's plain pow; a scalar or
+    # broadcast exponent takes other paths (square for 2.0), other last bits
+    v = [np.abs(a[:, j]) ** np.full(n, alphas[j]) for j in range(d)]
 
     parent = list(range(d))
     deviations: dict[tuple[int, int], float] = {}
     for i in range(d):
         for j in range(i + 1, d):
-            dev = float(np.max(np.abs(v[:, i] - v[:, j]) / (1.0 + v[:, i])))
+            dev = float(np.max(np.abs(v[i] - v[j]) / (1.0 + v[i])))
             deviations[(i, j)] = dev
             if dev <= tol_rel:
                 ri, rj = _find(parent, i), _find(parent, j)

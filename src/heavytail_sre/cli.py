@@ -351,8 +351,18 @@ class _Runner:
         self._inputs[name] = hashlib.sha256(raw).hexdigest()
         return doc
 
-    def _alphas(self) -> np.ndarray:
-        return np.asarray(self._read("solve-alpha.report.json", "alphas")["alphas"], dtype=float)
+    def _solved(self) -> tuple[np.ndarray, list[float]]:
+        """One alpha and one Goldie mean per coordinate, from solve-alpha."""
+        name = "solve-alpha.report.json"
+        doc = self._read(name, "alphas", "coordinates")
+        try:
+            alphas = np.asarray(doc["alphas"], dtype=float)
+            goldie = [float(c["goldie_mean"]["value"]) for c in doc["coordinates"]]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise _refusal(name, f"is misshapen ({exc!r})") from None
+        if alphas.shape != (self.spec.d,) or len(goldie) != self.spec.d:
+            raise _refusal(name, f"does not hold {self.spec.d} alphas and Goldie means")
+        return alphas, goldie
 
     def _get_pool(self) -> SamplePool:
         # pool.bin is a pure function of its sidecar, which is written after
@@ -470,7 +480,7 @@ class _Runner:
 
     def _stage_blocks(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["blocks"])
-        alphas = self._alphas()
+        alphas, _ = self._solved()
         part = detect_blocks(
             self.spec,
             alphas,
@@ -486,9 +496,7 @@ class _Runner:
 
     def _stage_tails(self, params: dict) -> None:
         pool = self._get_pool()
-        solved = self._read("solve-alpha.report.json", "alphas", "coordinates")
-        alphas = np.asarray(solved["alphas"], dtype=float)
-        goldie = [float(c["goldie_mean"]["value"]) for c in solved["coordinates"]]
+        alphas, goldie = self._solved()
         part = self._get_partition(required=False)
         min_top = int(params.get("min_top", 50))
         hill_k = params.get("hill_k")
@@ -561,7 +569,7 @@ class _Runner:
 
     def _stage_spectral(self, params: dict) -> None:
         pool = self._get_pool()
-        alphas = self._alphas()
+        alphas, _ = self._solved()
         part = self._get_partition(required=True)
         est = spectral_measure(
             pool,
@@ -588,7 +596,7 @@ class _Runner:
     def _stage_independence(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["independence"])
         pool = self._get_pool()
-        alphas = self._alphas()
+        alphas, _ = self._solved()
         part = self._get_partition(required=False)
         pairs = params.get("pairs")
         if pairs is None:

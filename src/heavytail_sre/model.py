@@ -16,10 +16,10 @@ The noise B is described by a per-coordinate distribution spec under the
 drawn independently across coordinates unless ``"shared": true``.  Custom
 atom tables carry their own joint (a, b) columns instead.
 
-``ModelSpec.sample_coeffs`` returns the draws as (n, d) arrays, or, with
-``out=``, writes the same draws coordinate-major into (d, n) rows, the
-layout of the simulation slabs: A is diagonal, so each coordinate runs its
-own scalar recursion.
+A is diagonal, so each coordinate runs its own scalar recursion, and every
+family draws straight into coordinate-major (d, n) rows, the layout of the
+simulation slabs.  ``ModelSpec.sample_coeffs`` fills the rows it is given
+with ``out=``, or allocates them and returns their (n, d) transposes.
 
 Closed-form moment hooks return None when the family cannot provide the
 quantity analytically; callers then fall back to Monte Carlo.  For the
@@ -56,6 +56,14 @@ def _quad(f, lo, hi):
 def _abs_normal_moment(s: float) -> float:
     """E|N|^s for standard normal N, s > -1."""
     return math.exp(0.5 * s * math.log(2.0) + special.gammaln(0.5 * (s + 1.0)) - special.gammaln(0.5))
+
+
+def _exp(x: float) -> float:
+    """math.exp, with math.inf where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _pow_abs(v: float, s: float) -> float:
@@ -149,19 +157,28 @@ class _BDist:
             raise ConfigurationError(f"unknown noise dist {kind!r}")
         self.kind = kind
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """Draw into one C-contiguous row in place, as numpy's own sampler would."""
         k = self.kind
         if k == "constant":
-            return np.full(n, self.value)
-        if k == "exponential":
-            return rng.exponential(scale=1.0 / self.rate, size=n)
-        if k == "pareto":
-            return self.scale * rng.random(n) ** (-1.0 / self.index)
-        if k == "uniform":
-            return rng.uniform(self.low, self.high, size=n)
-        if k == "normal":
-            return rng.normal(self.mean, self.std, size=n)
-        return np.exp(rng.normal(self.mu, self.sigma, size=n))
+            row.fill(self.value)
+        elif k == "exponential":
+            rng.standard_exponential(out=row)
+            row *= 1.0 / self.rate
+        elif k == "pareto":
+            rng.random(out=row)
+            row **= -1.0 / self.index
+            row *= self.scale
+        elif k == "uniform":
+            rng.random(out=row)
+            row *= self.high - self.low
+            row += self.low
+        else:
+            rng.standard_normal(out=row)
+            row *= self.std if k == "normal" else self.sigma
+            row += self.mean if k == "normal" else self.mu
+            if k == "lognormal":
+                np.exp(row, out=row)
 
     def abs_moment(self, s: float) -> float:
         """E|B|^s; may be math.inf."""
@@ -191,7 +208,7 @@ class _BDist:
             mu, sd = self.mean, self.std
             f = lambda x: abs(x) ** s * _phi((x - mu) / sd) / sd
             return _quad(f, -math.inf, 0.0) + _quad(f, 0.0, math.inf)
-        return math.exp(self.mu * s + 0.5 * self.sigma ** 2 * s ** 2)
+        return _exp(self.mu * s + 0.5 * self.sigma ** 2 * s ** 2)
 
     def abscissa(self) -> float:
         return self.index if self.kind == "pareto" else math.inf
@@ -217,21 +234,16 @@ class _BSpec:
             self.dists = [_BDist(entry) for entry in doc]
         else:
             raise ConfigurationError("noise spec must be a dict or a list of dicts")
-        self.d = d
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty((n, self.d))
-        self.fill(rng, out.T)
-        return out
 
     def fill(self, rng: np.random.Generator, rows: np.ndarray) -> None:
-        """Draw coordinate by coordinate into the (d, n) rows (one shared
-        draw into every row when shared)."""
+        """Draw coordinate by coordinate into the (d, n) rows; a shared spec
+        draws its first row and copies it into the others."""
         if self.shared:
-            rows[...] = self.dists[0].sample(rng, rows.shape[1])
+            self.dists[0].fill(rng, rows[0])
+            rows[1:] = rows[0]
             return
         for row, dist in zip(rows, self.dists):
-            row[...] = dist.sample(rng, rows.shape[1])
+            dist.fill(rng, row)
 
     def to_doc(self):
         if self.shared:
@@ -253,27 +265,17 @@ class _Family:
 
     Every closed-form hook answers None ("not available") unless a family
     overrides it; the noise hooks answer from the per-coordinate noise spec
-    ``b`` when the family has one.  sample_joint draws the A block, then
-    the B block, as (n, d) arrays; fill_joint writes the same draws into
-    (d, n) rows, one coordinate per row.  The noise spec fills its rows
-    directly, and so does a family whose A draw is per coordinate, by
-    overriding fill_a; the other draws are copied in transposed.
+    ``b`` when the family has one.  fill draws the A block, then the B
+    block, in place into C-contiguous (d, n) rows, one coordinate per row:
+    the family's fill_a writes A and the noise spec writes B.  The Custom
+    families draw (a, b) jointly and override fill.
     """
 
     b: _BSpec | None = None
 
-    def sample_joint(self, rng, n):
-        return self.sample_a(rng, n), self.b.sample(rng, n)
-
-    def fill_joint(self, rng, a, b):
-        if self.b is None:  # Custom: joint (a, b) draws
-            a[...], b[...] = (v.T for v in self.sample_joint(rng, a.shape[1]))
-            return
+    def fill(self, rng, a, b):
         self.fill_a(rng, a)
         self.b.fill(rng, b)
-
-    def fill_a(self, rng, rows):
-        rows[...] = self.sample_a(rng, rows.shape[1]).T
 
     def kappa_exact(self, j, s):
         return None
@@ -307,8 +309,6 @@ class _Family:
 
 
 class _TwoPoint(_Family):
-    name = "TwoPoint"
-
     def __init__(self, d: int, params: dict):
         self.d = d
         self.p = _as_vector(params.get("p"), d, "p")
@@ -327,11 +327,6 @@ class _TwoPoint(_Family):
             "comonotone": self.comonotone,
             "b": self.b.to_doc(),
         }
-
-    def sample_a(self, rng, n):
-        a = np.empty((n, self.d))
-        self.fill_a(rng, a.T)
-        return a
 
     def fill_a(self, rng, rows):
         # one uniform per coordinate, or one for all when comonotone
@@ -389,8 +384,6 @@ class _TwoPoint(_Family):
 
 
 class _LogNormal(_Family):
-    name = "LogNormal"
-
     def __init__(self, d: int, params: dict):
         self.d = d
         self.mu = _as_vector(params.get("mu"), d, "mu")
@@ -410,12 +403,14 @@ class _LogNormal(_Family):
             "b": self.b.to_doc(),
         }
 
-    def sample_a(self, rng, n):
-        z = rng.standard_normal((n, self.d)) @ self.factor.T
-        return np.exp(self.mu + self.sigma * z)
+    def fill_a(self, rng, rows):
+        np.matmul(self.factor, rng.standard_normal((rows.shape[1], self.d)).T, out=rows)
+        rows *= self.sigma[:, None]
+        rows += self.mu[:, None]
+        np.exp(rows, out=rows)
 
     def kappa_exact(self, j, s):
-        return math.exp(self.mu[j] * s + 0.5 * (self.sigma[j] * s) ** 2)
+        return _exp(self.mu[j] * s + 0.5 * (self.sigma[j] * s) ** 2)
 
     def zero_mass_exact(self, j):
         return 0.0
@@ -430,7 +425,7 @@ class _LogNormal(_Family):
         rho = self.corr[i, j]
         si, sj = self.sigma[i], self.sigma[j]
         quad_form = (si * s) ** 2 + 2.0 * rho * si * sj * s * u + (sj * u) ** 2
-        return math.exp(self.mu[i] * s + self.mu[j] * u + 0.5 * quad_form)
+        return _exp(self.mu[i] * s + self.mu[j] * u + 0.5 * quad_form)
 
     def constant_magnitude_exact(self, j):
         return self.sigma[j] == 0.0
@@ -440,8 +435,6 @@ class _LogNormal(_Family):
 
 
 class _CCCGarch(_Family):
-    name = "CCCGarch"
-
     def __init__(self, d: int, params: dict):
         self.d = d
         self.arch = _as_vector(params.get("arch"), d, "arch")
@@ -469,10 +462,12 @@ class _CCCGarch(_Family):
             "b": self.b.to_doc(),
         }
 
-    def sample_a(self, rng, n):
-        f = rng.standard_normal((n, self.n_factors)) @ self.factor.T
-        z = f[:, self.z_map]
-        return self.arch * z * z + self.garch
+    def fill_a(self, rng, rows):
+        # row j is factor z_map[j]; A_j = (arch_j Z_j) Z_j + garch_j
+        z = rng.standard_normal((rows.shape[1], self.n_factors))
+        np.matmul(self.factor[self.z_map], z.T, out=rows)
+        rows *= self.arch[:, None] * rows
+        rows += self.garch[:, None]
 
     def kappa_exact(self, j, s):
         a, g = self.arch[j], self.garch[j]
@@ -529,8 +524,6 @@ class _CCCGarch(_Family):
 
 
 class _BekkDiag(_Family):
-    name = "BekkDiag"
-
     def __init__(self, d: int, params: dict):
         self.d = d
         coeff = np.asarray(params.get("coeff"), dtype=float)
@@ -546,8 +539,8 @@ class _BekkDiag(_Family):
     def params_doc(self):
         return {"coeff": self.coeff.tolist(), "b": self.b.to_doc()}
 
-    def sample_a(self, rng, n):
-        return rng.standard_normal((n, self.n_factors)) @ self.coeff
+    def fill_a(self, rng, rows):
+        np.matmul(self.coeff.T, rng.standard_normal((rows.shape[1], self.n_factors)).T, out=rows)
 
     def kappa_exact(self, j, s):
         sig = self.sigma[j]
@@ -596,8 +589,6 @@ class _BekkDiag(_Family):
 
 
 class _CustomAtoms(_Family):
-    name = "Custom"
-
     def __init__(self, d: int, params: dict):
         atoms = params.get("atoms")
         if not isinstance(atoms, dict):
@@ -630,9 +621,10 @@ class _CustomAtoms(_Family):
             }
         }
 
-    def sample_joint(self, rng, n):
-        idx = np.searchsorted(self.cum, rng.random(n), side="right")
-        return self.a[idx], self.bvals[idx]
+    def fill(self, rng, a, b):
+        idx = np.searchsorted(self.cum, rng.random(a.shape[1]), side="right")
+        np.take(self.a.T, idx, axis=1, out=a)
+        np.take(self.bvals.T, idx, axis=1, out=b)
 
     def kappa_exact(self, j, s):
         return float(sum(w * _pow_abs(v, s) for w, v in zip(self.prob, self.a[:, j])))
@@ -676,8 +668,6 @@ class _CustomAtoms(_Family):
 
 
 class _CustomCallable(_Family):
-    name = "Custom"
-
     def __init__(self, d: int, params: dict):
         sampler = params.get("sampler")
         if not callable(sampler):
@@ -686,15 +676,12 @@ class _CustomCallable(_Family):
         self.sampler = sampler
         self.label = str(params.get("name", getattr(sampler, "__name__", "sampler")))
 
-    def sample_joint(self, rng, n):
-        a, b = self.sampler(rng, n)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (n, self.d) or b.shape != (n, self.d):
-            raise ConfigurationError(
-                f"custom sampler must return arrays of shape ({n}, {self.d})"
-            )
-        return a, b
+    def fill(self, rng, a, b):
+        # the sampler's contract is (n, d), so its draw is copied in transposed
+        draws = [np.asarray(v, dtype=float) for v in self.sampler(rng, a.shape[1])]
+        if [v.shape for v in draws] != [a.T.shape] * 2:
+            raise ConfigurationError(f"custom sampler must return arrays of shape {a.T.shape}")
+        a[...], b[...] = (v.T for v in draws)
 
 
 # ---------------------------------------------------------------------------
@@ -747,23 +734,25 @@ class ModelSpec:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n i.i.d. coefficient pairs; returns (a, b) of shape (n, d).
 
-        The internal draw order is fixed (A block first, then B block) so a
-        given generator state always yields the same pairs.
+        The draw order is fixed (A block first, then B block) so a given
+        generator state always yields the same pairs.  Each coordinate is
+        drawn into its own row: (a, b) are the (n, d) transposes of one
+        (2, d, n) array.
 
-        ``out=(a, b)`` takes two float64 arrays of shape (d, n) and fills
-        them coordinate-major: row j receives column j of the draw above,
-        from the same random numbers, and the generator ends in the same
-        state.  The filled pair is returned.
+        ``out=(a, b)`` takes two C-contiguous float64 arrays of shape (d, n)
+        and fills them instead: row j receives column j of the draw above,
+        from the same random numbers.  The filled pair is returned.
         """
         if n < 1:
             raise ValueError("n must be positive")
         if out is None:
-            return self._impl.sample_joint(rng, n)
-        a, b = out
-        if a.shape != (self.d, n) or b.shape != (self.d, n):
-            raise ValueError(f"out must be two arrays of shape ({self.d}, {n})")
-        self._impl.fill_joint(rng, a, b)
-        return a, b
+            rows = np.empty((2, self.d, n))
+            self._impl.fill(rng, rows[0], rows[1])
+            return rows[0].T, rows[1].T
+        if any(r.shape != (self.d, n) or r.dtype != float or not r.flags.c_contiguous for r in out):
+            raise ValueError(f"out must be two C-contiguous float64 arrays of shape ({self.d}, {n})")
+        self._impl.fill(rng, *out)
+        return out
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 

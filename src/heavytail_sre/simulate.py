@@ -63,14 +63,15 @@ class SamplePool:
         return names
 
     def select(self, index) -> "SamplePool":
-        """Sub-pool at the given row mask or index array (copies)."""
+        """Sub-pool at the given row slice, mask or index array (copies)."""
+        rows = np.arange(len(self))[index]
         return SamplePool(
-            self.x_pre[index],
-            self.a[index],
-            self.b[index],
-            self.x_post[index],
-            self.chain[index],
-            self.step[index],
+            self.x_pre[rows],
+            self.a[rows],
+            self.b[rows],
+            self.x_post[rows],
+            self.chain[rows],
+            self.step[rows],
             dict(self.meta),
         )
 

@@ -498,8 +498,13 @@ def test_run_and_stage_by_stage_write_the_same_bytes(tmp_path):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda doc: [], lambda doc: {k: v for k, v in doc.items() if k != "alphas"}],
-    ids=["not-an-object", "no-alphas"],
+    [
+        lambda doc: [],
+        lambda doc: {k: v for k, v in doc.items() if k != "alphas"},
+        lambda doc: {**doc, "coordinates": [{k: v for k, v in doc["coordinates"][0].items() if k != "goldie_mean"}]},
+        lambda doc: {**doc, "alphas": []},
+    ],
+    ids=["not-an-object", "no-alphas", "no-goldie-mean", "no-alpha-per-coordinate"],
 )
 def test_misshapen_upstream_report_exits_two(edit, tmp_path, capsys):
     out = tmp_path / "o"
@@ -523,6 +528,27 @@ def test_misshapen_upstream_report_exits_two(edit, tmp_path, capsys):
     assert err["error"] == "validation" and err["stage"] == "tails"
     assert "solve-alpha.report.json" in err["detail"]
     assert not (out / "tails.report.json").exists()
+
+
+EXP_NOISE = {"dist": "exponential", "rate": 1.0}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # exact alpha = 2; kappa(32) = exp(960) overflows a float
+        {"family": "LogNormal", "d": 1, "params": {"mu": -2.0, "sigma": 2.0**0.5, "b": EXP_NOISE}},
+        {"family": "LogNormal", "d": 1, "params": {"mu": -1.0, "sigma": 1.3, "b": EXP_NOISE}},
+        # E|B|^32 = exp(1152) overflows a float
+        {**REF_MODEL, "params": {**REF_MODEL["params"], "b": {"dist": "lognormal", "sigma": 1.5}}},
+    ],
+    ids=["lognormal-alpha-2", "lognormal-sigma-1.3", "lognormal-noise"],
+)
+def test_overflowing_closed_form_moments_are_infinite(model, tmp_path):
+    cfg = write_config(tmp_path / "c.json", {"model": model, "seed": 3, "out": str(tmp_path / "o")})
+    assert main(["solve-alpha", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "o" / "solve-alpha.report.json").read_text())
+    assert len(report["coordinates"][0]["positivity"]["ratios"]) == 13
 
 
 def test_seed_flag_overrides_config(tmp_path):

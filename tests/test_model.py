@@ -379,6 +379,15 @@ def test_coefficient_rows_are_the_record_major_draws(name):
     assert np.array_equal(a, reference(spec.to_json()["params"], RNG(31), n))
 
 
+@pytest.mark.parametrize("name", sorted(FILL_MODELS))
+def test_sample_coeffs_returns_views_of_coordinate_rows(name):
+    spec = FILL_MODELS[name]
+    for v in spec.sample_coeffs(RNG(17), 257):
+        assert v.base is not None and v.T.flags.c_contiguous
+    with pytest.raises(ValueError, match="out must be"):
+        spec.sample_coeffs(RNG(17), 257, out=tuple(np.empty((257, spec.d)).T for _ in range(2)))
+
+
 # each noise law with two parameter sets, and numpy's own sampler for each
 NOISE_REFERENCES = {
     "constant": (

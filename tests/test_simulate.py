@@ -395,7 +395,11 @@ def test_failed_csv_export_keeps_the_old_file(tmp_path, monkeypatch):
 
 def test_select_copies():
     pool = stationary_pool(REFERENCE, seed=4, chains=2, n_per_chain=5)
-    sub = pool.select(pool.chain == 1)
-    assert len(sub) == 5
-    sub.x_post[:] = -1.0
-    assert not np.any(pool.x_post == -1.0)
+    # a slice, a mask and an index array all give a copy
+    for index in (slice(5, None), pool.chain == 1, np.arange(5, 10)):
+        sub = pool.select(index)
+        assert len(sub) == 5 and np.all(sub.chain == 1)
+        for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
+            assert not np.shares_memory(getattr(sub, name), getattr(pool, name)), name
+        sub.x_post[:] = -1.0
+        assert not np.any(pool.x_post == -1.0)
