@@ -64,7 +64,7 @@ class SamplePool:
 
     def select(self, index) -> "SamplePool":
         """Sub-pool at the given row slice, mask or index array (copies)."""
-        rows = np.arange(len(self))[index]
+        rows = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
         return SamplePool(
             self.x_pre[rows],
             self.a[rows],
