@@ -15,7 +15,6 @@ failure and names the stage on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -26,8 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import BlockPartition, detect_blocks
-from .common import ConfigurationError, atomic_write, stage_stream
+from .blocks import DEFAULT_XI_PROBES, BlockPartition, detect_blocks
+from .common import (
+    METHODS,
+    REQUIRED,
+    ConfigurationError,
+    atomic_write,
+    choice,
+    given,
+    integer,
+    number,
+    read_keys,
+    stage_stream,
+)
 from .independence import (
     build_tau,
     decay_rate_fit,
@@ -39,6 +49,8 @@ from .model import ModelSpec, log_moment
 from .moments import goldie_mean, moment_abscissa, noise_margin_ok, positivity_check, solve_alpha
 from .simulate import SamplePool, stationary_pool
 from .tails import (
+    DEFAULT_MIN_TOP,
+    SPECTRAL_MIN_TOP,
     TailConstants,
     block_tail_constant,
     empirical_tail_constant,
@@ -67,6 +79,73 @@ STAGE_DEPS = {
     "independence": ("solve-alpha", "simulate"),
     "report": (),
 }
+
+
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+def _numbers(value) -> tuple:
+    """A number or a list of numbers, as a tuple of floats."""
+    return tuple(number(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+
+
+def _pairs(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise TypeError(f"must be a list of [i, j] coordinate pairs, got {value!r}")
+    return [tuple(integer(v) for v in p) for p in value]
+
+
+def _tau(doc):
+    build_tau(doc)
+    return doc
+
+
+def _pipeline(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return [_pipeline_entry(entry) for entry in value]
+
+
+def _pipeline_entry(entry) -> tuple[str, dict, dict]:
+    """(stage, params as given, params as read through STAGE_PARAMS)"""
+    doc = {"stage": entry} if isinstance(entry, str) else entry
+    doc = read_keys(doc, {"stage": (choice(*STAGE_ORDER), REQUIRED), "params": (given, {})},
+                    "pipeline entry")
+    name = doc["stage"]
+    params = read_keys(doc["params"], STAGE_PARAMS[name], f"stage {name!r} params")
+    return name, dict(doc["params"]), params
+
+
+# the config's top level; --seed and --out stand in for their keys
+CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (integer, None), "out": (Path, None),
+               "pipeline": (_optional(_pipeline), None)}
+
+# Every stage param: name -> (cast, default).  The simulate, blocks and
+# spectral params are keyword arguments of stationary_pool, detect_blocks
+# and spectral_measure, and are passed through as read.
+STAGE_PARAMS = {
+    "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (_optional(number), None),
+                    "n": (integer, 1_000_000), "abscissa_n": (integer, 200_000)},
+    "simulate": {"chains": (integer, 1000), "n_per_chain": (integer, 1000),
+                 "burn_in": (_optional(integer), None), "thin": (integer, 10),
+                 "x0": (_optional(_numbers), None)},
+    "blocks": {"n": (integer, 100_000), "tol_rel": (number, 1e-9),
+               "xi_probes": (_numbers, DEFAULT_XI_PROBES), "cross_n": (integer, 200_000),
+               "cross_method": (choice(*METHODS), "auto"), "cross_tol": (number, 5e-3)},
+    "tails": {"min_top": (integer, DEFAULT_MIN_TOP), "hill_k": (_optional(integer), None),
+              "ladder": (_optional(_numbers), None)},
+    "spectral": {"ladder": (_optional(_numbers), None), "bins": (integer, 16),
+                 "eps": (number, 0.05), "min_top": (integer, SPECTRAL_MIN_TOP)},
+    "independence": {"pairs": (_optional(_pairs), None),
+                     "tau": (_tau, {"kind": "log", "beta": 1.0}), "xi": (number, 0.5),
+                     "n": (integer, 1_000_000), "submult_n": (integer, 50_000),
+                     "r1": (number, 1.0), "r2": (number, 1.0),
+                     "ladder": (_optional(_numbers), None), "min_top": (integer, DEFAULT_MIN_TOP),
+                     "gammas": (_optional(_numbers), None)},
+    "report": {},
+}
+
 
 def _package_version() -> str:
     try:
@@ -183,55 +262,10 @@ class _DirLock:
         return False
 
 
-@dataclasses.dataclass
-class _RunPlan:
-    model: ModelSpec
-    seed: int
-    out: Path
-    pipeline: list[tuple[str, dict]]
-    config_sha: str
-
-
-def _normalize_pipeline(raw, subcommand: str) -> list[tuple[str, dict]]:
-    if subcommand != "run":
-        params = {}
-        if isinstance(raw, list):
-            for entry in raw:
-                name, p = _pipeline_entry(entry)
-                if name == subcommand:
-                    params = p
-        return [(subcommand, params)]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigurationError("run needs a non-empty 'pipeline' list in the config")
-    plan = [_pipeline_entry(entry) for entry in raw]
-    seen = set()
-    for name, _ in plan:
-        if name in seen:
-            raise ConfigurationError(f"stage {name!r} appears twice in the pipeline")
-        seen.add(name)
-    return plan
-
-
-def _pipeline_entry(entry) -> tuple[str, dict]:
-    if isinstance(entry, str):
-        name, params = entry, {}
-    elif isinstance(entry, dict) and "stage" in entry:
-        name = entry["stage"]
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigurationError(f"params of stage {name!r} must be an object")
-    else:
-        raise ConfigurationError(
-            "pipeline entries must be stage names or {stage, params} objects"
-        )
-    if name not in STAGE_IDS:
-        raise ConfigurationError(
-            f"unknown stage {name!r}; valid stages: {', '.join(STAGE_ORDER)}"
-        )
-    return name, dict(params)
-
-
-def _load_plan(args) -> _RunPlan:
+def _load_plan(args) -> _Runner:
+    """The runner of the config, read through its declared keys.  Every
+    pipeline entry is read whichever subcommand runs, so the subcommands
+    refuse the same configs as run does."""
     cfg_path = Path(args.config)
     try:
         raw = cfg_path.read_bytes()
@@ -243,50 +277,50 @@ def _load_plan(args) -> _RunPlan:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    if "model" not in doc:
-        raise ConfigurationError("config is missing the 'model' entry")
-    model = ModelSpec.from_json(doc["model"])
-
-    seed = args.seed if args.seed is not None else doc.get("seed")
-    if seed is None:
+    flags = {key: getattr(args, key) for key in ("seed", "out") if getattr(args, key) is not None}
+    top = read_keys({**doc, **flags}, CONFIG_KEYS, "config")
+    model = ModelSpec.from_json(top["model"])
+    if top["seed"] is None:
         raise ConfigurationError("a seed is required (config 'seed' or --seed)")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if top["seed"] < 0:
         raise ConfigurationError("seed must be a nonnegative integer")
-
-    out = args.out if args.out is not None else doc.get("out")
-    if out is None:
+    if top["out"] is None:
         raise ConfigurationError("an output directory is required (config 'out' or --out)")
 
-    pipeline = _normalize_pipeline(doc.get("pipeline"), args.command)
-
-    # stages listed out of dependency order are a config error even when
-    # artifacts could fill the gap
-    position = {name: k for k, (name, _) in enumerate(pipeline)}
-    for name, k in position.items():
+    pipeline = top["pipeline"] or []
+    if args.command == "run" and not pipeline:
+        raise ConfigurationError("run needs a non-empty 'pipeline' list in the config")
+    names = [name for name, _, _ in pipeline]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigurationError(f"stage {name!r} appears twice in the pipeline")
+        # stages listed out of dependency order are a config error even
+        # when artifacts could fill the gap
         for dep in STAGE_DEPS[name]:
-            if dep in position and position[dep] > k:
+            if dep in names[k + 1:]:
                 raise ConfigurationError(
                     f"stage {name!r} must run after {dep!r}; fix the pipeline order"
                 )
-
-    if any(name == "independence" for name, _ in pipeline) and model.d < 2:
+    if "independence" in names and model.d < 2:
         raise ConfigurationError("independence analysis needs at least two coordinates")
+    if args.command != "run":
+        mine = [entry for entry in pipeline if entry[0] == args.command]
+        pipeline = mine or [_pipeline_entry(args.command)]
 
     sha = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return _RunPlan(model, int(seed), Path(out), pipeline, sha)
+    return _Runner(model, top["seed"], top["out"], pipeline, sha)
 
 
 class _Runner:
-    def __init__(self, plan: _RunPlan):
-        self.plan = plan
-        self.spec = plan.model
-        self.seed = plan.seed
-        self.out = plan.out
-        self.origin = {"model_fingerprint": plan.model.fingerprint(), "seed": plan.seed}
+    def __init__(self, spec: ModelSpec, seed: int, out: Path, pipeline: list, config_sha: str):
+        self.spec, self.seed, self.out, self.config_sha = spec, seed, out, config_sha
+        self.pipeline = pipeline  # (stage, params as given, params as read) per entry
+        self.origin = {"model_fingerprint": spec.fingerprint(), "seed": seed}
         self.current_stage: str | None = None
         self._inputs: dict[str, str] = {}
+        self._params_given: dict = {}
         self._pool: SamplePool | None = None
         self._manifest_stages: dict = {}
 
@@ -301,7 +335,7 @@ class _Runner:
 
     def preflight(self) -> None:
         produced = set()
-        for name, _ in self.plan.pipeline:
+        for name, _, _ in self.pipeline:
             for dep in STAGE_DEPS[name]:
                 if dep not in produced and not self._has_artifact(dep):
                     raise ConfigurationError(
@@ -380,7 +414,7 @@ class _Runner:
             return None
         return BlockPartition.from_json(self._read("blocks.report.json", "classes", "permutation"))
 
-    def _write_report(self, params: dict, doc: dict, *artifacts: str) -> None:
+    def _write_report(self, doc: dict, *artifacts: str) -> None:
         """Write the current stage's report under its provenance envelope,
         then record the stage and everything it wrote in manifest.json."""
         stage = self.current_stage
@@ -389,10 +423,10 @@ class _Runner:
         self._manifest_stages[stage] = {
             "artifacts": sorted([name, *artifacts]),
             "completed_utc": datetime.now(timezone.utc).isoformat(),
-            "params": params,
+            "params": self._params_given,
         }
         manifest = {
-            "config_sha256": self.plan.config_sha,
+            "config_sha256": self.config_sha,
             **self.origin,
             "stages": self._manifest_stages,
             "versions": {
@@ -417,24 +451,21 @@ class _Runner:
                     )
                 except (OSError, json.JSONDecodeError):
                     self._manifest_stages = {}
-            for name, params in self.plan.pipeline:
+            for name, self._params_given, params in self.pipeline:
                 self.current_stage = name
                 self._inputs = {}
-                getattr(self, "_stage_" + name.replace("-", "_"))(dict(params))
+                getattr(self, "_stage_" + name.replace("-", "_"))(params)
             self.current_stage = None
 
     def _stage_solve_alpha(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["solve-alpha"])
-        method = params.get("method", "auto")
-        tol = params.get("tol")
-        n = int(params.get("n", 1_000_000))
-        scan_n = int(params.get("abscissa_n", 200_000))
+        method, n, scan_n = params["method"], params["n"], params["abscissa_n"]
         spec = self.spec
         coords = []
         alphas = []
         for j in range(spec.d):
             drift = log_moment(spec, j, n=min(n, 200_000), rng=rng, method=method)
-            root = solve_alpha(spec, j, tol=tol, method=method, n=n, rng=rng)
+            root = solve_alpha(spec, j, tol=params["tol"], method=method, n=n, rng=rng)
             gm = goldie_mean(spec, j, root.alpha, method=method, n=n, rng=rng)
             scan = moment_abscissa(spec, j, n=scan_n, rng=rng, method=method)
             pos = positivity_check(spec, j, root.alpha, n=scan_n, rng=rng)
@@ -452,18 +483,10 @@ class _Runner:
                 }
             )
         doc = {"alphas": alphas, "coordinates": coords, "sigma_margin": spec.sigma_margin}
-        self._write_report(params, doc)
+        self._write_report(doc)
 
     def _stage_simulate(self, params: dict) -> None:
-        pool = stationary_pool(
-            self.spec,
-            seed=self.seed,
-            chains=int(params.get("chains", 1000)),
-            n_per_chain=int(params.get("n_per_chain", 1000)),
-            burn_in=params.get("burn_in"),
-            thin=int(params.get("thin", 10)),
-            x0=params.get("x0"),
-        )
+        pool = stationary_pool(self.spec, seed=self.seed, **params)
         pool.save(self.out / "pool.bin", self.out / "pool.meta.json")
         doc = {
             "burn_in": pool.meta["burn_in"],
@@ -476,43 +499,29 @@ class _Runner:
             "thin": pool.meta["thin"],
         }
         self._pool = pool
-        self._write_report(params, doc, "pool.bin", "pool.meta.json")
+        self._write_report(doc, "pool.bin", "pool.meta.json")
 
     def _stage_blocks(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["blocks"])
         alphas, _ = self._solved()
-        part = detect_blocks(
-            self.spec,
-            alphas,
-            rng=rng,
-            n=int(params.get("n", 100_000)),
-            tol_rel=float(params.get("tol_rel", 1e-9)),
-            xi_probes=tuple(params.get("xi_probes", (0.25, 0.5, 0.75))),
-            cross_method=params.get("cross_method", "auto"),
-            cross_n=int(params.get("cross_n", 200_000)),
-            cross_tol=float(params.get("cross_tol", 5e-3)),
-        )
-        self._write_report(params, part.to_dict())
+        part = detect_blocks(self.spec, alphas, rng=rng, **params)
+        self._write_report(part.to_dict())
 
     def _stage_tails(self, params: dict) -> None:
         pool = self._get_pool()
         alphas, goldie = self._solved()
         part = self._get_partition(required=False)
-        min_top = int(params.get("min_top", 50))
-        hill_k = params.get("hill_k")
-        ladder_param = params.get("ladder")
+        min_top, hill_k = params["min_top"], params["hill_k"]
         csv_rows = []
         coord_docs = []
         c_plus, c_minus = [], []
         for j in range(pool.d):
             mag = np.abs(pool.x_post[:, j])
             pos = mag[mag > 0.0]
-            k = int(hill_k) if hill_k is not None else max(10, int(pos.size**0.6))
+            k = hill_k if hill_k is not None else max(10, int(pos.size**0.6))
             k = min(k, pos.size - 1)
             hill = hill_estimate(pos, k)
-            ladder = empirical_tail_constant(
-                pool, j, alphas[j], ladder=ladder_param, min_top=min_top
-            )
+            ladder = empirical_tail_constant(pool, j, alphas[j], params["ladder"], min_top)
             gold = goldie_constant(pool, j, alphas[j], goldie[j])
             checks = [
                 moment_estimate(pool, j, s).to_dict()
@@ -565,21 +574,13 @@ class _Runner:
             ["series", "threshold", "value", "ci_lo", "ci_hi"],
             csv_rows,
         )
-        self._write_report(params, doc, "tails.ladders.csv")
+        self._write_report(doc, "tails.ladders.csv")
 
     def _stage_spectral(self, params: dict) -> None:
         pool = self._get_pool()
         alphas, _ = self._solved()
         part = self._get_partition(required=True)
-        est = spectral_measure(
-            pool,
-            part,
-            alphas,
-            ladder=params.get("ladder"),
-            bins=int(params.get("bins", 16)),
-            eps=float(params.get("eps", 0.05)),
-            min_top=int(params.get("min_top", 100)),
-        )
+        est = spectral_measure(pool, part, alphas, **params)
         rows = []
         edges = est.bin_edges
         for r, t in enumerate(est.thresholds):
@@ -591,55 +592,33 @@ class _Runner:
             ["threshold", "coordinate", "bin_lo", "bin_hi", "mass"],
             rows,
         )
-        self._write_report(params, est.to_dict(), "spectral.angular.csv")
+        self._write_report(est.to_dict(), "spectral.angular.csv")
 
     def _stage_independence(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["independence"])
         pool = self._get_pool()
         alphas, _ = self._solved()
         part = self._get_partition(required=False)
-        pairs = params.get("pairs")
+        pairs = params["pairs"]
         if pairs is None:
             if part is not None and part.n_classes >= 2:
-                pairs = [[part.classes[0][0], part.classes[1][0]]]
+                pairs = [(part.classes[0][0], part.classes[1][0])]
             else:
-                pairs = [[0, 1]]
-        tau_doc = params.get("tau", {"kind": "log", "beta": 1.0})
-        tau = build_tau(tau_doc)
-        xi = float(params.get("xi", 0.5))
-        n = int(params.get("n", 1_000_000))
-        check = submultiplicativity_check(
-            tau, rng, n=int(params.get("submult_n", 50_000))
-        )
+                pairs = [(0, 1)]
+        tau = build_tau(params["tau"])
+        xi = params["xi"]
+        check = submultiplicativity_check(tau, rng, n=params["submult_n"])
         pair_docs = []
         artifacts = []
-        for i, j in (tuple(int(v) for v in p) for p in pairs):
-            joint = joint_exceedance(
-                pool,
-                i,
-                j,
-                alphas,
-                r1=float(params.get("r1", 1.0)),
-                r2=float(params.get("r2", 1.0)),
-                ladder=params.get("ladder"),
-                min_top=int(params.get("min_top", 50)),
-            )
+        for i, j in pairs:
+            joint = joint_exceedance(pool, i, j, alphas, r1=params["r1"], r2=params["r2"],
+                                     ladder=params["ladder"], min_top=params["min_top"])
             try:
                 fit = decay_rate_fit(joint.thresholds, joint.normalized).to_dict()
             except ValueError:
                 fit = None
-            bound = tau_gamma_bound(
-                self.spec,
-                i,
-                j,
-                alphas[i],
-                alphas[j],
-                tau,
-                rng=rng,
-                xi=xi,
-                gammas=params.get("gammas"),
-                n=n,
-            )
+            bound = tau_gamma_bound(self.spec, i, j, alphas[i], alphas[j], tau, rng=rng, xi=xi,
+                                    gammas=params["gammas"], n=params["n"])
             pair_docs.append(
                 {
                     "decay_fit": fit,
@@ -659,13 +638,9 @@ class _Runner:
                 ],
             )
             artifacts.append(name)
-        doc = {
-            "pairs": pair_docs,
-            "submultiplicativity": check.to_dict(),
-            "tau": tau_doc,
-            "xi": xi,
-        }
-        self._write_report(params, doc, *artifacts)
+        doc = {"pairs": pair_docs, "submultiplicativity": check.to_dict(), "tau": params["tau"],
+               "xi": xi}
+        self._write_report(doc, *artifacts)
 
     def _stage_report(self, params: dict) -> None:
         stages = {
@@ -673,7 +648,7 @@ class _Runner:
             for name in STAGE_ORDER[:-1]
             if (self.out / _report_name(name)).exists()
         }
-        self._write_report(params, {"stages": stages})
+        self._write_report({"stages": stages})
 
 
 def _emit_error(kind: str, stage: str | None, exc: BaseException) -> None:
@@ -709,8 +684,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        plan = _load_plan(args)
-        runner = _Runner(plan)
+        runner = _load_plan(args)
     except ConfigurationError as exc:
         _emit_error("validation", None, exc)
         return 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import numbers
 import os
 
 import numpy as np
@@ -19,6 +20,69 @@ STABLE_REL_CHANGE = 0.05
 
 class ConfigurationError(ValueError):
     """Invalid model parameters or run configuration."""
+
+
+# Config schemas: each config level declares its keys once, as a dict of
+# key -> (cast, default).  A cast returns the value to use, or raises
+# TypeError or ValueError for a value it refuses.
+REQUIRED = object()  # the default of a key that must be given
+METHODS = ("auto", "closed-form", "monte-carlo")  # the routes of use_closed_form
+
+
+def read_keys(doc, keys: dict, level: str) -> dict:
+    """Every declared key of a config object: a given value through its
+    cast, an absent one as its default.  An undeclared key, a missing
+    REQUIRED one or a refused value raises ConfigurationError naming the
+    key and the level (a stage, a family, a noise law, ...)."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{level} must be an object")
+    extra = [key for key in doc if key not in keys]
+    if extra:
+        accepted = ", ".join(keys) or "none"
+        raise ConfigurationError(f"unknown key {extra[0]!r} in {level}; accepted keys: {accepted}")
+    out = {}
+    for key, (cast, default) in keys.items():
+        if key not in doc and default is REQUIRED:
+            raise ConfigurationError(f"{level} is missing the key {key!r}")
+        try:
+            out[key] = cast(doc[key]) if key in doc else default
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{level} key {key!r}: {exc}") from None
+    return out
+
+
+def given(value):
+    """The cast of a key whose reader checks it."""
+    return value
+
+
+def integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise TypeError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def flag(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return bool(value)
+
+
+def choice(*options):
+    """The cast of a key that takes one of the given strings."""
+
+    def cast(value):
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return cast
 
 
 class TailIndexError(RuntimeError):
@@ -150,7 +214,7 @@ def use_closed_form(method: str, available: bool, what: str, rng) -> bool:
     unknown method, a closed form the model lacks, or a Monte Carlo route
     without an rng; ``what`` names the quantity in the message.
     """
-    if method not in ("auto", "closed-form", "monte-carlo"):
+    if method not in METHODS:
         raise ValueError("method must be auto, closed-form, or monte-carlo")
     if method != "monte-carlo" and available:
         return True

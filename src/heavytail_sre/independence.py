@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .common import Estimate, Record, TauHeavinessError, joint_pow, mean_estimate
+from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeavinessError, given
+from .common import joint_pow, mean_estimate, number, read_keys
 from .model import ModelSpec
 from .moments import cross_kappa
 from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
@@ -162,23 +163,34 @@ class CustomTau(Tau):
         return self._growth
 
 
+def _factors(value) -> list:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("must be a list of two tau documents")
+    return [build_tau(doc) for doc in value]
+
+
+# each tau kind's weight, and the keys it reads beside 'kind'
+_TAU_KINDS = {
+    "power": (PowerTau, {"beta": (number, 1.0)}),
+    "log": (LogTau, {"beta": (number, 1.0)}),
+    "loglog": (LogLogTau, {}),
+    "product": (lambda factors: ProductTau(*factors), {"factors": (_factors, REQUIRED)}),
+}
+
+
 def build_tau(doc: dict) -> Tau:
-    """Construct a weight from its JSON document."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("tau document must be a dict with a 'kind' key")
-    kind = doc["kind"]
-    if kind == "power":
-        return PowerTau(doc.get("beta", 1.0))
-    if kind == "log":
-        return LogTau(doc.get("beta", 1.0))
-    if kind == "loglog":
-        return LogLogTau()
-    if kind == "product":
-        factors = doc.get("factors")
-        if not isinstance(factors, (list, tuple)) or len(factors) != 2:
-            raise ValueError("product tau needs exactly two factors")
-        return ProductTau(build_tau(factors[0]), build_tau(factors[1]))
-    raise ValueError(f"unknown tau kind {kind!r}")
+    """Construct a weight from its JSON document; a document that does not
+    describe one raises ConfigurationError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _TAU_KINDS:
+        raise ConfigurationError(f"tau 'kind' {kind!r} is not one of {', '.join(_TAU_KINDS)}")
+    make, keys = _TAU_KINDS[kind]
+    params = read_keys(doc, {"kind": (given, None), **keys}, f"tau {kind!r}")
+    del params["kind"]
+    try:
+        return make(**params)
+    except ValueError as exc:
+        raise ConfigurationError(f"tau {kind!r}: {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -30,14 +30,17 @@ under the "closed-form" method tag.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
 
 import numpy as np
 from scipy import integrate, special
 
-from .common import ConfigurationError, Estimate, Record, exact, mean_estimate, use_closed_form
+from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
+from .common import integer, mean_estimate, number, read_keys, use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -118,48 +121,39 @@ def _corr_factor(corr, k: int, name: str) -> np.ndarray:
 # Noise (B) distribution specs
 
 
-class _BDist:
-    """One scalar noise distribution with closed-form absolute moments."""
+_NO_NOISE = {"dist": "constant", "value": 0.0}  # the "b" of a family that gives none
+# each noise law's params with their defaults, and the check they must pass
+_NOISE_LAWS = {
+    "constant": ({"value": 0.0}, lambda b: True, ""),
+    "exponential": ({"rate": 1.0}, lambda b: b.rate > 0, "rate must be positive"),
+    "pareto": ({"index": 1.0, "scale": 1.0}, lambda b: min(b.index, b.scale) > 0,
+               "index and scale must be positive"),
+    "uniform": ({"low": 0.0, "high": 1.0}, lambda b: b.low < b.high, "needs low < high"),
+    "normal": ({"mean": 0.0, "std": 1.0}, lambda b: b.std >= 0, "std must be nonnegative"),
+    "lognormal": ({"mu": 0.0, "sigma": 1.0}, lambda b: b.sigma >= 0, "sigma must be nonnegative"),
+}
 
-    def __init__(self, doc: dict):
-        if not isinstance(doc, dict) or "dist" not in doc:
-            raise ConfigurationError("noise spec must be a dict with a 'dist' key")
-        self.doc = dict(doc)
-        kind = doc["dist"]
-        p = doc
-        if kind == "constant":
-            self.value = float(p.get("value", 0.0))
-        elif kind == "exponential":
-            self.rate = float(p.get("rate", 1.0))
-            if self.rate <= 0:
-                raise ConfigurationError("exponential rate must be positive")
-        elif kind == "pareto":
-            self.index = float(p.get("index", 1.0))
-            self.scale = float(p.get("scale", 1.0))
-            if self.index <= 0 or self.scale <= 0:
-                raise ConfigurationError("pareto index and scale must be positive")
-        elif kind == "uniform":
-            self.low = float(p.get("low", 0.0))
-            self.high = float(p.get("high", 1.0))
-            if not self.low < self.high:
-                raise ConfigurationError("uniform needs low < high")
-        elif kind == "normal":
-            self.mean = float(p.get("mean", 0.0))
-            self.std = float(p.get("std", 1.0))
-            if self.std < 0:
-                raise ConfigurationError("normal std must be nonnegative")
-        elif kind == "lognormal":
-            self.mu = float(p.get("mu", 0.0))
-            self.sigma = float(p.get("sigma", 1.0))
-            if self.sigma < 0:
-                raise ConfigurationError("lognormal sigma must be nonnegative")
-        else:
-            raise ConfigurationError(f"unknown noise dist {kind!r}")
-        self.kind = kind
+
+class _BDist:
+    """One scalar noise distribution with closed-form absolute moments;
+    ``doc`` keeps it as given (less ``shared``) for the fingerprint."""
+
+    def __init__(self, doc: dict, shared_ok: bool = False):
+        kind = doc.get("dist") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in _NOISE_LAWS:
+            raise ConfigurationError(f"noise dist {kind!r} is not one of {', '.join(_NOISE_LAWS)}")
+        defaults, valid, problem = _NOISE_LAWS[kind]
+        keys = {"dist": (given, None), **{k: (number, v) for k, v in defaults.items()}}
+        if shared_ok:
+            keys["shared"] = (flag, False)
+        vars(self).update(read_keys(doc, keys, f"noise law {kind!r}"))
+        if not valid(self):
+            raise ConfigurationError(f"noise law {kind!r}: {problem}")
+        self.doc = {k: v for k, v in doc.items() if k != "shared"}
 
     def fill(self, rng: np.random.Generator, row: np.ndarray) -> None:
         """Draw into one C-contiguous row in place, as numpy's own sampler would."""
-        k = self.kind
+        k = self.dist
         if k == "constant":
             row.fill(self.value)
         elif k == "exponential":
@@ -182,7 +176,7 @@ class _BDist:
 
     def abs_moment(self, s: float) -> float:
         """E|B|^s; may be math.inf."""
-        k = self.kind
+        k = self.dist
         if s == 0.0:
             return 1.0
         if k == "constant":
@@ -211,22 +205,20 @@ class _BDist:
         return _exp(self.mu * s + 0.5 * self.sigma ** 2 * s ** 2)
 
     def abscissa(self) -> float:
-        return self.index if self.kind == "pareto" else math.inf
+        return self.index if self.dist == "pareto" else math.inf
 
     def is_zero(self) -> bool:
-        return self.kind == "constant" and self.value == 0.0
+        return self.dist == "constant" and self.value == 0.0
 
 
 class _BSpec:
     """Per-coordinate noise description with an optional shared draw."""
 
     def __init__(self, doc, d: int):
-        if doc is None:
-            doc = {"dist": "constant", "value": 0.0}
-        if isinstance(doc, dict):
-            self.shared = bool(doc.get("shared", False))
-            body = {k: v for k, v in doc.items() if k != "shared"}
-            self.dists = [_BDist(body) for _ in range(d)]
+        if doc is None or isinstance(doc, dict):
+            dist = _BDist(_NO_NOISE if doc is None else doc, shared_ok=True)
+            self.shared = dist.shared
+            self.dists = [dist] * d
         elif isinstance(doc, list):
             if len(doc) != d:
                 raise ConfigurationError(f"per-coordinate noise spec needs {d} entries")
@@ -263,12 +255,12 @@ class _BSpec:
 class _Family:
     """Base of the coefficient families.
 
-    Every closed-form hook answers None ("not available") unless a family
-    overrides it; the noise hooks answer from the per-coordinate noise spec
-    ``b`` when the family has one.  fill draws the A block, then the B
-    block, in place into C-contiguous (d, n) rows, one coordinate per row:
-    the family's fill_a writes A and the noise spec writes B.  The Custom
-    families draw (a, b) jointly and override fill.
+    The constructor gets the params read through ``KEYS``.  A family
+    defines the closed-form hooks of ModelSpec it can answer; the noise
+    hooks answer from the per-coordinate noise spec ``b``, if any.  fill
+    draws the A block, then the B block, in place into C-contiguous (d, n)
+    rows, one coordinate per row: the family's fill_a writes A and the
+    noise spec writes B.  The Custom families draw (a, b) jointly.
     """
 
     b: _BSpec | None = None
@@ -277,26 +269,10 @@ class _Family:
         self.fill_a(rng, a)
         self.b.fill(rng, b)
 
-    def kappa_exact(self, j, s):
-        return None
-
-    def zero_mass_exact(self, j):
-        return None
-
-    def log_abs_mean_exact(self, j):
-        return None
-
-    def goldie_mean_exact(self, j, alpha):
-        return None
-
-    def joint_moment_exact(self, i, j, s, u):
-        return None
-
-    def constant_magnitude_exact(self, j):
-        return None
-
-    def a_abscissa(self, j):
-        return None
+    def params_doc(self) -> dict:
+        """The params in JSON form, read back from the attributes KEYS names."""
+        return {k: self.b.to_doc() if k == "b" else np.asarray(getattr(self, k)).tolist()
+                for k in self.KEYS}
 
     def b_moment_exact(self, j, s):
         return None if self.b is None else self.b.dists[j].abs_moment(s)
@@ -309,24 +285,18 @@ class _Family:
 
 
 class _TwoPoint(_Family):
+    KEYS = {"p": (given, REQUIRED), "up": (given, REQUIRED), "down": (given, REQUIRED),
+            "comonotone": (flag, False), "b": (given, _NO_NOISE)}
+
     def __init__(self, d: int, params: dict):
         self.d = d
-        self.p = _as_vector(params.get("p"), d, "p")
+        self.p = _as_vector(params["p"], d, "p")
         if np.any(self.p < 0) or np.any(self.p > 1):
             raise ConfigurationError("p must lie in [0, 1]")
-        self.up = _as_vector(params.get("up"), d, "up")
-        self.down = _as_vector(params.get("down"), d, "down")
-        self.comonotone = bool(params.get("comonotone", False))
-        self.b = _BSpec(params.get("b"), d)
-
-    def params_doc(self) -> dict:
-        return {
-            "p": self.p.tolist(),
-            "up": self.up.tolist(),
-            "down": self.down.tolist(),
-            "comonotone": self.comonotone,
-            "b": self.b.to_doc(),
-        }
+        self.up = _as_vector(params["up"], d, "up")
+        self.down = _as_vector(params["down"], d, "down")
+        self.comonotone = params["comonotone"]
+        self.b = _BSpec(params["b"], d)
 
     def fill_a(self, rng, rows):
         # one uniform per coordinate, or one for all when comonotone
@@ -384,24 +354,19 @@ class _TwoPoint(_Family):
 
 
 class _LogNormal(_Family):
+    KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (given, None),
+            "b": (given, _NO_NOISE)}
+
     def __init__(self, d: int, params: dict):
         self.d = d
-        self.mu = _as_vector(params.get("mu"), d, "mu")
-        self.sigma = _as_vector(params.get("sigma"), d, "sigma")
+        self.mu = _as_vector(params["mu"], d, "mu")
+        self.sigma = _as_vector(params["sigma"], d, "sigma")
         if np.any(self.sigma < 0):
             raise ConfigurationError("sigma must be nonnegative")
-        corr = params.get("corr")
+        corr = params["corr"]
         self.corr = np.eye(d) if corr is None else np.asarray(corr, dtype=float)
         self.factor = _corr_factor(self.corr, d, "corr")
-        self.b = _BSpec(params.get("b"), d)
-
-    def params_doc(self):
-        return {
-            "mu": self.mu.tolist(),
-            "sigma": self.sigma.tolist(),
-            "corr": self.corr.tolist(),
-            "b": self.b.to_doc(),
-        }
+        self.b = _BSpec(params["b"], d)
 
     def fill_a(self, rng, rows):
         np.matmul(self.factor, rng.standard_normal((rows.shape[1], self.d)).T, out=rows)
@@ -435,32 +400,24 @@ class _LogNormal(_Family):
 
 
 class _CCCGarch(_Family):
+    KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED), "z_map": (given, None),
+            "corr": (given, None), "b": (given, _NO_NOISE)}
+
     def __init__(self, d: int, params: dict):
         self.d = d
-        self.arch = _as_vector(params.get("arch"), d, "arch")
-        self.garch = _as_vector(params.get("garch"), d, "garch")
+        self.arch = _as_vector(params["arch"], d, "arch")
+        self.garch = _as_vector(params["garch"], d, "garch")
         if np.any(self.arch < 0) or np.any(self.garch < 0):
             raise ConfigurationError("arch and garch coefficients must be nonnegative")
-        z_map = params.get("z_map")
-        if z_map is None:
-            z_map = list(range(d))
-        self.z_map = [int(v) for v in z_map]
+        z_map = params["z_map"]
+        self.z_map = [int(v) for v in (range(d) if z_map is None else z_map)]
         if len(self.z_map) != d or min(self.z_map) < 0:
             raise ConfigurationError(f"z_map must be {d} nonnegative factor indices")
         self.n_factors = max(self.z_map) + 1
-        corr = params.get("corr")
+        corr = params["corr"]
         self.corr = np.eye(self.n_factors) if corr is None else np.asarray(corr, dtype=float)
         self.factor = _corr_factor(self.corr, self.n_factors, "corr")
-        self.b = _BSpec(params.get("b"), d)
-
-    def params_doc(self):
-        return {
-            "arch": self.arch.tolist(),
-            "garch": self.garch.tolist(),
-            "z_map": list(self.z_map),
-            "corr": self.corr.tolist(),
-            "b": self.b.to_doc(),
-        }
+        self.b = _BSpec(params["b"], d)
 
     def fill_a(self, rng, rows):
         # row j is factor z_map[j]; A_j = (arch_j Z_j) Z_j + garch_j
@@ -524,9 +481,11 @@ class _CCCGarch(_Family):
 
 
 class _BekkDiag(_Family):
+    KEYS = {"coeff": (given, REQUIRED), "b": (given, _NO_NOISE)}
+
     def __init__(self, d: int, params: dict):
         self.d = d
-        coeff = np.asarray(params.get("coeff"), dtype=float)
+        coeff = np.asarray(params["coeff"], dtype=float)
         if coeff.ndim != 2 or coeff.shape[1] != d:
             raise ConfigurationError(f"coeff must be a (factors x {d}) matrix")
         if not np.all(np.isfinite(coeff)):
@@ -534,10 +493,7 @@ class _BekkDiag(_Family):
         self.coeff = coeff
         self.n_factors = coeff.shape[0]
         self.sigma = np.sqrt((coeff ** 2).sum(axis=0))
-        self.b = _BSpec(params.get("b"), d)
-
-    def params_doc(self):
-        return {"coeff": self.coeff.tolist(), "b": self.b.to_doc()}
+        self.b = _BSpec(params["b"], d)
 
     def fill_a(self, rng, rows):
         np.matmul(self.coeff.T, rng.standard_normal((rows.shape[1], self.n_factors)).T, out=rows)
@@ -589,13 +545,14 @@ class _BekkDiag(_Family):
 
 
 class _CustomAtoms(_Family):
+    KEYS = {"atoms": (given, REQUIRED)}
+    TABLE = {"prob": (given, REQUIRED), "a": (given, REQUIRED), "b": (given, REQUIRED)}
+
     def __init__(self, d: int, params: dict):
-        atoms = params.get("atoms")
-        if not isinstance(atoms, dict):
-            raise ConfigurationError("Custom atoms spec needs an 'atoms' dict")
-        prob = np.asarray(atoms.get("prob"), dtype=float)
-        a = np.asarray(atoms.get("a"), dtype=float)
-        bvals = np.asarray(atoms.get("b"), dtype=float)
+        atoms = read_keys(params["atoms"], self.TABLE, "Custom atoms table")
+        prob = np.asarray(atoms["prob"], dtype=float)
+        a = np.asarray(atoms["a"], dtype=float)
+        bvals = np.asarray(atoms["b"], dtype=float)
         if prob.ndim != 1 or prob.size == 0:
             raise ConfigurationError("atom probabilities must be a nonempty vector")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
@@ -668,13 +625,15 @@ class _CustomAtoms(_Family):
 
 
 class _CustomCallable(_Family):
+    KEYS = {"sampler": (given, REQUIRED), "name": (given, None)}
+
     def __init__(self, d: int, params: dict):
-        sampler = params.get("sampler")
+        sampler, name = params["sampler"], params["name"]
         if not callable(sampler):
             raise ConfigurationError("Custom callable spec needs a callable 'sampler'")
         self.d = d
         self.sampler = sampler
-        self.label = str(params.get("name", getattr(sampler, "__name__", "sampler")))
+        self.label = str(getattr(sampler, "__name__", "sampler") if name is None else name)
 
     def fill(self, rng, a, b):
         # the sampler's contract is (n, d), so its draw is copied in transposed
@@ -686,6 +645,29 @@ class _CustomCallable(_Family):
 
 # ---------------------------------------------------------------------------
 # Facade
+
+# the model document; each family reads its params through its own KEYS
+MODEL_KEYS = {"family": (choice(*FAMILIES), REQUIRED), "d": (integer, REQUIRED),
+              "params": (given, REQUIRED), "sigma_margin": (number, 0.5)}
+_FAMILY_CLASSES = {"TwoPoint": _TwoPoint, "LogNormal": _LogNormal, "CCCGarch": _CCCGarch,
+                   "BekkDiag": _BekkDiag, "Custom atoms": _CustomAtoms,
+                   "Custom callable": _CustomCallable}
+
+
+def _hook(declared):
+    """A closed-form hook of ModelSpec: the family's method of the same name
+    answers, or None when the family has none.  The coordinates (i, j) are
+    range-checked, the exponents passed as floats."""
+    signature = inspect.signature(declared)
+
+    @functools.wraps(declared)
+    def hook(self, *args, **kwargs):
+        _, *bound = signature.bind(self, *args, **kwargs).arguments.items()
+        values = [self._check_j(v) if name in ("i", "j") else float(v) for name, v in bound]
+        answer = getattr(self._impl, declared.__name__, None)
+        return None if answer is None else answer(*values)
+
+    return hook
 
 
 class ModelSpec:
@@ -703,29 +685,16 @@ class ModelSpec:
     """
 
     def __init__(self, family: str, d: int, params: dict, sigma_margin: float = 0.5):
-        if family not in FAMILIES:
-            raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if int(d) < 1:
-            raise ConfigurationError("d must be a positive integer")
-        if sigma_margin <= 0:
-            raise ConfigurationError("sigma_margin must be positive")
-        if not isinstance(params, dict):
-            raise ConfigurationError("params must be a dict")
-        self.family = family
-        self.d = int(d)
-        self.sigma_margin = float(sigma_margin)
-        if family == "TwoPoint":
-            self._impl = _TwoPoint(self.d, params)
-        elif family == "LogNormal":
-            self._impl = _LogNormal(self.d, params)
-        elif family == "CCCGarch":
-            self._impl = _CCCGarch(self.d, params)
-        elif family == "BekkDiag":
-            self._impl = _BekkDiag(self.d, params)
-        elif "sampler" in params:
-            self._impl = _CustomCallable(self.d, params)
-        else:
-            self._impl = _CustomAtoms(self.d, params)
+        doc = {"family": family, "d": d, "params": params, "sigma_margin": sigma_margin}
+        doc = read_keys(doc, MODEL_KEYS, "model")
+        self.family, self.d, self.sigma_margin = doc["family"], doc["d"], doc["sigma_margin"]
+        for key in ("d", "sigma_margin"):
+            if not doc[key] > 0:
+                raise ConfigurationError(f"model key {key!r}: must be positive, got {doc[key]!r}")
+        if family == "Custom":
+            family += " callable" if isinstance(params, dict) and "sampler" in params else " atoms"
+        impl = _FAMILY_CLASSES[family]
+        self._impl = impl(self.d, read_keys(params, impl.KEYS, f"{family} params"))
 
     # -- sampling -----------------------------------------------------------
 
@@ -756,37 +725,28 @@ class ModelSpec:
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 
-    def kappa_exact(self, j: int, s: float) -> float | None:
-        return self._impl.kappa_exact(self._check_j(j), float(s))
-
-    def zero_mass_exact(self, j: int) -> float | None:
-        return self._impl.zero_mass_exact(self._check_j(j))
-
+    @_hook
+    def kappa_exact(self, j: int, s: float) -> float | None: ...
+    @_hook
+    def zero_mass_exact(self, j: int) -> float | None: ...
+    @_hook
     def log_abs_mean_exact(self, j: int) -> float | None:
         """E[log|A_j| given A_j != 0], or None when unknown/undefined."""
-        return self._impl.log_abs_mean_exact(self._check_j(j))
-
-    def goldie_mean_exact(self, j: int, alpha: float) -> float | None:
-        return self._impl.goldie_mean_exact(self._check_j(j), float(alpha))
-
+    @_hook
+    def goldie_mean_exact(self, j: int, alpha: float) -> float | None: ...
+    @_hook
     def joint_moment_exact(self, i: int, j: int, s: float, u: float) -> float | None:
         """E |A_i|^s |A_j|^u, or None when no closed form is available."""
-        return self._impl.joint_moment_exact(self._check_j(i), self._check_j(j), float(s), float(u))
-
-    def constant_magnitude_exact(self, j: int) -> bool | None:
-        return self._impl.constant_magnitude_exact(self._check_j(j))
-
-    def a_abscissa(self, j: int) -> float | None:
-        return self._impl.a_abscissa(self._check_j(j))
-
-    def b_moment_exact(self, j: int, s: float) -> float | None:
-        return self._impl.b_moment_exact(self._check_j(j), float(s))
-
-    def b_abscissa(self, j: int) -> float | None:
-        return self._impl.b_abscissa(self._check_j(j))
-
-    def b_is_zero(self, j: int) -> bool | None:
-        return self._impl.b_is_zero(self._check_j(j))
+    @_hook
+    def constant_magnitude_exact(self, j: int) -> bool | None: ...
+    @_hook
+    def a_abscissa(self, j: int) -> float | None: ...
+    @_hook
+    def b_moment_exact(self, j: int, s: float) -> float | None: ...
+    @_hook
+    def b_abscissa(self, j: int) -> float | None: ...
+    @_hook
+    def b_is_zero(self, j: int) -> bool | None: ...
 
     # -- serialization -------------------------------------------------------
 
@@ -802,17 +762,7 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelSpec":
-        if not isinstance(doc, dict):
-            raise ConfigurationError("model document must be a dict")
-        for key in ("family", "d", "params"):
-            if key not in doc:
-                raise ConfigurationError(f"model document is missing {key!r}")
-        return cls(
-            doc["family"],
-            doc["d"],
-            doc["params"],
-            sigma_margin=doc.get("sigma_margin", 0.5),
-        )
+        return cls(**read_keys(doc, MODEL_KEYS, "model"))
 
     def fingerprint(self) -> str:
         """Stable hash of the model; callable Custom models get a label-based

@@ -1,13 +1,18 @@
 import hashlib
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from heavytail_sre import cli
 from heavytail_sre.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REF_MODEL = {
     "family": "TwoPoint",
@@ -101,11 +106,115 @@ def test_config_errors_exit_two(tmp_path, capsys):
             "pipeline": ["solve-alpha", "simulate", "independence"],
         },
     ]
-    for k, doc in enumerate(cases):
+    # a misspelled key at any config level, or a value its declaration
+    # refuses; the stderr line names the key and its level
+    def pipeline(**params):
+        stages = {"solve-alpha": {}, "simulate": {"chains": 50, "n_per_chain": 100}}
+        stages.update({name.replace("_", "-"): p for name, p in params.items()})
+        return [{"stage": name, "params": p} for name, p in stages.items()]
+
+    def model(**params):
+        return {**PAIR_MODEL, "params": {**PAIR_MODEL["params"], **params}}
+
+    base = {"model": PAIR_MODEL, "seed": 1, "out": str(tmp_path / "o")}
+    named = [
+        (
+            {**base, "pipeline": pipeline(simulate={"chains": 50, "n_per_chian": 100})},
+            "'n_per_chian' in stage 'simulate' params",
+        ),
+        ({**base, "pipeline": pipeline(simulate={"chains": "ten"})}, "simulate' params key 'chains'"),
+        (
+            {**base, "pipeline": pipeline(solve_alpha={"method": "montecarlo"})},
+            "stage 'solve-alpha' params key 'method'",
+        ),
+        (
+            {**base, "pipeline": pipeline(independence={"tau": {"kind": "pwr"}})},
+            "stage 'independence' params key 'tau': tau 'kind' 'pwr'",
+        ),
+        (
+            {**base, "pipeline": pipeline(independence={"tau": {"kind": "log", "bta": 3.0}})},
+            "'bta' in tau 'log'",
+        ),
+        ({**base, "sede": 4}, "'sede' in config"),
+        (
+            {**base, "pipeline": ["solve-alpha", {"stage": "simulate", "parms": {"chains": 50}}]},
+            "'parms' in pipeline entry",
+        ),
+        ({**base, "model": {**PAIR_MODEL, "sigma_margn": 2.0}}, "'sigma_margn' in model"),
+        ({**base, "model": {**PAIR_MODEL, "d": "two"}}, "model key 'd'"),
+        ({**base, "model": {**PAIR_MODEL, "d": 2.7}}, "model key 'd'"),
+        ({**base, "model": {**PAIR_MODEL, "d": True}}, "model key 'd'"),
+        ({**base, "model": {**PAIR_MODEL, "sigma_margin": "x"}}, "model key 'sigma_margin'"),
+        ({**base, "model": {**PAIR_MODEL, "sigma_margin": -1.0}}, "model key 'sigma_margin'"),
+        (
+            {**base, "model": model(b={"dist": "exponential", "rte": 3.0})},
+            "'rte' in noise law 'exponential'",
+        ),
+        (
+            {**base, "model": model(b=[{"dist": "exponential", "shared": True}] * 2)},
+            "'shared' in noise law 'exponential'",
+        ),
+        ({**base, "model": model(comonotnoe=True)}, "'comonotnoe' in TwoPoint params"),
+        (
+            {
+                **base,
+                "model": {
+                    "family": "CCCGarch",
+                    "d": 2,
+                    "params": {"arch": 0.35, "garch": 0.25, "zmap": [0, 0]},
+                },
+            },
+            "'zmap' in CCCGarch params",
+        ),
+    ]
+    cases += [doc for doc, _ in named]
+    details = [None] * (len(cases) - len(named)) + [detail for _, detail in named]
+    for k, (doc, detail) in enumerate(zip(cases, details)):
         doc.setdefault("pipeline", ["solve-alpha"])
         cfg = write_config(tmp_path / f"c{k}.json", doc)
-        assert main(["run", "--config", cfg]) == 2, doc
-        assert last_stderr_doc(capsys)["error"] == "validation"
+        # a stage subcommand reads every pipeline entry too, so it refuses
+        # the same configs as run, before any stage writes
+        for command in ("run", "solve-alpha"):
+            assert main([command, "--config", cfg]) == 2, (command, doc)
+            err = last_stderr_doc(capsys)
+            assert err["error"] == "validation"
+            assert detail is None or detail in err["detail"], err["detail"]
+            assert not (tmp_path / "o").exists()
+
+
+def test_every_shipped_config_loads(tmp_path, monkeypatch):
+    # the perfbench workloads and the README config, under every subcommand
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    paths = []
+    for workload in workloads.WORKLOADS.values():
+        paths.append(tmp_path / f"{workload.name}.json")
+        workload.write_config(paths[-1], workload.default_seed, tmp_path / "out")
+    readme = (ROOT / "README.md").read_text()
+    paths.append(tmp_path / "readme.json")
+    paths[-1].write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert len(paths) == 4
+    for path in paths:
+        for command in ("run",) + cli.STAGE_ORDER:
+            # a refusal raises ConfigurationError
+            cli._load_plan(cli._build_parser().parse_args([command, "--config", str(path)]))
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_every_stage_param():
+    rows = re.findall(
+        r"^\| ([\w-]+) \| `(\w+)` \| [^|]+ \| `([^`]*)` \|$", (ROOT / "README.md").read_text(), re.M
+    )
+    listed = {(stage, name): json.loads(default) for stage, name, default in rows}
+    declared = {
+        (stage, name): list(default) if isinstance(default, tuple) else default
+        for stage, params in cli.STAGE_PARAMS.items()
+        for name, (_, default) in params.items()
+    }
+    assert listed == declared
 
 
 def test_unreadable_and_malformed_configs(tmp_path, capsys):
@@ -234,6 +343,13 @@ def test_full_run_artifacts(full_run):
 
     header = (out / "tails.ladders.csv").read_bytes().split(b"\r\n")[0]
     assert header == b"series,threshold,value,ci_lo,ci_hi"
+
+
+def test_manifest_records_params_as_given(full_run):
+    _, out = full_run
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert stages["simulate"]["params"] == {"chains": 150, "n_per_chain": 100, "thin": 2}
+    assert stages["solve-alpha"]["params"] == {}
 
 
 def test_rerun_is_byte_identical(full_run, tmp_path):

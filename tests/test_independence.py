@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heavytail_sre import (
+    ConfigurationError,
     LadderError,
     ModelSpec,
     TauHeavinessError,
@@ -97,6 +98,18 @@ def test_build_tau_rejects_bad_docs():
         build_tau({"beta": 1.0})
     with pytest.raises(ValueError):
         build_tau({"kind": "product", "factors": [{"kind": "log"}]})
+    # each kind reads its document through its declared keys
+    for doc, key, level in [
+        ({"kind": "log", "bta": 3.0}, "bta", "tau 'log'"),
+        ({"kind": "loglog", "beta": 2.0}, "beta", "tau 'loglog'"),
+        ({"kind": "product", "factors": [{"kind": "log"}, {"kind": "power", "b": 1}]}, "b", "tau 'power'"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}' in {level};"):
+            build_tau(doc)
+    for doc in ({"kind": "pwr"}, {"kind": "log", "beta": "2"}, {"kind": "power", "beta": -1.0}, []):
+        with pytest.raises(ConfigurationError):
+            build_tau(doc)
+    assert build_tau({"kind": "log"}).to_doc() == {"kind": "log", "beta": 1.0}
 
 
 # -- submultiplicativity audit --------------------------------------------------

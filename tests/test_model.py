@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +496,96 @@ def test_custom_callable_shape_check():
     spec = ModelSpec("Custom", 2, {"sampler": lambda rng, n: (np.ones((n, 1)), np.ones((n, 1)))})
     with pytest.raises(ConfigurationError):
         spec.sample_coeffs(RNG(0), 10)
+
+
+def test_hooks_keep_their_signatures(monkeypatch):
+    # one checked dispatch serves every hook; each keeps its declared arguments
+    spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True})
+    seen = []
+    monkeypatch.setattr(type(spec._impl), "goldie_mean_exact", lambda self, *args: seen.append(args))
+    spec.goldie_mean_exact(np.int64(1), alpha=2)
+    assert seen == [(1, 2.0)] and type(seen[0][1]) is float
+    monkeypatch.undo()
+    assert list(inspect.signature(ModelSpec.joint_moment_exact).parameters) == ["self", "i", "j", "s", "u"]
+    assert list(inspect.signature(ModelSpec.goldie_mean_exact).parameters) == ["self", "j", "alpha"]
+    assert spec.joint_moment_exact(i=1, j=0, s=1.0, u=2) == spec.joint_moment_exact(1, 0, 1.0, 2.0)
+    assert spec.kappa_exact(0, s=2) == spec.kappa_exact(0, 2.0) == pytest.approx(1.0)
+    with pytest.raises(TypeError):
+        spec.kappa_exact(0)
+
+
+# -- declared keys ------------------------------------------------------------
+
+ATOMS = {"prob": [0.2, 0.8], "a": [[2.0], [0.5]], "b": [[1.0], [0.0]]}
+TWO = {"p": 0.2, "up": 2.0, "down": 0.5}
+
+
+@pytest.mark.parametrize(
+    "family, params, key, level",
+    [
+        ("TwoPoint", {**TWO, "comonotnoe": True}, "comonotnoe", "TwoPoint params"),
+        ("LogNormal", {"mu": -0.5, "sigma": 1.0, "rho": 0.5}, "rho", "LogNormal params"),
+        ("CCCGarch", {"arch": 0.35, "garch": 0.25, "zmap": [0]}, "zmap", "CCCGarch params"),
+        ("BekkDiag", {"coeff": [[1.0]], "noise": None}, "noise", "BekkDiag params"),
+        ("Custom", {"atoms": ATOMS, "b": None}, "b", "Custom atoms params"),
+        ("Custom", {"atoms": {**ATOMS, "w": [1.0]}}, "w", "Custom atoms table"),
+        ("Custom", {"sampler": lambda rng, n: None, "label": "x"}, "label", "Custom callable params"),
+        ("TwoPoint", {**TWO, "b": {"dist": "pareto", "alpha": 3.0}}, "alpha", "noise law 'pareto'"),
+        # shared belongs to the dict form of a noise spec only
+        ("TwoPoint", {**TWO, "b": [{"dist": "normal", "shared": True}]}, "shared", "noise law 'normal'"),
+    ],
+)
+def test_unknown_keys_are_refused_by_level(family, params, key, level):
+    with pytest.raises(ConfigurationError, match=re.escape(f"unknown key {key!r} in {level};")):
+        ModelSpec(family, 1, params)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"d": 2.0}, {"d": True}, {"d": "2"}, {"d": 0}, {"sigma_margin": "x"}, {"sigma_margin": 0.0},
+     {"sigma_margin": math.inf}, {"sigma_margin": False}, {"family": ["TwoPoint"]}, {"sigma_margn": 1.0}],
+)
+def test_model_document_is_read_through_its_keys(edit):
+    doc = {"family": "TwoPoint", "d": 1, "params": TWO, **edit}
+    with pytest.raises(ConfigurationError, match=re.escape(repr(next(iter(edit))))):
+        ModelSpec.from_json(doc)
+    if "sigma_margn" not in edit:  # the constructor reads its arguments the same way
+        with pytest.raises(ConfigurationError):
+            ModelSpec(**doc)
+
+
+def test_noise_and_family_defaults_are_declared():
+    # an absent key takes its declared default: no noise, rate 1, independent
+    spec = ModelSpec("TwoPoint", 2, {**TWO, "b": {"dist": "exponential"}})
+    assert spec.b_moment_exact(1, 1.0) == 1.0
+    assert spec.to_json()["params"]["comonotone"] is False
+    assert ModelSpec("TwoPoint", 1, TWO).b_is_zero(0) is True
+    none = ModelSpec("TwoPoint", 1, {**TWO, "b": None})
+    assert none.fingerprint() == ModelSpec("TwoPoint", 1, TWO).fingerprint()
+    assert ModelSpec("TwoPoint", 1, TWO).to_json()["params"]["b"] == {"dist": "constant", "value": 0.0}
+
+
+# the parent's fingerprints: the params read back through the declared keys
+# must hash as before
+FINGERPRINTS = {
+    "bekk": "92095bd23a5f89325e2db4dea38a203c0ab2521eafd939895a5af5b1a69917d1",
+    "ccc-shared-factor": "dfe17827cd6563bf0ee4e35e3bf26b42241ad2a3e1301a730d679c9e773513b3",
+    "custom-atoms": "3552a258bc8f835e0cce8b39608f58a5088eecf552cb1757e4d854d9c410b406",
+    "lognormal-corr": "4745ce8071c683d6ebe465ae10de4d235e17f55f97f8723fd0a44479026f056b",
+    "noise-list": "3fd34fb36ee2d4cbe5755894fe8cc351898332cfbeb1c6faba7a908f6d4836bf",
+    "shared-noise": "769ceb7120b6d2fa5c9928b245cf9a25a5de94a4dc39ffd12dd01fea149610cc",
+    "two-point": "1dc6edccd86c868bcc4e95fc06f1d20e48dd3ecb5f1c5b6e17f4bf81122f8337",
+    "two-point-comonotone": "addee46848fdc5e925048df740db071c4748bb6a9abdda71cb55d5a95a2afd36",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_every_family_roundtrips_through_its_keys(name):
+    spec = FILL_MODELS[name]
+    assert spec.fingerprint() == FINGERPRINTS[name]
+    clone = ModelSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    assert clone.to_json() == spec.to_json()
+    assert clone.fingerprint() == FINGERPRINTS[name]
 
 
 # -- serialization ------------------------------------------------------------
