@@ -15,6 +15,7 @@ failure and names the stage on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from .common import (
     given,
     integer,
     number,
+    ranged,
     read_keys,
     stage_stream,
 )
@@ -85,15 +87,26 @@ def _optional(cast):
     return lambda value: None if value is None else cast(value)
 
 
-def _numbers(value) -> tuple:
-    """A number or a list of numbers, as a tuple of floats."""
-    return tuple(number(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+def _count(least: int):
+    return ranged(integer, lambda v: v >= least, f"an integer >= {least}")
+
+
+def _many(cast):
+    """The cast of one value or a list of values, each through cast, as a tuple."""
+    return lambda value: tuple(map(cast, value if isinstance(value, (list, tuple)) else [value]))
+
+
+_positive, _numbers = _count(1), _many(number)
+_fraction = ranged(number, lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
 
 
 def _pairs(value) -> list:
     if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
         raise TypeError(f"must be a list of [i, j] coordinate pairs, got {value!r}")
-    return [tuple(integer(v) for v in p) for p in value]
+    pairs = [tuple(map(_count(0), p)) for p in value]
+    if any(i == j for i, j in pairs):
+        raise ValueError(f"each pair needs two distinct coordinates, got {value!r}")
+    return pairs
 
 
 def _tau(doc):
@@ -118,30 +131,34 @@ def _pipeline_entry(entry) -> tuple[str, dict, dict]:
 
 
 # the config's top level; --seed and --out stand in for their keys
-CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (integer, None), "out": (Path, None),
+CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (_count(0), None), "out": (Path, None),
                "pipeline": (_optional(_pipeline), None)}
 
 # Every stage param: name -> (cast, default).  The simulate, blocks and
 # spectral params are keyword arguments of stationary_pool, detect_blocks
 # and spectral_measure, and are passed through as read.
+# Counts are checked down to the least value their stage accepts, so a bad
+# value exits 2 before any stage writes.
 STAGE_PARAMS = {
     "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (_optional(number), None),
-                    "n": (integer, 1_000_000), "abscissa_n": (integer, 200_000)},
-    "simulate": {"chains": (integer, 1000), "n_per_chain": (integer, 1000),
-                 "burn_in": (_optional(integer), None), "thin": (integer, 10),
+                    "n": (_positive, 1_000_000), "abscissa_n": (_positive, 200_000)},
+    "simulate": {"chains": (_positive, 1000), "n_per_chain": (_positive, 1000),
+                 "burn_in": (_optional(_count(0)), None), "thin": (_positive, 10),
                  "x0": (_optional(_numbers), None)},
-    "blocks": {"n": (integer, 100_000), "tol_rel": (number, 1e-9),
-               "xi_probes": (_numbers, DEFAULT_XI_PROBES), "cross_n": (integer, 200_000),
-               "cross_method": (choice(*METHODS), "auto"), "cross_tol": (number, 5e-3)},
-    "tails": {"min_top": (integer, DEFAULT_MIN_TOP), "hill_k": (_optional(integer), None),
+    "blocks": {"n": (_count(2), 100_000), "tol_rel": (number, 1e-9),
+               "xi_probes": (_many(_fraction), DEFAULT_XI_PROBES),
+               "cross_n": (_positive, 200_000), "cross_method": (choice(*METHODS), "auto"),
+               "cross_tol": (number, 5e-3)},
+    "tails": {"min_top": (_count(0), DEFAULT_MIN_TOP), "hill_k": (_optional(_count(5)), None),
               "ladder": (_optional(_numbers), None)},
-    "spectral": {"ladder": (_optional(_numbers), None), "bins": (integer, 16),
-                 "eps": (number, 0.05), "min_top": (integer, SPECTRAL_MIN_TOP)},
+    "spectral": {"ladder": (_optional(_numbers), None), "bins": (_count(2), 16),
+                 "eps": (number, 0.05), "min_top": (_count(0), SPECTRAL_MIN_TOP)},
     "independence": {"pairs": (_optional(_pairs), None),
-                     "tau": (_tau, {"kind": "log", "beta": 1.0}), "xi": (number, 0.5),
-                     "n": (integer, 1_000_000), "submult_n": (integer, 50_000),
+                     "tau": (_tau, {"kind": "log", "beta": 1.0}), "xi": (_fraction, 0.5),
+                     "n": (_positive, 1_000_000), "submult_n": (_positive, 50_000),
                      "r1": (number, 1.0), "r2": (number, 1.0),
-                     "ladder": (_optional(_numbers), None), "min_top": (integer, DEFAULT_MIN_TOP),
+                     "ladder": (_optional(_numbers), None),
+                     "min_top": (_count(0), DEFAULT_MIN_TOP),
                      "gammas": (_optional(_numbers), None)},
     "report": {},
 }
@@ -228,37 +245,45 @@ class _DirLock:
                 self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 break
             except FileExistsError:
-                if attempt or not self._holder_gone():
+                if attempt or not self._reclaim():
                     raise RuntimeError(
                         f"output directory is locked by another run ({self.path} exists)"
                     ) from None
-            # a crashed run left its lock behind; reclaim it
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
         os.write(self.fd, f"{os.getpid()}\n".encode())
         return self
 
-    def _holder_gone(self) -> bool:
-        """True when the lock is gone or names a process that no longer exists."""
+    def _reclaim(self) -> bool:
+        """Whether to try again: the lock is gone, or it named a process that no
+        longer exists and this run moved it aside by an atomic rename, which
+        only one of two runs reclaiming it can win; a lock renewed meanwhile goes back."""
         try:
-            pid = int(self.path.read_text())
-            if pid > 0:
-                os.kill(pid, 0)
-        except (FileNotFoundError, ProcessLookupError):
+            text = self.path.read_text()
+            if int(text) > 0:
+                os.kill(int(text), 0)
+            return False
+        except FileNotFoundError:
             return True
-        except (OSError, ValueError):
+        except ProcessLookupError:
             pass
-        return False
+        except (OSError, ValueError):
+            return False
+        taken = self.path.with_name(f"{self.path.name}.{os.getpid()}")
+        try:
+            os.rename(self.path, taken)
+        except FileNotFoundError:
+            return False
+        stale = taken.read_text() == text
+        if not stale:
+            with contextlib.suppress(FileExistsError):
+                os.link(taken, self.path)
+        os.unlink(taken)
+        return stale
 
     def __exit__(self, *exc):
         if self.fd is not None:
             os.close(self.fd)
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.path)
-            except FileNotFoundError:
-                pass
         return False
 
 
@@ -282,8 +307,6 @@ def _load_plan(args) -> _Runner:
     model = ModelSpec.from_json(top["model"])
     if top["seed"] is None:
         raise ConfigurationError("a seed is required (config 'seed' or --seed)")
-    if top["seed"] < 0:
-        raise ConfigurationError("seed must be a nonnegative integer")
     if top["out"] is None:
         raise ConfigurationError("an output directory is required (config 'out' or --out)")
 
@@ -303,6 +326,10 @@ def _load_plan(args) -> _Runner:
                 )
     if "independence" in names and model.d < 2:
         raise ConfigurationError("independence analysis needs at least two coordinates")
+    for pair in (pair for _, _, params in pipeline for pair in params.get("pairs") or ()):
+        if max(pair) >= model.d:
+            raise ConfigurationError(f"stage 'independence' params key 'pairs': coordinate "
+                                     f"{max(pair)} is out of range for d={model.d}")
     if args.command != "run":
         mine = [entry for entry in pipeline if entry[0] == args.command]
         pipeline = mine or [_pipeline_entry(args.command)]

@@ -74,6 +74,18 @@ def flag(value) -> bool:
     return bool(value)
 
 
+def ranged(cast, ok, what: str):
+    """The cast that takes a value through cast, then refuses it unless ok(value)."""
+
+    def checked(value):
+        value = cast(value)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+
+    return checked
+
+
 def choice(*options):
     """The cast of a key that takes one of the given strings."""
 
@@ -174,16 +186,24 @@ def exact(value: float, flag: str | None = None) -> Estimate:
     return Estimate(v, v, v, 0, "closed-form", flag)
 
 
-def mean_estimate(samples: np.ndarray, flag: str | None = None) -> Estimate:
-    """Sample mean with a normal-approximation interval."""
+def mean_estimate(samples: np.ndarray, flag: str | None = None, scratch=None) -> Estimate:
+    """Sample mean with a normal-approximation interval; see variance for scratch."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("no samples")
     m = float(x.mean())
     if not math.isfinite(m):
         return Estimate(m, m, m, x.size, "monte-carlo", flag or "possibly-infinite")
-    hw = Z95 * float(x.std()) / math.sqrt(x.size)
+    hw = Z95 * math.sqrt(variance(x, m, scratch)) / math.sqrt(x.size)
     return Estimate(m, m - hw, m + hw, x.size, "monte-carlo", flag)
+
+
+def variance(x: np.ndarray, mean: float, scratch=None) -> float:
+    """x.var() given mean == x.mean(), in numpy's own steps; the deviations
+    go into ``scratch``, an array of x's shape, when it is given."""
+    dev = np.subtract(x, mean, out=scratch)
+    np.square(dev, out=dev)
+    return float(np.add.reduce(dev, axis=None) / x.size)
 
 
 def doubling_change(samples: np.ndarray) -> float:
@@ -225,17 +245,27 @@ def use_closed_form(method: str, available: bool, what: str, rng) -> bool:
     return False
 
 
-def abs_pow(mag: np.ndarray, s: float) -> np.ndarray:
-    """mag**s elementwise for magnitudes mag >= 0, with 0 -> 0 for every s
-    (mass at zero is excluded); overflow goes to inf silently."""
+def abs_pow(mag: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """mag**s into ``out`` (which may be mag) for magnitudes mag >= 0 and
+    exponents s >= 0, with 0 -> 0 for every s (mass at zero is excluded)
+    and nan -> 0; overflow goes to inf silently.  Returns out."""
+    if s == 0.0:
+        return np.greater(mag, 0.0, out=out)
     with np.errstate(over="ignore"):
-        return np.where(mag > 0.0, mag ** s, 0.0)
+        return np.fmax(np.power(mag, s, out=out), 0.0, out=out)
 
 
-def joint_pow(mag: np.ndarray, s: float) -> np.ndarray:
+def joint_pow(mag: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
     """One factor of a joint moment: abs_pow, except that a zero exponent
     gives a factor 1 everywhere (the convention 0^0 = 1)."""
-    return np.ones_like(mag) if s == 0.0 else abs_pow(mag, s)
+    return abs_pow(mag, s, out) if s != 0.0 else np.power(mag, 0.0, out=out)
+
+
+def nonzero_logs(mag: np.ndarray) -> np.ndarray:
+    """log of the entries of mag > 0: in place when that is all of them."""
+    nonzero = mag > 0.0
+    logs = mag if nonzero.all() else mag[nonzero]
+    return np.log(logs, out=logs)
 
 
 def binomial_ci(k: int, n: int) -> Estimate:

@@ -423,9 +423,7 @@ def tau_gamma_bound(
     if gammas.size == 0 or np.any(gammas <= 0.0) or np.any(np.diff(gammas) <= 0.0):
         raise ValueError("gammas must be positive and strictly increasing")
 
-    cross = cross_kappa(
-        spec, i, j, alpha_i, alpha_j, xi=xi, method=cross_method, n=n, rng=rng
-    )
+    cross = cross_kappa(spec, i, j, alpha_i, alpha_j, xi=xi, method=cross_method, n=n, rng=rng)
     if not cross.ci_hi < 1.0:
         raise ValueError(
             f"cross moment at xi={xi} is not certified below 1 "
@@ -433,33 +431,40 @@ def tau_gamma_bound(
             "the pair may share a class"
         )
 
-    a, _ = spec.sample_coeffs(rng, n)
+    a, b = spec.sample_coeffs(rng, n)
     ai, aj = a[:, i], a[:, j]
+    w, scratch = b[:, i], b[:, j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = joint_pow(np.abs(ai), alpha_i * xi) * joint_pow(np.abs(aj), alpha_j * (1.0 - xi))
+        joint_pow(np.abs(ai, out=w), alpha_i * xi, w)
+        np.multiply(w, joint_pow(np.abs(aj, out=scratch), alpha_j * (1.0 - xi), scratch), out=w)
         tv = np.asarray(tau.value2(ai, aj), dtype=float)
-    # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an
-    # unbounded weight can never certify k < 1 and lands in
-    # TauHeavinessError below
+    # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an unbounded
+    # weight can never certify k < 1 and lands in TauHeavinessError below
     tv = np.where(np.isnan(tv), np.inf, tv)
     if np.any(tv < 0.0):
         raise ValueError("tau must be nonnegative on the coefficients")
-    k_zero = mean_estimate(w)
+    k_zero = mean_estimate(w, scratch=scratch)
     if not k_zero.ci_hi < 1.0:
         raise ValueError(
             "sampled cross moment not certified below 1; increase n or "
             "revisit the pair"
         )
 
+    # k(gamma) sums exp(gamma log tau) w where tau > 0 and w > 0, else 0, in buffers
+    # made once; with every term positive they are the A_i row, free once tau is taken
     pos = (tv > 0.0) & (w > 0.0)
-    log_tv = np.log(tv[pos])
-    w_pos = w[pos]
+    full = bool(pos.all())
+    log_tv, w_pos = (np.log(tv, out=tv), w) if full else (np.log(tv[pos]), w[pos])
+    terms = ai if full else np.empty(w_pos.size)
+    summands = terms if full else np.zeros(n)
 
     def k_hat(gamma: float) -> Estimate:
-        summands = np.zeros(n)
         with np.errstate(over="ignore"):
-            summands[pos] = np.exp(gamma * log_tv) * w_pos
-        return mean_estimate(summands)
+            np.exp(np.multiply(gamma, log_tv, out=terms), out=terms)
+            np.multiply(terms, w_pos, out=terms)
+        if not full:
+            summands[pos] = terms
+        return mean_estimate(summands, scratch=scratch)
 
     def passes(est: Estimate) -> bool:
         return math.isfinite(est.value) and est.ci_hi < 1.0
@@ -476,14 +481,14 @@ def tau_gamma_bound(
         else:
             first_fail = float(g)
             break
-    if last_pass == 0.0 and first_fail is not None and first_fail == float(gammas[0]):
+    if first_fail == float(gammas[0]):
         raise TauHeavinessError(
             f"tau is too heavy for this pair: k({gammas[0]:g}) = "
             f"{k_values[0]:.6g} is not certified below 1"
         )
 
-    refined = False
-    if first_fail is not None and refine_steps > 0:
+    refined = first_fail is not None and refine_steps > 0
+    if refined:
         lo, hi = last_pass, first_fail
         for _ in range(refine_steps):
             mid = 0.5 * (lo + hi)
@@ -493,15 +498,12 @@ def tau_gamma_bound(
             else:
                 hi = mid
         last_pass = lo
-        refined = True
-    gamma0 = last_pass
-    k_at = last_est
     return GammaBound(
-        gamma0=float(gamma0),
+        gamma0=float(last_pass),
         gammas=tuple(float(g) for g in gammas[: len(k_values)]),
         k_values=tuple(float(v) for v in k_values),
         k_zero=k_zero,
-        k_at_gamma0=k_at,
+        k_at_gamma0=last_est,
         cross=cross,
         xi=float(xi),
         tau_name=tau.name,

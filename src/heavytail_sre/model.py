@@ -40,7 +40,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
-from .common import integer, mean_estimate, number, read_keys, use_closed_form
+from .common import integer, mean_estimate, nonzero_logs, number, ranged, read_keys
+from .common import use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -78,21 +79,18 @@ def _pow_abs(v: float, s: float) -> float:
 
 def _pow_abs1(v: float, s: float) -> float:
     """|v|^s with the factor convention 0^0 = 1 (used in joint moments)."""
-    if s == 0.0:
-        return 1.0
-    if v == 0.0:
-        return 0.0
-    return abs(v) ** s
+    return 1.0 if s == 0.0 else _pow_abs(v, s)
 
 
 def _as_vector(value, d: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(d, float(arr))
+    """A scalar or length-d sequence of finite numbers, no booleans, as a (d,) array."""
+    values = value if isinstance(value, (list, tuple)) or np.ndim(value) else [value] * d
+    try:
+        arr = np.array([number(v) for v in values], dtype=float)
+    except TypeError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
     if arr.shape != (d,):
         raise ConfigurationError(f"{name} must be a scalar or length-{d} sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} must be finite")
     return arr
 
 
@@ -400,7 +398,8 @@ class _LogNormal(_Family):
 
 
 class _CCCGarch(_Family):
-    KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED), "z_map": (given, None),
+    KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED),
+            "z_map": (lambda v: None if v is None else list(map(integer, v)), None),
             "corr": (given, None), "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
@@ -410,7 +409,7 @@ class _CCCGarch(_Family):
         if np.any(self.arch < 0) or np.any(self.garch < 0):
             raise ConfigurationError("arch and garch coefficients must be nonnegative")
         z_map = params["z_map"]
-        self.z_map = [int(v) for v in (range(d) if z_map is None else z_map)]
+        self.z_map = list(range(d)) if z_map is None else z_map
         if len(self.z_map) != d or min(self.z_map) < 0:
             raise ConfigurationError(f"z_map must be {d} nonnegative factor indices")
         self.n_factors = max(self.z_map) + 1
@@ -647,8 +646,10 @@ class _CustomCallable(_Family):
 # Facade
 
 # the model document; each family reads its params through its own KEYS
-MODEL_KEYS = {"family": (choice(*FAMILIES), REQUIRED), "d": (integer, REQUIRED),
-              "params": (given, REQUIRED), "sigma_margin": (number, 0.5)}
+MODEL_KEYS = {"family": (choice(*FAMILIES), REQUIRED),
+              "d": (ranged(integer, lambda v: v > 0, "positive"), REQUIRED),
+              "params": (given, REQUIRED),
+              "sigma_margin": (ranged(number, lambda v: v > 0, "positive"), 0.5)}
 _FAMILY_CLASSES = {"TwoPoint": _TwoPoint, "LogNormal": _LogNormal, "CCCGarch": _CCCGarch,
                    "BekkDiag": _BekkDiag, "Custom atoms": _CustomAtoms,
                    "Custom callable": _CustomCallable}
@@ -688,9 +689,6 @@ class ModelSpec:
         doc = {"family": family, "d": d, "params": params, "sigma_margin": sigma_margin}
         doc = read_keys(doc, MODEL_KEYS, "model")
         self.family, self.d, self.sigma_margin = doc["family"], doc["d"], doc["sigma_margin"]
-        for key in ("d", "sigma_margin"):
-            if not doc[key] > 0:
-                raise ConfigurationError(f"model key {key!r}: must be positive, got {doc[key]!r}")
         if family == "Custom":
             family += " callable" if isinstance(params, dict) and "sampler" in params else " atoms"
         impl = _FAMILY_CLASSES[family]
@@ -827,14 +825,12 @@ def log_moment(
             bool(exact_zero > 0.0 or exact_mean < 0.0),
             bool(const) if const is not None else False,
         )
-    a, _ = spec.sample_coeffs(rng, n)
-    col = np.abs(a[:, j])
-    nonzero = col[col > 0.0]
-    zero_mass = 1.0 - nonzero.size / n
-    if nonzero.size == 0:
+    a, b = spec.sample_coeffs(rng, n)
+    logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))
+    zero_mass = 1.0 - logs.size / n
+    if logs.size == 0:
         return LogMoment(None, 1.0, True, True)
-    logs = np.log(nonzero)
-    est = mean_estimate(logs)
+    est = mean_estimate(logs, scratch=b[: logs.size, j])
     spread = float(logs.max() - logs.min())
     return LogMoment(
         est,

@@ -15,7 +15,8 @@ magnitudes |A_i|^alpha_i and |A_j|^alpha_j are not a.s. equal.
 
 Monte Carlo routes reuse one coefficient draw across all evaluations of a
 root search (common random numbers), so the estimated kappa is a smooth
-deterministic function of s within a call.
+deterministic function of s within a call.  Each routine computes in place
+in the rows of its draw, and the rows it does not read serve as scratch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .common import (
     exact,
     joint_pow,
     mean_estimate,
+    nonzero_logs,
     use_closed_form,
+    variance,
 )
 from .model import ModelSpec
 
@@ -44,13 +47,14 @@ _MAX_BRACKET_STEPS = 60
 
 
 class _KappaHat:
-    """Empirical s -> mean(|a|^s) over one frozen draw of a coefficient column."""
+    """Empirical s -> mean(|a|^s) over one frozen draw of a coefficient column:
+    logs in place in its magnitudes ``mag``, powers in a spare row ``scratch``."""
 
-    def __init__(self, abs_col: np.ndarray):
-        nonzero = abs_col[abs_col > 0.0]
-        self.logs = np.log(nonzero)
-        self.n = abs_col.size
-        self.zero_mass = 1.0 - nonzero.size / abs_col.size
+    def __init__(self, mag: np.ndarray, scratch: np.ndarray):
+        self.logs = nonzero_logs(mag)
+        self.buf = scratch[: self.logs.size]
+        self.n = mag.size
+        self.zero_mass = 1.0 - self.logs.size / mag.size
 
     def __call__(self, s: float) -> float:
         if s == 0.0:
@@ -58,14 +62,22 @@ class _KappaHat:
         if self.logs.size == 0:
             return 0.0
         with np.errstate(over="ignore"):
-            return float(np.exp(s * self.logs).sum()) / self.n
+            powers = np.exp(np.multiply(s, self.logs, out=self.buf), out=self.buf)
+        return float(powers.sum()) / self.n
 
 
-def _require_exponent(s: float) -> float:
-    s = float(s)
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValueError("moment order s must be finite and nonnegative")
-    return s
+def _log_kappa(s: float, kap) -> float:
+    """log kap(s), -inf where kap(s) = 0.  kap is an argument, not a closure
+    cell: brentq holds its function in a reference cycle."""
+    v = kap(s)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _require(value: float, name: str, sign: str = "positive") -> float:
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0.0 if sign == "nonnegative" else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {sign}")
+    return value
 
 
 def kappa(
@@ -82,14 +94,15 @@ def kappa(
     estimates whose mean has not stabilized under sample doubling carry a
     "possibly-infinite" flag.
     """
-    s = _require_exponent(s)
+    s = _require(s, "moment order s", "nonnegative")
     closed = spec.kappa_exact(j, s)
     if use_closed_form(method, closed is not None, "kappa", rng):
         return exact(closed)
-    a, _ = spec.sample_coeffs(rng, n)
-    w = abs_pow(np.abs(a[:, j]), s)
+    a, b = spec.sample_coeffs(rng, n)
+    w = a[:, j]
+    abs_pow(np.abs(w, out=w), s, w)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
-    return mean_estimate(w, flag=flag)
+    return mean_estimate(w, flag=flag, scratch=b[:, j])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,33 +165,29 @@ def solve_alpha(
         tag = "closed-form"
     else:
         tol = 1e-3 if tol is None else float(tol)
-        a, _ = spec.sample_coeffs(rng, n)
-        khat = _KappaHat(np.abs(a[:, j]))
+        a, b = spec.sample_coeffs(rng, n)
+        khat = _KappaHat(np.abs(a[:, j], out=a[:, j]), b[:, j])
         if khat.logs.size == 0:
             raise TailIndexError(f"tail index does not exist for coordinate {j}: A = 0 a.s.")
         if khat.zero_mass == 0.0:
-            drift = mean_estimate(khat.logs)
+            drift = mean_estimate(khat.logs, scratch=khat.buf)
             if drift.ci_hi >= 0.0:
                 raise TailIndexError(
                     f"tail index does not exist for coordinate {j}: negative log drift "
                     f"not certified (95% CI [{drift.ci_lo:.4g}, {drift.ci_hi:.4g}])"
                 )
         kap = khat
-        pilot = _pilot_from_drift(float(khat.logs.mean()), float(khat.logs.var()))
+        mean_log = float(khat.logs.mean())
+        pilot = _pilot_from_drift(mean_log, variance(khat.logs, mean_log, khat.buf))
         used_n = n
         tag = "monte-carlo"
 
     lo, hi = 0.5 * pilot, 2.0 * pilot
-
-    def g(s: float) -> float:
-        v = kap(s)
-        return math.log(v) if v > 0.0 else -math.inf
-
     for _ in range(_MAX_BRACKET_STEPS):
-        if g(lo) >= 0.0:
+        if _log_kappa(lo, kap) >= 0.0:
             lo *= 0.5
             continue
-        ghi = g(hi)
+        ghi = _log_kappa(hi, kap)
         if not math.isfinite(ghi) and ghi > 0.0:
             # kappa infinite at the probe: shrink geometrically toward lo
             if hi / lo < 1.0 + 1e-9:
@@ -198,7 +207,8 @@ def solve_alpha(
             f"E|A|^s stays below 1 on (0, {hi:.6g}]"
         )
 
-    root = float(optimize.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    root = optimize.brentq(_log_kappa, lo, hi, args=(kap,), xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = float(root)
     residual = abs(kap(root) - 1.0)
     if residual > tol:
         raise TailIndexError(
@@ -221,18 +231,21 @@ def goldie_mean(
     sample-doubling heuristic ("unstable" flag); it cannot be certified
     from finitely many draws.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be finite and positive")
+    alpha = _require(alpha, "alpha")
     closed = spec.goldie_mean_exact(j, alpha)
     if use_closed_form(method, closed is not None, "goldie_mean", rng):
         return exact(closed)
-    a, _ = spec.sample_coeffs(rng, n)
-    col = np.abs(a[:, j])
+    a, b = spec.sample_coeffs(rng, n)
+    w, logs = a[:, j], b[:, j]
+    np.abs(w, out=w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = np.where(col > 0.0, col ** alpha * np.log(col), 0.0)
+        np.log(w, out=logs)
+        np.multiply(np.power(w, alpha, out=w), logs, out=w)
+    # 0 * log 0 and a nan magnitude are the only nan terms; both count as 0
+    if math.isnan(w.sum()):
+        w[np.isnan(w)] = 0.0
     flag = "unstable" if doubling_change(w) > STABLE_REL_CHANGE else None
-    return mean_estimate(w, flag=flag)
+    return mean_estimate(w, flag=flag, scratch=logs)
 
 
 def cross_kappa(
@@ -256,24 +269,21 @@ def cross_kappa(
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    for name, val in (("alpha_i", alpha_i), ("alpha_j", alpha_j)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be finite and positive")
-    s = float(alpha_i) * xi
-    u = float(alpha_j) * (1.0 - xi)
+    s = _require(alpha_i, "alpha_i") * xi
+    u = _require(alpha_j, "alpha_j") * (1.0 - xi)
 
     closed = spec.kappa_exact(j, s + u) if i == j else None
     if closed is None:
         closed = spec.joint_moment_exact(i, j, s, u)
     if use_closed_form(method, closed is not None, "cross_kappa", rng):
         return exact(closed)
-    a, _ = spec.sample_coeffs(rng, n)
-    ai = np.abs(a[:, i])
-    aj = np.abs(a[:, j])
+    a, b = spec.sample_coeffs(rng, n)
+    w, v = a[:, i], b[:, j]
+    np.abs(a[:, j], out=v)  # first: i may equal j
     with np.errstate(over="ignore"):
-        w = joint_pow(ai, s) * joint_pow(aj, u)
+        np.multiply(joint_pow(np.abs(w, out=w), s, w), joint_pow(v, u, v), out=w)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
-    return mean_estimate(w, flag=flag)
+    return mean_estimate(w, flag=flag, scratch=v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,10 +296,6 @@ class AbscissaScan(Record):
     a_stable: tuple[bool, ...] | None
     b_stable: tuple[bool, ...] | None
     flag: str | None = None
-
-
-def _default_abscissa_grid() -> np.ndarray:
-    return np.arange(0.5, 8.001, 0.5)
 
 
 def moment_abscissa(
@@ -309,7 +315,7 @@ def moment_abscissa(
     reported s_inf is the last stable grid point before the first unstable
     one.  This is a cheap divergence heuristic, not a proof.
     """
-    grid = _default_abscissa_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.arange(0.5, 8.001, 0.5) if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a positive increasing vector")
     a_abs = spec.a_abscissa(j)
@@ -317,14 +323,14 @@ def moment_abscissa(
     if use_closed_form(method, a_abs is not None and b_abs is not None, "moment_abscissa", rng):
         return AbscissaScan(float(min(a_abs, b_abs)), "closed-form", tuple(grid), None, None)
     a, b = spec.sample_coeffs(rng, 2 * n)
-    ca = np.abs(a[:, j])
-    cb = np.abs(b[:, j])
+    ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
+    buf = a[:, j - 1] if spec.d > 1 else np.empty(2 * n)  # another A row, or a fresh one
     a_stable, b_stable = [], []
     s_inf = 0.0
     hit_unstable = False
     for s in grid:
-        sa = doubling_change(abs_pow(ca, s)) <= STABLE_REL_CHANGE
-        sb = doubling_change(abs_pow(cb, s)) <= STABLE_REL_CHANGE
+        sa = doubling_change(abs_pow(ca, s, buf)) <= STABLE_REL_CHANGE
+        sb = doubling_change(abs_pow(cb, s, buf)) <= STABLE_REL_CHANGE
         a_stable.append(bool(sa))
         b_stable.append(bool(sb))
         if not hit_unstable and sa and sb:
@@ -371,9 +377,7 @@ def positivity_check(
     "satisfied" with the degenerate flag set: the fixed point is then the
     zero path and every tail constant is trivially zero.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be finite and positive")
+    alpha = _require(alpha, "alpha")
     scan = moment_abscissa(spec, j, n=n, rng=rng)
     s_inf = scan.s_inf
     if spec.b_is_zero(j):
@@ -397,22 +401,20 @@ def positivity_check(
                 raise ValueError("Monte Carlo positivity_check needs an rng")
             if draw is None:
                 a, b = spec.sample_coeffs(rng, n)
-                draw = (np.abs(a[:, j]), np.abs(b[:, j]))
-            ca, cb = draw
+                buf = a[:, j - 1] if spec.d > 1 else np.empty(n)
+                draw = (np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j]), buf)
+            ca, cb, buf = draw
             with np.errstate(over="ignore"):
-                num = float(abs_pow(cb, s).mean()) if num is None else num
-                den = float(abs_pow(ca, s).mean()) if den is None else den
+                num = float(abs_pow(cb, s, buf).mean()) if num is None else num
+                den = float(abs_pow(ca, s, buf).mean()) if den is None else den
         ratios.append(math.inf if den == 0.0 else num / den)
     r = np.asarray(ratios)
-
-    if math.isinf(s_inf):
+    if math.isinf(s_inf):  # bounded
         cut = max(1, (2 * r.size) // 3)
-        bounded = np.all(np.isfinite(r)) and r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
-        status = "satisfied" if bounded else "inconclusive"
-    else:
-        finite = np.all(np.isfinite(r))
-        decaying = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
-        status = "satisfied" if decaying else "inconclusive"
+        ok = r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
+    else:  # decaying
+        ok = r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
+    status = "satisfied" if np.all(np.isfinite(r)) and ok else "inconclusive"
     return PositivityReport(status, s_inf, tuple(float(g) for g in grid), tuple(ratios), False)
 
 
@@ -427,5 +429,6 @@ def noise_margin_ok(
     if use_closed_form("auto", closed is not None, "noise_margin_ok", rng):
         return bool(math.isfinite(closed))
     _, b = spec.sample_coeffs(rng, n)
-    return bool(doubling_change(abs_pow(np.abs(b[:, j]), probe)) <= STABLE_REL_CHANGE)
+    w = b[:, j]
+    return bool(doubling_change(abs_pow(np.abs(w, out=w), probe, w)) <= STABLE_REL_CHANGE)
 

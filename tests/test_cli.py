@@ -135,6 +135,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
             {**base, "pipeline": pipeline(independence={"tau": {"kind": "log", "bta": 3.0}})},
             "'bta' in tau 'log'",
         ),
+        # values out of range exit 2 at plan load, not 1 after earlier stages wrote
+        ({**base, "pipeline": pipeline(simulate={"chains": 0})}, "simulate' params key 'chains'"),
+        ({**base, "pipeline": pipeline(simulate={"thin": 0})}, "simulate' params key 'thin'"),
+        ({**base, "pipeline": pipeline(simulate={"burn_in": -1})}, "params key 'burn_in'"),
+        (
+            {**base, "pipeline": pipeline(solve_alpha={"n": 0, "method": "monte-carlo"})},
+            "stage 'solve-alpha' params key 'n'",
+        ),
+        ({**base, "pipeline": pipeline(blocks={"xi_probes": [1.5]})}, "params key 'xi_probes'"),
+        ({**base, "pipeline": pipeline(blocks={"n": 1})}, "stage 'blocks' params key 'n'"),
+        ({**base, "pipeline": pipeline(independence={"xi": 1.5})}, "params key 'xi'"),
+        (
+            {**base, "pipeline": pipeline(independence={"pairs": [[0, 5]]})},
+            "params key 'pairs': coordinate 5 is out of range for d=2",
+        ),
+        ({**base, "pipeline": pipeline(independence={"pairs": [[1, 1]]})}, "params key 'pairs'"),
         ({**base, "sede": 4}, "'sede' in config"),
         (
             {**base, "pipeline": ["solve-alpha", {"stage": "simulate", "parms": {"chains": 50}}]},
@@ -311,6 +327,31 @@ def test_lock_of_a_finished_process_is_reclaimed(tmp_path):
     )
     assert main(["run", "--config", cfg]) == 0
     assert (out / "report.json").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_two_runs_reclaiming_one_stale_lock(tmp_path, monkeypatch):
+    # run B finds the lock stale; before B moves it aside, run A reclaims it
+    # and locks afresh.  B must refuse and leave A's lock in place
+    out = tmp_path / "o"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / ".lock").write_text(f"{child.pid}\n")
+    run_a, run_b = cli._DirLock(out), cli._DirLock(out)
+    rename = os.rename
+
+    def a_goes_first(src, dst):
+        monkeypatch.setattr(os, "rename", rename)
+        run_a.__enter__()
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", a_goes_first)
+    with pytest.raises(RuntimeError, match="locked"):
+        run_b.__enter__()
+    assert [p.name for p in out.iterdir()] == [".lock"]
+    assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+    run_a.__exit__(None, None, None)
     assert not (out / ".lock").exists()
 
 

@@ -62,6 +62,24 @@ def test_ccc_z_map_length_checked():
         ModelSpec("CCCGarch", 2, {"arch": 0.5, "garch": 0.1, "z_map": [0]})
 
 
+@pytest.mark.parametrize(
+    "family, params, key",
+    [
+        # a float index would have been truncated to another factor map
+        ("CCCGarch", {"arch": 0.35, "garch": 0.25, "z_map": [0.7, 1]}, "z_map"),
+        ("CCCGarch", {"arch": 0.35, "garch": 0.25, "z_map": [0, True]}, "z_map"),
+        ("CCCGarch", {"arch": 0.35, "garch": 0.25, "z_map": 1}, "z_map"),
+        ("TwoPoint", {"p": True, "up": 2.0, "down": 0.5}, "p"),
+        ("TwoPoint", {"p": 0.2, "up": [2.0, False], "down": 0.5}, "up"),
+        ("LogNormal", {"mu": [-0.5, "x"], "sigma": 1.0}, "mu"),
+        ("LogNormal", {"mu": -0.5, "sigma": [1.0, math.nan]}, "sigma"),
+    ],
+)
+def test_family_vectors_take_strict_element_casts(family, params, key):
+    with pytest.raises(ConfigurationError, match=key):
+        ModelSpec(family, 2, params)
+
+
 def test_custom_atoms_prob_must_sum_to_one():
     with pytest.raises(ConfigurationError):
         ModelSpec(

@@ -11,8 +11,10 @@ moment routine on three more models:
 * a Custom callable, the only family whose positivity check samples.
 """
 
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,3 +150,50 @@ def test_monte_carlo_routines_keep_their_bits(model):
     calls = routines(MODELS[model], N)
     got = {name: digest(call(np.random.default_rng(7))) for name, call in calls.items()}
     assert got == DIGESTS[model]
+
+
+BEKK = ModelSpec(
+    "BekkDiag",
+    3,
+    {
+        "coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+        "b": {"dist": "exponential", "rate": 1.0},
+    },
+)
+
+
+def traced(call):
+    """(bytes left alive once the result is dropped, peak bytes) of call()"""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        del result
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return left - base, peak - base
+
+
+@pytest.mark.parametrize("model", sorted(MODELS) + ["bekk-diag"])
+def test_no_draw_outlives_its_routine(model):
+    # with the cyclic collector off, a draw kept alive by a reference cycle
+    # (a closure held by the root finder, say) stays counted after return
+    spec, n = MODELS.get(model, BEKK), 50_000
+    calls = routines(spec, n)
+    _, draw_peak = traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n))
+    row = 8 * n
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call(np.random.default_rng(7))  # lazy imports and caches settle first
+            left, peak = traced(lambda: call(np.random.default_rng(7)))
+            assert left < row // 100, (name, left)
+            # every draw here has n rows; only the gamma scan holds its own
+            # buffers and the weight beside the draw
+            if name != "tau_gamma_bound":
+                assert peak <= draw_peak + row, (name, peak, draw_peak)
+    finally:
+        if enabled:
+            gc.enable()
