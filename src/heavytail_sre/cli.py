@@ -255,7 +255,10 @@ class _DirLock:
     def _reclaim(self) -> bool:
         """Whether to try again: the lock is gone, or it named a process that no
         longer exists and this run moved it aside by an atomic rename, which
-        only one of two runs reclaiming it can win; a lock renewed meanwhile goes back."""
+        only one of two runs reclaiming it can win.  A lock renewed meanwhile
+        goes back by a hard link; if that fails (a third run has locked the
+        directory since, or links are unsupported), it stays aside under this
+        run's pid and this run refuses."""
         try:
             text = self.path.read_text()
             if int(text) > 0:
@@ -272,18 +275,22 @@ class _DirLock:
             os.rename(self.path, taken)
         except FileNotFoundError:
             return False
-        stale = taken.read_text() == text
-        if not stale:
-            with contextlib.suppress(FileExistsError):
-                os.link(taken, self.path)
-        os.unlink(taken)
-        return stale
+        if taken.read_text() == text:
+            os.unlink(taken)
+            return True
+        with contextlib.suppress(OSError):
+            os.link(taken, self.path)
+            os.unlink(taken)
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
+            mine = os.fstat(self.fd)
             os.close(self.fd)
+            # the lock may have been moved aside and another run's put in its place
             with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.path)
+                if os.path.samestat(mine, os.stat(self.path)):
+                    os.unlink(self.path)
         return False
 
 

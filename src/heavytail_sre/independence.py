@@ -423,7 +423,9 @@ def tau_gamma_bound(
     if gammas.size == 0 or np.any(gammas <= 0.0) or np.any(np.diff(gammas) <= 0.0):
         raise ValueError("gammas must be positive and strictly increasing")
 
-    cross = cross_kappa(spec, i, j, alpha_i, alpha_j, xi=xi, method=cross_method, n=n, rng=rng)
+    cross = cross_kappa(
+        spec, i, j, alpha_i, alpha_j, xi=xi, method=cross_method, n=n, rng=rng
+    )
     if not cross.ci_hi < 1.0:
         raise ValueError(
             f"cross moment at xi={xi} is not certified below 1 "
@@ -438,8 +440,9 @@ def tau_gamma_bound(
         joint_pow(np.abs(ai, out=w), alpha_i * xi, w)
         np.multiply(w, joint_pow(np.abs(aj, out=scratch), alpha_j * (1.0 - xi), scratch), out=w)
         tv = np.asarray(tau.value2(ai, aj), dtype=float)
-    # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an unbounded
-    # weight can never certify k < 1 and lands in TauHeavinessError below
+    # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an
+    # unbounded weight can never certify k < 1 and lands in
+    # TauHeavinessError below
     tv = np.where(np.isnan(tv), np.inf, tv)
     if np.any(tv < 0.0):
         raise ValueError("tau must be nonnegative on the coefficients")
@@ -450,21 +453,19 @@ def tau_gamma_bound(
             "revisit the pair"
         )
 
-    # k(gamma) sums exp(gamma log tau) w where tau > 0 and w > 0, else 0, in buffers
-    # made once; with every term positive they are the A_i row, free once tau is taken
-    pos = (tv > 0.0) & (w > 0.0)
-    full = bool(pos.all())
-    log_tv, w_pos = (np.log(tv, out=tv), w) if full else (np.log(tv[pos]), w[pos])
-    terms = ai if full else np.empty(w_pos.size)
-    summands = terms if full else np.zeros(n)
+    # k(gamma) sums exp(gamma log tau) w where tau > 0 and w > 0, else 0: the
+    # terms fill the A_i row, free once tau is taken, and the rest are zeroed
+    off = ~((tv > 0.0) & (w > 0.0))
+    with np.errstate(divide="ignore"):
+        log_tv = np.log(tv, out=tv)
+    terms = ai
 
     def k_hat(gamma: float) -> Estimate:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.exp(np.multiply(gamma, log_tv, out=terms), out=terms)
-            np.multiply(terms, w_pos, out=terms)
-        if not full:
-            summands[pos] = terms
-        return mean_estimate(summands, scratch=scratch)
+            np.multiply(terms, w, out=terms)
+        np.copyto(terms, 0.0, where=off)
+        return mean_estimate(terms, scratch=scratch)
 
     def passes(est: Estimate) -> bool:
         return math.isfinite(est.value) and est.ci_hi < 1.0
@@ -481,14 +482,14 @@ def tau_gamma_bound(
         else:
             first_fail = float(g)
             break
-    if first_fail == float(gammas[0]):
+    if last_pass == 0.0 and first_fail is not None and first_fail == float(gammas[0]):
         raise TauHeavinessError(
             f"tau is too heavy for this pair: k({gammas[0]:g}) = "
             f"{k_values[0]:.6g} is not certified below 1"
         )
 
-    refined = first_fail is not None and refine_steps > 0
-    if refined:
+    refined = False
+    if first_fail is not None and refine_steps > 0:
         lo, hi = last_pass, first_fail
         for _ in range(refine_steps):
             mid = 0.5 * (lo + hi)
@@ -498,12 +499,15 @@ def tau_gamma_bound(
             else:
                 hi = mid
         last_pass = lo
+        refined = True
+    gamma0 = last_pass
+    k_at = last_est
     return GammaBound(
-        gamma0=float(last_pass),
+        gamma0=float(gamma0),
         gammas=tuple(float(g) for g in gammas[: len(k_values)]),
         k_values=tuple(float(v) for v in k_values),
         k_zero=k_zero,
-        k_at_gamma0=last_est,
+        k_at_gamma0=k_at,
         cross=cross,
         xi=float(xi),
         tau_name=tau.name,

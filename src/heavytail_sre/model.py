@@ -79,7 +79,11 @@ def _pow_abs(v: float, s: float) -> float:
 
 def _pow_abs1(v: float, s: float) -> float:
     """|v|^s with the factor convention 0^0 = 1 (used in joint moments)."""
-    return 1.0 if s == 0.0 else _pow_abs(v, s)
+    if s == 0.0:
+        return 1.0
+    if v == 0.0:
+        return 0.0
+    return abs(v) ** s
 
 
 def _as_vector(value, d: int, name: str) -> np.ndarray:

@@ -298,6 +298,10 @@ class AbscissaScan(Record):
     flag: str | None = None
 
 
+def _default_abscissa_grid() -> np.ndarray:
+    return np.arange(0.5, 8.001, 0.5)
+
+
 def moment_abscissa(
     spec: ModelSpec,
     j: int,
@@ -315,7 +319,7 @@ def moment_abscissa(
     reported s_inf is the last stable grid point before the first unstable
     one.  This is a cheap divergence heuristic, not a proof.
     """
-    grid = np.arange(0.5, 8.001, 0.5) if grid is None else np.asarray(grid, dtype=float)
+    grid = _default_abscissa_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a positive increasing vector")
     a_abs = spec.a_abscissa(j)
@@ -409,12 +413,15 @@ def positivity_check(
                 den = float(abs_pow(ca, s, buf).mean()) if den is None else den
         ratios.append(math.inf if den == 0.0 else num / den)
     r = np.asarray(ratios)
-    if math.isinf(s_inf):  # bounded
+
+    if math.isinf(s_inf):
         cut = max(1, (2 * r.size) // 3)
-        ok = r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
-    else:  # decaying
-        ok = r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
-    status = "satisfied" if np.all(np.isfinite(r)) and ok else "inconclusive"
+        bounded = np.all(np.isfinite(r)) and r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
+        status = "satisfied" if bounded else "inconclusive"
+    else:
+        finite = np.all(np.isfinite(r))
+        decaying = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
+        status = "satisfied" if decaying else "inconclusive"
     return PositivityReport(status, s_inf, tuple(float(g) for g in grid), tuple(ratios), False)
 
 

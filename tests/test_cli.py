@@ -355,6 +355,43 @@ def test_two_runs_reclaiming_one_stale_lock(tmp_path, monkeypatch):
     assert not (out / ".lock").exists()
 
 
+@pytest.mark.parametrize("third_run", [True, False])
+def test_renewed_lock_that_cannot_go_back(tmp_path, monkeypatch, third_run):
+    # as above, but after B moves A's fresh lock aside, either a third run C
+    # locks the directory or the filesystem has no hard links: B refuses and
+    # leaves A's lock aside rather than deleting it, and A's exit spares C's lock
+    out = tmp_path / "o"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / ".lock").write_text(f"{child.pid}\n")
+    run_a, run_b, run_c = cli._DirLock(out), cli._DirLock(out), cli._DirLock(out)
+    rename = os.rename
+
+    def a_first_then_c(src, dst):
+        monkeypatch.setattr(os, "rename", rename)
+        run_a.__enter__()
+        rename(src, dst)
+        if third_run:
+            run_c.__enter__()
+
+    def no_links(src, dst):
+        raise OSError(1, "hard links not supported")
+
+    monkeypatch.setattr(os, "rename", a_first_then_c)
+    if not third_run:
+        monkeypatch.setattr(os, "link", no_links)
+    with pytest.raises(RuntimeError, match="locked"):
+        run_b.__enter__()
+    aside = out / f".lock.{os.getpid()}"
+    assert aside.read_text() == f"{os.getpid()}\n"
+    assert (out / ".lock").exists() == third_run
+    run_a.__exit__(None, None, None)
+    assert (out / ".lock").exists() == third_run
+    run_c.__exit__(None, None, None)
+    assert sorted(p.name for p in out.iterdir()) == [aside.name]
+
+
 def test_full_run_artifacts(full_run):
     _, out = full_run
     for name in (

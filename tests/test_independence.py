@@ -235,6 +235,21 @@ def test_gamma_bound_independent_pair():
     assert set(doc) >= {"gamma0", "k_zero", "k_at_gamma0", "cross", "xi"}
 
 
+def test_gamma_bound_ignores_tau_where_the_weight_is_zero():
+    # where A_i = 0 the weight is 0, so k(gamma) must not see tau there,
+    # not even an infinite tau (whose term inf * 0 would be nan)
+    spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.0})
+
+    def bound(at_zero):
+        fn = lambda g1, g2: np.where(g1 == 0.0, at_zero, 1.0 + np.log1p(np.abs(g1 * g2)))
+        tau = CustomTau(fn, name="t", two_arg=True)
+        return tau_gamma_bound(spec, 0, 1, 2.3, 2.3, tau, RNG(4), n=50_000).to_dict()
+
+    finite = bound(1.0)
+    assert finite["gamma0"] > 0.0
+    assert bound(np.inf) == finite
+
+
 def test_gamma_bound_heavy_weight_raises():
     with pytest.raises(TauHeavinessError):
         tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, PowerTau(4000.0), RNG(3), n=50_000)
