@@ -105,16 +105,24 @@ def detect_blocks(
     if not xi_probes or any(not 0.0 < x < 1.0 for x in xi_probes):
         raise ValueError("xi probes must lie strictly inside (0, 1)")
 
-    a, _ = spec.sample_coeffs(rng, n)
-    # an exponent array gives every element numpy's plain pow; a scalar or
+    # |A_j|^alpha_j, row by row in the draw's own A rows.  A full-length
+    # exponent row gives every element numpy's plain pow; a scalar or
     # broadcast exponent takes other paths (square for 2.0), other last bits
-    v = [np.abs(a[:, j]) ** np.full(n, alphas[j]) for j in range(d)]
+    v = spec.sample_coeffs(rng, n)[0].T
+    scratch = np.empty(n)
+    for j in range(d):
+        np.abs(v[j], out=v[j])
+        scratch.fill(alphas[j])
+        v[j] **= scratch
 
     parent = list(range(d))
     deviations: dict[tuple[int, int], float] = {}
     for i in range(d):
         for j in range(i + 1, d):
-            dev = float(np.max(np.abs(v[i] - v[j]) / (1.0 + v[i])))
+            np.subtract(v[i], v[j], out=scratch)
+            np.abs(scratch, out=scratch)
+            scratch /= 1.0 + v[i]
+            dev = float(np.max(scratch))
             deviations[(i, j)] = dev
             if dev <= tol_rel:
                 ri, rj = _find(parent, i), _find(parent, j)

@@ -58,6 +58,7 @@ from .tails import (
     empirical_tail_constant,
     goldie_constant,
     hill_estimate,
+    magnitude_power,
     moment_estimate,
     spectral_measure,
 )
@@ -549,14 +550,21 @@ class _Runner:
         csv_rows = []
         coord_docs = []
         c_plus, c_minus = [], []
+        # |x_j|^alpha_j once per coordinate: the ladder statistic, the y half
+        # of the Goldie summands and the block norms all read it
+        powers = [magnitude_power(pool.x_post[:, j], a) for j, a in enumerate(alphas)]
         for j in range(pool.d):
             mag = np.abs(pool.x_post[:, j])
             pos = mag[mag > 0.0]
+            del mag
             k = hill_k if hill_k is not None else max(10, int(pos.size**0.6))
             k = min(k, pos.size - 1)
             hill = hill_estimate(pos, k)
-            ladder = empirical_tail_constant(pool, j, alphas[j], params["ladder"], min_top)
-            gold = goldie_constant(pool, j, alphas[j], goldie[j])
+            del pos
+            ladder = empirical_tail_constant(
+                pool, j, alphas[j], params["ladder"], min_top, power=powers[j]
+            )
+            gold = goldie_constant(pool, j, alphas[j], goldie[j], power=powers[j])
             checks = [
                 moment_estimate(pool, j, s).to_dict()
                 for s in (0.5 * alphas[j], 2.0 * alphas[j])
@@ -590,7 +598,9 @@ class _Runner:
             part if part is not None else BlockPartition((whole,), whole, {}),
             alphas,
             min_top=min_top,
+            powers=powers,
         )
+        del powers
         c_block = ()
         if part is not None:
             doc["blocks"] = block_ladder.to_dict()

@@ -58,23 +58,48 @@ def alpha_norm(x, alphas):
     xx = x.reshape(1, -1) if single else x
     if xx.ndim != 2 or xx.shape[1] != a.size:
         raise ValueError(f"x must have {a.size} coordinates on its last axis")
-    ax = np.abs(xx)
-    out, hot = np.zeros(len(ax)), np.zeros(len(ax), bool)
+    out = max_power(xx, a)
+    return float(out[0]) if single else out
+
+
+def max_power(x: np.ndarray, alphas: np.ndarray, powers=None, cols=None) -> np.ndarray:
+    """alpha_norm of the (n, d) array x over the coordinates cols (all when
+    None), without its checks.
+
+    powers, when given, holds the d columns |x_j|^alpha_j already computed;
+    they are read, never written.  Rows with |x_j| > 10^(200/alpha_j), or
+    with a non-finite power, take the log route.
+    """
+    cols = range(x.shape[1]) if cols is None else cols
+    out, hot = None, np.zeros(len(x), bool)
     with np.errstate(over="ignore"):
-        # column by column, so numpy takes the same power path (and gives
-        # the same bits) whatever the memory layout of x
-        for j, aj in enumerate(a):
-            np.maximum(out, ax[:, j] ** aj, out=out)
+        for j in cols:
+            aj = alphas[j]
             # the threshold itself may overflow to inf for small alpha; such
             # rows are still caught by the finiteness check on out
-            np.logical_or(hot, ax[:, j] > 10.0 ** (200.0 / aj), out=hot)
+            limit = 10.0 ** (200.0 / aj)
+            if powers is None:
+                # column by column, so numpy takes the same power path (and
+                # gives the same bits) whatever the memory layout of x
+                p = np.abs(x[:, j])
+                hot |= p > limit
+                p **= aj
+            else:
+                p = powers[j]
+                hot |= x[:, j] > limit
+                hot |= x[:, j] < -limit
+            if out is None:
+                out = p if powers is None else p.copy()
+            else:
+                np.maximum(out, p, out=out)
         hot |= ~np.isfinite(out)
     if np.any(hot):
+        sub = np.abs(x[np.ix_(hot, list(cols))])
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = a * np.log(ax[hot])
+            logs = alphas[list(cols)] * np.log(sub)
         logs[np.isnan(logs)] = -np.inf  # 0 * log(0) rows
         out[hot] = np.exp(np.minimum(np.max(logs, axis=1), _LOG_CAP))
-    return float(out[0]) if single else out
+    return out
 
 
 def dilate(t, x, alphas):

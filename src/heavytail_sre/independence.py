@@ -19,7 +19,7 @@ from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeaviness
 from .common import joint_pow, mean_estimate, number, read_keys
 from .model import ModelSpec
 from .moments import cross_kappa
-from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
+from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials, magnitude_power
 
 
 class Tau:
@@ -315,9 +315,12 @@ def joint_exceedance(
         raise ValueError("need two distinct coordinates")
     if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError("r1 and r2 must be positive and finite")
-    si = np.abs(pool.x_post[:, i]) ** alphas[i] / r1
-    sj = np.abs(pool.x_post[:, j]) ** alphas[j] / r2
-    stat = np.minimum(si, sj)
+    stat = magnitude_power(pool.x_post[:, i], alphas[i])
+    stat /= r1
+    sj = magnitude_power(pool.x_post[:, j], alphas[j])
+    sj /= r2
+    np.minimum(stat, sj, out=stat)
+    del sj
     ladder = _ladder(stat, ladder, min_top, custom_top=0)
     n = stat.size
     counts = _exceedances(stat, ladder)

@@ -98,14 +98,28 @@ def _as_vector(value, d: int, name: str) -> np.ndarray:
     return arr
 
 
+def _numbers(value):
+    """A number, or nested sequences of numbers, each read through common.number."""
+    if isinstance(value, (list, tuple)) or np.ndim(value):
+        return [_numbers(v) for v in value]
+    return number(value)
+
+
+def _matrix(value) -> np.ndarray:
+    """The cast of an array param: no booleans, every element finite."""
+    return np.array(_numbers(value), dtype=float)
+
+
+def _optional_matrix(value) -> np.ndarray | None:
+    return None if value is None else _matrix(value)
+
+
 def _corr_factor(corr, k: int, name: str) -> np.ndarray:
     """Validate a correlation matrix and factor it once (Cholesky, else
     spectral for PSD-singular input).  Non-PSD input is a hard error."""
     c = np.asarray(corr, dtype=float)
     if c.shape != (k, k):
         raise ConfigurationError(f"{name} must be a {k}x{k} matrix")
-    if not np.all(np.isfinite(c)):
-        raise ConfigurationError(f"{name} must be finite")
     if not np.allclose(c, c.T, atol=1e-12):
         raise ConfigurationError(f"{name} must be symmetric")
     if not np.allclose(np.diag(c), 1.0, atol=1e-12):
@@ -184,7 +198,14 @@ class _BDist:
         if k == "constant":
             return _pow_abs(self.value, s)
         if k == "exponential":
-            return math.exp(special.gammaln(s + 1.0)) / self.rate ** s
+            try:
+                scale = self.rate ** s
+            except OverflowError:
+                scale = math.inf
+            if scale == 0.0 or math.isinf(scale):
+                # rate ** s leaves the float range: divide in log space
+                return _exp(special.gammaln(s + 1.0) - s * math.log(self.rate))
+            return _exp(special.gammaln(s + 1.0)) / scale
         if k == "pareto":
             if s >= self.index:
                 return math.inf
@@ -356,7 +377,7 @@ class _TwoPoint(_Family):
 
 
 class _LogNormal(_Family):
-    KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (given, None),
+    KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (_optional_matrix, None),
             "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
@@ -366,7 +387,7 @@ class _LogNormal(_Family):
         if np.any(self.sigma < 0):
             raise ConfigurationError("sigma must be nonnegative")
         corr = params["corr"]
-        self.corr = np.eye(d) if corr is None else np.asarray(corr, dtype=float)
+        self.corr = np.eye(d) if corr is None else corr
         self.factor = _corr_factor(self.corr, d, "corr")
         self.b = _BSpec(params["b"], d)
 
@@ -404,7 +425,7 @@ class _LogNormal(_Family):
 class _CCCGarch(_Family):
     KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED),
             "z_map": (lambda v: None if v is None else list(map(integer, v)), None),
-            "corr": (given, None), "b": (given, _NO_NOISE)}
+            "corr": (_optional_matrix, None), "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
         self.d = d
@@ -418,7 +439,7 @@ class _CCCGarch(_Family):
             raise ConfigurationError(f"z_map must be {d} nonnegative factor indices")
         self.n_factors = max(self.z_map) + 1
         corr = params["corr"]
-        self.corr = np.eye(self.n_factors) if corr is None else np.asarray(corr, dtype=float)
+        self.corr = np.eye(self.n_factors) if corr is None else corr
         self.factor = _corr_factor(self.corr, self.n_factors, "corr")
         self.b = _BSpec(params["b"], d)
 
@@ -484,15 +505,13 @@ class _CCCGarch(_Family):
 
 
 class _BekkDiag(_Family):
-    KEYS = {"coeff": (given, REQUIRED), "b": (given, _NO_NOISE)}
+    KEYS = {"coeff": (_matrix, REQUIRED), "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
         self.d = d
-        coeff = np.asarray(params["coeff"], dtype=float)
+        coeff = params["coeff"]
         if coeff.ndim != 2 or coeff.shape[1] != d:
             raise ConfigurationError(f"coeff must be a (factors x {d}) matrix")
-        if not np.all(np.isfinite(coeff)):
-            raise ConfigurationError("coeff must be finite")
         self.coeff = coeff
         self.n_factors = coeff.shape[0]
         self.sigma = np.sqrt((coeff ** 2).sum(axis=0))
@@ -549,13 +568,11 @@ class _BekkDiag(_Family):
 
 class _CustomAtoms(_Family):
     KEYS = {"atoms": (given, REQUIRED)}
-    TABLE = {"prob": (given, REQUIRED), "a": (given, REQUIRED), "b": (given, REQUIRED)}
+    TABLE = {"prob": (_matrix, REQUIRED), "a": (_matrix, REQUIRED), "b": (_matrix, REQUIRED)}
 
     def __init__(self, d: int, params: dict):
         atoms = read_keys(params["atoms"], self.TABLE, "Custom atoms table")
-        prob = np.asarray(atoms["prob"], dtype=float)
-        a = np.asarray(atoms["a"], dtype=float)
-        bvals = np.asarray(atoms["b"], dtype=float)
+        prob, a, bvals = atoms["prob"], atoms["a"], atoms["b"]
         if prob.ndim != 1 or prob.size == 0:
             raise ConfigurationError("atom probabilities must be a nonempty vector")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-9:
@@ -563,8 +580,6 @@ class _CustomAtoms(_Family):
         k = prob.size
         if a.shape != (k, d) or bvals.shape != (k, d):
             raise ConfigurationError(f"atom tables must have shape ({k}, {d})")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(bvals))):
-            raise ConfigurationError("atom tables must be finite")
         self.d = d
         self.prob = prob / prob.sum()
         self.a = a

@@ -249,7 +249,10 @@ def stationary_pool(
     x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
     failures = []
 
-    block = max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1))
+    # as many blocks as the target needs, all of one size up to the last
+    # chain, so the slabs hold no rows that no block fills
+    n_blocks = -(-chains // max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1)))
+    block = -(-chains // n_blocks)
     # the a and b slabs; the recursion overwrites the b slab with states
     slabs = np.empty((2, block, d, steps))
     for c0 in range(0, chains, block):

@@ -18,7 +18,7 @@ from .common import (
     STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
     mean_estimate,
 )
-from .geometry import alpha_norm, dilate
+from .geometry import alpha_norm, dilate, max_power
 
 DEFAULT_QUANTILES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 DEFAULT_MIN_TOP = 50
@@ -39,8 +39,7 @@ def quantile_ladder(
     qs = sorted(float(q) for q in quantiles)
     if any(not 0.0 < q < 1.0 for q in qs):
         raise LadderError("quantiles must lie strictly inside (0, 1)")
-    cuts = np.quantile(v, qs)
-    keep = [float(t) for t, k in zip(cuts, _exceedances(v, cuts)) if t > 0.0 and k >= min_top]
+    keep = [float(t) for t, k in zip(*_top_quantiles(v, qs)) if t > 0.0 and k >= min_top]
     ladder = np.unique(np.asarray(keep, dtype=float))
     if ladder.size == 0:
         raise LadderError(
@@ -70,9 +69,45 @@ def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> np.nda
     return arr
 
 
-def _exceedances(stat: np.ndarray, cuts) -> list[int]:
-    """Number of entries of stat strictly above each cut."""
-    return [int((stat > t).sum()) for t in cuts]
+def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """np.quantile(v, qs) for increasing qs, and the number of entries of v
+    strictly above each quantile.
+
+    Both come from one partition of the top tail, sorted: the quantiles
+    by numpy's own linear interpolation between the same order
+    statistics, the counts by bisection.  Samples where that could differ
+    from np.quantile (NaN, or a quantile at the last order statistic)
+    take np.quantile itself.
+    """
+    n = v.size
+    virtual = (n - 1) * np.asarray(qs)
+    lo = np.floor(virtual).astype(np.intp)
+    if virtual[-1] < n - 1:
+        k0 = int(lo[0])
+        top = np.sort(np.partition(v, k0)[k0:])
+        if not np.isnan(top[-1]):
+            a, b = top[lo - k0], top[lo - k0 + 1]
+            gamma = virtual - lo
+            diff = b - a
+            cuts = a + diff * gamma
+            np.subtract(b, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+            return cuts, top.size - np.searchsorted(top, cuts, side="right")
+    cuts = np.quantile(v, qs)
+    return cuts, np.asarray(_exceedances(v, cuts))
+
+
+def _exceedances(stat: np.ndarray, cuts, below: bool = False) -> list[int]:
+    """Number of entries of stat strictly above each cut (below, if below)."""
+    side = np.less if below else np.greater
+    return [int(np.count_nonzero(side(stat, t))) for t in cuts]
+
+
+def magnitude_power(x: np.ndarray, alpha: float) -> np.ndarray:
+    """|x|^alpha, a new array; an overflow gives inf."""
+    p = np.abs(x)
+    with np.errstate(over="ignore"):
+        p **= alpha
+    return p
 
 
 def _scaled_binomials(counts, n: int, ladder) -> tuple[Estimate, ...]:
@@ -161,21 +196,22 @@ def _interval_overlap(ests: tuple[Estimate, ...], last: int = 3) -> bool:
 
 
 def empirical_tail_constant(
-    pool, j: int, alpha: float, ladder=None, min_top: int = DEFAULT_MIN_TOP
+    pool, j: int, alpha: float, ladder=None, min_top: int = DEFAULT_MIN_TOP, *, power=None
 ) -> TailConstantLadder:
     """Ladder estimates of the signed tail constants of coordinate j.
 
     Thresholds live on the scale of |x|^alpha, so each rung counts
     x > t^{1/alpha} (and the mirrored left tail) and scales the relative
-    frequency by t.
+    frequency by t.  power, when given, is the column |x_j|^alpha already
+    computed (magnitude_power).
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
     x = pool.x_post[:, j]
-    ladder = _ladder(np.abs(x) ** alpha, ladder, min_top)
+    ladder = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
     cuts = [t ** (1.0 / alpha) for t in ladder]
     kp = _exceedances(x, cuts)
-    km = _exceedances(-x, cuts)
+    km = _exceedances(x, [-c for c in cuts], below=True)
     total = _scaled_binomials([a + b for a, b in zip(kp, km)], x.size, ladder)
     return TailConstantLadder(
         coordinate=j,
@@ -207,36 +243,50 @@ class GoldieConstant(Record):
     unstable: bool
 
 
-def goldie_constant(pool, j: int, alpha: float, mean_log: float) -> GoldieConstant:
+def goldie_constant(
+    pool, j: int, alpha: float, mean_log: float, *, power=None
+) -> GoldieConstant:
     """Moment-identity estimate of c_+ and c_- for coordinate j.
 
     Averages ((a x + b)^+)^alpha - ((a x)^+)^alpha (and the minus part)
     over pool rows, scaled by 1 / (alpha * mean_log).  Valid only because
-    x_pre is independent of (a, b) within a row.
+    x_pre is independent of (a, b) within a row.  power, when given, is
+    the column |x_post_j|^alpha already computed (magnitude_power).
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
     if not (math.isfinite(mean_log) and mean_log > 0.0):
         raise ValueError("mean_log must be positive and finite")
-    ax = pool.a[:, j] * pool.x_pre[:, j]
     y = pool.x_post[:, j]
+    py = magnitude_power(y, alpha) if power is None else power
+    # one power per operand: (v^+)^alpha is |v|^alpha where v > 0 and 0
+    # elsewhere, so each half of a summand is a masked difference of them
+    pa = np.multiply(pool.a[:, j], pool.x_pre[:, j])
+    pa_plus, pa_minus = pa > 0.0, pa < 0.0
+    np.abs(pa, out=pa)
     with np.errstate(over="ignore"):
-        wp = np.maximum(y, 0.0) ** alpha - np.maximum(ax, 0.0) ** alpha
-        wm = np.maximum(-y, 0.0) ** alpha - np.maximum(-ax, 0.0) ** alpha
-    wt = wp + wm
+        pa **= alpha
     scale = 1.0 / (alpha * mean_log)
+    halves = []
+    for y_side, a_side in ((y > 0.0, pa_plus), (y < 0.0, pa_minus)):
+        w = np.where(y_side, py, 0.0)
+        np.subtract(w, pa, out=w, where=a_side)
+        # the deviations of the variance go over the summands
+        halves.append(_scaled_mean(w, scale, scratch=w))
+        del w
+    # a row's halves add up to py - pa: one of them is 0 unless y and a x
+    # have opposite signs, and then the sum is py + (-pa)
+    wt = np.subtract(py, pa, out=pa)
     # a non-finite summand makes a mean non-finite, which doubling_change maps to inf
     unstable = doubling_change(wt) > STABLE_REL_CHANGE
-    ep = _scaled_mean(wp, scale)
-    em = _scaled_mean(wm, scale)
-    et = _scaled_mean(wt, scale)
+    et = _scaled_mean(wt, scale, scratch=wt)
     if unstable and et.flag is None:
         et = dataclasses.replace(et, flag="unstable")
-    return GoldieConstant(j, float(alpha), float(mean_log), ep, em, et, unstable)
+    return GoldieConstant(j, float(alpha), float(mean_log), *halves, et, unstable)
 
 
-def _scaled_mean(w: np.ndarray, scale: float) -> Estimate:
-    est = mean_estimate(w)
+def _scaled_mean(w: np.ndarray, scale: float, scratch=None) -> Estimate:
+    est = mean_estimate(w, scratch=scratch)
     lo, hi = scale * est.ci_lo, scale * est.ci_hi
     if scale < 0.0:
         lo, hi = hi, lo
@@ -267,22 +317,27 @@ class BlockTailLadder(Record):
 
 
 def block_tail_constant(
-    pool, partition, alphas, ladder=None, min_top: int = DEFAULT_MIN_TOP
+    pool, partition, alphas, ladder=None, min_top: int = DEFAULT_MIN_TOP, *, powers=None
 ) -> BlockTailLadder:
     """Ladder estimates of t * P(block norm > t) per class and overall.
 
     All series share one ladder built from the full-vector norm, so the
-    additivity check c_inf = sum_l c_l compares like with like.
+    additivity check c_inf = sum_l c_l compares like with like.  powers,
+    when given, are the columns |x_j|^alpha_j already computed
+    (magnitude_power); every norm is taken from them.
     """
     alphas = np.asarray(alphas, dtype=float)
-    s_full = alpha_norm(pool.x_post, alphas)
+    x = pool.x_post
+    if powers is None:
+        powers = [magnitude_power(x[:, j], a) for j, a in enumerate(alphas)]
+    s_full = max_power(x, alphas, powers)
     ladder = _ladder(s_full, ladder, min_top)
     n = s_full.size
     block_series = []
     for coords in partition.classes:
-        cols = list(coords)
-        s_l = alpha_norm(pool.x_post[:, cols], alphas[cols])
+        s_l = max_power(x, alphas, powers, coords)
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
+        del s_l
     c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))
     hw = c_inf[-1].half_width + sum(s[-1].half_width for s in block_series)
@@ -406,11 +461,10 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError("moment order must be positive and finite")
-    with np.errstate(over="ignore"):
-        w = np.abs(pool.x_post[:, j]) ** s
+    w = magnitude_power(pool.x_post[:, j], s)
     rel = doubling_change(w)
     stable = bool(rel <= STABLE_REL_CHANGE)
-    est = mean_estimate(w, flag=None if stable else "unstable")
+    est = mean_estimate(w, flag=None if stable else "unstable", scratch=w)
     return MomentCheck(s, est, float(rel), stable)
 
 

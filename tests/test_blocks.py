@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,30 @@ def test_max_rel_dev_keeps_its_bits(seed, dev):
     spec = ModelSpec("LogNormal", 2, {"mu": [-1.0, -1.0], "sigma": [1.0, 1.0], "corr": corr})
     part = detect_blocks(spec, [2.0, 2.0], RNG(seed))
     assert part.evidence["0-1"]["max_rel_dev"] == dev
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_blocks_powers_stay_in_its_draw():
+    # the |A_j|^alpha_j rows are built over the draw's own A rows, so only
+    # one exponent row is added; the cross checks draw far fewer rows
+    spec = ModelSpec(
+        "BekkDiag", 3,
+        {"coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+         "b": {"dist": "exponential", "rate": 1.0}},
+    )
+    n = 100_000
+    draw = _peak_bytes(lambda: spec.sample_coeffs(RNG(1), n))
+    peak = _peak_bytes(lambda: detect_blocks(spec, [2.0, 2.34, 1.75], RNG(1), n=n, cross_n=10_000))
+    assert peak <= draw + 8 * n + 65536
 
 
 def test_shared_factor_garch_blocks():

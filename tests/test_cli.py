@@ -242,6 +242,52 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
     assert "JSON" in last_stderr_doc(capsys)["detail"]
 
 
+@pytest.mark.parametrize(
+    "family, d, params, detail",
+    [
+        ("BekkDiag", 1, {"coeff": [[True]]}, "BekkDiag params key 'coeff'"),
+        (
+            "LogNormal", 2,
+            {"mu": -0.5, "sigma": 1.0, "corr": [[True, False], [False, True]]},
+            "LogNormal params key 'corr'",
+        ),
+        (
+            "CCCGarch", 2,
+            {"arch": 0.35, "garch": 0.25, "corr": [[1.0, 0.0], [0.0, True]]},
+            "CCCGarch params key 'corr'",
+        ),
+        (
+            "Custom", 1,
+            {"atoms": {"prob": [0.5, True], "a": [[0.5], [1.2]], "b": [[1.0], [1.0]]}},
+            "Custom atoms table key 'prob'",
+        ),
+    ],
+)
+def test_matrix_params_refuse_booleans(tmp_path, capsys, family, d, params, detail):
+    # np.asarray would read true as 1.0; each element goes through the number cast
+    model = {"family": family, "d": d, "params": params}
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": model, "seed": 1, "out": str(tmp_path / "o"), "pipeline": ["solve-alpha"]},
+    )
+    assert main(["solve-alpha", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation"
+    assert detail in err["detail"], err["detail"]
+
+
+def test_solve_alpha_with_tiny_exponential_noise_rate_exits_zero(tmp_path):
+    # E B^32 = Gamma(33) / rate^32 overflows for rate 1e-12: the positivity
+    # probe at s = 32 sees an infinite moment instead of dividing by zero
+    model = json.loads(json.dumps(REF_MODEL))
+    model["params"]["b"]["rate"] = 1e-12
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": model, "seed": 3, "out": str(tmp_path / "out"), "pipeline": ["solve-alpha"]},
+    )
+    assert main(["solve-alpha", "--config", cfg]) == 0
+
+
 def test_missing_dependency_artifact_exits_two(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",

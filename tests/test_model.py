@@ -189,6 +189,16 @@ def test_noise_moment_oracles():
     assert spec.b_is_zero(0) is False
 
 
+@pytest.mark.parametrize("rate, want", [(1e-12, math.inf), (1e12, 0.0)])
+def test_exponential_noise_moment_at_extreme_rates(rate, want):
+    # rate ** 32 underflows to 0 (1e-12) or overflows (1e12); the moment
+    # Gamma(33) / rate ** 32 is then taken in log space
+    spec = two_point(b={"dist": "exponential", "rate": rate})
+    assert spec.b_moment_exact(0, 32.0) == want
+    # an ordinary power keeps the plain quotient, bit for bit
+    assert spec.b_moment_exact(0, 2.0) == math.exp(special.gammaln(3.0)) / rate ** 2.0
+
+
 def test_pareto_noise_abscissa():
     spec = two_point(b={"dist": "pareto", "index": 3.0, "scale": 1.0})
     assert spec.b_abscissa(0) == 3.0

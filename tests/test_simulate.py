@@ -157,14 +157,20 @@ def test_pool_is_invariant_under_chain_blocks(monkeypatch, burn_in, thin):
         spec = reference(d)
         monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 6_000_000)
         one = stationary_pool(spec, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
-        # blocks of three chains, 3 + 3 + 1, through slabs reused across blocks
-        monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * (burn_in + 10 * thin) * d)
-        split = stationary_pool(spec, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin)
-        for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
-            np.testing.assert_array_equal(
-                getattr(split, name), getattr(one, name), err_msg=f"d={d} {name}"
+        # targets of three and five chains: three blocks of ceil(7 / 3), 3 + 3 + 1,
+        # and two blocks evened from 5 + 2 to 4 + 3, through slabs reused across blocks
+        for target in (2, 4):
+            monkeypatch.setattr(
+                simulate, "_BLOCK_TARGET_FLOATS", target * (burn_in + 10 * thin) * d
             )
-        assert split.meta == one.meta
+            split = stationary_pool(
+                spec, seed=5, chains=7, n_per_chain=10, burn_in=burn_in, thin=thin
+            )
+            for name in ("x_pre", "a", "b", "x_post", "chain", "step"):
+                np.testing.assert_array_equal(
+                    getattr(split, name), getattr(one, name), err_msg=f"d={d} {name}"
+                )
+            assert split.meta == one.meta
 
 
 def test_divergence_is_invariant_under_chain_blocks(monkeypatch):
