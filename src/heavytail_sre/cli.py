@@ -40,6 +40,7 @@ from .common import (
     read_keys,
     stage_stream,
 )
+from .geometry import magnitude_power
 from .independence import (
     build_tau,
     decay_rate_fit,
@@ -58,7 +59,6 @@ from .tails import (
     empirical_tail_constant,
     goldie_constant,
     hill_estimate,
-    magnitude_power,
     moment_estimate,
     spectral_measure,
 )
@@ -556,11 +556,9 @@ class _Runner:
         for j in range(pool.d):
             mag = np.abs(pool.x_post[:, j])
             pos = mag[mag > 0.0]
-            del mag
             k = hill_k if hill_k is not None else max(10, int(pos.size**0.6))
             k = min(k, pos.size - 1)
             hill = hill_estimate(pos, k)
-            del pos
             ladder = empirical_tail_constant(
                 pool, j, alphas[j], params["ladder"], min_top, power=powers[j]
             )
@@ -600,7 +598,6 @@ class _Runner:
             min_top=min_top,
             powers=powers,
         )
-        del powers
         c_block = ()
         if part is not None:
             doc["blocks"] = block_ladder.to_dict()

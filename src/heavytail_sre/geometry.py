@@ -70,36 +70,42 @@ def max_power(x: np.ndarray, alphas: np.ndarray, powers=None, cols=None) -> np.n
     they are read, never written.  Rows with |x_j| > 10^(200/alpha_j), or
     with a non-finite power, take the log route.
     """
-    cols = range(x.shape[1]) if cols is None else cols
+    cols = list(range(x.shape[1]) if cols is None else cols)
     out, hot = None, np.zeros(len(x), bool)
-    with np.errstate(over="ignore"):
-        for j in cols:
-            aj = alphas[j]
-            # the threshold itself may overflow to inf for small alpha; such
-            # rows are still caught by the finiteness check on out
-            limit = 10.0 ** (200.0 / aj)
-            if powers is None:
-                # column by column, so numpy takes the same power path (and
-                # gives the same bits) whatever the memory layout of x
-                p = np.abs(x[:, j])
-                hot |= p > limit
-                p **= aj
-            else:
-                p = powers[j]
-                hot |= x[:, j] > limit
-                hot |= x[:, j] < -limit
-            if out is None:
-                out = p if powers is None else p.copy()
-            else:
-                np.maximum(out, p, out=out)
-        hot |= ~np.isfinite(out)
+    for j in cols:
+        # the threshold itself may overflow to inf for small alpha; such
+        # rows are still caught by the finiteness check on out
+        with np.errstate(over="ignore"):
+            limit = 10.0 ** (200.0 / alphas[j])
+        hot |= x[:, j] > limit
+        hot |= x[:, j] < -limit
+        # column by column, so numpy takes the same power path (and gives
+        # the same bits) whatever the memory layout of x
+        p = magnitude_power(x[:, j], alphas[j]) if powers is None else powers[j]
+        if out is None:
+            out = p if powers is None else p.copy()
+        else:
+            np.maximum(out, p, out=out)
+    hot |= ~np.isfinite(out)
     if np.any(hot):
-        sub = np.abs(x[np.ix_(hot, list(cols))])
+        sub = np.abs(x[np.ix_(hot, cols)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = alphas[list(cols)] * np.log(sub)
+            logs = alphas[cols] * np.log(sub)
         logs[np.isnan(logs)] = -np.inf  # 0 * log(0) rows
         out[hot] = np.exp(np.minimum(np.max(logs, axis=1), _LOG_CAP))
     return out
+
+
+def magnitude_power(x: np.ndarray, alpha: float) -> np.ndarray:
+    """|x|^alpha as a new array, with inf where the power overflows.
+
+    The power is taken in place with ``**=``, which keeps numpy's
+    sqrt, copy and square fast paths for the exponents 0.5, 1 and 2.
+    """
+    p = np.abs(x)
+    with np.errstate(over="ignore"):
+        p **= alpha
+    return p
 
 
 def dilate(t, x, alphas):

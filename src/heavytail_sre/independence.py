@@ -19,7 +19,8 @@ from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeaviness
 from .common import joint_pow, mean_estimate, number, read_keys
 from .model import ModelSpec
 from .moments import cross_kappa
-from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials, magnitude_power
+from .geometry import magnitude_power
+from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
 
 
 class Tau:

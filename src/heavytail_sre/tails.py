@@ -18,7 +18,7 @@ from .common import (
     STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
     mean_estimate,
 )
-from .geometry import alpha_norm, dilate, max_power
+from .geometry import alpha_norm, dilate, magnitude_power, max_power
 
 DEFAULT_QUANTILES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 DEFAULT_MIN_TOP = 50
@@ -69,7 +69,7 @@ def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> np.nda
     return arr
 
 
-def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, list]:
     """np.quantile(v, qs) for increasing qs, and the number of entries of v
     strictly above each quantile.
 
@@ -91,23 +91,15 @@ def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, np.ndarr
             diff = b - a
             cuts = a + diff * gamma
             np.subtract(b, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
-            return cuts, top.size - np.searchsorted(top, cuts, side="right")
+            return cuts, list(top.size - np.searchsorted(top, cuts, side="right"))
     cuts = np.quantile(v, qs)
-    return cuts, np.asarray(_exceedances(v, cuts))
+    return cuts, _exceedances(v, cuts)
 
 
 def _exceedances(stat: np.ndarray, cuts, below: bool = False) -> list[int]:
     """Number of entries of stat strictly above each cut (below, if below)."""
     side = np.less if below else np.greater
     return [int(np.count_nonzero(side(stat, t))) for t in cuts]
-
-
-def magnitude_power(x: np.ndarray, alpha: float) -> np.ndarray:
-    """|x|^alpha, a new array; an overflow gives inf."""
-    p = np.abs(x)
-    with np.errstate(over="ignore"):
-        p **= alpha
-    return p
 
 
 def _scaled_binomials(counts, n: int, ladder) -> tuple[Estimate, ...]:
@@ -337,7 +329,6 @@ def block_tail_constant(
     for coords in partition.classes:
         s_l = max_power(x, alphas, powers, coords)
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
-        del s_l
     c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))
     hw = c_inf[-1].half_width + sum(s[-1].half_width for s in block_series)

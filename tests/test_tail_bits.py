@@ -25,7 +25,7 @@ from heavytail_sre import (
     quantile_ladder,
 )
 from heavytail_sre.common import STABLE_REL_CHANGE, LadderError, doubling_change
-from heavytail_sre.geometry import _LOG_CAP, _as_weights
+from heavytail_sre.geometry import _LOG_CAP, _as_weights, magnitude_power
 from heavytail_sre.tails import (
     BlockTailLadder,
     GoldieConstant,
@@ -33,7 +33,6 @@ from heavytail_sre.tails import (
     _interval_overlap,
     _scaled_binomials,
     _scaled_mean,
-    magnitude_power,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 3.0, 1.9999999999999998)
