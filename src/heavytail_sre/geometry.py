@@ -42,15 +42,20 @@ def subadditivity_constant(alphas) -> float:
     return float(max(1.0, 2.0 ** (float(a.max()) - 1.0)))
 
 
-def alpha_norm(x, alphas):
+def alpha_norm(x, alphas, powers=None):
     """max_j |x_j|^alpha_j, row-wise for 2-d input.
 
     Parameters
     ----------
     x : array, shape (d,) or (n, d)
     alphas : array, shape (d,)
+    powers : d arrays of shape (n,), optional
+        The columns |x_j|^alpha_j (``magnitude_power``) when the caller has
+        them already; they are read, never written.
 
-    Returns a float for a single vector, else an array of shape (n,).
+    Rows with some |x_j| > 10^(200/alpha_j), or a non-finite power, are
+    computed in log space and capped at NORM_CAP.  Returns a float for a
+    single vector, else an array of shape (n,).
     """
     a = _as_weights(alphas)
     x = np.asarray(x, dtype=float)
@@ -58,42 +63,28 @@ def alpha_norm(x, alphas):
     xx = x.reshape(1, -1) if single else x
     if xx.ndim != 2 or xx.shape[1] != a.size:
         raise ValueError(f"x must have {a.size} coordinates on its last axis")
-    out = max_power(xx, a)
-    return float(out[0]) if single else out
-
-
-def max_power(x: np.ndarray, alphas: np.ndarray, powers=None, cols=None) -> np.ndarray:
-    """alpha_norm of the (n, d) array x over the coordinates cols (all when
-    None), without its checks.
-
-    powers, when given, holds the d columns |x_j|^alpha_j already computed;
-    they are read, never written.  Rows with |x_j| > 10^(200/alpha_j), or
-    with a non-finite power, take the log route.
-    """
-    cols = list(range(x.shape[1]) if cols is None else cols)
-    out, hot = None, np.zeros(len(x), bool)
-    for j in cols:
+    out, hot = None, np.zeros(len(xx), bool)
+    for j, aj in enumerate(a):
         # the threshold itself may overflow to inf for small alpha; such
         # rows are still caught by the finiteness check on out
         with np.errstate(over="ignore"):
-            limit = 10.0 ** (200.0 / alphas[j])
-        hot |= x[:, j] > limit
-        hot |= x[:, j] < -limit
+            limit = 10.0 ** (200.0 / aj)
+        hot |= xx[:, j] > limit
+        hot |= xx[:, j] < -limit
         # column by column, so numpy takes the same power path (and gives
         # the same bits) whatever the memory layout of x
-        p = magnitude_power(x[:, j], alphas[j]) if powers is None else powers[j]
+        p = magnitude_power(xx[:, j], aj) if powers is None else powers[j]
         if out is None:
             out = p if powers is None else p.copy()
         else:
             np.maximum(out, p, out=out)
     hot |= ~np.isfinite(out)
     if np.any(hot):
-        sub = np.abs(x[np.ix_(hot, cols)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = alphas[cols] * np.log(sub)
+            logs = a * np.log(np.abs(xx[hot]))
         logs[np.isnan(logs)] = -np.inf  # 0 * log(0) rows
         out[hot] = np.exp(np.minimum(np.max(logs, axis=1), _LOG_CAP))
-    return out
+    return float(out[0]) if single else out
 
 
 def magnitude_power(x: np.ndarray, alpha: float) -> np.ndarray:

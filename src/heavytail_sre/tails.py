@@ -18,7 +18,7 @@ from .common import (
     STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
     mean_estimate,
 )
-from .geometry import alpha_norm, dilate, magnitude_power, max_power
+from .geometry import alpha_norm, dilate, magnitude_power
 
 DEFAULT_QUANTILES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 DEFAULT_MIN_TOP = 50
@@ -322,12 +322,13 @@ def block_tail_constant(
     x = pool.x_post
     if powers is None:
         powers = [magnitude_power(x[:, j], a) for j, a in enumerate(alphas)]
-    s_full = max_power(x, alphas, powers)
+    s_full = alpha_norm(x, alphas, powers)
     ladder = _ladder(s_full, ladder, min_top)
     n = s_full.size
     block_series = []
     for coords in partition.classes:
-        s_l = max_power(x, alphas, powers, coords)
+        cols = list(coords)
+        s_l = alpha_norm(x[:, cols], alphas[cols], [powers[j] for j in cols])
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
     c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))

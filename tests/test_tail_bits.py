@@ -146,8 +146,9 @@ def _pool(kind: str, n: int = 20_000, d: int = 2) -> SimpleNamespace:
     """A coordinate-major pool of Pareto-tailed states (index 2.5).
 
     zeros: states and products with 0.0 and -0.0 sprinkled in; negative:
-    every state below zero; mixed: random signs with one row whose states
-    overflow every power above 1 (the hot row).
+    every state below zero; mixed: random signs and one hot row, whose
+    states near 1e250 overflow every power from 2 up and take alpha_norm's
+    log route from 1 up.
     """
     rng = np.random.default_rng({"zeros": 1, "negative": 2, "mixed": 3}[kind])
     x_pre = rng.pareto(2.5, (d, n)).T
@@ -187,8 +188,12 @@ def pool(request):
 def test_alpha_norm_matches_reference(pool, alpha):
     alphas = np.array([alpha, 1.5 * alpha])
     for x in (pool.x_post, np.ascontiguousarray(pool.x_post), pool.x_post[:, :1], pool.x_post[3]):
-        want, got = ref_alpha_norm(x, alphas[: np.shape(x)[-1]]), alpha_norm(x, alphas[: np.shape(x)[-1]])
-        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        a = alphas[: np.shape(x)[-1]]
+        want = np.asarray(ref_alpha_norm(x, a)).view(np.int64)
+        assert np.array_equal(np.asarray(alpha_norm(x, a)).view(np.int64), want)
+        if np.ndim(x) == 2:
+            powers = [magnitude_power(x[:, j], aj) for j, aj in enumerate(a)]
+            assert np.array_equal(alpha_norm(x, a, powers).view(np.int64), want)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
