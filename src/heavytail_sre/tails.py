@@ -96,10 +96,9 @@ def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, list]:
     return cuts, _exceedances(v, cuts)
 
 
-def _exceedances(stat: np.ndarray, cuts, below: bool = False) -> list[int]:
-    """Number of entries of stat strictly above each cut (below, if below)."""
-    side = np.less if below else np.greater
-    return [int(np.count_nonzero(side(stat, t))) for t in cuts]
+def _exceedances(stat: np.ndarray, cuts) -> list[int]:
+    """Number of entries of stat strictly above each cut."""
+    return [int(np.count_nonzero(stat > t)) for t in cuts]
 
 
 def _scaled_binomials(counts, n: int, ladder) -> tuple[Estimate, ...]:
@@ -203,7 +202,7 @@ def empirical_tail_constant(
     ladder = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
     cuts = [t ** (1.0 / alpha) for t in ladder]
     kp = _exceedances(x, cuts)
-    km = _exceedances(x, [-c for c in cuts], below=True)
+    km = [int(np.count_nonzero(x < -c)) for c in cuts]
     total = _scaled_binomials([a + b for a, b in zip(kp, km)], x.size, ladder)
     return TailConstantLadder(
         coordinate=j,
@@ -327,8 +326,10 @@ def block_tail_constant(
     n = s_full.size
     block_series = []
     for coords in partition.classes:
-        cols = list(coords)
-        s_l = alpha_norm(x[:, cols], alphas[cols], [powers[j] for j in cols])
+        # a class of consecutive coordinates reads x through a view, not a copy
+        lo, hi = coords[0], coords[-1] + 1
+        cols = slice(lo, hi) if hi - lo == len(coords) else list(coords)
+        s_l = alpha_norm(x[:, cols], alphas[cols], [powers[j] for j in coords])
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
     c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))

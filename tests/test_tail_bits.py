@@ -168,8 +168,8 @@ def _pool(kind: str, n: int = 20_000, d: int = 2) -> SimpleNamespace:
         x_pre[7::47] = -0.0
         a[::53] = -0.5
     if kind == "mixed":
-        x_post[11] = (1e250, -1e260)
-        x_pre[11] = (-1e300, 1e290)
+        x_post[11] = (1e250, -1e260, 1e255)[:d]
+        x_pre[11] = (-1e300, 1e290, 1e280)[:d]
     return SimpleNamespace(x_pre=x_pre, a=a, b=b, x_post=x_post, d=d)
 
 
@@ -240,6 +240,16 @@ def test_block_tail_constant_matches_reference(pool, alpha):
         assert _bits(block_tail_constant(pool, part, alphas, min_top=MIN_TOP).to_dict()) == want
         got = block_tail_constant(pool, part, alphas, min_top=MIN_TOP, powers=powers)
         assert _bits(got.to_dict()) == want
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_block_tail_constant_with_a_split_class_matches_reference(alpha):
+    # class (0, 2) is not a run of coordinates, so its norm reads a copy of x
+    pool = _pool("mixed", d=3)
+    alphas = np.array([alpha, 1.5 * alpha, 0.75 * alpha])
+    part = BlockPartition(((0, 2), (1,)), (0, 2, 1), {})
+    want = _bits(ref_block(pool, part, alphas, MIN_TOP).to_dict())
+    assert _bits(block_tail_constant(pool, part, alphas, min_top=MIN_TOP).to_dict()) == want
 
 
 # -- memory --------------------------------------------------------------------
