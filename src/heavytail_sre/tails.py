@@ -251,15 +251,16 @@ def goldie_constant(
     y = pool.x_post[:, j]
     py = magnitude_power(y, alpha) if power is None else power
     # one power per operand: (v^+)^alpha is |v|^alpha where v > 0 and 0
-    # elsewhere, so each half of a summand is a masked difference of them
+    # elsewhere, so each half of a summand is a masked difference of them;
+    # the masks are negated so that a NaN operand makes both halves NaN
     pa = np.multiply(pool.a[:, j], pool.x_pre[:, j])
-    pa_plus, pa_minus = pa > 0.0, pa < 0.0
+    pa_plus, pa_minus = ~(pa <= 0.0), ~(pa >= 0.0)
     np.abs(pa, out=pa)
     with np.errstate(over="ignore"):
         pa **= alpha
     scale = 1.0 / (alpha * mean_log)
     halves = []
-    for y_side, a_side in ((y > 0.0, pa_plus), (y < 0.0, pa_minus)):
+    for y_side, a_side in ((~(y < 0.0), pa_plus), (~(y > 0.0), pa_minus)):
         w = np.where(y_side, py, 0.0)
         np.subtract(w, pa, out=w, where=a_side)
         # the deviations of the variance go over the summands
@@ -326,9 +327,7 @@ def block_tail_constant(
     n = s_full.size
     block_series = []
     for coords in partition.classes:
-        # a class of consecutive coordinates reads x through a view, not a copy
-        lo, hi = coords[0], coords[-1] + 1
-        cols = slice(lo, hi) if hi - lo == len(coords) else list(coords)
+        cols = list(coords)
         s_l = alpha_norm(x[:, cols], alphas[cols], [powers[j] for j in coords])
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
     c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)

@@ -148,9 +148,10 @@ def _pool(kind: str, n: int = 20_000, d: int = 2) -> SimpleNamespace:
     zeros: states and products with 0.0 and -0.0 sprinkled in; negative:
     every state below zero; mixed: random signs and one hot row, whose
     states near 1e250 overflow every power from 2 up and take alpha_norm's
-    log route from 1 up.
+    log route from 1 up; nan: the zeros pool with a NaN state and a NaN
+    a x_pre in each coordinate, on separate rows.
     """
-    rng = np.random.default_rng({"zeros": 1, "negative": 2, "mixed": 3}[kind])
+    rng = np.random.default_rng({"zeros": 1, "nan": 1, "negative": 2, "mixed": 3}[kind])
     x_pre = rng.pareto(2.5, (d, n)).T
     a = rng.choice([0.5, 2.0], (d, n)).T
     b = rng.standard_exponential((d, n)).T
@@ -161,7 +162,7 @@ def _pool(kind: str, n: int = 20_000, d: int = 2) -> SimpleNamespace:
         x_pre = x_pre * rng.choice([-1.0, 1.0], (n, d))
         b = rng.standard_normal((d, n)).T
     x_post = np.ascontiguousarray((a * x_pre + b).T).T
-    if kind == "zeros":
+    if kind in ("zeros", "nan"):
         x_post[::37] = 0.0
         x_post[5::41] = -0.0
         x_pre[::43] = 0.0
@@ -170,6 +171,9 @@ def _pool(kind: str, n: int = 20_000, d: int = 2) -> SimpleNamespace:
     if kind == "mixed":
         x_post[11] = (1e250, -1e260, 1e255)[:d]
         x_pre[11] = (-1e300, 1e290, 1e280)[:d]
+    if kind == "nan":
+        x_post[13, 0] = x_pre[17, 0] = np.nan
+        x_post[19, 1] = a[23, 1] = np.nan
     return SimpleNamespace(x_pre=x_pre, a=a, b=b, x_post=x_post, d=d)
 
 
@@ -220,8 +224,10 @@ def test_empirical_tail_constant_matches_reference(pool, alpha):
         assert _bits(got.to_dict()) == want
 
 
+@pytest.mark.parametrize("kind", POOLS + ("nan",))
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_goldie_constant_matches_reference(pool, alpha):
+def test_goldie_constant_matches_reference(kind, alpha):
+    pool = _pool(kind)
     for j in range(pool.d):
         want = _bits(ref_goldie(pool, j, alpha, 0.3).to_dict())
         assert _bits(goldie_constant(pool, j, alpha, 0.3).to_dict()) == want
@@ -244,7 +250,7 @@ def test_block_tail_constant_matches_reference(pool, alpha):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_block_tail_constant_with_a_split_class_matches_reference(alpha):
-    # class (0, 2) is not a run of coordinates, so its norm reads a copy of x
+    # class (0, 2) is not a run of coordinates
     pool = _pool("mixed", d=3)
     alphas = np.array([alpha, 1.5 * alpha, 0.75 * alpha])
     part = BlockPartition(((0, 2), (1,)), (0, 2, 1), {})
