@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import json
 import math
@@ -234,64 +235,40 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 class _DirLock:
-    """Exclusive .lock file so two runs never share an output directory."""
+    """Exclusive flock on out/.lock, so two runs never share an output
+    directory.  The kernel drops the lock when its process ends, however it
+    ends; the PID written into the file is for information only."""
 
     def __init__(self, out: Path):
         self.path = out / ".lock"
         self.fd = None
 
     def __enter__(self):
-        for attempt in range(2):
+        while self.fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
             try:
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not self._reclaim():
-                    raise RuntimeError(
-                        f"output directory is locked by another run ({self.path} exists)"
-                    ) from None
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a holder unlinks its file before it lets go: retry on a fresh one
+                with contextlib.suppress(FileNotFoundError):
+                    if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                        self.fd = fd
+            except BlockingIOError:
+                raise RuntimeError(
+                    f"output directory is locked by another run ({self.path} is held)"
+                ) from None
+            finally:
+                if self.fd is None:
+                    os.close(fd)
+        os.truncate(self.fd, 0)
         os.write(self.fd, f"{os.getpid()}\n".encode())
         return self
 
-    def _reclaim(self) -> bool:
-        """Whether to try again: the lock is gone, or it named a process that no
-        longer exists and this run moved it aside by an atomic rename, which
-        only one of two runs reclaiming it can win.  A lock renewed meanwhile
-        goes back by a hard link; if that fails (a third run has locked the
-        directory since, or links are unsupported), it stays aside under this
-        run's pid and this run refuses."""
-        try:
-            text = self.path.read_text()
-            if int(text) > 0:
-                os.kill(int(text), 0)
-            return False
-        except FileNotFoundError:
-            return True
-        except ProcessLookupError:
-            pass
-        except (OSError, ValueError):
-            return False
-        taken = self.path.with_name(f"{self.path.name}.{os.getpid()}")
-        try:
-            os.rename(self.path, taken)
-        except FileNotFoundError:
-            return False
-        if taken.read_text() == text:
-            os.unlink(taken)
-            return True
-        with contextlib.suppress(OSError):
-            os.link(taken, self.path)
-            os.unlink(taken)
-        return False
-
     def __exit__(self, *exc):
-        if self.fd is not None:
-            mine = os.fstat(self.fd)
-            os.close(self.fd)
-            # the lock may have been moved aside and another run's put in its place
-            with contextlib.suppress(FileNotFoundError):
-                if os.path.samestat(mine, os.stat(self.path)):
-                    os.unlink(self.path)
+        # unlink while still holding the lock, so no run can take the old file
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
+        os.close(self.fd)
+        self.fd = None
         return False
 
 
@@ -478,14 +455,12 @@ class _Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         with _DirLock(self.out):
             self.preflight()
-            existing = self.out / "manifest.json"
-            if existing.exists():
-                try:
-                    self._manifest_stages = json.loads(existing.read_text()).get(
-                        "stages", {}
-                    )
-                except (OSError, json.JSONDecodeError):
-                    self._manifest_stages = {}
+            # a manifest that is missing, corrupt or misshapen starts afresh
+            try:
+                stages = json.loads((self.out / "manifest.json").read_text())["stages"]
+            except (OSError, ValueError, TypeError, KeyError):
+                stages = None
+            self._manifest_stages = stages if isinstance(stages, dict) else {}
             for name, self._params_given, params in self.pipeline:
                 self.current_stage = name
                 self._inputs = {}

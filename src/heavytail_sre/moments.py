@@ -400,9 +400,7 @@ def positivity_check(
     for s in grid:
         num = spec.b_moment_exact(j, float(s))
         den = spec.kappa_exact(j, float(s))
-        if num is None or den is None:
-            if rng is None:
-                raise ValueError("Monte Carlo positivity_check needs an rng")
+        if not use_closed_form("auto", num is not None and den is not None, "positivity_check", rng):
             if draw is None:
                 a, b = spec.sample_coeffs(rng, n)
                 buf = a[:, j - 1] if spec.d > 1 else np.empty(n)

@@ -156,18 +156,28 @@ def iterate(spec: ModelSpec, x0, n: int, rng: np.random.Generator) -> np.ndarray
     if n < 1:
         raise ValueError("n must be positive")
     a, b = spec.sample_coeffs(rng, n)
-    out = np.empty((n, spec.d))
-    x = x0
-    for t in range(n):
-        # overflow here is the divergence being detected, not an anomaly
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = a[t] * x + b[t]
-        if not np.isfinite(x).all():
-            raise DivergenceError(
-                f"trajectory left the representable range at step {t + 1}", step=t + 1
-            )
-        out[t] = x
-    return out
+    if (lost := _recur(a.T, b.T, x0)) is not None:
+        t = lost[0]
+        raise DivergenceError(f"trajectory left the representable range at step {t}", step=t)
+    return b.copy()  # (n, d) in C order, not a view that keeps the a draw alive
+
+
+def _recur(a: np.ndarray, x: np.ndarray, x0: np.ndarray) -> tuple[int, int] | None:
+    """The one stepping kernel: overwrite the (rows, steps) b slab x with the
+    states x_t = a_t * x_{t-1} + b_t of each row from x0, multiply then add.
+    Returns the earliest (step, row) whose state is not finite, or None."""
+    product, prev = np.empty(len(x0)), x0
+    # overflow here is the divergence being detected, not an anomaly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ai, xi in zip(a.T, x.T):
+            np.multiply(ai, prev, out=product)
+            prev = np.add(product, xi, out=xi)
+    # a non-finite state stays non-finite, so the last one tells
+    if np.isfinite(prev).all():
+        return None
+    lost = ~np.isfinite(x)
+    i = int(lost.any(axis=0).argmax())
+    return i + 1, int(lost[:, i].argmax())
 
 
 def default_burn_in(drifts) -> int:
@@ -263,20 +273,10 @@ def stationary_pool(
             spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
         a_rec[rows] = a[:, :, first::thin]
         b_rec[rows] = x[:, :, first::thin]
-        # step i of every (chain, coordinate) pair is one 1-D strided view
-        a_steps, x_steps = (s.reshape(nb * d, steps).T for s in (a, x))
-        product = np.empty(nb * d)
-        prev = np.tile(x0, nb)
-        # overflow here is the divergence being detected, not an anomaly
-        with np.errstate(over="ignore", invalid="ignore"):
-            for ai, xi in zip(a_steps, x_steps):
-                np.multiply(ai, prev, out=product)
-                prev = np.add(product, xi, out=xi)
-        # a non-finite state stays non-finite, so the last one tells
-        if not np.isfinite(prev).all():
-            lost = ~np.isfinite(x).all(axis=1)
-            i = int(lost.any(axis=0).argmax())
-            failures.append((i + 1, c0 + int(lost[:, i].argmax())))
+        # row c * d + j of the flat slabs is coordinate j of chain c
+        lost = _recur(a.reshape(nb * d, steps), x.reshape(nb * d, steps), np.tile(x0, nb))
+        if lost is not None:
+            failures.append((lost[0], c0 + lost[1] // d))
             continue
         x_post[rows] = x[:, :, first::thin]
         if first:
@@ -286,7 +286,7 @@ def stationary_pool(
             x_pre[rows, :, 1:] = x[:, :, :-1]
     # free the slabs, and every view that keeps them alive, before the
     # chain and step columns are built
-    del slabs, a, x, a_steps, x_steps, ai, xi, prev
+    del slabs, a, x
     if failures:
         t, c = min(failures)
         raise DivergenceError(

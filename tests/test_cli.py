@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib.util
 import json
@@ -353,12 +354,16 @@ def test_locked_output_directory(tmp_path, capsys):
         tmp_path / "c.json",
         {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["tails"]},
     )
-    # a live process (this one) or an unreadable PID keeps the lock
-    for holder in (f"{os.getpid()}\n", ""):
-        (out / ".lock").write_text(holder)
-        assert main(["run", "--config", cfg]) == 1
-        assert "locked" in last_stderr_doc(capsys)["detail"]
-        assert (out / ".lock").read_text() == holder
+    # the holder's flock keeps the lock, whatever its file says
+    holder = cli._DirLock(out).__enter__()
+    try:
+        for text in (f"{os.getpid()}\n", ""):
+            (out / ".lock").write_text(text)
+            assert main(["run", "--config", cfg]) == 1
+            assert "locked" in last_stderr_doc(capsys)["detail"]
+            assert (out / ".lock").read_text() == text
+    finally:
+        holder.__exit__(None, None, None)
 
 
 def test_lock_of_a_finished_process_is_reclaimed(tmp_path):
@@ -376,66 +381,134 @@ def test_lock_of_a_finished_process_is_reclaimed(tmp_path):
     assert not (out / ".lock").exists()
 
 
-def test_two_runs_reclaiming_one_stale_lock(tmp_path, monkeypatch):
-    # run B finds the lock stale; before B moves it aside, run A reclaims it
-    # and locks afresh.  B must refuse and leave A's lock in place
+def test_one_of_three_runs_takes_a_stale_lock(tmp_path):
+    # a crash leaves .lock naming a dead process but holds no flock: the
+    # first run takes it, and the others refuse while it holds it
     out = tmp_path / "o"
     out.mkdir()
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
     (out / ".lock").write_text(f"{child.pid}\n")
-    run_a, run_b = cli._DirLock(out), cli._DirLock(out)
-    rename = os.rename
-
-    def a_goes_first(src, dst):
-        monkeypatch.setattr(os, "rename", rename)
-        run_a.__enter__()
-        rename(src, dst)
-
-    monkeypatch.setattr(os, "rename", a_goes_first)
-    with pytest.raises(RuntimeError, match="locked"):
-        run_b.__enter__()
-    assert [p.name for p in out.iterdir()] == [".lock"]
+    runs = [cli._DirLock(out) for _ in range(3)]
+    runs[0].__enter__()
+    for run in runs[1:]:
+        with pytest.raises(RuntimeError, match="locked"):
+            run.__enter__()
     assert (out / ".lock").read_text() == f"{os.getpid()}\n"
-    run_a.__exit__(None, None, None)
-    assert not (out / ".lock").exists()
+    runs[0].__exit__(None, None, None)
+    assert list(out.iterdir()) == []
+    runs[2].__enter__()
+    runs[2].__exit__(None, None, None)
+    assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("third_run", [True, False])
-def test_renewed_lock_that_cannot_go_back(tmp_path, monkeypatch, third_run):
-    # as above, but after B moves A's fresh lock aside, either a third run C
-    # locks the directory or the filesystem has no hard links: B refuses and
-    # leaves A's lock aside rather than deleting it, and A's exit spares C's lock
+def test_lock_of_a_killed_holder_is_released(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (out / ".lock").write_text(f"{child.pid}\n")
-    run_a, run_b, run_c = cli._DirLock(out), cli._DirLock(out), cli._DirLock(out)
-    rename = os.rename
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["report"]},
+    )
+    hold = (
+        "import fcntl, os, sys, time\n"
+        "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+        "print('locked', flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", hold, str(out / ".lock")], stdout=subprocess.PIPE, text=True
+    ) as child:
+        try:
+            assert child.stdout.readline() == "locked\n"
+            assert main(["run", "--config", cfg]) == 1
+            assert "locked" in last_stderr_doc(capsys)["detail"]
+            child.kill()
+            child.wait()
+            # the kernel dropped the flock with its holder; its file remains
+            assert (out / ".lock").exists()
+            assert main(["run", "--config", cfg]) == 0
+            assert not (out / ".lock").exists()
+        finally:
+            child.kill()
+            child.wait()
 
-    def a_first_then_c(src, dst):
-        monkeypatch.setattr(os, "rename", rename)
-        run_a.__enter__()
-        rename(src, dst)
-        if third_run:
-            run_c.__enter__()
 
-    def no_links(src, dst):
-        raise OSError(1, "hard links not supported")
+def test_lock_unlinked_before_flock_is_retried(tmp_path, monkeypatch):
+    # the holder exits, unlinking .lock, after this run opened the old file
+    # but before it flocks it: the flock wins a file no longer linked, so the
+    # run must take the lock again on a fresh .lock
+    out = tmp_path / "o"
+    out.mkdir()
+    holder, run = cli._DirLock(out).__enter__(), cli._DirLock(out)
+    flock, calls = cli.fcntl.flock, []
 
-    monkeypatch.setattr(os, "rename", a_first_then_c)
-    if not third_run:
-        monkeypatch.setattr(os, "link", no_links)
-    with pytest.raises(RuntimeError, match="locked"):
-        run_b.__enter__()
-    aside = out / f".lock.{os.getpid()}"
-    assert aside.read_text() == f"{os.getpid()}\n"
-    assert (out / ".lock").exists() == third_run
-    run_a.__exit__(None, None, None)
-    assert (out / ".lock").exists() == third_run
-    run_c.__exit__(None, None, None)
-    assert sorted(p.name for p in out.iterdir()) == [aside.name]
+    def holder_exits_first(fd, op):
+        if not calls:
+            holder.__exit__(None, None, None)
+        calls.append(os.fstat(fd).st_nlink)
+        return flock(fd, op)
+
+    monkeypatch.setattr(cli.fcntl, "flock", holder_exits_first)
+    run.__enter__()
+    # the first flock was on the unlinked file, the second on the fresh one
+    assert calls == [0, 1]
+    assert os.path.samestat(os.fstat(run.fd), os.stat(out / ".lock"))
+    assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+    run.__exit__(None, None, None)
+    assert list(out.iterdir()) == []
+
+
+def test_lock_error_other_than_held_exits_one(tmp_path, monkeypatch, capsys):
+    # a filesystem without locks does not run unlocked
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["report"]},
+    )
+
+    def no_locks(fd, op):
+        raise OSError(errno.ENOLCK, "no locks available")
+
+    monkeypatch.setattr(cli.fcntl, "flock", no_locks)
+    assert main(["run", "--config", cfg]) == 1
+    assert last_stderr_doc(capsys)["error"] == "OSError"
+    # only the empty file it could not lock, with no PID in it
+    assert [p.name for p in out.iterdir()] == [".lock"]
+    assert (out / ".lock").read_bytes() == b""
+
+
+def test_pid_in_a_lock_that_is_not_held_does_not_block(tmp_path):
+    # contract change: the lock is the flock, not the file, so a .lock
+    # naming a live process (this one) that holds no flock on it no
+    # longer refuses the run
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / ".lock").write_text(f"{os.getpid()}\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["report"]},
+    )
+    assert main(["run", "--config", cfg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
+@pytest.mark.parametrize(
+    "manifest", ["[]", '{"stages": []}', '"stages"'], ids=["list", "stages-list", "string"]
+)
+def test_misshapen_manifest_is_rewritten(manifest, tmp_path):
+    # like a corrupt manifest, one of the wrong shape starts afresh
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "manifest.json").write_text(manifest)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"model": REF_MODEL, "seed": 1, "out": str(out), "pipeline": ["solve-alpha", "report"]},
+    )
+    assert main(["run", "--config", cfg]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert set(doc["stages"]) == {"solve-alpha", "report"}
 
 
 def test_full_run_artifacts(full_run):
