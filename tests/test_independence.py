@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -140,6 +142,48 @@ def test_declared_growth_bound_audited():
     lying = CustomTau(lambda g: 1.0 + np.abs(g), name="lying", growth=(1.0, 0.0))
     chk = submultiplicativity_check(lying, RNG(3), n=10_000)
     assert chk.growth_ok is False
+
+
+BIT_LOCK_MODEL = ModelSpec(
+    "TwoPoint",
+    2,
+    {"p": [0.2, 0.3], "up": [2.0, 1.8], "down": [0.5, 0.0], "b": {"dist": "exponential", "rate": 1.0}},
+)
+
+# sha256 of each tau kind's name, submultiplicativity audit at seed 3 and
+# gamma bound at seed 4, all on BIT_LOCK_MODEL
+TAU_DIGESTS = {
+    "power-0.5": ({"kind": "power", "beta": 0.5},
+                  "c0d18f7898d0579affc11b8a11b6e54aba22aa5f2da448ba2e36afc6a30658aa"),
+    "power-2": ({"kind": "power", "beta": 2.0},
+                "b773183d85add6c2455dddce37e389e5104a98baa36af35cda86551fa832f68a"),
+    "log-3": ({"kind": "log", "beta": 3.0},
+              "0b797e902f75e9bc3b92c900af0e01616b20101b6748fa5478002b4c24802d11"),
+    "log-default": ({"kind": "log"},
+                    "638190aef58ca9f9f30359de167dd173b7f8ed23210d9ddf2b18c6838ef1b61c"),
+    "loglog": ({"kind": "loglog"},
+               "339a2972faa445c2827b40ae1e96c1c27292470e44e18150501022b84d7994d4"),
+    "product-log-power": (
+        {"kind": "product", "factors": [{"kind": "log", "beta": 1.0}, {"kind": "power", "beta": 0.5}]},
+        "e257eb33af02a775fb40bb85caabe99be24007ebf66f587b5cd987c36cf28b84"),
+    "product-loglog-log": (
+        {"kind": "product", "factors": [{"kind": "loglog"}, {"kind": "log", "beta": 2.0}]},
+        "47ad5c982e6ed847618a0ce2115abd8c5aa7732edc393b1606e0fc6e4f71b713"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TAU_DIGESTS))
+def test_tau_kinds_keep_their_bits(kind):
+    # the golden digests pin only log(1); this pins every kind the pipeline builds
+    doc, want = TAU_DIGESTS[kind]
+    tau = build_tau(doc)
+    got = {
+        "name": tau.name,
+        "submultiplicativity_check": submultiplicativity_check(tau, RNG(3), n=20_000).to_dict(),
+        "tau_gamma_bound": tau_gamma_bound(
+            BIT_LOCK_MODEL, 0, 1, 2.0, 2.3, tau, RNG(4), n=20_000).to_dict(),
+    }
+    assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == want
 
 
 def test_submultiplicativity_validates_range():
