@@ -26,13 +26,8 @@ from .common import (
 )
 from .geometry import alpha_norm, dilate, polar, subadditivity_constant
 from .independence import (
-    CustomTau,
     GammaBound,
     JointExceedance,
-    LogLogTau,
-    LogTau,
-    PowerTau,
-    ProductTau,
     Tau,
     build_tau,
     decay_rate_fit,
@@ -85,7 +80,6 @@ __all__ = [
     "BlockPartition",
     "BlockTailLadder",
     "ConfigurationError",
-    "CustomTau",
     "DivergenceError",
     "Estimate",
     "GammaBound",
@@ -93,15 +87,11 @@ __all__ = [
     "HillEstimate",
     "JointExceedance",
     "LadderError",
-    "LogLogTau",
     "LogMoment",
-    "LogTau",
     "ModelSpec",
     "MomentCheck",
     "NonContractiveError",
     "PositivityReport",
-    "PowerTau",
-    "ProductTau",
     "SamplePool",
     "SpectralEstimate",
     "TailConstantLadder",

@@ -497,7 +497,7 @@ class _Runner:
 
     def _stage_simulate(self, params: dict) -> None:
         pool = stationary_pool(self.spec, seed=self.seed, **params)
-        pool.save(self.out / "pool.bin", self.out / "pool.meta.json")
+        pool.save(self.out / "pool.bin")
         doc = {
             "burn_in": pool.meta["burn_in"],
             "chains": pool.meta["chains"],

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeavinessError, given
-from .common import joint_pow, mean_estimate, number, read_keys
+from .common import joint_pow, mean_estimate, number, ranged, read_keys
 from .model import ModelSpec
 from .moments import cross_kappa
 from .geometry import magnitude_power
@@ -24,144 +24,30 @@ from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
 
 
 class Tau:
-    """Submultiplicative weight on coefficient pairs.
+    """Submultiplicative weight on coefficient pairs, tau(g1, g2) = f1(g1) * f2(g2).
 
-    Subclasses implement value(g) >= 1-ish pointwise weights with
-    tau(g * h) <= tau(g) * tau(h); two-argument weights override value2.
-    growth_bound returns (C1, C2) with tau(g) <= C1 * (1 + |g|)^C2, or
-    None when no polynomial bound is declared.
+    A single-argument weight tau(g) = f1(g) has no f2 and weighs both
+    coefficients with f1.  Submultiplicativity, tau(g * h) <= tau(g) tau(h),
+    holds for every kind build_tau makes; for any other weight it is the
+    caller's claim.  growth, when declared, is (C1, C2) with
+    tau(g) <= C1 * (1 + |g|)^C2 in each argument.
     """
 
-    name = "tau"
-    two_arg = False
+    def __init__(self, name: str, f1, f2=None, growth: tuple[float, float] | None = None):
+        self.name, self.f1, self.f2, self.growth = name, f1, f2, growth
 
-    def value(self, g):
-        raise NotImplementedError
-
-    def value2(self, g1, g2):
-        v1, v2 = self.value(g1), self.value(g2)
-        return v1 * v2
-
-    def growth_bound(self) -> tuple[float, float] | None:
-        return None
-
-    def to_doc(self) -> dict:
-        raise NotImplementedError(f"{self.name} cannot be serialized")
-
-
-class PowerTau(Tau):
-    """tau(g) = |g|^beta."""
-
-    def __init__(self, beta: float = 1.0):
-        beta = float(beta)
-        if not (math.isfinite(beta) and beta >= 0.0):
-            raise ValueError("beta must be nonnegative and finite")
-        self.beta = beta
-        self.name = f"power({beta:g})"
-
-    def value(self, g):
-        return np.abs(np.asarray(g, dtype=float)) ** self.beta
-
-    def growth_bound(self):
-        return (1.0, self.beta)
-
-    def to_doc(self):
-        return {"kind": "power", "beta": self.beta}
-
-
-class LogTau(Tau):
-    """tau(g) = (1 + log(1 + |g|))^beta."""
-
-    def __init__(self, beta: float = 1.0):
-        beta = float(beta)
-        if not (math.isfinite(beta) and beta >= 0.0):
-            raise ValueError("beta must be nonnegative and finite")
-        self.beta = beta
-        self.name = f"log({beta:g})"
-
-    def value(self, g):
-        return (1.0 + np.log1p(np.abs(np.asarray(g, dtype=float)))) ** self.beta
-
-    def growth_bound(self):
-        return (1.0, self.beta)
-
-    def to_doc(self):
-        return {"kind": "log", "beta": self.beta}
-
-
-class LogLogTau(Tau):
-    """tau(g) = 1 + log(1 + log(1 + |g|))."""
-
-    name = "loglog"
-
-    def value(self, g):
-        return 1.0 + np.log1p(np.log1p(np.abs(np.asarray(g, dtype=float))))
-
-    def growth_bound(self):
-        return (1.0, 1.0)
-
-    def to_doc(self):
-        return {"kind": "loglog"}
-
-
-class ProductTau(Tau):
-    """tau(g1, g2) = tau_1(g1) * tau_2(g2); genuinely two-argument."""
-
-    two_arg = True
-
-    def __init__(self, left: Tau, right: Tau):
-        if left.two_arg or right.two_arg:
-            raise ValueError("product factors must be single-argument weights")
-        self.left = left
-        self.right = right
-        self.name = f"product({left.name}, {right.name})"
-
-    def value(self, g):
-        raise ValueError("product weight needs two arguments; use value2")
-
-    def value2(self, g1, g2):
-        return self.left.value(g1) * self.right.value(g2)
-
-    def growth_bound(self):
-        gl, gr = self.left.growth_bound(), self.right.growth_bound()
-        if gl is None or gr is None:
-            return None
-        return (gl[0] * gr[0], max(gl[1], gr[1]))
-
-    def to_doc(self):
-        return {
-            "kind": "product",
-            "factors": [self.left.to_doc(), self.right.to_doc()],
-        }
-
-
-class CustomTau(Tau):
-    """Wrap an arbitrary callable; submultiplicativity is the caller's claim."""
-
-    def __init__(self, fn, name: str = "custom", two_arg: bool = False,
-                 growth: tuple[float, float] | None = None):
-        if not callable(fn):
-            raise ValueError("fn must be callable")
-        self._fn = fn
-        self.name = name
-        self.two_arg = bool(two_arg)
-        self._growth = None if growth is None else (float(growth[0]), float(growth[1]))
+    @property
+    def two_arg(self) -> bool:
+        return self.f2 is not None
 
     def value(self, g):
         if self.two_arg:
             raise ValueError(f"{self.name} needs two arguments; use value2")
-        return np.asarray(self._fn(np.asarray(g, dtype=float)), dtype=float)
+        return self.f1(np.asarray(g, dtype=float))
 
     def value2(self, g1, g2):
-        if self.two_arg:
-            return np.asarray(
-                self._fn(np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)),
-                dtype=float,
-            )
-        return super().value2(g1, g2)
-
-    def growth_bound(self):
-        return self._growth
+        f2 = self.f1 if self.f2 is None else self.f2
+        return self.f1(np.asarray(g1, dtype=float)) * f2(np.asarray(g2, dtype=float))
 
 
 def _factors(value) -> list:
@@ -170,12 +56,25 @@ def _factors(value) -> list:
     return [build_tau(doc) for doc in value]
 
 
+def _product(factors: list) -> Tau:
+    left, right = factors
+    if left.two_arg or right.two_arg:
+        raise ValueError("product factors must be single-argument weights")
+    growth = (left.growth[0] * right.growth[0], max(left.growth[1], right.growth[1]))
+    return Tau(f"product({left.name}, {right.name})", left.f1, right.f1, growth)
+
+
+_BETA = {"beta": (ranged(number, lambda v: v >= 0.0, "nonnegative"), 1.0)}
+
 # each tau kind's weight, and the keys it reads beside 'kind'
 _TAU_KINDS = {
-    "power": (PowerTau, {"beta": (number, 1.0)}),
-    "log": (LogTau, {"beta": (number, 1.0)}),
-    "loglog": (LogLogTau, {}),
-    "product": (lambda factors: ProductTau(*factors), {"factors": (_factors, REQUIRED)}),
+    "power": (lambda beta: Tau(f"power({beta:g})", lambda g: np.abs(g) ** beta,
+                               growth=(1.0, beta)), _BETA),
+    "log": (lambda beta: Tau(f"log({beta:g})", lambda g: (1.0 + np.log1p(np.abs(g))) ** beta,
+                             growth=(1.0, beta)), _BETA),
+    "loglog": (lambda: Tau("loglog", lambda g: 1.0 + np.log1p(np.log1p(np.abs(g))),
+                           growth=(1.0, 1.0)), {}),
+    "product": (_product, {"factors": (_factors, REQUIRED)}),
 }
 
 
@@ -209,11 +108,9 @@ def submultiplicativity_check(
     tau: Tau,
     rng: np.random.Generator,
     n: int = 100_000,
-    lo: float = 1e-6,
-    hi: float = 1e6,
-    rtol: float = 1e-9,
 ) -> SubmultiplicativityCheck:
-    """Probe tau(g h) <= tau(g) tau(h) on signed log-uniform pairs.
+    """Probe tau(g h) <= tau(g) tau(h) on signed log-uniform pairs with
+    magnitudes in [1e-6, 1e6], up to a relative tolerance of 1e-9.
 
     Also audits the declared polynomial growth bound when there is one.
     A failure reports the worst offending pair so it can be rechecked by
@@ -221,11 +118,9 @@ def submultiplicativity_check(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
 
     def draw(cols: int) -> np.ndarray:
-        mags = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(n, cols)))
+        mags = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(n, cols)))
         signs = rng.integers(0, 2, size=(n, cols)) * 2 - 1
         return mags * signs
 
@@ -246,7 +141,7 @@ def submultiplicativity_check(
         log_ratio = np.log(num) - np.log(den)
     valid = ~np.isnan(log_ratio)
     if not np.any(valid):
-        raise ValueError("every probed ratio was indeterminate; shrink [lo, hi]")
+        raise ValueError("every probed ratio was indeterminate")
     worst = int(np.argmax(np.where(valid, log_ratio, -np.inf)))
     worst_ratio = float(np.exp(min(log_ratio[worst], 709.0)))
     if tau.two_arg:
@@ -256,12 +151,11 @@ def submultiplicativity_check(
         )
     else:
         worst_args = (float(g[worst]), float(h[worst]))
-    passed = bool(log_ratio[worst] <= math.log1p(rtol))
+    passed = bool(log_ratio[worst] <= math.log1p(1e-9))
 
     growth_ok: bool | None = None
-    bound = tau.growth_bound()
-    if bound is not None:
-        c1, c2 = bound
+    if tau.growth is not None:
+        c1, c2 = tau.growth
         with np.errstate(over="ignore"):
             if tau.two_arg:
                 vals = tau.value2(g[:, 0], g[:, 1])
@@ -406,16 +300,17 @@ def tau_gamma_bound(
     gammas=None,
     n: int = 1_000_000,
     cross_method: str = "auto",
-    refine_steps: int = 20,
 ) -> GammaBound:
     """Certify the largest gamma with k(gamma) < 1 for a cross-class pair.
 
     k(gamma) = E tau(A_i, A_j)^gamma |A_i|^{alpha_i xi} |A_j|^{alpha_j (1-xi)}
     is estimated on one common draw across the whole gamma grid; gamma
     passes only when the whole 95% interval sits below 1, so the reported
-    k(gamma0) keeps a noise margin from the boundary.  The precondition is
-    a cross moment certified below 1; a weight so heavy that even the
-    smallest grid point fails raises TauHeavinessError.
+    k(gamma0) keeps a noise margin from the boundary.  The first grid point
+    that fails is refined by 20 bisection steps from the last one that
+    passed.  The precondition is a cross moment certified below 1; a weight
+    so heavy that even the smallest grid point fails raises
+    TauHeavinessError.
     """
     if i == j:
         raise ValueError("need two distinct coordinates")
@@ -492,10 +387,9 @@ def tau_gamma_bound(
             f"{k_values[0]:.6g} is not certified below 1"
         )
 
-    refined = False
-    if first_fail is not None and refine_steps > 0:
+    if first_fail is not None:
         lo, hi = last_pass, first_fail
-        for _ in range(refine_steps):
+        for _ in range(20):
             mid = 0.5 * (lo + hi)
             est = k_hat(mid)
             if passes(est):
@@ -503,17 +397,14 @@ def tau_gamma_bound(
             else:
                 hi = mid
         last_pass = lo
-        refined = True
-    gamma0 = last_pass
-    k_at = last_est
     return GammaBound(
-        gamma0=float(gamma0),
+        gamma0=float(last_pass),
         gammas=tuple(float(g) for g in gammas[: len(k_values)]),
         k_values=tuple(float(v) for v in k_values),
         k_zero=k_zero,
-        k_at_gamma0=k_at,
+        k_at_gamma0=last_est,
         cross=cross,
         xi=float(xi),
         tau_name=tau.name,
-        refined=refined,
+        refined=first_fail is not None,
     )

@@ -372,9 +372,6 @@ class _TwoPoint(_Family):
         mags = {abs(v) for w, v in self._atoms(j) if w > 0.0}
         return len(mags) <= 1
 
-    def a_abscissa(self, j):
-        return math.inf
-
 
 class _LogNormal(_Family):
     KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (_optional_matrix, None),
@@ -417,9 +414,6 @@ class _LogNormal(_Family):
 
     def constant_magnitude_exact(self, j):
         return self.sigma[j] == 0.0
-
-    def a_abscissa(self, j):
-        return math.inf
 
 
 class _CCCGarch(_Family):
@@ -500,9 +494,6 @@ class _CCCGarch(_Family):
     def constant_magnitude_exact(self, j):
         return self.arch[j] == 0.0
 
-    def a_abscissa(self, j):
-        return math.inf
-
 
 class _BekkDiag(_Family):
     KEYS = {"coeff": (_matrix, REQUIRED), "b": (given, _NO_NOISE)}
@@ -561,9 +552,6 @@ class _BekkDiag(_Family):
 
     def constant_magnitude_exact(self, j):
         return self.sigma[j] == 0.0
-
-    def a_abscissa(self, j):
-        return math.inf
 
 
 class _CustomAtoms(_Family):
@@ -628,9 +616,6 @@ class _CustomAtoms(_Family):
     def constant_magnitude_exact(self, j):
         mags = np.abs(self.a[self.prob > 0.0, j])
         return bool(np.all(mags == mags[0]))
-
-    def a_abscissa(self, j):
-        return math.inf
 
     def b_moment_exact(self, j, s):
         return float(sum(w * _pow_abs1(v, s) for w, v in zip(self.prob, self.bvals[:, j])))
@@ -756,8 +741,6 @@ class ModelSpec:
         """E |A_i|^s |A_j|^u, or None when no closed form is available."""
     @_hook
     def constant_magnitude_exact(self, j: int) -> bool | None: ...
-    @_hook
-    def a_abscissa(self, j: int) -> float | None: ...
     @_hook
     def b_moment_exact(self, j: int, s: float) -> float | None: ...
     @_hook

@@ -298,14 +298,9 @@ class AbscissaScan(Record):
     flag: str | None = None
 
 
-def _default_abscissa_grid() -> np.ndarray:
-    return np.arange(0.5, 8.001, 0.5)
-
-
 def moment_abscissa(
     spec: ModelSpec,
     j: int,
-    grid=None,
     n: int = 200_000,
     rng: np.random.Generator | None = None,
     method: str = "auto",
@@ -313,19 +308,17 @@ def moment_abscissa(
     """Largest probed moment order at which E|A_j|^s and E|B_j|^s both look
     finite.
 
-    Families with known abscissas answer in closed form (possibly +inf).
-    The Monte Carlo scan walks the grid upward and calls an order stable
-    when the estimate moves by less than 5% under sample doubling; the
-    reported s_inf is the last stable grid point before the first unstable
-    one.  This is a cheap divergence heuristic, not a proof.
+    Every family but a Custom callable has A moments of all orders, so
+    where the noise abscissa is known it is the closed form (possibly
+    +inf).  The Monte Carlo scan walks the orders 0.5, 1, ..., 8 upward and
+    calls an order stable when the estimate moves by less than 5% under
+    sample doubling; the reported s_inf is the last stable order before the
+    first unstable one.  This is a cheap divergence heuristic, not a proof.
     """
-    grid = _default_abscissa_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be a positive increasing vector")
-    a_abs = spec.a_abscissa(j)
+    grid = np.arange(0.5, 8.001, 0.5)
     b_abs = spec.b_abscissa(j)
-    if use_closed_form(method, a_abs is not None and b_abs is not None, "moment_abscissa", rng):
-        return AbscissaScan(float(min(a_abs, b_abs)), "closed-form", tuple(grid), None, None)
+    if use_closed_form(method, b_abs is not None, "moment_abscissa", rng):
+        return AbscissaScan(float(b_abs), "closed-form", tuple(grid), None, None)
     a, b = spec.sample_coeffs(rng, 2 * n)
     ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
     buf = a[:, j - 1] if spec.d > 1 else np.empty(2 * n)  # another A row, or a fresh one
@@ -343,7 +336,7 @@ def moment_abscissa(
             hit_unstable = True
     flag = None
     if not hit_unstable:
-        if a_abs == math.inf and b_abs == math.inf:
+        if b_abs == math.inf:
             s_inf = math.inf
         else:
             flag = "grid-limited"
@@ -371,7 +364,6 @@ def positivity_check(
     spec: ModelSpec,
     j: int,
     alpha: float,
-    grid=None,
     n: int = 200_000,
     rng: np.random.Generator | None = None,
 ) -> PositivityReport:
@@ -379,21 +371,20 @@ def positivity_check(
 
     A noise coordinate that is identically zero short-circuits to
     "satisfied" with the degenerate flag set: the fixed point is then the
-    zero path and every tail constant is trivially zero.
+    zero path and every tail constant is trivially zero.  A moment scan
+    that finds no stable order leaves no grid to probe: "inconclusive".
     """
     alpha = _require(alpha, "alpha")
     scan = moment_abscissa(spec, j, n=n, rng=rng)
     s_inf = scan.s_inf
     if spec.b_is_zero(j):
         return PositivityReport("satisfied", s_inf, (), (), True)
-    if grid is None:
-        if math.isinf(s_inf):
-            grid = np.geomspace(max(0.5, 0.5 * alpha), max(32.0, 4.0 * alpha), 13)
-        else:
-            grid = np.linspace(0.45 * s_inf, 0.95 * s_inf, 11)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be a positive increasing vector with >= 3 points")
+    if s_inf == 0.0:
+        return PositivityReport("inconclusive", 0.0, (), (), False)
+    if math.isinf(s_inf):
+        grid = np.geomspace(max(0.5, 0.5 * alpha), max(32.0, 4.0 * alpha), 13)
+    else:
+        grid = np.linspace(0.45 * s_inf, 0.95 * s_inf, 11)
 
     draw = None
     ratios = []

@@ -75,8 +75,9 @@ class SamplePool:
             dict(self.meta),
         )
 
-    def save(self, bin_path, meta_path=None) -> None:
-        """Write raw little-endian columns plus a JSON sidecar.
+    def save(self, bin_path) -> None:
+        """Write raw little-endian columns plus a JSON sidecar (name.meta.json
+        beside name.bin).
 
         Layout: chain and step as int64, then each float64 group
         coordinate by coordinate, every column contiguous.  Both files are
@@ -84,7 +85,7 @@ class SamplePool:
         a failed save leaves no pool that loads.
         """
         bin_path = str(bin_path)
-        meta_path = _sidecar_path(bin_path) if meta_path is None else str(meta_path)
+        meta_path = _sidecar_path(bin_path)
         pathlib.Path(meta_path).unlink(missing_ok=True)
         with atomic_write(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.chain, dtype="<i8").view(np.uint8))
@@ -107,10 +108,9 @@ class SamplePool:
             fh.write("\n")
 
     @classmethod
-    def load(cls, bin_path, meta_path=None) -> "SamplePool":
+    def load(cls, bin_path) -> "SamplePool":
         bin_path = str(bin_path)
-        meta_path = _sidecar_path(bin_path) if meta_path is None else str(meta_path)
-        with open(meta_path) as fh:
+        with open(_sidecar_path(bin_path)) as fh:
             doc = json.load(fh)
         if doc.get("format") != POOL_SCHEMA:
             raise ValueError(f"unsupported pool format {doc.get('format')!r}")
@@ -210,7 +210,6 @@ def stationary_pool(
     thin: int = 10,
     x0=None,
     contractivity: tuple[LogMoment, ...] | None = None,
-    drift_check_n: int = 100_000,
 ) -> SamplePool:
     """Simulate independent chains and pool their post-burn-in records.
 
@@ -232,7 +231,7 @@ def stationary_pool(
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite vector of length {d}")
 
-    diags = contractivity if contractivity is not None else drift_diagnostics(spec, seed, drift_check_n)
+    diags = contractivity if contractivity is not None else drift_diagnostics(spec, seed)
     if len(diags) != d:
         raise ValueError("contractivity diagnostics must cover every coordinate")
     bad = [j for j, lm in enumerate(diags) if not lm.contractive]

@@ -33,7 +33,7 @@ from heavytail_sre import (
 )
 from heavytail_sre.cli import main as cli_main
 from heavytail_sre.geometry import alpha_norm, dilate, polar
-from heavytail_sre.independence import LogTau
+from heavytail_sre.independence import build_tau
 
 REFERENCE = ModelSpec(
     "TwoPoint",
@@ -241,7 +241,7 @@ def test_cross_moment_and_gamma_bound():
     est = cross_kappa(TWO_BLOCK, 0, 1, ALPHA, ALPHA, 0.5)
     assert est.value == pytest.approx(0.64, abs=1e-3)
     bound = tau_gamma_bound(
-        TWO_BLOCK, 0, 1, ALPHA, ALPHA, LogTau(1.0), np.random.default_rng(3), n=400_000
+        TWO_BLOCK, 0, 1, ALPHA, ALPHA, build_tau({"kind": "log"}), np.random.default_rng(3), n=400_000
     )
     assert bound.gamma0 > 0.0
     assert bound.k_at_gamma0.ci_hi < 1.0

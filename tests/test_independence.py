@@ -16,14 +16,7 @@ from heavytail_sre import (
     submultiplicativity_check,
     tau_gamma_bound,
 )
-from heavytail_sre.independence import (
-    CustomTau,
-    LogLogTau,
-    LogTau,
-    PowerTau,
-    ProductTau,
-    build_tau,
-)
+from heavytail_sre.independence import Tau, build_tau
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -59,38 +52,48 @@ def comonotone_pool():
 # -- tau weights -------------------------------------------------------------
 
 
+LOG = {"kind": "log", "beta": 1.0}
+LOGLOG = {"kind": "loglog"}
+
+
 def test_tau_values():
-    assert PowerTau(2.0).value(3.0) == 9.0
-    assert LogTau(1.0).value(math.e - 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert LogLogTau().value(0.0) == 1.0
-    prod = ProductTau(LogTau(1.0), PowerTau(1.0))
+    assert build_tau({"kind": "power", "beta": 2.0}).value(3.0) == 9.0
+    assert build_tau(LOG).value(math.e - 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert build_tau(LOGLOG).value(0.0) == 1.0
+    prod = build_tau({"kind": "product", "factors": [LOG, {"kind": "power", "beta": 1.0}]})
     assert prod.two_arg is True
     assert prod.value2(0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert prod.growth == (1.0, 1.0)
     with pytest.raises(ValueError):
         prod.value(1.0)
 
 
 def test_tau_validation():
     with pytest.raises(ValueError):
-        PowerTau(-1.0)
+        build_tau({"kind": "power", "beta": -1.0})
     with pytest.raises(ValueError):
-        LogTau(math.inf)
-    with pytest.raises(ValueError):
-        ProductTau(ProductTau(LogTau(), LogTau()), LogTau())
-    with pytest.raises(ValueError):
-        CustomTau(42)
+        build_tau({"kind": "log", "beta": math.inf})
+    with pytest.raises(ValueError, match="single-argument"):
+        build_tau({"kind": "product", "factors": [{"kind": "product", "factors": [LOG, LOG]}, LOG]})
 
 
 def test_build_tau_roundtrip():
-    for tau in (PowerTau(1.5), LogTau(2.0), LogLogTau(), ProductTau(LogTau(), LogLogTau())):
-        doc = tau.to_doc()
-        clone = build_tau(doc)
-        assert clone.to_doc() == doc
-        g = np.array([0.5, 3.0, -7.0])
-        if tau.two_arg:
-            np.testing.assert_allclose(clone.value2(g, g), tau.value2(g, g))
-        else:
-            np.testing.assert_allclose(clone.value(g), tau.value(g))
+    # each kind's name, growth and values, and a single-argument weight
+    # applied to a pair weighs both coefficients
+    g = np.array([0.5, 3.0, -7.0])
+    cases = [
+        ({"kind": "power", "beta": 1.5}, "power(1.5)", (1.0, 1.5), np.abs(g) ** 1.5),
+        ({"kind": "log", "beta": 2.0}, "log(2)", (1.0, 2.0), (1.0 + np.log1p(np.abs(g))) ** 2.0),
+        (LOGLOG, "loglog", (1.0, 1.0), 1.0 + np.log1p(np.log1p(np.abs(g)))),
+    ]
+    for doc, name, growth, want in cases:
+        tau = build_tau(doc)
+        assert (tau.name, tau.growth, tau.two_arg) == (name, growth, False)
+        np.testing.assert_array_equal(tau.value(g), want)
+        np.testing.assert_array_equal(tau.value2(g, g), want * want)
+    prod = build_tau({"kind": "product", "factors": [{"kind": "log"}, LOGLOG]})
+    assert prod.name == "product(log(1), loglog)"
+    np.testing.assert_array_equal(prod.value2(g, g), build_tau(LOG).value(g) * build_tau(LOGLOG).value(g))
 
 
 def test_build_tau_rejects_bad_docs():
@@ -111,22 +114,22 @@ def test_build_tau_rejects_bad_docs():
     for doc in ({"kind": "pwr"}, {"kind": "log", "beta": "2"}, {"kind": "power", "beta": -1.0}, []):
         with pytest.raises(ConfigurationError):
             build_tau(doc)
-    assert build_tau({"kind": "log"}).to_doc() == {"kind": "log", "beta": 1.0}
+    assert build_tau({"kind": "log"}).name == build_tau(LOG).name == "log(1)"
 
 
 # -- submultiplicativity audit --------------------------------------------------
 
 
 def test_slow_weights_are_submultiplicative():
-    for tau in (LogTau(1.0), LogTau(3.0), LogLogTau(), PowerTau(2.0)):
-        chk = submultiplicativity_check(tau, RNG(2), n=50_000)
+    for doc in (LOG, {"kind": "log", "beta": 3.0}, LOGLOG, {"kind": "power", "beta": 2.0}):
+        chk = submultiplicativity_check(build_tau(doc), RNG(2), n=50_000)
         assert chk.passed is True
         assert chk.growth_ok is True
         assert chk.worst_ratio <= 1.0 + 1e-9
 
 
 def test_exponential_weight_fails():
-    tau = CustomTau(lambda g: np.exp(np.abs(g)), name="exp")
+    tau = Tau("exp", lambda g: np.exp(np.abs(g)))
     chk = submultiplicativity_check(tau, RNG(1), n=50_000)
     assert chk.passed is False
     assert chk.worst_ratio > 10.0
@@ -139,7 +142,7 @@ def test_exponential_weight_fails():
 
 def test_declared_growth_bound_audited():
     # claims tau <= (1 + |g|)^0 = 1 but grows linearly
-    lying = CustomTau(lambda g: 1.0 + np.abs(g), name="lying", growth=(1.0, 0.0))
+    lying = Tau("lying", lambda g: 1.0 + np.abs(g), growth=(1.0, 0.0))
     chk = submultiplicativity_check(lying, RNG(3), n=10_000)
     assert chk.growth_ok is False
 
@@ -188,9 +191,7 @@ def test_tau_kinds_keep_their_bits(kind):
 
 def test_submultiplicativity_validates_range():
     with pytest.raises(ValueError):
-        submultiplicativity_check(LogTau(), RNG(0), n=0)
-    with pytest.raises(ValueError):
-        submultiplicativity_check(LogTau(), RNG(0), lo=1.0, hi=0.5)
+        submultiplicativity_check(build_tau(LOG), RNG(0), n=0)
 
 
 # -- joint exceedance ladders ------------------------------------------------------
@@ -266,7 +267,7 @@ def test_decay_fit_needs_three_rungs():
 
 
 def test_gamma_bound_independent_pair():
-    gb = tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, LogTau(1.0), RNG(3), n=200_000)
+    gb = tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(3), n=200_000)
     assert gb.gamma0 > 0.1
     assert gb.cross.value == pytest.approx(0.64, abs=1e-12)
     assert gb.k_zero.ci_hi < 1.0
@@ -285,8 +286,8 @@ def test_gamma_bound_ignores_tau_where_the_weight_is_zero():
     spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.0})
 
     def bound(at_zero):
-        fn = lambda g1, g2: np.where(g1 == 0.0, at_zero, 1.0 + np.log1p(np.abs(g1 * g2)))
-        tau = CustomTau(fn, name="t", two_arg=True)
+        f1 = lambda g: np.where(g == 0.0, at_zero, 1.0 + np.log1p(np.abs(g)))
+        tau = Tau("t", f1, f2=lambda g: 1.0 + np.log1p(np.abs(g)))
         return tau_gamma_bound(spec, 0, 1, 2.3, 2.3, tau, RNG(4), n=50_000).to_dict()
 
     finite = bound(1.0)
@@ -296,19 +297,19 @@ def test_gamma_bound_ignores_tau_where_the_weight_is_zero():
 
 def test_gamma_bound_heavy_weight_raises():
     with pytest.raises(TauHeavinessError):
-        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, PowerTau(4000.0), RNG(3), n=50_000)
+        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau({"kind": "power", "beta": 4000.0}), RNG(3), n=50_000)
 
 
 def test_gamma_bound_refuses_shared_class():
     com = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True})
     with pytest.raises(ValueError, match="share a class"):
-        tau_gamma_bound(com, 0, 1, 2.0, 2.0, LogTau(1.0), RNG(3), n=50_000)
+        tau_gamma_bound(com, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(3), n=50_000)
 
 
 def test_gamma_bound_validates_arguments():
     with pytest.raises(ValueError):
-        tau_gamma_bound(PAIR, 0, 0, 2.0, 2.0, LogTau(1.0), RNG(0))
+        tau_gamma_bound(PAIR, 0, 0, 2.0, 2.0, build_tau(LOG), RNG(0))
     with pytest.raises(ValueError):
-        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, LogTau(1.0), RNG(0), xi=1.0)
+        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(0), xi=1.0)
     with pytest.raises(ValueError):
-        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, LogTau(1.0), RNG(0), gammas=[0.5, 0.2])
+        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(0), gammas=[0.5, 0.2])

@@ -489,7 +489,6 @@ HOOKS = {
     "joint_moment_exact[i]": lambda spec, j: spec.joint_moment_exact(j, 0, 1.0, 1.0),
     "joint_moment_exact[j]": lambda spec, j: spec.joint_moment_exact(0, j, 1.0, 1.0),
     "constant_magnitude_exact": lambda spec, j: spec.constant_magnitude_exact(j),
-    "a_abscissa": lambda spec, j: spec.a_abscissa(j),
     "b_moment_exact": lambda spec, j: spec.b_moment_exact(j, 1.0),
     "b_abscissa": lambda spec, j: spec.b_abscissa(j),
     "b_is_zero": lambda spec, j: spec.b_is_zero(j),

@@ -233,11 +233,6 @@ def test_abscissa_grid_limited_flag():
     assert scan.s_inf == scan.grid[-1]
 
 
-def test_abscissa_validates_grid():
-    with pytest.raises(ValueError):
-        moment_abscissa(two_point(), 0, grid=[2.0, 1.0])
-
-
 # -- positivity_check --------------------------------------------------------------
 
 
@@ -270,9 +265,18 @@ def test_positivity_finite_abscissa_ratios():
     assert len(report.ratios) == len(report.grid)
 
 
-def test_positivity_validates_grid():
-    with pytest.raises(ValueError):
-        positivity_check(two_point(), 0, 2.0, grid=[1.0, 2.0])
+def test_positivity_without_a_stable_order_is_inconclusive():
+    # Pareto(0.3) noise has no stable order on the scan, so no grid below
+    # s_inf = 0 is left to probe
+    def sampler(rng, n):
+        u = rng.uniform(size=(n, 1))
+        return np.where(u < 0.2, 2.0, 0.5), rng.pareto(0.3, (n, 1))
+
+    spec = ModelSpec("Custom", 1, {"sampler": sampler})
+    assert moment_abscissa(spec, 0, n=50_000, rng=RNG(1)).s_inf == 0.0
+    report = positivity_check(spec, 0, 2.0, n=50_000, rng=RNG(1))
+    assert report.to_dict() == {
+        "status": "inconclusive", "s_inf": 0.0, "grid": [], "ratios": [], "degenerate_b": False}
 
 
 def test_noise_margin_closed_form():

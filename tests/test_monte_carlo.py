@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from heavytail_sre import (
-    LogTau,
     ModelSpec,
+    build_tau,
     cross_kappa,
     goldie_mean,
     kappa,
@@ -92,7 +92,7 @@ def routines(spec: ModelSpec, n: int) -> dict:
     }
     if spec.d > 1:
         calls["tau_gamma_bound"] = lambda rng: tau_gamma_bound(
-            spec, 0, 1, alpha[0], alpha[1], LogTau(1.0), rng=rng, n=n, cross_method=MC)
+            spec, 0, 1, alpha[0], alpha[1], build_tau({"kind": "log"}), rng=rng, n=n, cross_method=MC)
     return calls
 
 
