@@ -612,10 +612,14 @@ class _Runner:
 
     def _stage_independence(self, params: dict) -> None:
         rng = stage_stream(self.seed, STAGE_IDS["independence"])
-        pool = self._get_pool()
-        alphas, _ = self._solved()
         part = self._get_partition(required=False)
         pairs = params["pairs"]
+        # a pair inside one class has cross moment E|A|^alpha = 1 for every xi
+        if part is not None and any(part.class_of(i) == part.class_of(j) for i, j in pairs or ()):
+            raise ConfigurationError(f"stage 'independence' params key 'pairs': a pair lies in "
+                                     f"one block class, {list(map(list, pairs))}; pair two classes")
+        pool = self._get_pool()
+        alphas, _ = self._solved()
         if pairs is None:
             if part is not None and part.n_classes >= 2:
                 pairs = [(part.classes[0][0], part.classes[1][0])]

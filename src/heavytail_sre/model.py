@@ -37,7 +37,7 @@ import json
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
 from .common import integer, mean_estimate, nonzero_logs, number, ranged, read_keys
@@ -53,8 +53,8 @@ def _phi(z: float) -> float:
 
 
 def _quad(f, lo, hi):
-    val, _err = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    from scipy import integrate  # on first use: only CCCGarch and shifted normal noise need it
+    return integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
 
 
 def _abs_normal_moment(s: float) -> float:

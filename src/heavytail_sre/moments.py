@@ -21,11 +21,11 @@ in the rows of its draw, and the rows it does not read serve as scratch.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .common import (
     STABLE_REL_CHANGE,
@@ -67,10 +67,55 @@ class _KappaHat:
 
 
 def _log_kappa(s: float, kap) -> float:
-    """log kap(s), -inf where kap(s) = 0.  kap is an argument, not a closure
-    cell: brentq holds its function in a reference cycle."""
+    """log kap(s), -inf where kap(s) = 0."""
     v = kap(s)
     return math.log(v) if v > 0.0 else -math.inf
+
+
+def _brentq(f, xa: float, xb: float, args: tuple, xtol: float, rtol: float, maxiter: int) -> float:
+    """scipy.optimize.brentq (Brent 1973), ported line for line from SciPy's C
+    brentq: the same float operations in the same order give the same root
+    bits.  A NaN value of f or a bracket without a sign change raises
+    ValueError; no convergence in maxiter steps raises RuntimeError."""
+    def call(x):
+        if math.isnan(fx := f(x, *args)):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur, xblk, fblk, spre, scur = float(xa), float(xb), 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # untried, or divided by zero (inf or nan in C): bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with contextlib.suppress(ZeroDivisionError):
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _require(value: float, name: str, sign: str = "positive") -> float:
@@ -207,8 +252,7 @@ def solve_alpha(
             f"E|A|^s stays below 1 on (0, {hi:.6g}]"
         )
 
-    root = optimize.brentq(_log_kappa, lo, hi, args=(kap,), xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    root = float(root)
+    root = _brentq(_log_kappa, lo, hi, args=(kap,), xtol=1e-14, rtol=8.9e-16, maxiter=200)
     residual = abs(kap(root) - 1.0)
     if residual > tol:
         raise TailIndexError(

@@ -123,19 +123,6 @@ class SamplePool:
         floats = np.frombuffer(raw, "<f8", offset=16 * n).reshape(4, d, n)
         return cls(*(group.T for group in floats), chain, step, doc.get("meta", {}))
 
-    def to_csv(self, path) -> None:
-        """RFC 4180 export (CRLF, header row, full float precision)."""
-        data = np.column_stack(
-            [self.chain.astype(float), self.step.astype(float)]
-            + [getattr(self, g)[:, j] for g in _FLOAT_GROUPS for j in range(self.d)]
-        )
-        fmt = ["%d", "%d"] + ["%.17g"] * (4 * self.d)
-        with atomic_write(path, newline="") as fh:
-            np.savetxt(
-                fh, data, fmt=fmt, delimiter=",", newline="\r\n",
-                header=",".join(self.column_names()), comments="",
-            )
-
 
 def _sidecar_path(bin_path: str) -> str:
     base = bin_path[:-4] if bin_path.endswith(".bin") else bin_path

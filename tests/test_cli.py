@@ -933,3 +933,30 @@ def test_console_script_help_runs():
     )
     assert proc.returncode == 0
     assert "stochastic recurrence" in proc.stdout
+
+
+def test_independence_pair_inside_one_class_exits_two_early(tmp_path, monkeypatch, capsys):
+    # comonotone coordinates with shared noise form one class, so the pair
+    # [0, 1] has cross moment E|A|^alpha = 1 for every xi and can never pass
+    out = tmp_path / "o"
+    model = {"family": "TwoPoint", "d": 2, "params": {
+        "p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True,
+        "b": {"dist": "pareto", "index": 3.0, "shared": True}}}
+    indep = {"stage": "independence", "params": {"n": 100_000, "pairs": [[0, 1]]}}
+    simulate = {"stage": "simulate", "params": {"chains": 200, "n_per_chain": 500}}
+    cfg = write_config(tmp_path / "c.json", {"model": model, "seed": 5, "out": str(out),
+                                             "pipeline": ["solve-alpha", simulate, "blocks", indep]})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stage went on past the partition")
+
+    for name in ("joint_exceedance", "tau_gamma_bound"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli._Runner, "_get_pool", refuse)
+    assert main(["run", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert (err["error"], err["stage"]) == ("validation", "independence")
+    assert "one block class" in err["detail"]
+    assert json.loads((out / "blocks.report.json").read_text())["classes"] == [[0, 1]]
+    assert not list(out.glob("independence*"))
+    assert "independence" not in json.loads((out / "manifest.json").read_text())["stages"]

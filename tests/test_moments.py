@@ -1,7 +1,10 @@
+import collections
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from heavytail_sre import (
     ModelSpec,
@@ -14,7 +17,7 @@ from heavytail_sre import (
     positivity_check,
     solve_alpha,
 )
-from heavytail_sre.moments import noise_margin_ok
+from heavytail_sre.moments import _brentq, _log_kappa, noise_margin_ok
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -134,6 +137,57 @@ def test_alpha_root_to_dict():
     doc = solve_alpha(two_point(), 0).to_dict()
     assert set(doc) == {"alpha", "residual", "method", "bracket", "n"}
     assert isinstance(doc["bracket"], list)
+
+
+def _outcome(solver, f, a, b, args, xtol, rtol, maxiter) -> str:
+    """The root as float.hex, or the exception's type and message."""
+    try:
+        return float(solver(f, a, b, args=args, xtol=xtol, rtol=rtol, maxiter=maxiter)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    shapes = (
+        lambda x, c: x ** 3 - c,
+        lambda x, c: math.expm1(x) - c,
+        lambda x, c: 1e-3 * math.tanh(x - c),
+        lambda x, c: (x - c) ** 9,  # flat at the root
+        lambda x, c: -1.0 if x < c else 1.0,  # a step: secant steps divide by zero
+        lambda x, c: math.nan if x > c + 1.0 else x - c,  # NaN beyond c + 1
+    )
+    settings = ((1e-14, 8.9e-16, 200), (2e-12, 8.881784197001252e-16, 100), (1e-6, 1e-10, 8))
+    problems = []
+    for k in range(720):
+        c = float(rng.uniform(-2.0, 2.0))
+        a, b = c - float(rng.exponential(2.0)), c + float(rng.exponential(2.0))
+        problems.append((shapes[k % 6], *((a, b) if k % 12 < 6 else (b, a)), (c,)))
+    for k in range(600):
+        # closed-form log kappa; every bracket [lo, hi] has lo < alpha < hi
+        if k % 2:
+            spec = ModelSpec("BekkDiag", 1, {"coeff": [[float(rng.uniform(0.3, 1.8))]]})
+        else:
+            spec = two_point(p=float(rng.uniform(0.05, 0.4)), up=float(rng.uniform(1.5, 4.0)),
+                             down=float(rng.uniform(0.1, 0.7)))
+        kap = functools.partial(spec.kappa_exact, 0)
+        if _log_kappa(1e-3, kap) >= 0.0:
+            continue
+        alpha = solve_alpha(spec, 0).alpha
+        lo, hi = alpha * float(rng.uniform(0.05, 0.95)), alpha * float(rng.uniform(1.05, 4.0))
+        problems.append((_log_kappa, lo, hi, (kap,)))
+    readme = functools.partial(two_point().kappa_exact, 0)
+    assert _log_kappa(2.0, readme) == 0.0  # an endpoint where f = 0
+    problems += [(_log_kappa, 1.0, 2.0, (readme,)), (_log_kappa, 2.0, 5.0, (readme,))]
+    assert len(problems) >= 1000
+    outcomes = collections.Counter()
+    for n, (f, a, b, args) in enumerate(problems):
+        xtol, rtol, maxiter = settings[n % 3] if n % 7 else (1e-14, 8.9e-16, 3)
+        want = _outcome(optimize.brentq, f, a, b, args, xtol, rtol, maxiter)
+        assert _outcome(_brentq, f, a, b, args, xtol, rtol, maxiter) == want, (n, a, b, args)
+        outcomes[want.split(":")[0] if "Error" in want else "root"] += 1
+    # every outcome occurs: roots, sign and NaN ValueErrors, non-convergence
+    assert min(outcomes[key] for key in ("root", "ValueError", "RuntimeError")) >= 50, outcomes
 
 
 # -- goldie_mean -----------------------------------------------------------------

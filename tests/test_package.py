@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +128,48 @@ def test_source_stays_under_the_line_cap():
     sources = Path(heavytail_sre.__file__).parent.glob("*.py")
     lines = sum(path.read_bytes().count(b"\n") for path in sources)
     assert lines <= 3990, f"src/heavytail_sre/*.py has {lines} lines, over the 3,990 cap"
+
+
+# Runs in a fresh interpreter, so no other test's imports leak into sys.modules.
+IMPORT_GUARD = """
+import json, sys
+from heavytail_sre import ModelSpec, cli
+
+codes = [cli.main(["run", "--config", path]) for path in sys.argv[1:]]
+loaded = sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
+ccc = ModelSpec("CCCGarch", 2, {"arch": [0.35, 0.15], "garch": [0.25, 0.55]})
+kappas = [ccc.kappa_exact(0, 1.5).hex(), ccc.kappa_exact(1, 2.0).hex()]
+print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_pipelines_never_import_scipy_optimize_or_integrate(tmp_path):
+    # scipy.optimize and scipy.integrate cost ~26 MB and ~0.3 s of every
+    # start; only the quadrature hooks may load integrate, and only on use
+    two_point = {"family": "TwoPoint", "d": 2, "params": {
+        "p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}}
+    bekk = {"family": "BekkDiag", "d": 3, "params": {
+        "coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+        "b": {"dist": "exponential", "rate": 1.0}}}
+    later = [{"stage": "simulate", "params": {"chains": 20, "n_per_chain": 50}}, "blocks",
+             {"stage": "tails", "params": {"min_top": 10}},
+             {"stage": "spectral", "params": {"bins": 4, "min_top": 10}},
+             {"stage": "independence", "params": {"n": 20_000, "submult_n": 5_000, "min_top": 10}},
+             "report"]
+    solve_mc = {"stage": "solve-alpha",
+                "params": {"method": "monte-carlo", "n": 20_000, "abscissa_n": 20_000}}
+    configs = []
+    for name, model, first in (("readme", two_point, "solve-alpha"), ("bekk", bekk, solve_mc)):
+        path = tmp_path / f"{name}.json"
+        doc = {"model": model, "seed": 11, "out": str(tmp_path / name), "pipeline": [first, *later]}
+        path.write_text(json.dumps(doc))
+        configs.append(str(path))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, *configs],
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0], proc.stderr
+    assert got["loaded"] == []
+    # the closed-form CCCGarch moments with garch > 0 still integrate, to the same bits
+    assert got["kappas"] == ["0x1.2034e37232569p-1", "0x1.11eb851eb851fp-1"]
+    assert got["integrate"]

