@@ -10,6 +10,8 @@ rates, each with an internal consistency check against an independent
 estimator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .blocks import BlockPartition, detect_blocks
 from .common import (
     AmbiguousPartitionError,
@@ -73,61 +75,5 @@ from .tails import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbscissaScan",
-    "AlphaRoot",
-    "AmbiguousPartitionError",
-    "BlockPartition",
-    "BlockTailLadder",
-    "ConfigurationError",
-    "DivergenceError",
-    "Estimate",
-    "GammaBound",
-    "GoldieConstant",
-    "HillEstimate",
-    "JointExceedance",
-    "LadderError",
-    "LogMoment",
-    "ModelSpec",
-    "MomentCheck",
-    "NonContractiveError",
-    "PositivityReport",
-    "SamplePool",
-    "SpectralEstimate",
-    "TailConstantLadder",
-    "TailConstants",
-    "TailIndexError",
-    "Tau",
-    "TauHeavinessError",
-    "alpha_norm",
-    "block_tail_constant",
-    "build_tau",
-    "chain_stream",
-    "cross_kappa",
-    "decay_rate_fit",
-    "default_burn_in",
-    "detect_blocks",
-    "diagnostic_stream",
-    "drift_diagnostics",
-    "dilate",
-    "empirical_tail_constant",
-    "goldie_constant",
-    "goldie_mean",
-    "hill_estimate",
-    "iterate",
-    "joint_exceedance",
-    "kappa",
-    "log_moment",
-    "moment_abscissa",
-    "moment_estimate",
-    "polar",
-    "positivity_check",
-    "quantile_ladder",
-    "solve_alpha",
-    "spectral_measure",
-    "stage_stream",
-    "stationary_pool",
-    "subadditivity_constant",
-    "submultiplicativity_check",
-    "tau_gamma_bound",
-]
+# the public API: every name imported above, less the submodules
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

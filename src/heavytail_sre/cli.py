@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy  # its version: the quadrature bits depend on the SciPy build
 
 from .blocks import DEFAULT_XI_PROBES, BlockPartition, detect_blocks
 from .common import (
@@ -445,6 +446,7 @@ class _Runner:
                 "numpy": np.__version__,
                 "package": _package_version(),
                 "python": sys.version.split()[0],
+                "scipy": scipy.__version__,
             },
         }
         _dump_json(self.out / "manifest.json", manifest)

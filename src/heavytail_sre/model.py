@@ -37,7 +37,6 @@ import json
 import math
 
 import numpy as np
-from scipy import special
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
 from .common import integer, mean_estimate, nonzero_logs, number, ranged, read_keys
@@ -57,9 +56,89 @@ def _quad(f, lo, hi):
     return integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
 
 
+def _polevl(x: float, coef) -> float:
+    """Horner's rule, highest power first, as cephes polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+# cephes lgam: Stirling's series (A, cut short as L from 1000 on) and the rational B/C on [2, 3]
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_L = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
+           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
+
+
+def _gammaln(x: float) -> float:
+    """log Gamma(x) for 0 < x <= inf, the only arguments callers pass: an
+    op-for-op port of cephes lgam, so it has scipy.special.gammaln's bits."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x  # shift u into [2, 3), collecting the factors in z
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log sqrt(2 pi)
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    return q + _polevl(p, _LGAM_A if x < 1000.0 else _LGAM_L) / x
+
+
+# cephes psi: the asymptotic series, and Boost's rational on [1, 2]
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2, 7.57575757575757575758E-3,
+          -4.16666666666666666667E-3, 3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for 0 < x <= inf, the only arguments callers pass: an
+    op-for-op port of cephes psi, so it has scipy.special.digamma's bits."""
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - 0.5772156649015329  # - Euler's gamma
+    if x < 1.0:  # the recurrence into [1, 2]
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if 1.0 <= x <= 2.0:
+        # (x - root) (Y + R(x - 1)), with the positive root in three parts and Boost's float32 Y
+        g = x - 1569415565.0 / 1073741824.0 - 381566830.0 / 1073741824.0 / 1073741824.0
+        g -= 0.9016312093258695918615325266959189453125e-19
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * 0.99558162689208984375 + g * r)
+    z = 1.0 / (x * x)
+    tail = z * _polevl(z, _PSI_A) if x < 1.0e17 else 0.0
+    return y + (math.log(x) - 0.5 / x - tail)
+
+
 def _abs_normal_moment(s: float) -> float:
     """E|N|^s for standard normal N, s > -1."""
-    return math.exp(0.5 * s * math.log(2.0) + special.gammaln(0.5 * (s + 1.0)) - special.gammaln(0.5))
+    return math.exp(0.5 * s * math.log(2.0) + _gammaln(0.5 * (s + 1.0)) - _gammaln(0.5))
 
 
 def _exp(x: float) -> float:
@@ -79,11 +158,7 @@ def _pow_abs(v: float, s: float) -> float:
 
 def _pow_abs1(v: float, s: float) -> float:
     """|v|^s with the factor convention 0^0 = 1 (used in joint moments)."""
-    if s == 0.0:
-        return 1.0
-    if v == 0.0:
-        return 0.0
-    return abs(v) ** s
+    return 1.0 if s == 0.0 else _pow_abs(v, s)
 
 
 def _as_vector(value, d: int, name: str) -> np.ndarray:
@@ -204,8 +279,8 @@ class _BDist:
                 scale = math.inf
             if scale == 0.0 or math.isinf(scale):
                 # rate ** s leaves the float range: divide in log space
-                return _exp(special.gammaln(s + 1.0) - s * math.log(self.rate))
-            return _exp(special.gammaln(s + 1.0)) / scale
+                return _exp(_gammaln(s + 1.0) - s * math.log(self.rate))
+            return _exp(_gammaln(s + 1.0)) / scale
         if k == "pareto":
             if s >= self.index:
                 return math.inf
@@ -307,7 +382,34 @@ class _Family:
         return None if self.b is None else self.b.dists[j].is_zero()
 
 
-class _TwoPoint(_Family):
+class _Atoms(_Family):
+    """A family whose A_j takes finitely many values: ``_atoms(j)`` gives
+    the (weight, value) pairs of coordinate j, and the marginal hooks sum
+    over them."""
+
+    def kappa_exact(self, j, s):
+        return sum(w * _pow_abs(v, s) for w, v in self._atoms(j))
+
+    def zero_mass_exact(self, j):
+        return sum(w for w, v in self._atoms(j) if v == 0.0)
+
+    def log_abs_mean_exact(self, j):
+        zm = self.zero_mass_exact(j)
+        if zm >= 1.0:
+            return None
+        tot = sum(w * math.log(abs(v)) for w, v in self._atoms(j) if v != 0.0 and w > 0.0)
+        return tot / (1.0 - zm)
+
+    def goldie_mean_exact(self, j, alpha):
+        return sum(w * abs(v) ** alpha * math.log(abs(v))
+                   for w, v in self._atoms(j) if v != 0.0 and w > 0.0)
+
+    def constant_magnitude_exact(self, j):
+        mags = {abs(v) for w, v in self._atoms(j) if w > 0.0}
+        return len(mags) <= 1
+
+
+class _TwoPoint(_Atoms):
     KEYS = {"p": (given, REQUIRED), "up": (given, REQUIRED), "down": (given, REQUIRED),
             "comonotone": (flag, False), "b": (given, _NO_NOISE)}
 
@@ -331,46 +433,17 @@ class _TwoPoint(_Family):
     def _atoms(self, j):
         return ((self.p[j], self.up[j]), (1.0 - self.p[j], self.down[j]))
 
-    def kappa_exact(self, j, s):
-        return sum(w * _pow_abs(v, s) for w, v in self._atoms(j))
-
-    def zero_mass_exact(self, j):
-        return sum(w for w, v in self._atoms(j) if v == 0.0)
-
-    def log_abs_mean_exact(self, j):
-        zm = self.zero_mass_exact(j)
-        if zm >= 1.0:
-            return None
-        tot = sum(w * math.log(abs(v)) for w, v in self._atoms(j) if v != 0.0 and w > 0.0)
-        return tot / (1.0 - zm)
-
-    def goldie_mean_exact(self, j, alpha):
-        return sum(
-            w * abs(v) ** alpha * math.log(abs(v))
-            for w, v in self._atoms(j)
-            if v != 0.0 and w > 0.0
-        )
-
     def joint_moment_exact(self, i, j, s, u):
         if not self.comonotone:
-            return self.kappa_joint_factor(i, s) * self.kappa_joint_factor(j, u)
+            factor = lambda k, e: sum(w * _pow_abs1(v, e) for w, v in self._atoms(k))
+            return factor(i, s) * factor(j, u)
         pi, pj = self.p[i], self.p[j]
         q1, q2 = min(pi, pj), max(pi, pj)
         ai_mid = self.up[i] if pi > pj else self.down[i]
         aj_mid = self.up[j] if pj > pi else self.down[j]
-        pieces = (
-            (q1, self.up[i], self.up[j]),
-            (q2 - q1, ai_mid, aj_mid),
-            (1.0 - q2, self.down[i], self.down[j]),
-        )
+        pieces = ((q1, self.up[i], self.up[j]), (q2 - q1, ai_mid, aj_mid),
+                  (1.0 - q2, self.down[i], self.down[j]))
         return sum(w * _pow_abs1(vi, s) * _pow_abs1(vj, u) for w, vi, vj in pieces if w > 0.0)
-
-    def kappa_joint_factor(self, j, s):
-        return sum(w * _pow_abs1(v, s) for w, v in self._atoms(j))
-
-    def constant_magnitude_exact(self, j):
-        mags = {abs(v) for w, v in self._atoms(j) if w > 0.0}
-        return len(mags) <= 1
 
 
 class _LogNormal(_Family):
@@ -462,7 +535,7 @@ class _CCCGarch(_Family):
         if a == 0.0:
             return math.log(g) if g > 0.0 else None
         if g == 0.0:
-            return math.log(a) + special.digamma(0.5) + math.log(2.0)
+            return math.log(a) + _digamma(0.5) + math.log(2.0)
         return 2.0 * _quad(lambda z: math.log(a * z * z + g) * _phi(z), 0.0, math.inf)
 
     def goldie_mean_exact(self, j, alpha):
@@ -471,7 +544,7 @@ class _CCCGarch(_Family):
             return _pow_abs(g, alpha) * math.log(g) if g > 0.0 else 0.0
         if g == 0.0:
             kap = self.kappa_exact(j, alpha)
-            return kap * (math.log(a) + math.log(2.0) + special.digamma(alpha + 0.5))
+            return kap * (math.log(a) + math.log(2.0) + _digamma(alpha + 0.5))
         return 2.0 * _quad(
             lambda z: (a * z * z + g) ** alpha * math.log(a * z * z + g) * _phi(z),
             0.0,
@@ -526,14 +599,14 @@ class _BekkDiag(_Family):
         sig = self.sigma[j]
         if sig == 0.0:
             return None
-        return math.log(sig) + 0.5 * (special.digamma(0.5) + math.log(2.0))
+        return math.log(sig) + 0.5 * (_digamma(0.5) + math.log(2.0))
 
     def goldie_mean_exact(self, j, alpha):
         sig = self.sigma[j]
         if sig == 0.0:
             return 0.0
         kap = self.kappa_exact(j, alpha)
-        return kap * (math.log(sig) + 0.5 * (math.log(2.0) + special.digamma(0.5 * (alpha + 1.0))))
+        return kap * (math.log(sig) + 0.5 * (math.log(2.0) + _digamma(0.5 * (alpha + 1.0))))
 
     def joint_moment_exact(self, i, j, s, u):
         fi = 1.0 if s == 0.0 else self.kappa_exact(i, s)
@@ -554,7 +627,7 @@ class _BekkDiag(_Family):
         return self.sigma[j] == 0.0
 
 
-class _CustomAtoms(_Family):
+class _CustomAtoms(_Atoms):
     KEYS = {"atoms": (given, REQUIRED)}
     TABLE = {"prob": (_matrix, REQUIRED), "a": (_matrix, REQUIRED), "b": (_matrix, REQUIRED)}
 
@@ -576,46 +649,21 @@ class _CustomAtoms(_Family):
         self.cum[-1] = 1.0
 
     def params_doc(self):
-        return {
-            "atoms": {
-                "prob": self.prob.tolist(),
-                "a": self.a.tolist(),
-                "b": self.bvals.tolist(),
-            }
-        }
+        return {"atoms": {"prob": self.prob.tolist(), "a": self.a.tolist(),
+                          "b": self.bvals.tolist()}}
 
     def fill(self, rng, a, b):
         idx = np.searchsorted(self.cum, rng.random(a.shape[1]), side="right")
         np.take(self.a.T, idx, axis=1, out=a)
         np.take(self.bvals.T, idx, axis=1, out=b)
 
-    def kappa_exact(self, j, s):
-        return float(sum(w * _pow_abs(v, s) for w, v in zip(self.prob, self.a[:, j])))
-
-    def zero_mass_exact(self, j):
-        return float(self.prob[self.a[:, j] == 0.0].sum())
-
-    def log_abs_mean_exact(self, j):
-        zm = self.zero_mass_exact(j)
-        if zm >= 1.0:
-            return None
-        mask = self.a[:, j] != 0.0
-        tot = float((self.prob[mask] * np.log(np.abs(self.a[mask, j]))).sum())
-        return tot / (1.0 - zm)
-
-    def goldie_mean_exact(self, j, alpha):
-        mask = self.a[:, j] != 0.0
-        vals = np.abs(self.a[mask, j])
-        return float((self.prob[mask] * vals ** alpha * np.log(vals)).sum())
+    def _atoms(self, j):
+        return zip(self.prob, self.a[:, j])
 
     def joint_moment_exact(self, i, j, s, u):
         wi = np.array([_pow_abs1(v, s) for v in self.a[:, i]])
         wj = np.array([_pow_abs1(v, u) for v in self.a[:, j]])
         return float((self.prob * wi * wj).sum())
-
-    def constant_magnitude_exact(self, j):
-        mags = np.abs(self.a[self.prob > 0.0, j])
-        return bool(np.all(mags == mags[0]))
 
     def b_moment_exact(self, j, s):
         return float(sum(w * _pow_abs1(v, s) for w, v in zip(self.prob, self.bvals[:, j])))

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -197,6 +198,52 @@ def test_exponential_noise_moment_at_extreme_rates(rate, want):
     assert spec.b_moment_exact(0, 32.0) == want
     # an ordinary power keeps the plain quotient, bit for bit
     assert spec.b_moment_exact(0, 2.0) == math.exp(special.gammaln(3.0)) / rate ** 2.0
+
+
+# the tail indices the readme-run (closed form) and bekk-mc (Monte Carlo,
+# seed 11) pipelines solve
+PIPELINE_ALPHAS = [1.9999999999999998, 1.747007869365476, 1.9983168630876187, 2.3404842813988624]
+
+
+def cephes_arguments():
+    """Arguments in every branch of lgam and psi: fixed-seed samples per
+    branch range, the integers, the quarter-integers, inf and both sides of
+    each branch edge."""
+    rng = np.random.default_rng(23)
+    args = [v for lo, hi in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 10.0), (10.0, 13.0)]
+            for v in rng.uniform(lo, hi, 2_000)]
+    for lo, hi in [(1e-300, 1e-8), (13.0, 1e3), (1e3, 1e8), (1e8, 1e17), (1e17, 1e300)]:
+        args += list(np.exp(rng.uniform(math.log(lo), math.log(hi), 2_000)))
+    args += [k / 4 for k in range(1, 401)] + [math.inf, 2.556348e305, 2.6e305]
+    args += [math.nextafter(edge, side) for edge in (1.0, 2.0, 3.0, 10.0, 13.0, 1e3, 1e8, 1e17)
+             for side in (0.0, math.inf)]
+    return [float(v) for v in args]
+
+
+def test_cephes_ports_match_scipy_bit_for_bit():
+    # the closed forms need only log Gamma and psi; the ports keep
+    # scipy.special off the import path, so they must have its bits
+    from heavytail_sre.model import _abs_normal_moment, _digamma, _gammaln
+
+    args = cephes_arguments()
+    hexes = lambda values: [float(v).hex() for v in values]
+    assert hexes(map(_gammaln, args)) == hexes(special.gammaln(args))
+    assert hexes(map(_digamma, args)) == hexes(special.digamma(args))
+    # the moment orders of the two pipelines: abscissa scan, positivity grid,
+    # noise margin and cross-moment probes
+    orders = [0.5 * k for k in range(1, 17)]
+    for a in PIPELINE_ALPHAS:
+        orders += [a, a + 0.5, 0.25 * a, 0.5 * a, 0.75 * a]
+        orders += list(np.geomspace(max(0.5, 0.5 * a), max(32.0, 4.0 * a), 13))
+    orders = [float(s) for s in orders]
+    spec = two_point()  # exponential noise of rate 1
+    assert hexes(spec.b_moment_exact(0, s) for s in orders) == hexes(
+        math.exp(special.gammaln(s + 1.0)) for s in orders)
+    assert hexes(map(_abs_normal_moment, orders)) == hexes(
+        math.exp(0.5 * s * math.log(2.0) + special.gammaln(0.5 * (s + 1.0)) - special.gammaln(0.5))
+        for s in orders)
+    psi_args = [0.5] + [0.5 * (a + 1.0) for a in PIPELINE_ALPHAS] + [a + 0.5 for a in PIPELINE_ALPHAS]
+    assert hexes(map(_digamma, psi_args)) == hexes(special.digamma(psi_args))
 
 
 def test_pareto_noise_abscissa():
@@ -478,6 +525,33 @@ def test_custom_atoms_moments_and_sampling():
     # b = 1 exactly when a = 2
     assert np.all((a[:, 0] == 2.0) == (b[:, 0] == 1.0))
     assert np.mean(a[:, 0] == 2.0) == pytest.approx(0.2, abs=0.01)
+
+
+# (p, up, down): the README atoms, a zero atom, a negative atom, a weightless
+# atom, equal magnitudes and two atoms below one
+ATOM_SETS = [(0.2, 2.0, 0.5), (0.3, 0.0, 1.4), (0.25, -2.0, 0.6), (1.0, 3.0, 0.5),
+             (0.7, -1.2, 1.2), (0.45, 0.9, 0.35)]
+ORDERS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.7, 8.0]
+
+
+def marginal_bits(spec):
+    """float.hex of every marginal closed-form hook of coordinate 0."""
+    bits = [spec.kappa_exact(0, s) for s in ORDERS] + [spec.goldie_mean_exact(0, s) for s in ORDERS]
+    bits += [spec.zero_mass_exact(0), spec.log_abs_mean_exact(0)]
+    return [float(v).hex() for v in bits] + [str(spec.constant_magnitude_exact(0))]
+
+
+def test_two_point_hooks_are_the_atom_path_bit_for_bit():
+    # TwoPoint and Custom atoms answer the marginal hooks through one atom
+    # path; the digest pins the TwoPoint bits to those recorded before they
+    # shared it
+    digest = hashlib.sha256()
+    for p, up, down in ATOM_SETS:
+        two = marginal_bits(ModelSpec("TwoPoint", 1, {"p": p, "up": up, "down": down}))
+        table = {"prob": [p, 1.0 - p], "a": [[up], [down]], "b": [[0.0], [0.0]]}
+        assert marginal_bits(ModelSpec("Custom", 1, {"atoms": table})) == two, (p, up, down)
+        digest.update(json.dumps(two).encode())
+    assert digest.hexdigest() == "3fab41d5449eb36b1916d88dc73d18206f8e38282c5f644258010123a2ce4879"
 
 
 # every closed-form hook of ModelSpec, called at coordinate j

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import heavytail_sre
 from heavytail_sre import cli
@@ -136,7 +137,7 @@ import json, sys
 from heavytail_sre import ModelSpec, cli
 
 codes = [cli.main(["run", "--config", path]) for path in sys.argv[1:]]
-loaded = sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
+loaded = sorted(m for m in ("scipy.special", "scipy.optimize", "scipy.integrate") if m in sys.modules)
 ccc = ModelSpec("CCCGarch", 2, {"arch": [0.35, 0.15], "garch": [0.25, 0.55]})
 kappas = [ccc.kappa_exact(0, 1.5).hex(), ccc.kappa_exact(1, 2.0).hex()]
 print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
@@ -145,8 +146,9 @@ print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
 
 
 def test_pipelines_never_import_scipy_optimize_or_integrate(tmp_path):
-    # scipy.optimize and scipy.integrate cost ~26 MB and ~0.3 s of every
-    # start; only the quadrature hooks may load integrate, and only on use
+    # scipy.special, scipy.optimize and scipy.integrate cost ~47 MB and
+    # ~0.6 s of every start; only the quadrature hooks may load integrate,
+    # and only on use
     two_point = {"family": "TwoPoint", "d": 2, "params": {
         "p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}}
     bekk = {"family": "BekkDiag", "d": 3, "params": {
@@ -170,6 +172,10 @@ def test_pipelines_never_import_scipy_optimize_or_integrate(tmp_path):
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0], proc.stderr
     assert got["loaded"] == []
+    # the SciPy build fixes the quadrature bits, so every manifest names it
+    for name in ("readme", "bekk"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
     # the closed-form CCCGarch moments with garch > 0 still integrate, to the same bits
     assert got["kappas"] == ["0x1.2034e37232569p-1", "0x1.11eb851eb851fp-1"]
     assert got["integrate"]
