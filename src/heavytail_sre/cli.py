@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy  # its version: the quadrature bits depend on the SciPy build
 
+from . import __version__
 from .blocks import DEFAULT_XI_PROBES, BlockPartition, detect_blocks
 from .common import (
     METHODS,
@@ -165,15 +166,6 @@ STAGE_PARAMS = {
                      "gammas": (_optional(_numbers), None)},
     "report": {},
 }
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("heavytail-sre")
-    except Exception:
-        return "unknown"
 
 
 def _jsonable(obj):
@@ -444,7 +436,7 @@ class _Runner:
             "stages": self._manifest_stages,
             "versions": {
                 "numpy": np.__version__,
-                "package": _package_version(),
+                "package": __version__,
                 "python": sys.version.split()[0],
                 "scipy": scipy.__version__,
             },

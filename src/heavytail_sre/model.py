@@ -401,8 +401,11 @@ class _Atoms(_Family):
         return tot / (1.0 - zm)
 
     def goldie_mean_exact(self, j, alpha):
-        return sum(w * abs(v) ** alpha * math.log(abs(v))
-                   for w, v in self._atoms(j) if v != 0.0 and w > 0.0)
+        return sum(
+            w * abs(v) ** alpha * math.log(abs(v))
+            for w, v in self._atoms(j)
+            if v != 0.0 and w > 0.0
+        )
 
     def constant_magnitude_exact(self, j):
         mags = {abs(v) for w, v in self._atoms(j) if w > 0.0}
@@ -435,15 +438,20 @@ class _TwoPoint(_Atoms):
 
     def joint_moment_exact(self, i, j, s, u):
         if not self.comonotone:
-            factor = lambda k, e: sum(w * _pow_abs1(v, e) for w, v in self._atoms(k))
-            return factor(i, s) * factor(j, u)
+            return self.kappa_joint_factor(i, s) * self.kappa_joint_factor(j, u)
         pi, pj = self.p[i], self.p[j]
         q1, q2 = min(pi, pj), max(pi, pj)
         ai_mid = self.up[i] if pi > pj else self.down[i]
         aj_mid = self.up[j] if pj > pi else self.down[j]
-        pieces = ((q1, self.up[i], self.up[j]), (q2 - q1, ai_mid, aj_mid),
-                  (1.0 - q2, self.down[i], self.down[j]))
+        pieces = (
+            (q1, self.up[i], self.up[j]),
+            (q2 - q1, ai_mid, aj_mid),
+            (1.0 - q2, self.down[i], self.down[j]),
+        )
         return sum(w * _pow_abs1(vi, s) * _pow_abs1(vj, u) for w, vi, vj in pieces if w > 0.0)
+
+    def kappa_joint_factor(self, j, s):
+        return sum(w * _pow_abs1(v, s) for w, v in self._atoms(j))
 
 
 class _LogNormal(_Family):
@@ -649,8 +657,13 @@ class _CustomAtoms(_Atoms):
         self.cum[-1] = 1.0
 
     def params_doc(self):
-        return {"atoms": {"prob": self.prob.tolist(), "a": self.a.tolist(),
-                          "b": self.bvals.tolist()}}
+        return {
+            "atoms": {
+                "prob": self.prob.tolist(),
+                "a": self.a.tolist(),
+                "b": self.bvals.tolist(),
+            }
+        }
 
     def fill(self, rng, a, b):
         idx = np.searchsorted(self.cum, rng.random(a.shape[1]), side="right")
