@@ -147,7 +147,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
 
 def test_pipelines_never_import_scipy_optimize_or_integrate(tmp_path):
     # scipy.special, scipy.optimize and scipy.integrate cost ~47 MB and
-    # ~0.6 s of every start; only the quadrature hooks may load integrate,
+    # ~0.5 s of every start; only the quadrature hooks may load integrate,
     # and only on use
     two_point = {"family": "TwoPoint", "d": 2, "params": {
         "p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}}
