@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .common import AmbiguousPartitionError, Estimate, Record
+from .common import AmbiguousPartitionError, Record
 from .model import ModelSpec
 from .moments import cross_kappa
 
@@ -146,7 +146,19 @@ def detect_blocks(
                 method=cross_method, n=cross_n, rng=rng,
             )
             probes[repr(xi)] = est.to_dict()
-            _validate_pair(i, j, same, xi, est, cross_tol)
+            if same and not (est.contains(1.0) or abs(est.value - 1.0) <= cross_tol):
+                raise AmbiguousPartitionError(
+                    f"coordinates {i} and {j} agree on samples but the mixed moment "
+                    f"at xi={xi} is {est.value:.6g}, not 1",
+                    pair=(i, j),
+                )
+            if not same and not est.ci_hi < 1.0:
+                raise AmbiguousPartitionError(
+                    f"coordinates {i} and {j} were split but the mixed moment at "
+                    f"xi={xi} is not certified below 1 (interval "
+                    f"[{est.ci_lo:.6g}, {est.ci_hi:.6g}])",
+                    pair=(i, j),
+                )
         evidence[f"{i}-{j}"] = {
             "max_rel_dev": dev,
             "same_class": same,
@@ -154,23 +166,3 @@ def detect_blocks(
         }
     return BlockPartition(classes, perm, evidence)
 
-
-def _validate_pair(
-    i: int, j: int, same: bool, xi: float, est: Estimate, cross_tol: float
-) -> None:
-    if same:
-        ok = est.contains(1.0) or abs(est.value - 1.0) <= cross_tol
-        if not ok:
-            raise AmbiguousPartitionError(
-                f"coordinates {i} and {j} agree on samples but the mixed moment "
-                f"at xi={xi} is {est.value:.6g}, not 1",
-                pair=(i, j),
-            )
-    else:
-        if not est.ci_hi < 1.0:
-            raise AmbiguousPartitionError(
-                f"coordinates {i} and {j} were split but the mixed moment at "
-                f"xi={xi} is not certified below 1 (interval "
-                f"[{est.ci_lo:.6g}, {est.ci_hi:.6g}])",
-                pair=(i, j),
-            )

@@ -180,13 +180,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if f == math.inf:
-            return "inf"
-        if f == -math.inf:
-            return "-inf"
-        return f
+        return f if math.isfinite(f) else str(f)  # "nan", "inf" or "-inf"
     return obj
 
 
@@ -331,18 +325,12 @@ class _Runner:
 
     # ---- artifact plumbing -------------------------------------------
 
-    def _has_artifact(self, stage: str) -> bool:
-        if stage == "simulate":
-            return (self.out / "pool.bin").exists() and (
-                self.out / "pool.meta.json"
-            ).exists()
-        return (self.out / _report_name(stage)).exists()
-
     def preflight(self) -> None:
         produced = set()
         for name, _, _ in self.pipeline:
             for dep in STAGE_DEPS[name]:
-                if dep not in produced and not self._has_artifact(dep):
+                files = ["pool.bin", "pool.meta.json"] if dep == "simulate" else [_report_name(dep)]
+                if dep not in produced and not all((self.out / f).exists() for f in files):
                     raise ConfigurationError(
                         f"stage {name!r} needs {dep!r} first; add it to the "
                         f"pipeline or point --out at a directory holding its artifacts"
@@ -548,15 +536,9 @@ class _Runner:
                 }
             )
             for r, t in enumerate(ladder.thresholds):
-                for label, series in (
-                    ("plus", ladder.plus),
-                    ("minus", ladder.minus),
-                    ("total", ladder.total),
-                ):
-                    e = series[r]
-                    csv_rows.append(
-                        (f"coord{j}_{label}", t, e.value, e.ci_lo, e.ci_hi)
-                    )
+                for label in ("plus", "minus", "total"):
+                    e = getattr(ladder, label)[r]
+                    csv_rows.append((f"coord{j}_{label}", t, e.value, e.ci_lo, e.ci_hi))
         doc = {"coordinates": coord_docs}
         # without a partition, c_inf is the single-class block constant
         whole = tuple(range(pool.d))
@@ -615,10 +597,8 @@ class _Runner:
         pool = self._get_pool()
         alphas, _ = self._solved()
         if pairs is None:
-            if part is not None and part.n_classes >= 2:
-                pairs = [(part.classes[0][0], part.classes[1][0])]
-            else:
-                pairs = [(0, 1)]
+            two = part is not None and part.n_classes >= 2
+            pairs = [(part.classes[0][0], part.classes[1][0]) if two else (0, 1)]
         tau = build_tau(params["tau"])
         xi = params["xi"]
         check = submultiplicativity_check(tau, rng, n=params["submult_n"])

@@ -110,11 +110,7 @@ def dilate(t, x, alphas):
     if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
         raise ValueError("dilation parameter t must be positive and finite")
     with np.errstate(over="ignore"):
-        if t.ndim == 0:
-            factors = t ** (1.0 / a)
-        else:
-            factors = t[..., None] ** (1.0 / a)
-        out = factors * x
+        out = (t if t.ndim == 0 else t[..., None]) ** (1.0 / a) * x
     # an overflowing factor times an exactly-zero coordinate must stay zero
     return np.where(x == 0.0, 0.0, out)
 

@@ -249,7 +249,8 @@ class _BDist:
             row.fill(self.value)
         elif k == "exponential":
             rng.standard_exponential(out=row)
-            row *= 1.0 / self.rate
+            if self.rate != 1.0:  # x * 1.0 is x: skip the no-op pass
+                row *= 1.0 / self.rate
         elif k == "pareto":
             rng.random(out=row)
             row **= -1.0 / self.index
@@ -337,13 +338,9 @@ class _BSpec:
 
     def to_doc(self):
         if self.shared:
-            doc = dict(self.dists[0].doc)
-            doc["shared"] = True
-            return doc
+            return {**self.dists[0].doc, "shared": True}
         docs = [dict(d.doc) for d in self.dists]
-        if all(d == docs[0] for d in docs):
-            return docs[0]
-        return docs
+        return docs[0] if all(d == docs[0] for d in docs) else docs
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +726,9 @@ def _hook(declared):
     @functools.wraps(declared)
     def hook(self, *args, **kwargs):
         _, *bound = signature.bind(self, *args, **kwargs).arguments.items()
-        values = [self._check_j(v) if name in ("i", "j") else float(v) for name, v in bound]
+        if bad := [v for name, v in bound if name in ("i", "j") and not 0 <= int(v) < self.d]:
+            raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
+        values = [v if name in ("i", "j") else float(v) for name, v in bound]
         answer = getattr(self._impl, declared.__name__, None)
         return None if answer is None else answer(*values)
 
@@ -833,11 +832,6 @@ class ModelSpec:
         except ConfigurationError:
             payload = f"custom-callable:{self._impl.label}:d={self.d}"
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def _check_j(self, j: int) -> int:
-        if not 0 <= int(j) < self.d:
-            raise ValueError(f"coordinate index {j} out of range for d={self.d}")
-        return j
 
     def __repr__(self):
         return f"ModelSpec(family={self.family!r}, d={self.d})"

@@ -21,7 +21,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
+import os
 import pathlib
+import signal
+import warnings
 
 import numpy as np
 
@@ -31,8 +35,8 @@ from .model import LogMoment, ModelSpec, log_moment
 POOL_SCHEMA = "pool-columnar-v1"
 _FLOAT_GROUPS = ("x_pre", "a", "b", "x_post")
 
-# Chain blocks are sized so each of the two slabs, allocated once per pool,
-# holds about 6e6 floats (~96 MB for both) regardless of steps per chain.
+# Chain blocks are sized so each of the two slabs, summed over the processes
+# that step them, holds about 6e6 floats (~96 MB for both) at any chain length.
 _BLOCK_TARGET_FLOATS = 6_000_000
 
 
@@ -55,12 +59,6 @@ class SamplePool:
     @property
     def d(self) -> int:
         return self.x_post.shape[1]
-
-    def column_names(self) -> list[str]:
-        names = ["chain", "step"]
-        for group in _FLOAT_GROUPS:
-            names.extend(f"{group}_{j}" for j in range(self.d))
-        return names
 
     def select(self, index) -> "SamplePool":
         """Sub-pool at the given row slice, mask or index array (copies)."""
@@ -85,7 +83,7 @@ class SamplePool:
         a failed save leaves no pool that loads.
         """
         bin_path = str(bin_path)
-        meta_path = _sidecar_path(bin_path)
+        meta_path = bin_path.removesuffix(".bin") + ".meta.json"
         pathlib.Path(meta_path).unlink(missing_ok=True)
         with atomic_write(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.chain, dtype="<i8").view(np.uint8))
@@ -99,7 +97,8 @@ class SamplePool:
             "format": POOL_SCHEMA,
             "n_records": len(self),
             "d": self.d,
-            "columns": self.column_names(),
+            "columns": ["chain", "step"]
+            + [f"{g}_{j}" for g in _FLOAT_GROUPS for j in range(self.d)],
             "byte_order": "little",
             "meta": self.meta,
         }
@@ -110,7 +109,7 @@ class SamplePool:
     @classmethod
     def load(cls, bin_path) -> "SamplePool":
         bin_path = str(bin_path)
-        with open(_sidecar_path(bin_path)) as fh:
+        with open(bin_path.removesuffix(".bin") + ".meta.json") as fh:
             doc = json.load(fh)
         if doc.get("format") != POOL_SCHEMA:
             raise ValueError(f"unsupported pool format {doc.get('format')!r}")
@@ -122,11 +121,6 @@ class SamplePool:
         chain, step = np.frombuffer(raw, "<i8", count=2 * n).reshape(2, n)
         floats = np.frombuffer(raw, "<f8", offset=16 * n).reshape(4, d, n)
         return cls(*(group.T for group in floats), chain, step, doc.get("meta", {}))
-
-
-def _sidecar_path(bin_path: str) -> str:
-    base = bin_path[:-4] if bin_path.endswith(".bin") else bin_path
-    return base + ".meta.json"
 
 
 def iterate(spec: ModelSpec, x0, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,13 +161,51 @@ def _recur(a: np.ndarray, x: np.ndarray, x0: np.ndarray) -> tuple[int, int] | No
     return i + 1, int(lost[:, i].argmax())
 
 
+def _run_shares(run_share, procs: int) -> None:
+    """run_share(0) here and run_share(k), 0 < k < procs, in forked workers.
+    Every worker is reaped, and killed first if this process fails or is
+    interrupted, also while it waits; a failed worker raises here."""
+    workers, statuses = [], []
+    try:
+        for k in range(1, procs):
+            r, w = os.pipe()
+            with warnings.catch_warnings():  # Python >= 3.12: BLAS threads, see README
+                warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # leaves only through os._exit: no handler, atexit hook or flush
+                status = 1
+                try:
+                    run_share(k)
+                    status = 0
+                except BaseException as exc:  # one write, which the empty pipe holds
+                    os.write(w, f"{type(exc).__name__}: {exc}"[:1000].encode())
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers.append((pid, r))
+        run_share(0)
+        for pid, _ in workers:
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    finally:
+        for pid, _ in workers[len(statuses):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        texts = [os.read(r, 4096).decode() for _, r in workers]
+        for _, r in workers:
+            os.close(r)
+    if errors := [text or f"exit status {s}" for text, s in zip(texts, statuses) if s]:
+        raise RuntimeError(f"simulation worker failed: {errors[0]}")
+
+
 def default_burn_in(drifts) -> int:
     """ceil(20 / |median log drift|), at least 1.
 
     Coordinates with mass at A_j = 0 enter as a drift of -inf.
     """
-    med = float(np.median(np.asarray(drifts, dtype=float)))
-    if med == 0.0 or not med < 0.0:
+    # np.median's middle, without the numpy.ma import of its NaN check
+    s = sorted(float(v) for v in drifts)
+    med = (s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2 if s else math.nan
+    if not med < 0.0 or any(map(math.isnan, s)):
         raise ValueError("burn-in default needs a negative median drift")
     if math.isinf(med):
         return 1
@@ -201,7 +233,8 @@ def stationary_pool(
     """Simulate independent chains and pool their post-burn-in records.
 
     Record k of chain c is the transition at step t = burn_in + (k+1)*thin.
-    Chains run in blocks through two reused (chain, coordinate, step) slabs.
+    Chains run in blocks through two reused (chain, coordinate, step) slabs
+    per process, in forked processes up to one per usable CPU.
     Refuses to run unless every coordinate has a certified negative log
     drift (pass ``contractivity`` to reuse a previous check).  The default
     burn-in is ceil(20 / |median_j E log|A_j||).
@@ -238,42 +271,47 @@ def stationary_pool(
     steps = burn_in + n_per_chain * thin
     # slab index of the first recorded step; records sit at first::thin
     first = burn_in + thin - 1
-    n_records = chains * n_per_chain
-    # the float groups in pool.bin order, so every column is contiguous
-    floats = np.empty((4, d, n_records))
-    # (chain, coordinate, record) views of the output, matching the slabs
-    x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
-    failures = []
-
-    # as many blocks as the target needs, all of one size up to the last
-    # chain, so the slabs hold no rows that no block fills
+    # one process would step blocks of `block` chains; up to one process per
+    # CPU, block and chain split that budget, in a multiple of procs blocks
     n_blocks = -(-chains // max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1)))
     block = -(-chains // n_blocks)
-    # the a and b slabs; the recursion overwrites the b slab with states
-    slabs = np.empty((2, block, d, steps))
-    for c0 in range(0, chains, block):
-        nb = min(block, chains - c0)
-        rows = slice(c0, c0 + nb)
-        a, x = slabs[:, :nb]
-        for c in range(nb):
-            spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
-        a_rec[rows] = a[:, :, first::thin]
-        b_rec[rows] = x[:, :, first::thin]
-        # row c * d + j of the flat slabs is coordinate j of chain c
-        lost = _recur(a.reshape(nb * d, steps), x.reshape(nb * d, steps), np.tile(x0, nb))
-        if lost is not None:
-            failures.append((lost[0], c0 + lost[1] // d))
-            continue
-        x_post[rows] = x[:, :, first::thin]
-        if first:
-            x_pre[rows] = x[:, :, first - 1 : -1 : thin]
-        else:
-            x_pre[rows, :, 0] = x0
-            x_pre[rows, :, 1:] = x[:, :, :-1]
-    # free the slabs, and every view that keeps them alive, before the
-    # chain and step columns are built
-    del slabs, a, x
-    if failures:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(cpus, n_blocks, block)
+    block = -(-chains // (-(-chains // (block // procs * procs)) * procs))
+    starts = range(0, chains, block)
+    # shared with the workers: the float groups in pool.bin order, so every
+    # column is contiguous, and each block's first failing (step, chain)
+    floats = np.frombuffer(mmap.mmap(-1, 32 * d * chains * n_per_chain)).reshape(4, d, -1)
+    failed = np.frombuffer(mmap.mmap(-1, 16 * len(starts)), np.int64).reshape(-1, 2)
+    # (chain, coordinate, record) views of the output, matching the slabs
+    x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
+
+    def run_share(k: int) -> None:
+        # the a and b slabs; the recursion overwrites the b slab with states
+        slabs = np.empty((2, block, d, steps))
+        for i in range(k, len(starts), procs):
+            c0 = starts[i]
+            nb = min(block, chains - c0)
+            rows = slice(c0, c0 + nb)
+            a, x = slabs[:, :nb]
+            for c in range(nb):
+                spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
+            a_rec[rows] = a[:, :, first::thin]
+            b_rec[rows] = x[:, :, first::thin]
+            # row c * d + j of the flat slabs is coordinate j of chain c
+            lost = _recur(a.reshape(nb * d, steps), x.reshape(nb * d, steps), np.tile(x0, nb))
+            if lost is not None:
+                failed[i] = lost[0], c0 + lost[1] // d
+                continue
+            x_post[rows] = x[:, :, first::thin]
+            if first:
+                x_pre[rows] = x[:, :, first - 1 : -1 : thin]
+            else:
+                x_pre[rows, :, 0] = x0
+                x_pre[rows, :, 1:] = x[:, :, :-1]
+
+    _run_shares(run_share, procs)
+    if failures := [(int(t), int(c)) for t, c in failed if t]:
         t, c = min(failures)
         raise DivergenceError(
             f"chain {c} left the representable range at step {t}", step=t, chain=c

@@ -40,7 +40,7 @@ def quantile_ladder(
     if any(not 0.0 < q < 1.0 for q in qs):
         raise LadderError("quantiles must lie strictly inside (0, 1)")
     keep = [float(t) for t, k in zip(*_top_quantiles(v, qs)) if t > 0.0 and k >= min_top]
-    ladder = np.unique(np.asarray(keep, dtype=float))
+    ladder = np.array(sorted(set(keep)), dtype=float)
     if ladder.size == 0:
         raise LadderError(
             f"no threshold keeps at least {min_top} exceedances; pool too small"
@@ -176,7 +176,6 @@ class TailConstantLadder(Record):
     @property
     def c_minus(self) -> Estimate:
         return self.minus[-1]
-
 
 
 def _interval_overlap(ests: tuple[Estimate, ...], last: int = 3) -> bool:

@@ -137,7 +137,8 @@ import json, sys
 from heavytail_sre import ModelSpec, cli
 
 codes = [cli.main(["run", "--config", path]) for path in sys.argv[1:]]
-loaded = sorted(m for m in ("scipy.special", "scipy.optimize", "scipy.integrate") if m in sys.modules)
+guarded = ("scipy.special", "scipy.optimize", "scipy.integrate", "numpy.ma")
+loaded = sorted(m for m in guarded if m in sys.modules)
 ccc = ModelSpec("CCCGarch", 2, {"arch": [0.35, 0.15], "garch": [0.25, 0.55]})
 kappas = [ccc.kappa_exact(0, 1.5).hex(), ccc.kappa_exact(1, 2.0).hex()]
 print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
@@ -148,7 +149,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "kappas": kappas,
 def test_pipelines_never_import_scipy_optimize_or_integrate(tmp_path):
     # scipy.special, scipy.optimize and scipy.integrate cost ~47 MB and
     # ~0.5 s of every start; only the quadrature hooks may load integrate,
-    # and only on use
+    # and only on use.  numpy.ma costs ~17 ms of every process that loads it
     two_point = {"family": "TwoPoint", "d": 2, "params": {
         "p": 0.2, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}}
     bekk = {"family": "BekkDiag", "d": 3, "params": {
