@@ -39,10 +39,6 @@ class BlockPartition(Record):
     def n_classes(self) -> int:
         return len(self.classes)
 
-    @property
-    def d(self) -> int:
-        return len(self.permutation)
-
     def class_of(self, j: int) -> int:
         for l, cls in enumerate(self.classes):
             if j in cls:
@@ -64,13 +60,6 @@ class BlockPartition(Record):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("classes must partition 0..d-1")
         return cls(classes, perm, doc.get("evidence", {}))
-
-
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 def detect_blocks(
@@ -115,30 +104,25 @@ def detect_blocks(
         scratch.fill(alphas[j])
         v[j] **= scratch
 
-    parent = list(range(d))
+    # label[j] is the least member of j's class so far; a grouped pair joins the two classes
+    label = list(range(d))
     deviations: dict[tuple[int, int], float] = {}
     for i in range(d):
         for j in range(i + 1, d):
             np.subtract(v[i], v[j], out=scratch)
             np.abs(scratch, out=scratch)
             scratch /= 1.0 + v[i]
-            dev = float(np.max(scratch))
-            deviations[(i, j)] = dev
+            dev = deviations[(i, j)] = float(np.max(scratch))
             if dev <= tol_rel:
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if l == hi else l for l in label]
 
-    groups: dict[int, list[int]] = {}
-    for j in range(d):
-        groups.setdefault(_find(parent, j), []).append(j)
-    classes = tuple(tuple(sorted(groups[r])) for r in sorted(groups))
+    classes = tuple(tuple(k for k in range(d) if label[k] == l) for l in sorted(set(label)))
     perm = tuple(j for c in classes for j in c)
-    class_of = {j: l for l, c in enumerate(classes) for j in c}
 
     evidence: dict[str, dict] = {}
     for (i, j), dev in deviations.items():
-        same = class_of[i] == class_of[j]
+        same = label[i] == label[j]
         probes: dict[str, dict] = {}
         for xi in xi_probes:
             est = cross_kappa(

@@ -39,6 +39,7 @@ from .common import (
     given,
     integer,
     number,
+    optional,
     ranged,
     read_keys,
     stage_stream,
@@ -87,10 +88,6 @@ STAGE_DEPS = {
 }
 
 
-def _optional(cast):
-    return lambda value: None if value is None else cast(value)
-
-
 def _count(least: int):
     return ranged(integer, lambda v: v >= least, f"an integer >= {least}")
 
@@ -136,7 +133,7 @@ def _pipeline_entry(entry) -> tuple[str, dict, dict]:
 
 # the config's top level; --seed and --out stand in for their keys
 CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (_count(0), None), "out": (Path, None),
-               "pipeline": (_optional(_pipeline), None)}
+               "pipeline": (optional(_pipeline), None)}
 
 # Every stage param: name -> (cast, default).  The simulate, blocks and
 # spectral params are keyword arguments of stationary_pool, detect_blocks
@@ -144,26 +141,26 @@ CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (_count(0), None), "out": (Pa
 # Counts are checked down to the least value their stage accepts, so a bad
 # value exits 2 before any stage writes.
 STAGE_PARAMS = {
-    "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (_optional(number), None),
+    "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (optional(number), None),
                     "n": (_positive, 1_000_000), "abscissa_n": (_positive, 200_000)},
     "simulate": {"chains": (_positive, 1000), "n_per_chain": (_positive, 1000),
-                 "burn_in": (_optional(_count(0)), None), "thin": (_positive, 10),
-                 "x0": (_optional(_numbers), None)},
+                 "burn_in": (optional(_count(0)), None), "thin": (_positive, 10),
+                 "x0": (optional(_numbers), None)},
     "blocks": {"n": (_count(2), 100_000), "tol_rel": (number, 1e-9),
                "xi_probes": (_many(_fraction), DEFAULT_XI_PROBES),
                "cross_n": (_positive, 200_000), "cross_method": (choice(*METHODS), "auto"),
                "cross_tol": (number, 5e-3)},
-    "tails": {"min_top": (_count(0), DEFAULT_MIN_TOP), "hill_k": (_optional(_count(5)), None),
-              "ladder": (_optional(_numbers), None)},
-    "spectral": {"ladder": (_optional(_numbers), None), "bins": (_count(2), 16),
+    "tails": {"min_top": (_count(0), DEFAULT_MIN_TOP), "hill_k": (optional(_count(5)), None),
+              "ladder": (optional(_numbers), None)},
+    "spectral": {"ladder": (optional(_numbers), None), "bins": (_count(2), 16),
                  "eps": (number, 0.05), "min_top": (_count(0), SPECTRAL_MIN_TOP)},
-    "independence": {"pairs": (_optional(_pairs), None),
+    "independence": {"pairs": (optional(_pairs), None),
                      "tau": (_tau, {"kind": "log", "beta": 1.0}), "xi": (_fraction, 0.5),
                      "n": (_positive, 1_000_000), "submult_n": (_positive, 50_000),
                      "r1": (number, 1.0), "r2": (number, 1.0),
-                     "ladder": (_optional(_numbers), None),
+                     "ladder": (optional(_numbers), None),
                      "min_top": (_count(0), DEFAULT_MIN_TOP),
-                     "gammas": (_optional(_numbers), None)},
+                     "gammas": (optional(_numbers), None)},
     "report": {},
 }
 
@@ -203,12 +200,9 @@ def _refusal(name: str, problem: str) -> ConfigurationError:
 
 
 def _csv_cell(v) -> str:
+    # no row holds a bool, and its strings (coord{j}_{label}, block{l}, c_inf) need no quoting
     if isinstance(v, str):
-        if any(ch in v for ch in (",", '"', "\r", "\n")):
-            return '"' + v.replace('"', '""') + '"'
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return "%.17g" % float(v)
@@ -596,9 +590,9 @@ class _Runner:
                                      f"one block class, {list(map(list, pairs))}; pair two classes")
         pool = self._get_pool()
         alphas, _ = self._solved()
-        if pairs is None:
-            two = part is not None and part.n_classes >= 2
-            pairs = [(part.classes[0][0], part.classes[1][0]) if two else (0, 1)]
+        if pairs is None:  # the first two classes; none when the partition has one
+            heads = [0, 1] if part is None else [c[0] for c in part.classes]
+            pairs = [tuple(heads[:2])] if len(heads) >= 2 else []
         tau = build_tau(params["tau"])
         xi = params["xi"]
         check = submultiplicativity_check(tau, rng, n=params["submult_n"])

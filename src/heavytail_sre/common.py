@@ -86,6 +86,11 @@ def ranged(cast, ok, what: str):
     return checked
 
 
+def optional(cast):
+    """The cast of a key that takes null, or a value through cast."""
+    return lambda value: None if value is None else cast(value)
+
+
 def choice(*options):
     """The cast of a key that takes one of the given strings."""
 

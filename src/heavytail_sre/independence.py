@@ -119,22 +119,20 @@ def submultiplicativity_check(
     if n < 1:
         raise ValueError("n must be positive")
 
-    def draw(cols: int) -> np.ndarray:
+    cols = 2 if tau.two_arg else 1  # one column per argument of tau
+
+    def draw() -> np.ndarray:
         mags = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(n, cols)))
         signs = rng.integers(0, 2, size=(n, cols)) * 2 - 1
         return mags * signs
 
+    def weight(g: np.ndarray) -> np.ndarray:
+        return tau.value2(g[:, 0], g[:, 1]) if tau.two_arg else tau.value(g[:, 0])
+
+    g, h = draw(), draw()
     with np.errstate(over="ignore"):
-        if tau.two_arg:
-            g = draw(2)
-            h = draw(2)
-            num = tau.value2(g[:, 0] * h[:, 0], g[:, 1] * h[:, 1])
-            den = tau.value2(g[:, 0], g[:, 1]) * tau.value2(h[:, 0], h[:, 1])
-        else:
-            g = draw(1)[:, 0]
-            h = draw(1)[:, 0]
-            num = tau.value(g * h)
-            den = tau.value(g) * tau.value(h)
+        num = weight(g * h)
+        den = weight(g) * weight(h)
     # compare in log space; overflowed num and den together are
     # indeterminate and dropped rather than reported as nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -144,26 +142,16 @@ def submultiplicativity_check(
         raise ValueError("every probed ratio was indeterminate")
     worst = int(np.argmax(np.where(valid, log_ratio, -np.inf)))
     worst_ratio = float(np.exp(min(log_ratio[worst], 709.0)))
-    if tau.two_arg:
-        worst_args = (
-            (float(g[worst, 0]), float(g[worst, 1])),
-            (float(h[worst, 0]), float(h[worst, 1])),
-        )
-    else:
-        worst_args = (float(g[worst]), float(h[worst]))
+    worst_args = tuple(tuple(map(float, x[worst])) if tau.two_arg else float(x[worst, 0])
+                       for x in (g, h))
     passed = bool(log_ratio[worst] <= math.log1p(1e-9))
 
     growth_ok: bool | None = None
     if tau.growth is not None:
         c1, c2 = tau.growth
         with np.errstate(over="ignore"):
-            if tau.two_arg:
-                vals = tau.value2(g[:, 0], g[:, 1])
-                caps = c1 * (1.0 + np.abs(g[:, 0])) ** c2 * (1.0 + np.abs(g[:, 1])) ** c2
-            else:
-                vals = tau.value(g)
-                caps = c1 * (1.0 + np.abs(g)) ** c2
-        growth_ok = bool(np.all(vals <= caps * (1.0 + 1e-12)))
+            caps = c1 * np.prod((1.0 + np.abs(g)) ** c2, axis=1)
+            growth_ok = bool(np.all(weight(g) <= caps * (1.0 + 1e-12)))
     return SubmultiplicativityCheck(passed, worst_ratio, worst_args, n, growth_ok)
 
 

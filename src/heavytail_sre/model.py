@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
-from .common import integer, mean_estimate, nonzero_logs, number, ranged, read_keys
+from .common import integer, mean_estimate, nonzero_logs, number, optional, ranged, read_keys
 from .common import use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -183,10 +183,6 @@ def _numbers(value):
 def _matrix(value) -> np.ndarray:
     """The cast of an array param: no booleans, every element finite."""
     return np.array(_numbers(value), dtype=float)
-
-
-def _optional_matrix(value) -> np.ndarray | None:
-    return None if value is None else _matrix(value)
 
 
 def _corr_factor(corr, k: int, name: str) -> np.ndarray:
@@ -452,7 +448,7 @@ class _TwoPoint(_Atoms):
 
 
 class _LogNormal(_Family):
-    KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (_optional_matrix, None),
+    KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (optional(_matrix), None),
             "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
@@ -496,8 +492,8 @@ class _LogNormal(_Family):
 
 class _CCCGarch(_Family):
     KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED),
-            "z_map": (lambda v: None if v is None else list(map(integer, v)), None),
-            "corr": (_optional_matrix, None), "b": (given, _NO_NOISE)}
+            "z_map": (optional(lambda v: list(map(integer, v))), None),
+            "corr": (optional(_matrix), None), "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
         self.d = d

@@ -47,8 +47,8 @@ _MAX_BRACKET_STEPS = 60
 
 
 class _KappaHat:
-    """Empirical s -> mean(|a|^s) over one frozen draw of a coefficient column:
-    logs in place in its magnitudes ``mag``, powers in a spare row ``scratch``."""
+    """Empirical s -> mean(|a|^s), called at s > 0 once the frozen column is known to
+    hold a nonzero entry: logs in place in ``mag``, powers in a spare row ``scratch``."""
 
     def __init__(self, mag: np.ndarray, scratch: np.ndarray):
         self.logs = nonzero_logs(mag)
@@ -57,10 +57,6 @@ class _KappaHat:
         self.zero_mass = 1.0 - self.logs.size / mag.size
 
     def __call__(self, s: float) -> float:
-        if s == 0.0:
-            return 1.0 - self.zero_mass
-        if self.logs.size == 0:
-            return 0.0
         with np.errstate(over="ignore"):
             powers = np.exp(np.multiply(s, self.logs, out=self.buf), out=self.buf)
         return float(powers.sum()) / self.n

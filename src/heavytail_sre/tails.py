@@ -278,10 +278,8 @@ def goldie_constant(
 
 def _scaled_mean(w: np.ndarray, scale: float, scratch=None) -> Estimate:
     est = mean_estimate(w, scratch=scratch)
-    lo, hi = scale * est.ci_lo, scale * est.ci_hi
-    if scale < 0.0:
-        lo, hi = hi, lo
-    return Estimate(scale * est.value, lo, hi, est.n, est.method, est.flag)
+    return Estimate(scale * est.value, scale * est.ci_lo, scale * est.ci_hi, est.n, est.method,
+                    est.flag)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -935,17 +935,23 @@ def test_console_script_help_runs():
     assert "stochastic recurrence" in proc.stdout
 
 
-def test_independence_pair_inside_one_class_exits_two_early(tmp_path, monkeypatch, capsys):
-    # comonotone coordinates with shared noise form one class, so the pair
-    # [0, 1] has cross moment E|A|^alpha = 1 for every xi and can never pass
-    out = tmp_path / "o"
+def one_class_config(tmp_path, indep_params: dict) -> str:
+    """Comonotone coordinates with shared noise: blocks finds one class."""
     model = {"family": "TwoPoint", "d": 2, "params": {
         "p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True,
         "b": {"dist": "pareto", "index": 3.0, "shared": True}}}
-    indep = {"stage": "independence", "params": {"n": 100_000, "pairs": [[0, 1]]}}
+    indep = {"stage": "independence", "params": indep_params}
     simulate = {"stage": "simulate", "params": {"chains": 200, "n_per_chain": 500}}
-    cfg = write_config(tmp_path / "c.json", {"model": model, "seed": 5, "out": str(out),
-                                             "pipeline": ["solve-alpha", simulate, "blocks", indep]})
+    doc = {"model": model, "seed": 5, "out": str(tmp_path / "o"),
+           "pipeline": ["solve-alpha", simulate, "blocks", indep]}
+    return write_config(tmp_path / "c.json", doc)
+
+
+def test_independence_pair_inside_one_class_exits_two_early(tmp_path, monkeypatch, capsys):
+    # the pair [0, 1] lies in the one class, so it has cross moment
+    # E|A|^alpha = 1 for every xi and can never pass
+    out = tmp_path / "o"
+    cfg = one_class_config(tmp_path, {"n": 100_000, "pairs": [[0, 1]]})
 
     def refuse(*args, **kwargs):
         raise AssertionError("the stage went on past the partition")
@@ -960,3 +966,13 @@ def test_independence_pair_inside_one_class_exits_two_early(tmp_path, monkeypatc
     assert json.loads((out / "blocks.report.json").read_text())["classes"] == [[0, 1]]
     assert not list(out.glob("independence*"))
     assert "independence" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
+def test_independence_default_pairs_are_none_inside_one_class(tmp_path):
+    # the default takes the first two classes; with one class there is none
+    out = tmp_path / "o"
+    cfg = one_class_config(tmp_path, {"n": 100_000})
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads((out / "blocks.report.json").read_text())["classes"] == [[0, 1]]
+    assert json.loads((out / "independence.report.json").read_text())["pairs"] == []
+    assert not list(out.glob("independence.pair_*.csv"))

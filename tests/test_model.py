@@ -742,6 +742,16 @@ def test_log_moment_zero_mass_contracts():
     assert lm.contractive is True
 
 
+def test_log_moment_of_zero_coefficient_on_both_routes():
+    # A = 0 a.s.: no conditional mean, all mass at zero, contractive
+    spec = two_point(up=0.0, down=0.0)
+    for lm in (log_moment(spec, 0), log_moment(spec, 0, n=1_000, rng=RNG(6), method="monte-carlo")):
+        assert lm.mean_given_nonzero is None
+        assert lm.zero_mass == 1.0
+        assert lm.contractive is True
+        assert lm.constant_magnitude is True
+
+
 def test_log_moment_monte_carlo():
     spec = ModelSpec("LogNormal", 1, {"mu": -0.5, "sigma": 1.0})
     lm = log_moment(spec, 0, n=200_000, rng=RNG(6), method="monte-carlo")

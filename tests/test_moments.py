@@ -255,6 +255,37 @@ def test_cross_kappa_monte_carlo():
     assert est.contains(0.64)
 
 
+# Each closed form below must lie inside the 95% Monte-Carlo interval at
+# n = 10^6 for every xi.  The seeds are fixed, so each test is deterministic;
+# at fresh seeds a correct closed form would miss at least one of k intervals
+# with probability 1 - 0.95^k (14% for k = 3, 19% for k = 4).
+CUSTOM2 = ModelSpec("Custom", 2, {"atoms": {
+    "prob": [0.2, 0.3, 0.5], "a": [[2.0, 0.4], [0.5, 1.5], [0.7, 0.6]],
+    "b": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]}})
+
+
+def test_cross_kappa_custom_atoms_closed_form_matches_monte_carlo():
+    alphas = [solve_alpha(CUSTOM2, j).alpha for j in range(2)]
+    for xi in (0.25, 0.5, 0.75):
+        closed = cross_kappa(CUSTOM2, 0, 1, *alphas, xi=xi)
+        assert closed.method == "closed-form"
+        mc = cross_kappa(CUSTOM2, 0, 1, *alphas, xi=xi, method="monte-carlo", rng=RNG(4),
+                         n=10 ** 6)
+        assert mc.contains(closed.value), (xi, closed.value, mc)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cross_kappa_bekk_unit_correlation_closed_form_matches_monte_carlo(sign):
+    # A_1 = 2 sign A_0, so |rho| = 1 and the joint moment is one normal moment
+    spec = ModelSpec("BekkDiag", 2, {"coeff": [[0.6, sign * 1.2], [0.3, sign * 0.6]]})
+    alphas = [solve_alpha(spec, j).alpha for j in range(2)]
+    for xi in (0.25, 0.5):
+        closed = cross_kappa(spec, 0, 1, *alphas, xi=xi)
+        assert closed.method == "closed-form"
+        mc = cross_kappa(spec, 0, 1, *alphas, xi=xi, method="monte-carlo", rng=RNG(3), n=10 ** 6)
+        assert mc.contains(closed.value), (xi, closed.value, mc)
+
+
 def test_cross_kappa_validates_xi():
     with pytest.raises(ValueError):
         cross_kappa(two_point(), 0, 0, 2.0, 2.0, xi=1.5)

@@ -131,6 +131,16 @@ def test_source_stays_under_the_line_cap():
     assert lines <= 3990, f"src/heavytail_sre/*.py has {lines} lines, over the 3,990 cap"
 
 
+def test_package_version_matches_pyproject():
+    # manifest.json writes __version__, so it must be the packaged version
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    if not path.exists():
+        pytest.skip("no pyproject.toml beside the tests")
+    project = tomllib.loads(path.read_text())["project"]
+    assert project["version"] == heavytail_sre.__version__
+
+
 # Runs in a fresh interpreter, so no other test's imports leak into sys.modules.
 IMPORT_GUARD = """
 import json, sys

@@ -20,6 +20,7 @@ from heavytail_sre import (
     spectral_measure,
     stationary_pool,
 )
+from heavytail_sre.common import binomial_ci
 
 REFERENCE = ModelSpec(
     "TwoPoint",
@@ -402,3 +403,12 @@ def test_moment_estimate_unstable_above_index(ref_pool):
 def test_moment_estimate_validates_order(ref_pool):
     with pytest.raises(ValueError):
         moment_estimate(ref_pool, 0, 0.0)
+
+
+def test_binomial_ci_full_count_takes_the_rule_of_three_lower_bound():
+    est = binomial_ci(50, 50)
+    assert (est.value, est.ci_lo, est.ci_hi) == (1.0, 1.0 - 3.0 / 50, 1.0)
+    assert est.flag == "rule-of-three"
+    # fewer than three trials: the bound stops at 0
+    assert binomial_ci(2, 2).ci_lo == 0.0
+    assert binomial_ci(0, 50).ci_hi == 3.0 / 50
