@@ -266,6 +266,21 @@ def test_uniform_noise_moment_spanning_zero():
     assert spec.b_moment_exact(0, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
+# (low, high): low >= 0, high <= 0, ends at +0 and -0 on either side, and a
+# law straddling zero; the orders include the README model's closed-form alpha
+UNIFORM_LAWS = [(0.5, 2.0), (0.0, 1.5), (-0.0, 1.5), (-3.0, -0.25), (-2.0, 0.0), (-2.0, -0.0),
+                (-1.0, 2.5)]
+UNIFORM_ORDERS = [0.5, 1.0, 2.0, 1.9999999999999998, 10.5]
+
+
+def test_uniform_noise_moments_keep_their_bits():
+    digest = hashlib.sha256()
+    for low, high in UNIFORM_LAWS:
+        spec = two_point(b={"dist": "uniform", "low": low, "high": high})
+        digest.update(json.dumps([spec.b_moment_exact(0, s).hex() for s in UNIFORM_ORDERS]).encode())
+    assert digest.hexdigest() == "0f2de5bf7b85566c258544a249611bb6be33513fd3383f536533b9105d60e043"
+
+
 def test_zero_noise_flag():
     spec = two_point(b={"dist": "constant", "value": 0.0})
     assert spec.b_is_zero(0) is True
