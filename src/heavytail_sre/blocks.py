@@ -11,7 +11,6 @@ on a shared class and falls strictly below 1 across classes.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -35,23 +34,15 @@ class BlockPartition(Record):
     permutation: tuple[int, ...]
     evidence: dict
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
     def class_of(self, j: int) -> int:
         for l, cls in enumerate(self.classes):
             if j in cls:
                 return l
         raise IndexError(f"coordinate {j} not covered by the partition")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
-    def from_json(cls, text: str | dict) -> "BlockPartition":
-        """Partition from its JSON text or the parsed document."""
-        doc = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, doc: dict) -> "BlockPartition":
+        """Partition from its parsed JSON document, as ``to_dict`` writes it."""
         classes = tuple(tuple(int(j) for j in c) for c in doc["classes"])
         perm = tuple(int(j) for j in doc["permutation"])
         got = tuple(j for c in classes for j in c)

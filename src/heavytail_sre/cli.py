@@ -67,16 +67,7 @@ from .tails import (
     spectral_measure,
 )
 
-STAGE_ORDER = (
-    "solve-alpha",
-    "simulate",
-    "blocks",
-    "tails",
-    "spectral",
-    "independence",
-    "report",
-)
-STAGE_IDS = {name: k + 1 for k, name in enumerate(STAGE_ORDER)}
+# each stage in pipeline order, with the stages whose artifacts it reads
 STAGE_DEPS = {
     "solve-alpha": (),
     "simulate": ("solve-alpha",),
@@ -86,6 +77,8 @@ STAGE_DEPS = {
     "independence": ("solve-alpha", "simulate"),
     "report": (),
 }
+STAGE_ORDER = tuple(STAGE_DEPS)
+STAGE_IDS = {name: k + 1 for k, name in enumerate(STAGE_ORDER)}
 
 
 def _count(least: int):
@@ -510,6 +503,7 @@ class _Runner:
             k = hill_k if hill_k is not None else max(10, int(pos.size**0.6))
             k = min(k, pos.size - 1)
             hill = hill_estimate(pos, k)
+            del mag, pos  # two dead columns otherwise held across the block norms
             ladder = empirical_tail_constant(
                 pool, j, alphas[j], params["ladder"], min_top, power=powers[j]
             )
@@ -588,11 +582,12 @@ class _Runner:
         if part is not None and any(part.class_of(i) == part.class_of(j) for i, j in pairs or ()):
             raise ConfigurationError(f"stage 'independence' params key 'pairs': a pair lies in "
                                      f"one block class, {list(map(list, pairs))}; pair two classes")
-        pool = self._get_pool()
-        alphas, _ = self._solved()
         if pairs is None:  # the first two classes; none when the partition has one
             heads = [0, 1] if part is None else [c[0] for c in part.classes]
             pairs = [tuple(heads[:2])] if len(heads) >= 2 else []
+        if pairs:  # with no pair left, the pool and the alphas are not read
+            pool = self._get_pool()
+            alphas, _ = self._solved()
         tau = build_tau(params["tau"])
         xi = params["xi"]
         check = submultiplicativity_check(tau, rng, n=params["submult_n"])

@@ -178,6 +178,11 @@ class Estimate(Record):
     def contains(self, x: float) -> bool:
         return self.ci_lo <= x <= self.ci_hi
 
+    def scaled(self, t: float) -> "Estimate":
+        """The value and both interval ends times t > 0."""
+        return dataclasses.replace(self, value=t * self.value, ci_lo=t * self.ci_lo,
+                                   ci_hi=t * self.ci_hi)
+
     def to_dict(self) -> dict:
         out = super().to_dict()
         if self.flag is None:
@@ -185,10 +190,10 @@ class Estimate(Record):
         return out
 
 
-def exact(value: float, flag: str | None = None) -> Estimate:
+def exact(value: float) -> Estimate:
     """Wrap a closed-form value as a degenerate Estimate."""
     v = float(value)
-    return Estimate(v, v, v, 0, "closed-form", flag)
+    return Estimate(v, v, v, 0, "closed-form")
 
 
 def mean_estimate(samples: np.ndarray, flag: str | None = None, scratch=None) -> Estimate:

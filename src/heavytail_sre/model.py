@@ -30,9 +30,7 @@ under the "closed-form" method tag.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
-import inspect
 import json
 import math
 
@@ -283,12 +281,9 @@ class _BDist:
                 return math.inf
             return self.index * self.scale ** s / (self.index - s)
         if k == "uniform":
-            lo, hi = self.low, self.high
-            if lo >= 0.0:
-                return (hi ** (s + 1.0) - lo ** (s + 1.0)) / ((s + 1.0) * (hi - lo))
-            if hi <= 0.0:
-                return ((-lo) ** (s + 1.0) - (-hi) ** (s + 1.0)) / ((s + 1.0) * (hi - lo))
-            return (hi ** (s + 1.0) + (-lo) ** (s + 1.0)) / ((s + 1.0) * (hi - lo))
+            # x |x|^s / (s + 1) is an antiderivative of |x|^s on either side of zero
+            lo, hi = (math.copysign(abs(v) ** (s + 1.0), v) for v in (self.low, self.high))
+            return (hi - lo) / ((s + 1.0) * (self.high - self.low))
         if k == "normal":
             if self.std == 0.0:
                 return _pow_abs(self.mean, s)
@@ -713,24 +708,6 @@ _FAMILY_CLASSES = {"TwoPoint": _TwoPoint, "LogNormal": _LogNormal, "CCCGarch": _
                    "Custom callable": _CustomCallable}
 
 
-def _hook(declared):
-    """A closed-form hook of ModelSpec: the family's method of the same name
-    answers, or None when the family has none.  The coordinates (i, j) are
-    range-checked, the exponents passed as floats."""
-    signature = inspect.signature(declared)
-
-    @functools.wraps(declared)
-    def hook(self, *args, **kwargs):
-        _, *bound = signature.bind(self, *args, **kwargs).arguments.items()
-        if bad := [v for name, v in bound if name in ("i", "j") and not 0 <= int(v) < self.d]:
-            raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
-        values = [v if name in ("i", "j") else float(v) for name, v in bound]
-        answer = getattr(self._impl, declared.__name__, None)
-        return None if answer is None else answer(*values)
-
-    return hook
-
-
 class ModelSpec:
     """Validated coefficient model.
 
@@ -783,26 +760,34 @@ class ModelSpec:
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 
-    @_hook
-    def kappa_exact(self, j: int, s: float) -> float | None: ...
-    @_hook
-    def zero_mass_exact(self, j: int) -> float | None: ...
-    @_hook
+    def _closed(self, name: str, coords: tuple, *orders):
+        """The family's method ``name`` at the range-checked coordinates and the
+        orders as floats, or None when the family has no such closed form."""
+        if bad := [c for c in coords if not 0 <= int(c) < self.d]:
+            raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
+        answer = getattr(self._impl, name, None)
+        return None if answer is None else answer(*coords, *map(float, orders))
+
+    def kappa_exact(self, j: int, s: float) -> float | None:
+        return self._closed("kappa_exact", (j,), s)
+    def zero_mass_exact(self, j: int) -> float | None:
+        return self._closed("zero_mass_exact", (j,))
     def log_abs_mean_exact(self, j: int) -> float | None:
         """E[log|A_j| given A_j != 0], or None when unknown/undefined."""
-    @_hook
-    def goldie_mean_exact(self, j: int, alpha: float) -> float | None: ...
-    @_hook
+        return self._closed("log_abs_mean_exact", (j,))
+    def goldie_mean_exact(self, j: int, alpha: float) -> float | None:
+        return self._closed("goldie_mean_exact", (j,), alpha)
     def joint_moment_exact(self, i: int, j: int, s: float, u: float) -> float | None:
         """E |A_i|^s |A_j|^u, or None when no closed form is available."""
-    @_hook
-    def constant_magnitude_exact(self, j: int) -> bool | None: ...
-    @_hook
-    def b_moment_exact(self, j: int, s: float) -> float | None: ...
-    @_hook
-    def b_abscissa(self, j: int) -> float | None: ...
-    @_hook
-    def b_is_zero(self, j: int) -> bool | None: ...
+        return self._closed("joint_moment_exact", (i, j), s, u)
+    def constant_magnitude_exact(self, j: int) -> bool | None:
+        return self._closed("constant_magnitude_exact", (j,))
+    def b_moment_exact(self, j: int, s: float) -> float | None:
+        return self._closed("b_moment_exact", (j,), s)
+    def b_abscissa(self, j: int) -> float | None:
+        return self._closed("b_abscissa", (j,))
+    def b_is_zero(self, j: int) -> bool | None:
+        return self._closed("b_is_zero", (j,))
 
     # -- serialization -------------------------------------------------------
 

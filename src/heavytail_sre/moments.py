@@ -46,22 +46,6 @@ from .model import ModelSpec
 _MAX_BRACKET_STEPS = 60
 
 
-class _KappaHat:
-    """Empirical s -> mean(|a|^s), called at s > 0 once the frozen column is known to
-    hold a nonzero entry: logs in place in ``mag``, powers in a spare row ``scratch``."""
-
-    def __init__(self, mag: np.ndarray, scratch: np.ndarray):
-        self.logs = nonzero_logs(mag)
-        self.buf = scratch[: self.logs.size]
-        self.n = mag.size
-        self.zero_mass = 1.0 - self.logs.size / mag.size
-
-    def __call__(self, s: float) -> float:
-        with np.errstate(over="ignore"):
-            powers = np.exp(np.multiply(s, self.logs, out=self.buf), out=self.buf)
-        return float(powers.sum()) / self.n
-
-
 def _log_kappa(s: float, kap) -> float:
     """log kap(s), -inf where kap(s) = 0."""
     v = kap(s)
@@ -207,19 +191,24 @@ def solve_alpha(
     else:
         tol = 1e-3 if tol is None else float(tol)
         a, b = spec.sample_coeffs(rng, n)
-        khat = _KappaHat(np.abs(a[:, j], out=a[:, j]), b[:, j])
-        if khat.logs.size == 0:
+        logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))  # in place in the A row
+        buf = b[: logs.size, j]  # the spare noise row takes the powers
+        if logs.size == 0:
             raise TailIndexError(f"tail index does not exist for coordinate {j}: A = 0 a.s.")
-        if khat.zero_mass == 0.0:
-            drift = mean_estimate(khat.logs, scratch=khat.buf)
+        if logs.size == n:
+            drift = mean_estimate(logs, scratch=buf)
             if drift.ci_hi >= 0.0:
                 raise TailIndexError(
                     f"tail index does not exist for coordinate {j}: negative log drift "
                     f"not certified (95% CI [{drift.ci_lo:.4g}, {drift.ci_hi:.4g}])"
                 )
-        kap = khat
-        mean_log = float(khat.logs.mean())
-        pilot = _pilot_from_drift(mean_log, variance(khat.logs, mean_log, khat.buf))
+
+        def kap(s):  # the empirical mean |a|^s, called at s > 0 only
+            with np.errstate(over="ignore"):
+                return float(np.exp(np.multiply(s, logs, out=buf), out=buf).sum()) / n
+
+        mean_log = float(logs.mean())
+        pilot = _pilot_from_drift(mean_log, variance(logs, mean_log, buf))
         used_n = n
         tag = "monte-carlo"
 

@@ -228,7 +228,6 @@ def stationary_pool(
     burn_in: int | None = None,
     thin: int = 10,
     x0=None,
-    contractivity: tuple[LogMoment, ...] | None = None,
 ) -> SamplePool:
     """Simulate independent chains and pool their post-burn-in records.
 
@@ -236,8 +235,7 @@ def stationary_pool(
     Chains run in blocks through two reused (chain, coordinate, step) slabs
     per process, in forked processes up to one per usable CPU.
     Refuses to run unless every coordinate has a certified negative log
-    drift (pass ``contractivity`` to reuse a previous check).  The default
-    burn-in is ceil(20 / |median_j E log|A_j||).
+    drift.  The default burn-in is ceil(20 / |median_j E log|A_j||).
 
     A divergence reports the earliest failing step and, among the chains
     failing there, the lowest chain, whatever the chain batching.
@@ -251,9 +249,7 @@ def stationary_pool(
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite vector of length {d}")
 
-    diags = contractivity if contractivity is not None else drift_diagnostics(spec, seed)
-    if len(diags) != d:
-        raise ValueError("contractivity diagnostics must cover every coordinate")
+    diags = drift_diagnostics(spec, seed)
     bad = [j for j, lm in enumerate(diags) if not lm.contractive]
     if bad:
         raise NonContractiveError(

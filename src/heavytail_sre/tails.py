@@ -103,11 +103,7 @@ def _exceedances(stat: np.ndarray, cuts) -> list[int]:
 
 def _scaled_binomials(counts, n: int, ladder) -> tuple[Estimate, ...]:
     """t * binomial interval of k exceedances out of n, rung by rung."""
-    out = []
-    for k, t in zip(counts, ladder):
-        est = binomial_ci(k, n)
-        out.append(Estimate(t * est.value, t * est.ci_lo, t * est.ci_hi, n, est.method, est.flag))
-    return tuple(out)
+    return tuple(binomial_ci(k, n).scaled(t) for k, t in zip(counts, ladder))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,9 +273,7 @@ def goldie_constant(
 
 
 def _scaled_mean(w: np.ndarray, scale: float, scratch=None) -> Estimate:
-    est = mean_estimate(w, scratch=scratch)
-    return Estimate(scale * est.value, scale * est.ci_lo, scale * est.ci_hi, est.n, est.method,
-                    est.flag)
+    return mean_estimate(w, scratch=scratch).scaled(scale)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -976,3 +977,47 @@ def test_independence_default_pairs_are_none_inside_one_class(tmp_path):
     assert json.loads((out / "blocks.report.json").read_text())["classes"] == [[0, 1]]
     assert json.loads((out / "independence.report.json").read_text())["pairs"] == []
     assert not list(out.glob("independence.pair_*.csv"))
+
+
+def test_independence_reads_no_pool_when_no_pair_is_left(tmp_path, monkeypatch):
+    # staged: the one class leaves no default pair, so the stage needs
+    # neither pool.bin nor the solved alphas
+    out = tmp_path / "o"
+    cfg = one_class_config(tmp_path, {"n": 100_000})
+    for command in ("solve-alpha", "simulate", "blocks"):
+        assert main([command, "--config", cfg]) == 0, command
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stage read an input it does not use")
+
+    for name in ("_get_pool", "_solved"):
+        monkeypatch.setattr(cli._Runner, name, refuse)
+    assert main(["independence", "--config", cfg]) == 0
+    doc = json.loads((out / "independence.report.json").read_text())
+    assert doc["pairs"] == [] and list(doc["inputs"]) == ["blocks.report.json"]
+
+
+def test_tails_stage_frees_its_hill_columns_before_the_block_norms(tmp_path, monkeypatch):
+    # a staged tails holds the loaded pool and the d power columns across the
+    # block norms, and no magnitude column of the Hill estimate
+    d, n = 2, 100_000
+    out = tmp_path / "o"
+    simulate = {"stage": "simulate", "params": {"chains": 200, "n_per_chain": n // 200}}
+    cfg = write_config(tmp_path / "c.json", {"model": PAIR_MODEL, "seed": 3, "out": str(out),
+                                            "pipeline": ["solve-alpha", simulate, "tails"]})
+    for command in ("solve-alpha", "simulate"):
+        assert main([command, "--config", cfg]) == 0, command
+    held, block_tail_constant = [], cli.block_tail_constant
+
+    def probe(pool, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - base - (out / "pool.bin").stat().st_size)
+        return block_tail_constant(pool, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "block_tail_constant", probe)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["tails", "--config", cfg]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < (d + 0.5) * n * 8

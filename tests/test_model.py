@@ -614,6 +614,22 @@ def test_custom_callable_shape_check():
         spec.sample_coeffs(RNG(0), 10)
 
 
+def test_every_family_closed_form_is_a_hook():
+    # ModelSpec finds a family's closed forms by name, so a misspelt method
+    # would silently leave its quantity to Monte Carlo
+    from heavytail_sre.model import _FAMILY_CLASSES
+
+    is_hook = lambda name: name.endswith("_exact") or name.startswith("b_")
+    hooks = {name for name in vars(ModelSpec) if is_hook(name)}
+    assert hooks == {name.split("[")[0] for name in HOOKS}
+    answered = set()
+    for family in _FAMILY_CLASSES.values():
+        names = {name for name in dir(family) if is_hook(name)}
+        assert names <= hooks, (family.__name__, names - hooks)
+        answered |= names
+    assert answered == hooks
+
+
 def test_hooks_keep_their_signatures(monkeypatch):
     # one checked dispatch serves every hook; each keeps its declared arguments
     spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True})

@@ -190,11 +190,9 @@ def test_divergence_is_invariant_under_chain_blocks(monkeypatch):
     # the earliest divergence lies outside the first block of three chains
     assert want[1] >= 3
     monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * steps * 2)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: fake)
     with pytest.raises(DivergenceError) as err:
-        stationary_pool(
-            expanding, seed=seed, chains=chains, n_per_chain=steps, thin=1,
-            burn_in=0, contractivity=fake,
-        )
+        stationary_pool(expanding, seed=seed, chains=chains, n_per_chain=steps, thin=1, burn_in=0)
     assert (err.value.step, err.value.chain) == want
 
 
@@ -232,13 +230,14 @@ def test_processes_split_one_slab_budget(monkeypatch):
     # the slab pair of either is half the one-process pair
     spec = reference(2)
     diags = drift_diagnostics(spec, 5, 1_000)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: diags)
     monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 9 * 2010 * 2)
     peaks = []
     for procs in (1, 2):
         use_cpus(monkeypatch, procs)
         tracemalloc.start()
         try:
-            stationary_pool(spec, 5, 40, 10, burn_in=2000, thin=1, contractivity=diags)
+            stationary_pool(spec, 5, 40, 10, burn_in=2000, thin=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -258,7 +257,8 @@ def test_divergence_in_a_worker_share_reports_as_one_process(monkeypatch, procs)
     # 6 the earliest divergence (chain 5) falls to a worker, and the parent's
     # own chains diverge later
     monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * 3000 * 2)
-    kwargs = dict(seed=6, chains=7, n_per_chain=3000, thin=1, burn_in=0, contractivity=fake)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: fake)
+    kwargs = dict(seed=6, chains=7, n_per_chain=3000, thin=1, burn_in=0)
     use_cpus(monkeypatch, 1)
     with pytest.raises(DivergenceError) as one:
         stationary_pool(expanding, **kwargs)
@@ -333,15 +333,13 @@ def test_pool_refuses_non_contractive_model():
         stationary_pool(expanding, seed=0, chains=1, n_per_chain=10)
 
 
-def test_pool_divergence_reports_chain():
+def test_pool_divergence_reports_chain(monkeypatch):
     # forged diagnostics let an expanding chain start, then blow up
     expanding = constant_model(a=2.0, b=1.0)
     fake = (LogMoment(exact(-1.0), 0.0, True, False),)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: fake)
     with pytest.raises(DivergenceError) as err:
-        stationary_pool(
-            expanding, seed=0, chains=2, n_per_chain=2000, thin=1,
-            burn_in=0, contractivity=fake,
-        )
+        stationary_pool(expanding, seed=0, chains=2, n_per_chain=2000, thin=1, burn_in=0)
     # x_t = 2^t - 1 first overflows at t = 1024, on every chain at once
     assert (err.value.step, err.value.chain) == (1024, 0)
 
@@ -355,14 +353,15 @@ def test_pool_validates_arguments():
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, x0=np.zeros(3))
 
 
-def test_pool_frees_slabs_before_chain_columns():
+def test_pool_frees_slabs_before_chain_columns(monkeypatch):
     # numpy reports its buffers to tracemalloc; one block of 500 chains
     spec, chains, n, burn_in, thin = reference(2), 500, 200, 50, 5
     diags = drift_diagnostics(spec, 3, 1_000)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: diags)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        stationary_pool(spec, 3, chains, n, burn_in=burn_in, thin=thin, contractivity=diags)
+        stationary_pool(spec, 3, chains, n, burn_in=burn_in, thin=thin)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
