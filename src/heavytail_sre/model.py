@@ -761,8 +761,7 @@ class ModelSpec:
     # -- closed-form hooks (None when unavailable) ---------------------------
 
     def _closed(self, name: str, coords: tuple, *orders):
-        """The family's method ``name`` at the range-checked coordinates and the
-        orders as floats, or None when the family has no such closed form."""
+        """The family's closed form ``name`` at checked coordinates, or None if it has none."""
         if bad := [c for c in coords if not 0 <= int(c) < self.d]:
             raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
         answer = getattr(self._impl, name, None)

@@ -205,7 +205,8 @@ def solve_alpha(
 
         def kap(s):  # the empirical mean |a|^s, called at s > 0 only
             with np.errstate(over="ignore"):
-                return float(np.exp(np.multiply(s, logs, out=buf), out=buf).sum()) / n
+                np.exp(np.multiply(s, logs, out=buf), out=buf)
+            return float(buf.sum()) / n
 
         mean_log = float(logs.mean())
         pilot = _pilot_from_drift(mean_log, variance(logs, mean_log, buf))
