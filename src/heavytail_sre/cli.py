@@ -307,7 +307,6 @@ class _Runner:
         self.current_stage: str | None = None
         self._inputs: dict[str, str] = {}
         self._params_given: dict = {}
-        self._pool: SamplePool | None = None
         self._manifest_stages: dict = {}
 
     # ---- artifact plumbing -------------------------------------------
@@ -382,12 +381,10 @@ class _Runner:
         # pool.bin is a pure function of its sidecar, which is written after
         # it, so the sidecar stands in for the pool among the inputs
         self._read("pool.meta.json")
-        if self._pool is None:
-            try:
-                self._pool = SamplePool.load(self.out / "pool.bin")
-            except (OSError, ValueError) as exc:
-                raise _refusal("pool.bin", f"is corrupt ({exc})") from None
-        return self._pool
+        try:
+            return SamplePool.load(self.out / "pool.bin")
+        except (OSError, ValueError) as exc:
+            raise _refusal("pool.bin", f"is corrupt ({exc})") from None
 
     def _get_partition(self, required: bool) -> BlockPartition | None:
         if not required and not (self.out / "blocks.report.json").exists():
@@ -477,7 +474,6 @@ class _Runner:
             "n_records": len(pool),
             "thin": pool.meta["thin"],
         }
-        self._pool = pool
         self._write_report(doc, "pool.bin", "pool.meta.json")
 
     def _stage_blocks(self, params: dict) -> None:

@@ -20,7 +20,7 @@ from .common import joint_pow, mean_estimate, number, ranged, read_keys
 from .model import ModelSpec
 from .moments import cross_kappa
 from .geometry import magnitude_power
-from .tails import DEFAULT_MIN_TOP, _exceedances, _ladder, _scaled_binomials
+from .tails import DEFAULT_MIN_TOP, _ladder, _scaled_binomials
 
 
 class Tau:
@@ -204,9 +204,8 @@ def joint_exceedance(
     sj /= r2
     np.minimum(stat, sj, out=stat)
     del sj
-    ladder = _ladder(stat, ladder, min_top, custom_top=0)
+    ladder, counts = _ladder(stat, ladder, min_top, custom_top=0)
     n = stat.size
-    counts = _exceedances(stat, ladder)
     norm = _scaled_binomials(counts, n, ladder)
     vals = [e.value for e in norm[-3:]]
     decaying = bool(len(vals) == 3 and vals[0] > vals[1] > vals[2])

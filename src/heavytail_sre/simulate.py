@@ -108,13 +108,14 @@ class SamplePool:
 
     @classmethod
     def load(cls, bin_path) -> "SamplePool":
+        """The saved pool, its columns read-only views of one map of the file."""
         bin_path = str(bin_path)
         with open(bin_path.removesuffix(".bin") + ".meta.json") as fh:
             doc = json.load(fh)
         if doc.get("format") != POOL_SCHEMA:
             raise ValueError(f"unsupported pool format {doc.get('format')!r}")
         n, d = int(doc["n_records"]), int(doc["d"])
-        raw = np.fromfile(bin_path, dtype=np.uint8)
+        raw = np.memmap(bin_path, dtype=np.uint8, mode="r")
         expected = n * 8 * (2 + 4 * d)
         if raw.size != expected:
             raise ValueError(f"pool file has {raw.size} bytes, expected {expected}")

@@ -25,36 +25,30 @@ DEFAULT_MIN_TOP = 50
 SPECTRAL_MIN_TOP = 100
 
 
-def quantile_ladder(
-    values, quantiles=DEFAULT_QUANTILES, min_top: int = DEFAULT_MIN_TOP
-) -> np.ndarray:
-    """Strictly increasing thresholds at the given quantiles.
+def quantile_ladder(values, min_top: int = DEFAULT_MIN_TOP) -> np.ndarray:
+    """Strictly increasing thresholds at the DEFAULT_QUANTILES of values.
 
     Rungs whose exceedance count falls below min_top are dropped; an
     empty result raises LadderError.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise LadderError("cannot build a ladder from an empty sample")
-    qs = sorted(float(q) for q in quantiles)
-    if any(not 0.0 < q < 1.0 for q in qs):
-        raise LadderError("quantiles must lie strictly inside (0, 1)")
-    keep = [float(t) for t, k in zip(*_top_quantiles(v, qs)) if t > 0.0 and k >= min_top]
-    ladder = np.array(sorted(set(keep)), dtype=float)
-    if ladder.size == 0:
-        raise LadderError(
-            f"no threshold keeps at least {min_top} exceedances; pool too small"
-        )
-    return ladder
+    return _ladder(np.asarray(values, dtype=float).ravel(), None, min_top)[0]
 
 
-def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> np.ndarray:
-    """The quantile ladder of stat, or a custom ladder validated against it.
+def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> tuple[np.ndarray, list]:
+    """The quantile ladder of stat, or a custom ladder validated against it,
+    and the number of entries of stat strictly above each rung.
 
     A custom top rung must keep custom_top exceedances (min_top when None).
     """
     if ladder is None:
-        return quantile_ladder(stat, min_top=min_top)
+        if stat.size == 0:
+            raise LadderError("cannot build a ladder from an empty sample")
+        rungs = {float(t): int(k) for t, k in zip(*_top_quantiles(stat, DEFAULT_QUANTILES))
+                 if t > 0.0 and k >= min_top}
+        if not rungs:
+            raise LadderError(f"no threshold keeps at least {min_top} exceedances; pool too small")
+        cuts = sorted(rungs)
+        return np.array(cuts, dtype=float), [rungs[t] for t in cuts]
     arr = np.asarray(ladder, dtype=float).ravel()
     if arr.size == 0:
         raise LadderError("ladder must contain at least one threshold")
@@ -63,10 +57,10 @@ def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> np.nda
     if np.any(np.diff(arr) <= 0.0):
         raise LadderError("ladder thresholds must be strictly increasing")
     need = min_top if custom_top is None else custom_top
-    top = _exceedances(stat, arr[-1:])[0]
-    if top < need:
-        raise LadderError(f"top rung keeps {top} exceedances, needs at least {need}")
-    return arr
+    counts = _exceedances(stat, arr)
+    if counts[-1] < need:
+        raise LadderError(f"top rung keeps {counts[-1]} exceedances, needs at least {need}")
+    return arr, counts
 
 
 def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, list]:
@@ -194,7 +188,7 @@ def empirical_tail_constant(
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be positive and finite")
     x = pool.x_post[:, j]
-    ladder = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
+    ladder, _ = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
     cuts = [t ** (1.0 / alpha) for t in ladder]
     kp = _exceedances(x, cuts)
     km = [int(np.count_nonzero(x < -c)) for c in cuts]
@@ -314,14 +308,14 @@ def block_tail_constant(
     if powers is None:
         powers = [magnitude_power(x[:, j], a) for j, a in enumerate(alphas)]
     s_full = alpha_norm(x, alphas, powers)
-    ladder = _ladder(s_full, ladder, min_top)
+    ladder, counts = _ladder(s_full, ladder, min_top)
     n = s_full.size
     block_series = []
     for coords in partition.classes:
         cols = list(coords)
         s_l = alpha_norm(x[:, cols], alphas[cols], [powers[j] for j in coords])
         block_series.append(_scaled_binomials(_exceedances(s_l, ladder), n, ladder))
-    c_inf = _scaled_binomials(_exceedances(s_full, ladder), n, ladder)
+    c_inf = _scaled_binomials(counts, n, ladder)
     top_sum = sum(e.value for e in (s[-1] for s in block_series))
     hw = c_inf[-1].half_width + sum(s[-1].half_width for s in block_series)
     consistent = bool(abs(c_inf[-1].value - top_sum) <= hw)
@@ -378,7 +372,7 @@ def spectral_measure(
     if bins < 2:
         raise ValueError("bins must be at least 2")
     s = alpha_norm(pool.x_post, alphas)
-    ladder = _ladder(s, ladder, max(min_top, 1))
+    ladder, counts = _ladder(s, ladder, max(min_top, 1))
     d = pool.d
     edges = np.linspace(-1.0, 1.0, bins + 1)
     # angles, class proximity and bins are row-wise, so they are computed
@@ -395,7 +389,6 @@ def spectral_measure(
             near.append(alpha_norm(omega[:, off], alphas[off]) < eps)
     near_any = np.logical_or.reduce(near)
     idx = np.clip(np.digitize(np.clip(omega, -1.0, 1.0), edges) - 1, 0, bins - 1)
-    counts = _exceedances(s_low, ladder)
     masses, off_masses, hists, margs = [], [], [], []
     for t, cnt in zip(ladder, counts):
         keep = s_low > t

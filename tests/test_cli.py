@@ -752,9 +752,14 @@ def test_every_report_carries_its_provenance(tmp_path):
             assert hashlib.sha256((out / dep).read_bytes()).hexdigest() == digest, (name, dep)
 
 
+def empty(raw):  # named, so its case gets an id of its own beside the lambdas
+    return b""
+
+
 @pytest.mark.parametrize(
     "name, keep",
-    [("pool.bin", lambda raw: raw[:-8]), ("solve-alpha.report.json", lambda raw: raw[: len(raw) // 2])],
+    [("pool.bin", lambda raw: raw[:-8]), ("solve-alpha.report.json", lambda raw: raw[: len(raw) // 2]),
+     ("pool.bin", empty)],
 )
 def test_corrupt_upstream_artifact_exits_two(name, keep, tmp_path, capsys):
     out = tmp_path / "o"
@@ -781,8 +786,8 @@ def test_corrupt_upstream_artifact_exits_two(name, keep, tmp_path, capsys):
 
 
 def test_run_and_stage_by_stage_write_the_same_bytes(tmp_path):
-    # E A_j^2 = 1, so alpha is exactly 2.0: |x_j| ** 2.0 must give the same
-    # bits on the pool a run keeps in memory as on the pool a stage loads
+    # run and every stage subcommand load the pool from pool.bin alike, so
+    # only manifest.json may differ (alpha is exactly 2.0, as E A_j^2 = 1)
     model = {
         "family": "LogNormal",
         "d": 2,
@@ -998,8 +1003,9 @@ def test_independence_reads_no_pool_when_no_pair_is_left(tmp_path, monkeypatch):
 
 
 def test_tails_stage_frees_its_hill_columns_before_the_block_norms(tmp_path, monkeypatch):
-    # a staged tails holds the loaded pool and the d power columns across the
-    # block norms, and no magnitude column of the Hill estimate
+    # a staged tails holds the d power columns across the block norms, and
+    # no magnitude column of the Hill estimate; the pool is a map of
+    # pool.bin, which tracemalloc does not see
     d, n = 2, 100_000
     out = tmp_path / "o"
     simulate = {"stage": "simulate", "params": {"chains": 200, "n_per_chain": n // 200}}
@@ -1010,7 +1016,7 @@ def test_tails_stage_frees_its_hill_columns_before_the_block_norms(tmp_path, mon
     held, block_tail_constant = [], cli.block_tail_constant
 
     def probe(pool, *args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0] - base - (out / "pool.bin").stat().st_size)
+        held.append(tracemalloc.get_traced_memory()[0] - base)
         return block_tail_constant(pool, *args, **kwargs)
 
     monkeypatch.setattr(cli, "block_tail_constant", probe)
@@ -1021,3 +1027,19 @@ def test_tails_stage_frees_its_hill_columns_before_the_block_norms(tmp_path, mon
     finally:
         tracemalloc.stop()
     assert len(held) == 1 and held[0] < (d + 0.5) * n * 8
+
+
+def test_run_hands_the_stages_the_read_only_map_of_pool_bin(tmp_path, monkeypatch):
+    # run keeps no pool between stages: tails loads pool.bin as a staged call does
+    seen, block_tail_constant = [], cli.block_tail_constant
+
+    def probe(pool, *args, **kwargs):
+        seen.append([getattr(pool, g).flags.writeable for g in ("x_pre", "a", "b", "x_post")])
+        return block_tail_constant(pool, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "block_tail_constant", probe)
+    simulate = {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100}}
+    cfg = write_config(tmp_path / "c.json", {"model": PAIR_MODEL, "seed": 3, "out": str(tmp_path / "o"),
+                                            "pipeline": ["solve-alpha", simulate, "tails"]})
+    assert main(["run", "--config", cfg]) == 0
+    assert seen == [[False] * 4]

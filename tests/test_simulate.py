@@ -495,6 +495,29 @@ def test_load_rejects_unknown_format(tmp_path):
         SamplePool.load(path)
 
 
+def test_load_maps_the_file_instead_of_copying_it(tmp_path):
+    # 10^5 records at d = 2 make an 8 MB pool.bin
+    path = tmp_path / "pool.bin"
+    stationary_pool(reference(2), seed=4, chains=200, n_per_chain=500).save(path)
+    tracemalloc.start()
+    try:
+        back = SamplePool.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 100_000 and path.stat().st_size == 8_000_000
+    assert peak < path.stat().st_size / 10
+
+
+def test_loaded_columns_are_read_only(tmp_path):
+    stationary_pool(reference(2), seed=4, chains=3, n_per_chain=7).save(tmp_path / "pool.bin")
+    back = SamplePool.load(tmp_path / "pool.bin")
+    for group in ("x_pre", "a", "b", "x_post", "chain", "step"):
+        assert not getattr(back, group).flags.writeable, group
+    with pytest.raises(ValueError, match="read-only"):
+        back.x_post[:, 0] *= 2.0
+
+
 def test_failed_csv_export_keeps_the_old_file(tmp_path, monkeypatch):
     # every CSV of the pipeline is written through cli._write_csv
     path = tmp_path / "pool.csv"

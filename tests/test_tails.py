@@ -21,6 +21,7 @@ from heavytail_sre import (
     stationary_pool,
 )
 from heavytail_sre.common import binomial_ci
+from heavytail_sre.tails import _ladder
 
 REFERENCE = ModelSpec(
     "TwoPoint",
@@ -60,17 +61,26 @@ def test_quantile_ladder_increasing(ref_pool):
 
 
 def test_quantile_ladder_drops_thin_rungs():
-    v = np.arange(1.0, 1001.0)
-    lad = quantile_ladder(v, quantiles=(0.5, 0.9999), min_top=50)
-    # the 0.9999 rung keeps no 50 exceedances out of 1000 points
-    assert lad.size == 1
+    v = np.arange(1.0, 100_001.0)
+    lad = quantile_ladder(v, min_top=100)
+    # out of 10^5 points the 0.999 rung keeps 100 exceedances, and the
+    # 0.9995 and 0.9999 rungs keep 50 and 10
+    assert lad.size == 3
+    assert [int((v > t).sum()) for t in lad] == [1000, 500, 100]
+
+
+@pytest.mark.parametrize("ladder", [None, [1.0, 50.0, 99_899.5]])
+def test_ladder_counts_every_rung_once(ladder):
+    # the counts come with the thresholds, so no estimator recounts them
+    v = np.concatenate([np.arange(1.0, 100_001.0), np.full(7, 99_950.0)])
+    cuts, counts = _ladder(v, ladder, min_top=100)
+    assert counts == [int(np.count_nonzero(v > t)) for t in cuts]
+    assert all(type(k) is int for k in counts)
 
 
 def test_quantile_ladder_errors():
     with pytest.raises(LadderError):
         quantile_ladder(np.array([]))
-    with pytest.raises(LadderError):
-        quantile_ladder(np.ones(10), quantiles=(1.5,))
     with pytest.raises(LadderError):
         quantile_ladder(np.arange(60.0), min_top=1000)
 
