@@ -92,6 +92,10 @@ def _many(cast):
 
 _positive, _numbers = _count(1), _many(number)
 _fraction = ranged(number, lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
+_above_zero = ranged(number, lambda v: v > 0.0, "positive")
+_rungs = optional(ranged(  # a ladder or a gamma grid
+    _numbers, lambda v: v and v[0] > 0.0 and all(a < b for a, b in zip(v, v[1:])),
+    "a nonempty list of positive, strictly increasing numbers"))
 
 
 def _pairs(value) -> list:
@@ -131,10 +135,10 @@ CONFIG_KEYS = {"model": (given, REQUIRED), "seed": (_count(0), None), "out": (Pa
 # Every stage param: name -> (cast, default).  The simulate, blocks and
 # spectral params are keyword arguments of stationary_pool, detect_blocks
 # and spectral_measure, and are passed through as read.
-# Counts are checked down to the least value their stage accepts, so a bad
-# value exits 2 before any stage writes.
+# Each value is checked to the range its stage accepts (x0 and the pairs
+# against d in _load_plan), so a bad value exits 2 before any stage writes.
 STAGE_PARAMS = {
-    "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (optional(number), None),
+    "solve-alpha": {"method": (choice(*METHODS), "auto"), "tol": (optional(_above_zero), None),
                     "n": (_positive, 1_000_000), "abscissa_n": (_positive, 200_000)},
     "simulate": {"chains": (_positive, 1000), "n_per_chain": (_positive, 1000),
                  "burn_in": (optional(_count(0)), None), "thin": (_positive, 10),
@@ -144,16 +148,15 @@ STAGE_PARAMS = {
                "cross_n": (_positive, 200_000), "cross_method": (choice(*METHODS), "auto"),
                "cross_tol": (number, 5e-3)},
     "tails": {"min_top": (_count(0), DEFAULT_MIN_TOP), "hill_k": (optional(_count(5)), None),
-              "ladder": (optional(_numbers), None)},
-    "spectral": {"ladder": (optional(_numbers), None), "bins": (_count(2), 16),
-                 "eps": (number, 0.05), "min_top": (_count(0), SPECTRAL_MIN_TOP)},
+              "ladder": (_rungs, None)},
+    "spectral": {"ladder": (_rungs, None), "bins": (_count(2), 16),
+                 "eps": (_fraction, 0.05), "min_top": (_count(0), SPECTRAL_MIN_TOP)},
     "independence": {"pairs": (optional(_pairs), None),
                      "tau": (_tau, {"kind": "log", "beta": 1.0}), "xi": (_fraction, 0.5),
                      "n": (_positive, 1_000_000), "submult_n": (_positive, 50_000),
-                     "r1": (number, 1.0), "r2": (number, 1.0),
-                     "ladder": (optional(_numbers), None),
-                     "min_top": (_count(0), DEFAULT_MIN_TOP),
-                     "gammas": (optional(_numbers), None)},
+                     "r1": (_above_zero, 1.0), "r2": (_above_zero, 1.0),
+                     "ladder": (_rungs, None), "min_top": (_count(0), DEFAULT_MIN_TOP),
+                     "gammas": (_rungs, None)},
     "report": {},
 }
 
@@ -289,6 +292,10 @@ def _load_plan(args) -> _Runner:
         if max(pair) >= model.d:
             raise ConfigurationError(f"stage 'independence' params key 'pairs': coordinate "
                                      f"{max(pair)} is out of range for d={model.d}")
+    for x0 in (params["x0"] for name, _, params in pipeline if name == "simulate"):
+        if x0 is not None and len(x0) != model.d:
+            raise ConfigurationError(f"stage 'simulate' params key 'x0': must have {model.d} "
+                                     f"entries for d={model.d}, got {len(x0)}")
     if args.command != "run":
         mine = [entry for entry in pipeline if entry[0] == args.command]
         pipeline = mine or [_pipeline_entry(args.command)]

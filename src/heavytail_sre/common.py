@@ -235,6 +235,14 @@ def doubling_change(samples: np.ndarray) -> float:
     return abs(full - half) / scale
 
 
+def require(value: float, name: str, sign: str = "positive") -> float:
+    """float(value); ValueError naming it unless finite and positive (or nonnegative)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0.0 if sign == "nonnegative" else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {sign}")
+    return value
+
+
 def use_closed_form(method: str, available: bool, what: str, rng) -> bool:
     """Route one moment computation: True for the closed form, False for
     Monte Carlo.
@@ -302,6 +310,10 @@ _NS_STAGE = 1
 _NS_DIAG = 2
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+
+
 def chain_stream(seed: int, chain: int) -> np.random.Generator:
     """Generator for one chain, derived from the master seed by chain index.
 
@@ -309,20 +321,17 @@ def chain_stream(seed: int, chain: int) -> np.random.Generator:
     batched into blocks, so pooled output is invariant under chain
     batching.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_NS_CHAIN, int(chain)))
-    return np.random.default_rng(ss)
+    return _stream(seed, _NS_CHAIN, int(chain))
 
 
 def stage_stream(seed: int, stage_id: int) -> np.random.Generator:
     """Generator for one pipeline stage, independent of the chain streams."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_NS_STAGE, int(stage_id)))
-    return np.random.default_rng(ss)
+    return _stream(seed, _NS_STAGE, int(stage_id))
 
 
 def diagnostic_stream(seed: int) -> np.random.Generator:
     """Generator reserved for internal validation draws (drift checks)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_NS_DIAG,))
-    return np.random.default_rng(ss)
+    return _stream(seed, _NS_DIAG)
 
 
 @contextlib.contextmanager

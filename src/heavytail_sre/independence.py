@@ -204,7 +204,7 @@ def joint_exceedance(
     sj /= r2
     np.minimum(stat, sj, out=stat)
     del sj
-    ladder, counts = _ladder(stat, ladder, min_top, custom_top=0)
+    ladder, counts = _ladder(stat, ladder, min_top if ladder is None else 0)
     n = stat.size
     norm = _scaled_binomials(counts, n, ladder)
     vals = [e.value for e in norm[-3:]]

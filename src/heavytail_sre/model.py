@@ -148,10 +148,14 @@ def _exp(x: float) -> float:
 
 
 def _pow_abs(v: float, s: float) -> float:
-    """|v|^s with 0^s = 0 for every s >= 0 (zero mass excluded)."""
+    """|v|^s with 0^s = 0 for every s >= 0 (zero mass excluded), and math.inf
+    where the power overflows a float."""
     if v == 0.0:
         return 0.0
-    return abs(v) ** s
+    try:  # libm pow either way; a Python float raises where a numpy scalar warns
+        return float(abs(v)) ** s
+    except OverflowError:
+        return math.inf
 
 
 def _pow_abs1(v: float, s: float) -> float:
@@ -520,7 +524,7 @@ class _CCCGarch(_Family):
         if a == 0.0:
             return _pow_abs(g, s)
         if g == 0.0:
-            return a ** s * _abs_normal_moment(2.0 * s)
+            return _pow_abs(a, s) * _abs_normal_moment(2.0 * s)
         return 2.0 * _quad(lambda z: (a * z * z + g) ** s * _phi(z), 0.0, math.inf)
 
     def zero_mass_exact(self, j):

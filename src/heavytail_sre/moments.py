@@ -38,6 +38,7 @@ from .common import (
     joint_pow,
     mean_estimate,
     nonzero_logs,
+    require,
     use_closed_form,
     variance,
 )
@@ -98,13 +99,6 @@ def _brentq(f, xa: float, xb: float, args: tuple, xtol: float, rtol: float, maxi
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _require(value: float, name: str, sign: str = "positive") -> float:
-    value = float(value)
-    if not (math.isfinite(value) and (value >= 0.0 if sign == "nonnegative" else value > 0.0)):
-        raise ValueError(f"{name} must be finite and {sign}")
-    return value
-
-
 def kappa(
     spec: ModelSpec,
     j: int,
@@ -119,7 +113,7 @@ def kappa(
     estimates whose mean has not stabilized under sample doubling carry a
     "possibly-infinite" flag.
     """
-    s = _require(s, "moment order s", "nonnegative")
+    s = require(s, "moment order s", "nonnegative")
     closed = spec.kappa_exact(j, s)
     if use_closed_form(method, closed is not None, "kappa", rng):
         return exact(closed)
@@ -261,7 +255,7 @@ def goldie_mean(
     sample-doubling heuristic ("unstable" flag); it cannot be certified
     from finitely many draws.
     """
-    alpha = _require(alpha, "alpha")
+    alpha = require(alpha, "alpha")
     closed = spec.goldie_mean_exact(j, alpha)
     if use_closed_form(method, closed is not None, "goldie_mean", rng):
         return exact(closed)
@@ -299,8 +293,8 @@ def cross_kappa(
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    s = _require(alpha_i, "alpha_i") * xi
-    u = _require(alpha_j, "alpha_j") * (1.0 - xi)
+    s = require(alpha_i, "alpha_i") * xi
+    u = require(alpha_j, "alpha_j") * (1.0 - xi)
 
     closed = spec.kappa_exact(j, s + u) if i == j else None
     if closed is None:
@@ -352,20 +346,13 @@ def moment_abscissa(
     a, b = spec.sample_coeffs(rng, 2 * n)
     ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
     buf = a[:, j - 1] if spec.d > 1 else np.empty(2 * n)  # another A row, or a fresh one
-    a_stable, b_stable = [], []
-    s_inf = 0.0
-    hit_unstable = False
-    for s in grid:
-        sa = doubling_change(abs_pow(ca, s, buf)) <= STABLE_REL_CHANGE
-        sb = doubling_change(abs_pow(cb, s, buf)) <= STABLE_REL_CHANGE
-        a_stable.append(bool(sa))
-        b_stable.append(bool(sb))
-        if not hit_unstable and sa and sb:
-            s_inf = float(s)
-        else:
-            hit_unstable = True
+    a_stable = [bool(doubling_change(abs_pow(ca, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
+    b_stable = [bool(doubling_change(abs_pow(cb, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
+    # the first order where either moment is unstable, or the grid's end
+    k = next((k for k, ok in enumerate(zip(a_stable, b_stable)) if not all(ok)), grid.size)
+    s_inf = float(grid[k - 1]) if k else 0.0
     flag = None
-    if not hit_unstable:
+    if k == grid.size:
         if b_abs == math.inf:
             s_inf = math.inf
         else:
@@ -404,7 +391,7 @@ def positivity_check(
     zero path and every tail constant is trivially zero.  A moment scan
     that finds no stable order leaves no grid to probe: "inconclusive".
     """
-    alpha = _require(alpha, "alpha")
+    alpha = require(alpha, "alpha")
     scan = moment_abscissa(spec, j, n=n, rng=rng)
     s_inf = scan.s_inf
     if spec.b_is_zero(j):
@@ -416,21 +403,16 @@ def positivity_check(
     else:
         grid = np.linspace(0.45 * s_inf, 0.95 * s_inf, 11)
 
-    draw = None
-    ratios = []
-    for s in grid:
-        num = spec.b_moment_exact(j, float(s))
-        den = spec.kappa_exact(j, float(s))
-        if not use_closed_form("auto", num is not None and den is not None, "positivity_check", rng):
-            if draw is None:
-                a, b = spec.sample_coeffs(rng, n)
-                buf = a[:, j - 1] if spec.d > 1 else np.empty(n)
-                draw = (np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j]), buf)
-            ca, cb, buf = draw
-            with np.errstate(over="ignore"):
-                num = float(abs_pow(cb, s, buf).mean()) if num is None else num
-                den = float(abs_pow(ca, s, buf).mean()) if den is None else den
-        ratios.append(math.inf if den == 0.0 else num / den)
+    # every family has both closed forms, E|B|^s and kappa, or neither
+    moments = [(spec.b_moment_exact(j, float(s)), spec.kappa_exact(j, float(s))) for s in grid]
+    if not use_closed_form("auto", moments[0][1] is not None, "positivity_check", rng):
+        a, b = spec.sample_coeffs(rng, n)
+        ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
+        buf = a[:, j - 1] if spec.d > 1 else np.empty(n)
+        with np.errstate(over="ignore"):
+            moments = [(float(abs_pow(cb, s, buf).mean()), float(abs_pow(ca, s, buf).mean()))
+                       for s in grid]
+    ratios = [math.inf if den == 0.0 else num / den for num, den in moments]
     r = np.asarray(ratios)
 
     if math.isinf(s_inf):

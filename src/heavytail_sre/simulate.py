@@ -60,19 +60,6 @@ class SamplePool:
     def d(self) -> int:
         return self.x_post.shape[1]
 
-    def select(self, index) -> "SamplePool":
-        """Sub-pool at the given row slice, mask or index array (copies)."""
-        rows = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
-        return SamplePool(
-            self.x_pre[rows],
-            self.a[rows],
-            self.b[rows],
-            self.x_post[rows],
-            self.chain[rows],
-            self.step[rows],
-            dict(self.meta),
-        )
-
     def save(self, bin_path) -> None:
         """Write raw little-endian columns plus a JSON sidecar (name.meta.json
         beside name.bin).

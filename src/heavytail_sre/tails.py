@@ -16,9 +16,9 @@ import numpy as np
 
 from .common import (
     STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
-    mean_estimate,
+    mean_estimate, require,
 )
-from .geometry import alpha_norm, dilate, magnitude_power
+from .geometry import alpha_norm, magnitude_power, polar
 
 DEFAULT_QUANTILES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 DEFAULT_MIN_TOP = 50
@@ -34,11 +34,11 @@ def quantile_ladder(values, min_top: int = DEFAULT_MIN_TOP) -> np.ndarray:
     return _ladder(np.asarray(values, dtype=float).ravel(), None, min_top)[0]
 
 
-def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> tuple[np.ndarray, list]:
+def _ladder(stat, ladder, min_top: int) -> tuple[np.ndarray, list]:
     """The quantile ladder of stat, or a custom ladder validated against it,
     and the number of entries of stat strictly above each rung.
 
-    A custom top rung must keep custom_top exceedances (min_top when None).
+    Every quantile rung, and a custom top rung, must keep min_top exceedances.
     """
     if ladder is None:
         if stat.size == 0:
@@ -56,10 +56,9 @@ def _ladder(stat, ladder, min_top: int, custom_top: int | None = None) -> tuple[
         raise LadderError("ladder thresholds must be positive and finite")
     if np.any(np.diff(arr) <= 0.0):
         raise LadderError("ladder thresholds must be strictly increasing")
-    need = min_top if custom_top is None else custom_top
     counts = _exceedances(stat, arr)
-    if counts[-1] < need:
-        raise LadderError(f"top rung keeps {counts[-1]} exceedances, needs at least {need}")
+    if counts[-1] < min_top:
+        raise LadderError(f"top rung keeps {counts[-1]} exceedances, needs at least {min_top}")
     return arr, counts
 
 
@@ -168,11 +167,9 @@ class TailConstantLadder(Record):
         return self.minus[-1]
 
 
-def _interval_overlap(ests: tuple[Estimate, ...], last: int = 3) -> bool:
-    if len(ests) < last:
-        return False
-    tail = ests[-last:]
-    return bool(max(e.ci_lo for e in tail) <= min(e.ci_hi for e in tail))
+def _interval_overlap(ests: tuple[Estimate, ...]) -> bool:
+    tail = ests[-3:]
+    return bool(len(tail) == 3 and max(e.ci_lo for e in tail) <= min(e.ci_hi for e in tail))
 
 
 def empirical_tail_constant(
@@ -185,8 +182,7 @@ def empirical_tail_constant(
     frequency by t.  power, when given, is the column |x_j|^alpha already
     computed (magnitude_power).
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be positive and finite")
+    require(alpha, "alpha")
     x = pool.x_post[:, j]
     ladder, _ = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
     cuts = [t ** (1.0 / alpha) for t in ladder]
@@ -233,10 +229,8 @@ def goldie_constant(
     x_pre is independent of (a, b) within a row.  power, when given, is
     the column |x_post_j|^alpha already computed (magnitude_power).
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("alpha must be positive and finite")
-    if not (math.isfinite(mean_log) and mean_log > 0.0):
-        raise ValueError("mean_log must be positive and finite")
+    require(alpha, "alpha")
+    require(mean_log, "mean_log")
     y = pool.x_post[:, j]
     py = magnitude_power(y, alpha) if power is None else power
     # one power per operand: (v^+)^alpha is |v|^alpha where v > 0 and 0
@@ -253,21 +247,17 @@ def goldie_constant(
         w = np.where(y_side, py, 0.0)
         np.subtract(w, pa, out=w, where=a_side)
         # the deviations of the variance go over the summands
-        halves.append(_scaled_mean(w, scale, scratch=w))
+        halves.append(mean_estimate(w, scratch=w).scaled(scale))
         del w
     # a row's halves add up to py - pa: one of them is 0 unless y and a x
     # have opposite signs, and then the sum is py + (-pa)
     wt = np.subtract(py, pa, out=pa)
     # a non-finite summand makes a mean non-finite, which doubling_change maps to inf
     unstable = doubling_change(wt) > STABLE_REL_CHANGE
-    et = _scaled_mean(wt, scale, scratch=wt)
+    et = mean_estimate(wt, scratch=wt).scaled(scale)
     if unstable and et.flag is None:
         et = dataclasses.replace(et, flag="unstable")
     return GoldieConstant(j, float(alpha), float(mean_log), *halves, et, unstable)
-
-
-def _scaled_mean(w: np.ndarray, scale: float, scratch=None) -> Estimate:
-    return mean_estimate(w, scratch=scratch).scaled(scale)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,10 +366,9 @@ def spectral_measure(
     d = pool.d
     edges = np.linspace(-1.0, 1.0, bins + 1)
     # angles, class proximity and bins are row-wise, so they are computed
-    # once on the lowest rung and each higher rung takes a nested subset
-    low = s > ladder[0]
-    s_low = s[low]
-    omega = dilate(1.0 / s_low, pool.x_post[low], alphas)
+    # once on the lowest rung and each higher rung takes a nested subset;
+    # polar's norm of those rows has the bits of s, column by column
+    s_low, omega = polar(pool.x_post[s > ladder[0]], alphas)
     near = []
     for coords in partition.classes:
         off = [j for j in range(d) if j not in coords]
@@ -434,9 +423,7 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     Orders near or above the tail index are expected to come back
     unstable or infinite; that is the diagnostic, not a failure.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError("moment order must be positive and finite")
+    s = require(s, "moment order")
     w = magnitude_power(pool.x_post[:, j], s)
     rel = doubling_change(w)
     stable = bool(rel <= STABLE_REL_CHANGE)

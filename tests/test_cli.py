@@ -200,6 +200,38 @@ def test_config_errors_exit_two(tmp_path, capsys):
             assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "stage, params",
+    [
+        ("solve-alpha", {"tol": 0.0}),
+        ("simulate", {"x0": [0.0, 0.0, 0.0]}),
+        ("tails", {"ladder": [2.0, 1.0]}),
+        ("spectral", {"ladder": [-1.0, 2.0]}),
+        ("spectral", {"eps": 1.0}),
+        ("independence", {"r1": -1.0}),
+        ("independence", {"r2": 0.0}),
+        ("independence", {"ladder": []}),
+        ("independence", {"gammas": [0.5, 0.5]}),
+        ("independence", {"gammas": [0.0, 0.5]}),
+    ],
+)
+def test_stage_param_out_of_range_exits_two_before_any_stage_writes(stage, params, tmp_path,
+                                                                      capsys):
+    # the README model: each value is checked at plan load, not in its stage
+    pipeline = [{"stage": name, "params": {}} for name in cli.STAGE_ORDER]
+    pipeline[1]["params"] = {"chains": 100, "n_per_chain": 100}
+    pipeline[cli.STAGE_ORDER.index(stage)]["params"].update(params)
+    out = tmp_path / "o"
+    doc = {"model": PAIR_MODEL, "seed": 3, "out": str(out), "pipeline": pipeline}
+    cfg = write_config(tmp_path / "c.json", doc)
+    for command in ("run", stage):
+        assert main([command, "--config", cfg]) == 2, command
+        err = last_stderr_doc(capsys)
+        assert err["error"] == "validation" and "stage" not in err
+        assert f"stage {stage!r} params key {next(iter(params))!r}" in err["detail"]
+        assert not out.exists()
+
+
 def test_every_shipped_config_loads(tmp_path, monkeypatch):
     # the perfbench workloads and the README config, under every subcommand
     path = ROOT / "perfbench" / "workloads.py"
@@ -708,6 +740,14 @@ def test_report_refuses_tails_of_a_replaced_pool(tmp_path, capsys):
     assert "tails.report.json" in err["detail"] and "pool.meta.json" in err["detail"]
     assert (out / "report.json").read_bytes() == before
 
+    # an input that tails.report.json records is gone from the directory
+    (out / "pool.meta.json").unlink()
+    assert main(["report", "--config", config(100, ["report"])]) == 2
+    err = last_stderr_doc(capsys)
+    assert (err["error"], err["stage"]) == ("validation", "report")
+    assert "was computed from a pool.meta.json other than the one on disk" in err["detail"]
+    assert (out / "report.json").read_bytes() == before
+
 
 def test_every_report_carries_its_provenance(tmp_path):
     out = tmp_path / "o"
@@ -929,6 +969,21 @@ def test_two_coordinate_pipeline(tmp_path):
         "spectral",
         "independence",
     }
+
+
+def test_independence_records_a_product_tau_as_given(tmp_path):
+    out = tmp_path / "o"
+    tau = {"factors": [{"kind": "power", "beta": 0.5}, {"kind": "log"}], "kind": "product"}
+    simulate = {"stage": "simulate", "params": {"chains": 150, "n_per_chain": 100, "thin": 2}}
+    indep = {"stage": "independence", "params": {"n": 20_000, "submult_n": 5_000, "tau": tau}}
+    cfg = write_config(tmp_path / "c.json", {"model": PAIR_MODEL, "seed": 3, "out": str(out),
+                                             "pipeline": ["solve-alpha", simulate, indep]})
+    assert main(["run", "--config", cfg]) == 0
+    doc = json.loads((out / "independence.report.json").read_text())
+    assert doc["tau"] == tau
+    assert doc["pairs"][0]["gamma_bound"]["tau_name"] == "product(power(0.5), log(1))"
+    assert json.loads((out / "manifest.json").read_text())["stages"]["independence"]["params"] == {
+        "n": 20_000, "submult_n": 5_000, "tau": tau}
 
 
 def test_console_script_help_runs():

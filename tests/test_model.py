@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,44 @@ def test_ccc_quadrature_path_matches_sampling():
         assert np.mean(a[:, 0] ** s) == pytest.approx(k, rel=0.02)
 
 
+def test_ccc_without_arch_is_its_garch_constant():
+    # A_j = garch_j a.s.: kappa g^s, log mean log g, Goldie mean g^alpha log g;
+    # with garch 0 too, A_j = 0 a.s.
+    spec = ModelSpec("CCCGarch", 2, {"arch": 0.0, "garch": [0.5, 0.0]})
+    assert spec.kappa_exact(0, 3.0) == 0.125
+    assert spec.log_abs_mean_exact(0) == math.log(0.5)
+    assert spec.goldie_mean_exact(0, 2.0) == 0.25 * math.log(0.5)
+    assert spec.kappa_exact(1, 3.0) == spec.kappa_exact(1, 0.0) == 0.0
+    assert spec.log_abs_mean_exact(1) is None
+    assert spec.goldie_mean_exact(1, 2.0) == 0.0
+
+
+def test_bekk_zero_column_is_a_zero_coefficient():
+    # coeff column 1 is zero, so A_1 = 0 a.s.
+    spec = ModelSpec("BekkDiag", 2, {"coeff": [[0.8, 0.0], [0.6, 0.0]]})
+    a, _ = spec.sample_coeffs(RNG(0), 1_000)
+    assert np.all(a[:, 1] == 0.0)
+    assert spec.kappa_exact(1, 2.0) == spec.kappa_exact(1, 0.0) == 0.0
+    assert spec.log_abs_mean_exact(1) is None
+    assert spec.goldie_mean_exact(1, 2.0) == 0.0
+    # E|A_0|^s |A_1|^u: 0 for u > 0, and E|A_0|^s for u = 0 (0^0 = 1)
+    assert spec.joint_moment_exact(0, 1, 1.0, 2.0) == 0.0
+    assert spec.joint_moment_exact(0, 1, 2.0, 0.0) == spec.kappa_exact(0, 2.0)
+
+
+def test_overflowing_closed_form_powers_are_infinite_without_a_warning():
+    # a numpy scalar power warns when it overflows and a Python float power
+    # raises; both moments are inf, as an overflowing exp is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rare = ModelSpec("TwoPoint", 1, {"p": 1e-30, "up": 1e10, "down": 0.5,
+                                         "b": {"dist": "exponential"}})
+        assert rare.kappa_exact(0, 40.0) == math.inf
+        squared = ModelSpec("CCCGarch", 1, {"arch": 1e10, "garch": 0.0})
+        assert squared.kappa_exact(0, 40.0) == math.inf
+        assert two_point(b={"dist": "constant", "value": 1e10}).b_moment_exact(0, 40.0) == math.inf
+
+
 def test_gaussian_coefficient_kappa():
     spec = ModelSpec("BekkDiag", 1, {"coeff": [[1.0]]})
     assert spec.kappa_exact(0, 2.0) == pytest.approx(1.0, rel=1e-12)
@@ -188,6 +227,19 @@ def test_noise_moment_oracles():
     assert spec.b_moment_exact(0, 0.5) == pytest.approx(math.gamma(1.5), rel=1e-12)
     assert spec.b_abscissa(0) == math.inf
     assert spec.b_is_zero(0) is False
+
+
+def test_noise_moments_of_degenerate_and_centred_laws():
+    # E|B|^0 = 1 for every law; a constant, or a normal of std 0, gives
+    # |value|^s; a centred normal gives std^s E|N|^s
+    constant = two_point(b={"dist": "constant", "value": -1.5})
+    assert constant.b_moment_exact(0, 0.0) == 1.0
+    assert constant.b_moment_exact(0, 2.0) == 2.25
+    assert two_point(b={"dist": "normal", "mean": -2.0, "std": 0.0}).b_moment_exact(0, 3.0) == 8.0
+    centred = two_point(b={"dist": "normal", "mean": 0.0, "std": 2.0})
+    assert centred.b_moment_exact(0, 2.0) == pytest.approx(4.0, rel=1e-14)
+    want = 2.0 * math.sqrt(2.0 / math.pi)
+    assert centred.b_moment_exact(0, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("rate, want", [(1e-12, math.inf), (1e12, 0.0)])
@@ -536,6 +588,7 @@ def test_custom_atoms_moments_and_sampling():
     assert spec.kappa_exact(0, 2.0) == pytest.approx(1.0, abs=1e-15)
     assert spec.b_moment_exact(0, 1.0) == pytest.approx(0.2, abs=1e-15)
     assert spec.b_is_zero(0) is False
+    assert spec.b_abscissa(0) == math.inf
     a, b = spec.sample_coeffs(RNG(2), 100_000)
     # b = 1 exactly when a = 2
     assert np.all((a[:, 0] == 2.0) == (b[:, 0] == 1.0))
@@ -612,6 +665,19 @@ def test_custom_callable_shape_check():
     spec = ModelSpec("Custom", 2, {"sampler": lambda rng, n: (np.ones((n, 1)), np.ones((n, 1)))})
     with pytest.raises(ConfigurationError):
         spec.sample_coeffs(RNG(0), 10)
+
+
+def test_kappa_and_noise_moment_closed_forms_come_together():
+    # positivity_check takes one route for its whole grid: every family
+    # answers both E|A_j|^s and E|B_j|^s in closed form, or neither
+    from heavytail_sre.model import _FAMILY_CLASSES
+
+    assert {type(spec._impl) for spec in FILL_MODELS.values()} == set(_FAMILY_CLASSES.values())
+    for name, spec in FILL_MODELS.items():
+        for j in range(spec.d):
+            for s in (0.5, 2.0, 7.5):
+                both = (spec.kappa_exact(j, s) is None, spec.b_moment_exact(j, s) is None)
+                assert both in ((True, True), (False, False)), (name, j, s)
 
 
 def test_every_family_closed_form_is_a_hook():

@@ -108,11 +108,49 @@ def test_alpha_requires_negative_drift():
         solve_alpha(two_point(p=0.5, up=2.0, down=0.5), 0)
     with pytest.raises(TailIndexError):
         solve_alpha(two_point(p=0.8), 0)
+    # E log A = 0.6 log 2 > 0: the sampled drift's interval lies above 0
+    with pytest.raises(TailIndexError, match="negative log drift not certified"):
+        solve_alpha(two_point(p=0.8), 0, method="monte-carlo", n=10_000, rng=RNG(0))
 
 
 def test_alpha_degenerate_zero_coefficient():
-    with pytest.raises(TailIndexError):
-        solve_alpha(two_point(up=0.0, down=0.0), 0)
+    for method in ("auto", "monte-carlo"):
+        with pytest.raises(TailIndexError, match="A = 0 a.s."):
+            solve_alpha(two_point(up=0.0, down=0.0), 0, method=method, n=1_000, rng=RNG(0))
+
+
+def test_alpha_bracket_shrinks_below_an_infinite_kappa(monkeypatch):
+    # a rare huge atom: the drift pilot (clipped to 1000) starts the bracket
+    # at [500, 2000], where 1e-6 * (1e10)^s overflows to inf; the bottom
+    # halves below the root and the top shrinks back to finite kappa
+    spec = ModelSpec("TwoPoint", 1, {"p": 1e-6, "up": 1e10, "down": 0.5})
+    probes = {}
+    exact = spec.kappa_exact
+    monkeypatch.setattr(spec, "kappa_exact", lambda j, s: probes.setdefault(s, exact(j, s)))
+    root = solve_alpha(spec, 0)
+    assert probes[2000.0] == math.inf
+    lo, hi = root.bracket
+    assert probes[lo] < 1.0 < probes[hi] < math.inf
+    assert root.residual <= 1e-8
+    assert exact(0, root.alpha) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_alpha_refuses_a_kappa_that_jumps_to_infinity(monkeypatch):
+    # below 1 up to s = 0.5, infinite beyond: from the pilot bracket
+    # [0.5, 2] the top shrinks onto the bottom and never meets kappa = 1
+    spec = two_point()
+    monkeypatch.setattr(spec, "kappa_exact", lambda j, s: 0.5 ** s if s <= 0.5 else math.inf)
+    with pytest.raises(TailIndexError, match="jumps from below 1 to infinity near s = 0.5"):
+        solve_alpha(spec, 0)
+
+
+def test_alpha_residual_over_tol_is_refused(monkeypatch):
+    # kappa steps over 1 at s = 1: the solver closes in on the step, where
+    # |kappa - 1| stays 0.5 or 1
+    spec = two_point()
+    monkeypatch.setattr(spec, "kappa_exact", lambda j, s: 0.5 if s < 1.0 else 2.0)
+    with pytest.raises(TailIndexError, match="root residual .* exceeds tol 1e-08"):
+        solve_alpha(spec, 0)
 
 
 def test_alpha_no_root_below_one():
@@ -284,6 +322,28 @@ def test_cross_kappa_bekk_unit_correlation_closed_form_matches_monte_carlo(sign)
         assert closed.method == "closed-form"
         mc = cross_kappa(spec, 0, 1, *alphas, xi=xi, method="monte-carlo", rng=RNG(3), n=10 ** 6)
         assert mc.contains(closed.value), (xi, closed.value, mc)
+    # at an endpoint one exponent is 0, and the other coordinate's kappa is left
+    assert cross_kappa(spec, 0, 1, *alphas, xi=0.0).value == spec.kappa_exact(1, alphas[1])
+    assert cross_kappa(spec, 0, 1, *alphas, xi=1.0).value == spec.kappa_exact(0, alphas[0])
+
+
+def test_cross_kappa_of_correlated_garch_factors_holds_a_quadrature_value():
+    # distinct factors with corr 0.6 have no closed form, so cross_kappa
+    # samples; Z_1 = 0.6 Z_0 + 0.8 W, and 120-node Gauss-Hermite quadrature
+    # over (Z_0, W) gives E|A_0|^s |A_1|^u to about 1e-9
+    spec = ModelSpec("CCCGarch", 2, {"arch": [0.35, 0.15], "garch": [0.25, 0.55],
+                                     "corr": [[1.0, 0.6], [0.6, 1.0]]})
+    assert spec.joint_moment_exact(0, 1, 1.0, 1.0) is None
+    alphas = [solve_alpha(spec, j).alpha for j in range(2)]
+    z, w = np.polynomial.hermite_e.hermegauss(120)
+    a0 = 0.35 * z[:, None] ** 2 + 0.25
+    a1 = 0.15 * (0.6 * z[:, None] + 0.8 * z[None, :]) ** 2 + 0.55
+    weights = np.outer(w, w) / w.sum() ** 2
+    for xi in (0.25, 0.5, 0.75):
+        want = float((weights * a0 ** (alphas[0] * xi) * a1 ** (alphas[1] * (1.0 - xi))).sum())
+        mc = cross_kappa(spec, 0, 1, *alphas, xi=xi, rng=RNG(3), n=10 ** 6)
+        assert mc.method == "monte-carlo"
+        assert mc.contains(want), (xi, want, mc)
 
 
 def test_cross_kappa_validates_xi():
@@ -309,6 +369,14 @@ def test_abscissa_monte_carlo_detects_divergence():
     assert 1.5 <= scan.s_inf < 3.0
     assert scan.method == "monte-carlo"
     assert len(scan.a_stable) == len(scan.grid)
+
+
+def test_abscissa_monte_carlo_of_noise_with_every_moment_is_infinite():
+    # every order of the grid is stable, and uniform noise has all moments
+    spec = two_point(b={"dist": "uniform", "low": 0.0, "high": 1.0})
+    scan = moment_abscissa(spec, 0, rng=RNG(0), method="monte-carlo")
+    assert all(scan.a_stable) and all(scan.b_stable)
+    assert scan.s_inf == math.inf and scan.flag is None
 
 
 def test_abscissa_grid_limited_flag():

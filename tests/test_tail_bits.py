@@ -24,7 +24,7 @@ from heavytail_sre import (
     goldie_constant,
     quantile_ladder,
 )
-from heavytail_sre.common import STABLE_REL_CHANGE, LadderError, doubling_change
+from heavytail_sre.common import STABLE_REL_CHANGE, LadderError, doubling_change, mean_estimate
 from heavytail_sre.geometry import _LOG_CAP, _as_weights, magnitude_power
 from heavytail_sre.tails import (
     BlockTailLadder,
@@ -32,7 +32,6 @@ from heavytail_sre.tails import (
     TailConstantLadder,
     _interval_overlap,
     _scaled_binomials,
-    _scaled_mean,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 3.0, 1.9999999999999998)
@@ -103,7 +102,7 @@ def ref_goldie(pool, j, alpha, mean_log):
     wt = wp + wm
     scale = 1.0 / (alpha * mean_log)
     unstable = doubling_change(wt) > STABLE_REL_CHANGE
-    ep, em, et = (_scaled_mean(w, scale) for w in (wp, wm, wt))
+    ep, em, et = (mean_estimate(w).scaled(scale) for w in (wp, wm, wt))
     if unstable and et.flag is None:
         et = dataclasses.replace(et, flag="unstable")
     return GoldieConstant(j, float(alpha), float(mean_log), ep, em, et, unstable)

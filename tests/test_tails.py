@@ -20,7 +20,7 @@ from heavytail_sre import (
     spectral_measure,
     stationary_pool,
 )
-from heavytail_sre.common import binomial_ci
+from heavytail_sre.common import binomial_ci, doubling_change
 from heavytail_sre.tails import _ladder
 
 REFERENCE = ModelSpec(
@@ -422,3 +422,8 @@ def test_binomial_ci_full_count_takes_the_rule_of_three_lower_bound():
     # fewer than three trials: the bound stops at 0
     assert binomial_ci(2, 2).ci_lo == 0.0
     assert binomial_ci(0, 50).ci_hi == 3.0 / 50
+
+
+def test_doubling_change_of_an_all_zero_sample_is_zero():
+    # both means are 0: no scale to compare against, and nothing moved
+    assert doubling_change(np.zeros(10)) == 0.0
