@@ -622,6 +622,55 @@ def test_two_point_hooks_are_the_atom_path_bit_for_bit():
     assert digest.hexdigest() == "3fab41d5449eb36b1916d88dc73d18206f8e38282c5f644258010123a2ce4879"
 
 
+# the closed-form families in each of their branches: LogNormal with corr;
+# CCCGarch with both coefficients, with arch 0, with garch 0 and with a
+# shared factor; BekkDiag with a zero column and columns 0 and 2 at rho = -1.
+# The noise lists walk every noise law, the normal with and without a mean
+CLOSED_FORM_MODELS = [
+    ("LogNormal", 2, {"mu": [-0.5, -0.2], "sigma": [1.0, 0.6], "corr": [[1.0, 0.7], [0.7, 1.0]],
+                      "b": [{"dist": "exponential", "rate": 2.0},
+                            {"dist": "pareto", "index": 3.0, "scale": 0.5}]}),
+    ("CCCGarch", 2, {"arch": [0.35, 0.2], "garch": [0.25, 0.5], "corr": [[1.0, 0.3], [0.3, 1.0]],
+                     "b": [{"dist": "uniform", "low": -1.0, "high": 2.5},
+                           {"dist": "normal", "mean": 0.0, "std": 2.0}]}),
+    ("CCCGarch", 2, {"arch": [0.0, 0.3], "garch": [0.5, 0.4],
+                     "b": [{"dist": "normal", "mean": 1.0, "std": 0.5},
+                           {"dist": "lognormal", "mu": 0.1, "sigma": 0.4}]}),
+    ("CCCGarch", 2, {"arch": [0.6, 0.3], "garch": [0.0, 0.4],
+                     "b": [{"dist": "constant", "value": -1.5}, {"dist": "exponential"}]}),
+    ("CCCGarch", 3, {"arch": 0.3, "garch": 0.4, "z_map": [0, 0, 1],
+                     "b": {"dist": "pareto", "index": 2.5, "shared": True}}),
+    ("BekkDiag", 3, {"coeff": [[0.8, 0.0, -0.4], [0.6, 0.0, -0.3]],
+                     "b": [{"dist": "normal", "mean": -2.0, "std": 0.0},
+                           {"dist": "uniform", "low": 0.5, "high": 2.0},
+                           {"dist": "constant", "value": 0.0}]}),
+]
+JOINT_ORDERS = [(0.0, 0.0), (0.0, 1.5), (1.0, 2.0), (3.7, 0.5)]
+
+
+def closed_form_bits(spec):
+    """float.hex (None, or a bool as text, where a hook gives one) of every
+    closed-form hook at every coordinate."""
+    hexed = lambda v: None if v is None else str(bool(v)) if isinstance(v, (bool, np.bool_)) \
+        else float(v).hex()
+    bits = []
+    for j in range(spec.d):
+        bits += [spec.kappa_exact(j, s) for s in ORDERS]
+        bits += [spec.goldie_mean_exact(j, s) for s in ORDERS]
+        bits += [spec.log_abs_mean_exact(j), spec.zero_mass_exact(j),
+                 spec.constant_magnitude_exact(j)]
+        bits += [spec.b_moment_exact(j, s) for s in ORDERS] + [spec.b_abscissa(j)]
+        bits += [spec.joint_moment_exact(i, j, s, u) for i in range(spec.d) for s, u in JOINT_ORDERS]
+    return [hexed(v) for v in bits]
+
+
+def test_closed_form_hooks_of_every_family_keep_their_bits():
+    digest = hashlib.sha256()
+    for family, d, params in CLOSED_FORM_MODELS:
+        digest.update(json.dumps(closed_form_bits(ModelSpec(family, d, params))).encode())
+    assert digest.hexdigest() == "22584000748eacc9dcc35855aa07f7499759ccf3f904980e00a7a9ee31780909"
+
+
 # every closed-form hook of ModelSpec, called at coordinate j
 HOOKS = {
     "kappa_exact": lambda spec, j: spec.kappa_exact(j, 1.0),
