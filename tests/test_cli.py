@@ -267,6 +267,67 @@ def test_readme_lists_every_stage_param():
     assert listed == declared
 
 
+def pair_model(family="TwoPoint", **params):
+    """A d = 2 model document; TwoPoint keeps PAIR_MODEL's params under the edits."""
+    base = PAIR_MODEL["params"] if family == "TwoPoint" else {}
+    return {"family": family, "d": 2, "params": {**base, **params}}
+
+
+def atoms_model(prob, a, b):
+    return pair_model("Custom", atoms={"prob": prob, "a": a, "b": b})
+
+
+LOGNORMAL = {"mu": -0.5, "sigma": 1.0}
+ROWS = [[1.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        ({"pipeline": [{"stage": "independence", "params": {"pairs": 5}}]},
+         "stage 'independence' params key 'pairs'"),
+        ({"pipeline": "solve-alpha"}, "config key 'pipeline'"),
+        ([PAIR_MODEL], "config must be a JSON object"),
+        ({"pipeline": []}, "'pipeline'"),
+        ({"model": {**PAIR_MODEL, "params": 5}}, "TwoPoint params must be an object"),
+        ({"model": pair_model(comonotone="yes")}, "TwoPoint params key 'comonotone'"),
+        ({"model": pair_model(p=[0.2, 0.3, 0.4])}, "p must be a scalar or length-2 sequence"),
+        ({"model": pair_model("LogNormal", **LOGNORMAL, corr=[[1.0]])}, "corr must be a 2x2"),
+        ({"model": pair_model("LogNormal", **LOGNORMAL, corr=[[1.0, 0.5], [0.2, 1.0]])},
+         "corr must be symmetric"),
+        ({"model": pair_model("LogNormal", **LOGNORMAL, corr=[[2.0, 0.0], [0.0, 2.0]])},
+         "corr must have unit diagonal"),
+        ({"model": pair_model(b={"dist": "exponential", "rate": 0.0})},
+         "noise law 'exponential': rate must be positive"),
+        ({"model": pair_model(b=[{"dist": "exponential"}])}, "noise spec needs 2 entries"),
+        ({"model": pair_model(b=5)}, "noise spec must be a dict or a list"),
+        ({"model": pair_model("CCCGarch", arch=-0.1, garch=0.5)}, "arch and garch"),
+        ({"model": pair_model("BekkDiag", coeff=[1.0, 0.5])}, "coeff must be a (factors x 2)"),
+        ({"model": atoms_model([], [], [])}, "atom probabilities must be a nonempty vector"),
+        ({"model": atoms_model([[1.0]], ROWS[:1], ROWS[:1])},
+         "atom probabilities must be a nonempty vector"),
+        ({"model": atoms_model([0.5, 0.5], [[0.5], [1.2]], ROWS)},
+         "atom tables must have shape (2, 2)"),
+        ({"model": atoms_model([0.5, 0.5], ROWS, ROWS[:1])}, "atom tables must have shape (2, 2)"),
+        ({"model": pair_model("Custom", sampler="numpy.random.uniform")}, "callable 'sampler'"),
+    ],
+    ids=["pairs-not-a-list", "pipeline-not-a-list", "config-not-an-object", "empty-pipeline",
+         "params-not-an-object", "flag-not-a-bool", "vector-length", "corr-shape",
+         "corr-asymmetric", "corr-diagonal", "noise-law-invalid", "noise-list-length",
+         "noise-spec-type", "negative-arch", "coeff-shape", "atom-prob-empty", "atom-prob-2d",
+         "atom-a-shape", "atom-b-shape", "sampler-not-callable"],
+)
+def test_config_checks_exit_two_naming_the_key(edit, detail, tmp_path, capsys):
+    out = tmp_path / "o"
+    base = {"model": PAIR_MODEL, "seed": 1, "out": str(out), "pipeline": ["solve-alpha"]}
+    cfg = write_config(tmp_path / "c.json", {**base, **edit} if isinstance(edit, dict) else edit)
+    assert main(["run", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation"
+    assert detail in err["detail"], err["detail"]
+    assert not out.exists()
+
+
 def test_unreadable_and_malformed_configs(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert last_stderr_doc(capsys)["error"] == "validation"
