@@ -301,9 +301,6 @@ class _BDist:
     def abscissa(self) -> float:
         return self.index if self.dist == "pareto" else math.inf
 
-    def is_zero(self) -> bool:
-        return self.dist == "constant" and self.value == 0.0
-
 
 class _BSpec:
     """Per-coordinate noise description with an optional shared draw."""
@@ -343,17 +340,17 @@ class _BSpec:
 
 
 class _Family:
-    """Base of the coefficient families.
+    """Base of the coefficient families that have closed forms.
 
     The constructor gets the params read through ``KEYS``.  A family
-    defines the closed-form hooks of ModelSpec it can answer; the noise
-    hooks answer from the per-coordinate noise spec ``b``, if any.  fill
-    draws the A block, then the B block, in place into C-contiguous (d, n)
-    rows, one coordinate per row: the family's fill_a writes A and the
-    noise spec writes B.  The Custom families draw (a, b) jointly.
+    answers ModelSpec's six closed-form hooks: ``kappa_exact``,
+    ``drift_exact``, ``goldie_mean_exact`` and ``joint_moment_exact`` from
+    its law of A, ``b_moment_exact`` and ``b_abscissa`` here, from the
+    per-coordinate noise spec ``b``.  fill draws the A block, then the B
+    block, in place into C-contiguous (d, n) rows, one coordinate per row:
+    the family's fill_a writes A and the noise spec writes B.  Custom atoms
+    draw (a, b) jointly and answer the noise hooks from their table.
     """
-
-    b: _BSpec | None = None
 
     def fill(self, rng, a, b):
         self.fill_a(rng, a)
@@ -365,13 +362,10 @@ class _Family:
                 for k in self.KEYS}
 
     def b_moment_exact(self, j, s):
-        return None if self.b is None else self.b.dists[j].abs_moment(s)
+        return self.b.dists[j].abs_moment(s)
 
     def b_abscissa(self, j):
-        return None if self.b is None else self.b.dists[j].abscissa()
-
-    def b_is_zero(self, j):
-        return None if self.b is None else self.b.dists[j].is_zero()
+        return self.b.dists[j].abscissa()
 
 
 class _Atoms(_Family):
@@ -382,15 +376,12 @@ class _Atoms(_Family):
     def kappa_exact(self, j, s):
         return sum(w * _pow_abs(v, s) for w, v in self._atoms(j))
 
-    def zero_mass_exact(self, j):
-        return sum(w for w, v in self._atoms(j) if v == 0.0)
-
-    def log_abs_mean_exact(self, j):
-        zm = self.zero_mass_exact(j)
-        if zm >= 1.0:
-            return None
-        tot = sum(w * math.log(abs(v)) for w, v in self._atoms(j) if v != 0.0 and w > 0.0)
-        return tot / (1.0 - zm)
+    def drift_exact(self, j):
+        atoms = list(self._atoms(j))  # listed once: _CustomAtoms gives a one-shot zip
+        zm = sum(w for w, v in atoms if v == 0.0)
+        logs = sum(w * math.log(abs(v)) for w, v in atoms if v != 0.0 and w > 0.0)
+        const = len({abs(v) for w, v in atoms if w > 0.0}) <= 1
+        return (None if zm >= 1.0 else logs / (1.0 - zm)), zm, const
 
     def goldie_mean_exact(self, j, alpha):
         return sum(
@@ -398,10 +389,6 @@ class _Atoms(_Family):
             for w, v in self._atoms(j)
             if v != 0.0 and w > 0.0
         )
-
-    def constant_magnitude_exact(self, j):
-        mags = {abs(v) for w, v in self._atoms(j) if w > 0.0}
-        return len(mags) <= 1
 
 
 class _TwoPoint(_Atoms):
@@ -446,7 +433,20 @@ class _TwoPoint(_Atoms):
         return sum(w * _pow_abs1(v, s) for w, v in self._atoms(j))
 
 
-class _LogNormal(_Family):
+class _Gaussian(_Family):
+    """A family drawn from k i.i.d. standard normal factors Z: its A rows
+    are ``transform`` of load Z, for the (d, k) ``load`` fixed at
+    construction."""
+
+    def fill_a(self, rng, rows):
+        np.matmul(self.load, rng.standard_normal((rows.shape[1], self.load.shape[1])).T, out=rows)
+        self.transform(rows)
+
+    def transform(self, rows):
+        """The family's elementwise map of the rows, in place: none by default."""
+
+
+class _LogNormal(_Gaussian):
     KEYS = {"mu": (given, REQUIRED), "sigma": (given, REQUIRED), "corr": (optional(_matrix), None),
             "b": (given, _NO_NOISE)}
 
@@ -458,11 +458,10 @@ class _LogNormal(_Family):
             raise ConfigurationError("sigma must be nonnegative")
         corr = params["corr"]
         self.corr = np.eye(d) if corr is None else corr
-        self.factor = _corr_factor(self.corr, d, "corr")
+        self.load = _corr_factor(self.corr, d, "corr")
         self.b = _BSpec(params["b"], d)
 
-    def fill_a(self, rng, rows):
-        np.matmul(self.factor, rng.standard_normal((rows.shape[1], self.d)).T, out=rows)
+    def transform(self, rows):
         rows *= self.sigma[:, None]
         rows += self.mu[:, None]
         np.exp(rows, out=rows)
@@ -470,11 +469,8 @@ class _LogNormal(_Family):
     def kappa_exact(self, j, s):
         return _exp(self.mu[j] * s + 0.5 * (self.sigma[j] * s) ** 2)
 
-    def zero_mass_exact(self, j):
-        return 0.0
-
-    def log_abs_mean_exact(self, j):
-        return float(self.mu[j])
+    def drift_exact(self, j):
+        return float(self.mu[j]), 0.0, self.sigma[j] == 0.0
 
     def goldie_mean_exact(self, j, alpha):
         return (self.mu[j] + self.sigma[j] ** 2 * alpha) * self.kappa_exact(j, alpha)
@@ -485,11 +481,8 @@ class _LogNormal(_Family):
         quad_form = (si * s) ** 2 + 2.0 * rho * si * sj * s * u + (sj * u) ** 2
         return _exp(self.mu[i] * s + self.mu[j] * u + 0.5 * quad_form)
 
-    def constant_magnitude_exact(self, j):
-        return self.sigma[j] == 0.0
 
-
-class _CCCGarch(_Family):
+class _CCCGarch(_Gaussian):
     KEYS = {"arch": (given, REQUIRED), "garch": (given, REQUIRED),
             "z_map": (optional(lambda v: list(map(integer, v))), None),
             "corr": (optional(_matrix), None), "b": (given, _NO_NOISE)}
@@ -504,16 +497,13 @@ class _CCCGarch(_Family):
         self.z_map = list(range(d)) if z_map is None else z_map
         if len(self.z_map) != d or min(self.z_map) < 0:
             raise ConfigurationError(f"z_map must be {d} nonnegative factor indices")
-        self.n_factors = max(self.z_map) + 1
-        corr = params["corr"]
-        self.corr = np.eye(self.n_factors) if corr is None else corr
-        self.factor = _corr_factor(self.corr, self.n_factors, "corr")
+        corr, k = params["corr"], max(self.z_map) + 1
+        self.corr = np.eye(k) if corr is None else corr
+        self.load = _corr_factor(self.corr, k, "corr")[self.z_map]  # row j is factor z_map[j]
         self.b = _BSpec(params["b"], d)
 
-    def fill_a(self, rng, rows):
-        # row j is factor z_map[j]; A_j = (arch_j Z_j) Z_j + garch_j
-        z = rng.standard_normal((rows.shape[1], self.n_factors))
-        np.matmul(self.factor[self.z_map], z.T, out=rows)
+    def transform(self, rows):
+        # A_j = (arch_j Z_j) Z_j + garch_j
         rows *= self.arch[:, None] * rows
         rows += self.garch[:, None]
 
@@ -527,16 +517,13 @@ class _CCCGarch(_Family):
             return _pow_abs(a, s) * _abs_normal_moment(2.0 * s)
         return 2.0 * _quad(lambda z: (a * z * z + g) ** s * _phi(z), 0.0, math.inf)
 
-    def zero_mass_exact(self, j):
-        return 1.0 if (self.arch[j] == 0.0 and self.garch[j] == 0.0) else 0.0
-
-    def log_abs_mean_exact(self, j):
+    def drift_exact(self, j):
         a, g = self.arch[j], self.garch[j]
         if a == 0.0:
-            return math.log(g) if g > 0.0 else None
+            return (math.log(g), 0.0, True) if g > 0.0 else (None, 1.0, True)
         if g == 0.0:
-            return math.log(a) + _digamma(0.5) + math.log(2.0)
-        return 2.0 * _quad(lambda z: math.log(a * z * z + g) * _phi(z), 0.0, math.inf)
+            return math.log(a) + _digamma(0.5) + math.log(2.0), 0.0, False
+        return 2.0 * _quad(lambda z: math.log(a * z * z + g) * _phi(z), 0.0, math.inf), 0.0, False
 
     def goldie_mean_exact(self, j, alpha):
         a, g = self.arch[j], self.garch[j]
@@ -564,11 +551,8 @@ class _CCCGarch(_Family):
             return ki * kj
         return None
 
-    def constant_magnitude_exact(self, j):
-        return self.arch[j] == 0.0
 
-
-class _BekkDiag(_Family):
+class _BekkDiag(_Gaussian):
     KEYS = {"coeff": (_matrix, REQUIRED), "b": (given, _NO_NOISE)}
 
     def __init__(self, d: int, params: dict):
@@ -577,12 +561,9 @@ class _BekkDiag(_Family):
         if coeff.ndim != 2 or coeff.shape[1] != d:
             raise ConfigurationError(f"coeff must be a (factors x {d}) matrix")
         self.coeff = coeff
-        self.n_factors = coeff.shape[0]
+        self.load = coeff.T  # a view: a contiguous copy could change BLAS's strides and bits
         self.sigma = np.sqrt((coeff ** 2).sum(axis=0))
         self.b = _BSpec(params["b"], d)
-
-    def fill_a(self, rng, rows):
-        np.matmul(self.coeff.T, rng.standard_normal((rows.shape[1], self.n_factors)).T, out=rows)
 
     def kappa_exact(self, j, s):
         sig = self.sigma[j]
@@ -592,14 +573,11 @@ class _BekkDiag(_Family):
             return 1.0
         return sig ** s * _abs_normal_moment(s)
 
-    def zero_mass_exact(self, j):
-        return 1.0 if self.sigma[j] == 0.0 else 0.0
-
-    def log_abs_mean_exact(self, j):
+    def drift_exact(self, j):
         sig = self.sigma[j]
         if sig == 0.0:
-            return None
-        return math.log(sig) + 0.5 * (_digamma(0.5) + math.log(2.0))
+            return None, 1.0, True
+        return math.log(sig) + 0.5 * (_digamma(0.5) + math.log(2.0)), 0.0, False
 
     def goldie_mean_exact(self, j, alpha):
         sig = self.sigma[j]
@@ -622,9 +600,6 @@ class _BekkDiag(_Family):
                 return fi * fj
             return si ** s * sj ** u * _abs_normal_moment(s + u)
         return None
-
-    def constant_magnitude_exact(self, j):
-        return self.sigma[j] == 0.0
 
 
 class _CustomAtoms(_Atoms):
@@ -676,11 +651,10 @@ class _CustomAtoms(_Atoms):
     def b_abscissa(self, j):
         return math.inf
 
-    def b_is_zero(self, j):
-        return bool(np.all(self.bvals[self.prob > 0.0, j] == 0.0))
 
+class _CustomCallable:
+    """A user sampler: no closed forms, so every moment is Monte Carlo."""
 
-class _CustomCallable(_Family):
     KEYS = {"sampler": (given, REQUIRED), "name": (given, None)}
 
     def __init__(self, d: int, params: dict):
@@ -724,6 +698,10 @@ class ModelSpec:
     Whether the model is contractive on average (E log|A_j| < 0) is not a
     construction requirement; it is checked by ``log_moment`` and enforced
     by the simulation entry points.
+
+    Six closed-form hooks read the family: ``kappa_exact``, ``drift_exact``,
+    ``goldie_mean_exact``, ``joint_moment_exact``, ``b_moment_exact`` and
+    ``b_abscissa``.  Each returns None where the family has no closed form.
     """
 
     def __init__(self, family: str, d: int, params: dict, sigma_margin: float = 0.5):
@@ -773,24 +751,19 @@ class ModelSpec:
 
     def kappa_exact(self, j: int, s: float) -> float | None:
         return self._closed("kappa_exact", (j,), s)
-    def zero_mass_exact(self, j: int) -> float | None:
-        return self._closed("zero_mass_exact", (j,))
-    def log_abs_mean_exact(self, j: int) -> float | None:
-        """E[log|A_j| given A_j != 0], or None when unknown/undefined."""
-        return self._closed("log_abs_mean_exact", (j,))
+    def drift_exact(self, j: int) -> tuple | None:
+        """(E[log|A_j| given A_j != 0] or None where A_j = 0 a.s., P(A_j = 0),
+        whether |A_j| is a.s. constant), or None when unknown."""
+        return self._closed("drift_exact", (j,))
     def goldie_mean_exact(self, j: int, alpha: float) -> float | None:
         return self._closed("goldie_mean_exact", (j,), alpha)
     def joint_moment_exact(self, i: int, j: int, s: float, u: float) -> float | None:
         """E |A_i|^s |A_j|^u, or None when no closed form is available."""
         return self._closed("joint_moment_exact", (i, j), s, u)
-    def constant_magnitude_exact(self, j: int) -> bool | None:
-        return self._closed("constant_magnitude_exact", (j,))
     def b_moment_exact(self, j: int, s: float) -> float | None:
         return self._closed("b_moment_exact", (j,), s)
     def b_abscissa(self, j: int) -> float | None:
         return self._closed("b_abscissa", (j,))
-    def b_is_zero(self, j: int) -> bool | None:
-        return self._closed("b_is_zero", (j,))
 
     # -- serialization -------------------------------------------------------
 
@@ -853,19 +826,14 @@ def log_moment(
     The Monte Carlo route certifies contraction only when the 95% interval
     lies strictly below zero (or when mass at zero is observed).
     """
-    exact_mean = spec.log_abs_mean_exact(j)
-    exact_zero = spec.zero_mass_exact(j)
-    have_exact = exact_zero is not None and (exact_mean is not None or exact_zero == 1.0)
-    if use_closed_form(method, have_exact, "log_moment", rng):
-        const = spec.constant_magnitude_exact(j)
-        if exact_zero == 1.0:
+    drift = spec.drift_exact(j)
+    if use_closed_form(method, drift is not None and (drift[0] is not None or drift[1] == 1.0),
+                       "log_moment", rng):
+        mean, zero_mass, const = drift
+        if zero_mass == 1.0:
             return LogMoment(None, 1.0, True, True)
-        return LogMoment(
-            exact(float(exact_mean)),
-            float(exact_zero),
-            bool(exact_zero > 0.0 or exact_mean < 0.0),
-            bool(const) if const is not None else False,
-        )
+        return LogMoment(exact(float(mean)), float(zero_mass), bool(zero_mass > 0.0 or mean < 0.0),
+                         bool(const))
     a, b = spec.sample_coeffs(rng, n)
     logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))
     zero_mass = 1.0 - logs.size / n

@@ -166,11 +166,10 @@ def solve_alpha(
     """
     if use_closed_form(method, spec.kappa_exact(j, 1.0) is not None, "solve_alpha", rng):
         tol = 1e-8 if tol is None else float(tol)
-        zero_mass = spec.zero_mass_exact(j)
-        mean_log = spec.log_abs_mean_exact(j)
-        if zero_mass is not None and zero_mass >= 1.0:
+        mean_log, zero_mass, _ = spec.drift_exact(j)
+        if zero_mass >= 1.0:
             raise TailIndexError(f"tail index does not exist for coordinate {j}: A = 0 a.s.")
-        if (zero_mass or 0.0) == 0.0 and mean_log is not None and mean_log >= 0.0:
+        if zero_mass == 0.0 and mean_log >= 0.0:
             raise TailIndexError(
                 f"tail index does not exist for coordinate {j}: "
                 f"E log|A| = {mean_log:.6g} >= 0"
@@ -178,8 +177,8 @@ def solve_alpha(
         kap = lambda s: spec.kappa_exact(j, s)
         # curvature of log kappa near 0 from a finite difference
         h = 1e-3
-        var_proxy = 2.0 * (math.log(kap(h)) - (mean_log or 0.0) * h) / h ** 2
-        pilot = _pilot_from_drift(mean_log if mean_log is not None else -1.0, var_proxy)
+        var_proxy = 2.0 * (math.log(kap(h)) - mean_log * h) / h ** 2
+        pilot = _pilot_from_drift(mean_log, var_proxy)
         used_n = 0
         tag = "closed-form"
     else:
@@ -394,7 +393,7 @@ def positivity_check(
     alpha = require(alpha, "alpha")
     scan = moment_abscissa(spec, j, n=n, rng=rng)
     s_inf = scan.s_inf
-    if spec.b_is_zero(j):
+    if spec.b_moment_exact(j, 1.0) == 0.0:
         return PositivityReport("satisfied", s_inf, (), (), True)
     if s_inf == 0.0:
         return PositivityReport("inconclusive", 0.0, (), (), False)

@@ -100,16 +100,16 @@ def test_two_point_kappa_values():
     assert spec.kappa_exact(0, 1.0) == pytest.approx(0.8, abs=1e-15)
     assert spec.kappa_exact(0, 2.0) == pytest.approx(1.0, abs=1e-15)
     assert spec.kappa_exact(0, 0.0) == 1.0
-    assert spec.log_abs_mean_exact(0) == pytest.approx(-0.6 * math.log(2.0))
+    assert spec.drift_exact(0)[0] == pytest.approx(-0.6 * math.log(2.0))
     # at alpha = 2: 0.2*4*log2 + 0.8*0.25*log(1/2) = 0.6 log 2
     assert spec.goldie_mean_exact(0, 2.0) == pytest.approx(0.6 * math.log(2.0))
 
 
 def test_two_point_zero_atom():
     spec = two_point(down=0.0)
-    assert spec.zero_mass_exact(0) == pytest.approx(0.8)
+    assert spec.drift_exact(0)[1] == pytest.approx(0.8)
     # conditional mean only sees the surviving atom
-    assert spec.log_abs_mean_exact(0) == pytest.approx(math.log(2.0))
+    assert spec.drift_exact(0)[0] == pytest.approx(math.log(2.0))
     assert spec.kappa_exact(0, 0.0) == pytest.approx(0.2)
 
 
@@ -117,7 +117,7 @@ def test_lognormal_kappa_and_goldie():
     spec = ModelSpec("LogNormal", 1, {"mu": -0.5, "sigma": 1.0})
     # exp(mu s + sigma^2 s^2 / 2) = 1 at s = 1
     assert spec.kappa_exact(0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert spec.log_abs_mean_exact(0) == -0.5
+    assert spec.drift_exact(0)[0] == -0.5
     # (mu + sigma^2 alpha) kappa(alpha) = 0.5 at alpha = 1
     assert spec.goldie_mean_exact(0, 1.0) == pytest.approx(0.5)
 
@@ -145,10 +145,10 @@ def test_ccc_without_arch_is_its_garch_constant():
     # with garch 0 too, A_j = 0 a.s.
     spec = ModelSpec("CCCGarch", 2, {"arch": 0.0, "garch": [0.5, 0.0]})
     assert spec.kappa_exact(0, 3.0) == 0.125
-    assert spec.log_abs_mean_exact(0) == math.log(0.5)
+    assert spec.drift_exact(0)[0] == math.log(0.5)
     assert spec.goldie_mean_exact(0, 2.0) == 0.25 * math.log(0.5)
     assert spec.kappa_exact(1, 3.0) == spec.kappa_exact(1, 0.0) == 0.0
-    assert spec.log_abs_mean_exact(1) is None
+    assert spec.drift_exact(1)[0] is None
     assert spec.goldie_mean_exact(1, 2.0) == 0.0
 
 
@@ -158,7 +158,7 @@ def test_bekk_zero_column_is_a_zero_coefficient():
     a, _ = spec.sample_coeffs(RNG(0), 1_000)
     assert np.all(a[:, 1] == 0.0)
     assert spec.kappa_exact(1, 2.0) == spec.kappa_exact(1, 0.0) == 0.0
-    assert spec.log_abs_mean_exact(1) is None
+    assert spec.drift_exact(1)[0] is None
     assert spec.goldie_mean_exact(1, 2.0) == 0.0
     # E|A_0|^s |A_1|^u: 0 for u > 0, and E|A_0|^s for u = 0 (0^0 = 1)
     assert spec.joint_moment_exact(0, 1, 1.0, 2.0) == 0.0
@@ -184,7 +184,7 @@ def test_gaussian_coefficient_kappa():
     assert spec.kappa_exact(0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
     # E log|N| = -(gamma + log 2)/2
     want = -0.5 * (np.euler_gamma + math.log(2.0))
-    assert spec.log_abs_mean_exact(0) == pytest.approx(want, rel=1e-12)
+    assert spec.drift_exact(0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_joint_moment_independent_factorizes():
@@ -226,7 +226,6 @@ def test_noise_moment_oracles():
     assert spec.b_moment_exact(0, 2.0) == pytest.approx(2.0, rel=1e-12)
     assert spec.b_moment_exact(0, 0.5) == pytest.approx(math.gamma(1.5), rel=1e-12)
     assert spec.b_abscissa(0) == math.inf
-    assert spec.b_is_zero(0) is False
 
 
 def test_noise_moments_of_degenerate_and_centred_laws():
@@ -335,7 +334,7 @@ def test_uniform_noise_moments_keep_their_bits():
 
 def test_zero_noise_flag():
     spec = two_point(b={"dist": "constant", "value": 0.0})
-    assert spec.b_is_zero(0) is True
+    assert spec.b_moment_exact(0, 1.0) == 0.0
 
 
 def test_shared_noise_draws_one_column():
@@ -587,7 +586,6 @@ def test_custom_atoms_moments_and_sampling():
     )
     assert spec.kappa_exact(0, 2.0) == pytest.approx(1.0, abs=1e-15)
     assert spec.b_moment_exact(0, 1.0) == pytest.approx(0.2, abs=1e-15)
-    assert spec.b_is_zero(0) is False
     assert spec.b_abscissa(0) == math.inf
     a, b = spec.sample_coeffs(RNG(2), 100_000)
     # b = 1 exactly when a = 2
@@ -605,8 +603,8 @@ ORDERS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.7, 8.0]
 def marginal_bits(spec):
     """float.hex of every marginal closed-form hook of coordinate 0."""
     bits = [spec.kappa_exact(0, s) for s in ORDERS] + [spec.goldie_mean_exact(0, s) for s in ORDERS]
-    bits += [spec.zero_mass_exact(0), spec.log_abs_mean_exact(0)]
-    return [float(v).hex() for v in bits] + [str(spec.constant_magnitude_exact(0))]
+    mean, zero_mass, const = spec.drift_exact(0)
+    return [float(v).hex() for v in bits + [zero_mass, mean]] + [str(const)]
 
 
 def test_two_point_hooks_are_the_atom_path_bit_for_bit():
@@ -657,8 +655,7 @@ def closed_form_bits(spec):
     for j in range(spec.d):
         bits += [spec.kappa_exact(j, s) for s in ORDERS]
         bits += [spec.goldie_mean_exact(j, s) for s in ORDERS]
-        bits += [spec.log_abs_mean_exact(j), spec.zero_mass_exact(j),
-                 spec.constant_magnitude_exact(j)]
+        bits += spec.drift_exact(j)
         bits += [spec.b_moment_exact(j, s) for s in ORDERS] + [spec.b_abscissa(j)]
         bits += [spec.joint_moment_exact(i, j, s, u) for i in range(spec.d) for s, u in JOINT_ORDERS]
     return [hexed(v) for v in bits]
@@ -674,15 +671,12 @@ def test_closed_form_hooks_of_every_family_keep_their_bits():
 # every closed-form hook of ModelSpec, called at coordinate j
 HOOKS = {
     "kappa_exact": lambda spec, j: spec.kappa_exact(j, 1.0),
-    "zero_mass_exact": lambda spec, j: spec.zero_mass_exact(j),
-    "log_abs_mean_exact": lambda spec, j: spec.log_abs_mean_exact(j),
+    "drift_exact": lambda spec, j: spec.drift_exact(j),
     "goldie_mean_exact": lambda spec, j: spec.goldie_mean_exact(j, 2.0),
     "joint_moment_exact[i]": lambda spec, j: spec.joint_moment_exact(j, 0, 1.0, 1.0),
     "joint_moment_exact[j]": lambda spec, j: spec.joint_moment_exact(0, j, 1.0, 1.0),
-    "constant_magnitude_exact": lambda spec, j: spec.constant_magnitude_exact(j),
     "b_moment_exact": lambda spec, j: spec.b_moment_exact(j, 1.0),
     "b_abscissa": lambda spec, j: spec.b_abscissa(j),
-    "b_is_zero": lambda spec, j: spec.b_is_zero(j),
 }
 
 
@@ -806,7 +800,7 @@ def test_noise_and_family_defaults_are_declared():
     spec = ModelSpec("TwoPoint", 2, {**TWO, "b": {"dist": "exponential"}})
     assert spec.b_moment_exact(1, 1.0) == 1.0
     assert spec.to_json()["params"]["comonotone"] is False
-    assert ModelSpec("TwoPoint", 1, TWO).b_is_zero(0) is True
+    assert ModelSpec("TwoPoint", 1, TWO).b_moment_exact(0, 1.0) == 0.0
     none = ModelSpec("TwoPoint", 1, {**TWO, "b": None})
     assert none.fingerprint() == ModelSpec("TwoPoint", 1, TWO).fingerprint()
     assert ModelSpec("TwoPoint", 1, TWO).to_json()["params"]["b"] == {"dist": "constant", "value": 0.0}
