@@ -134,9 +134,17 @@ def _digamma(x: float) -> float:
     return y + (math.log(x) - 0.5 / x - tail)
 
 
-def _abs_normal_moment(s: float) -> float:
-    """E|N|^s for standard normal N, s > -1."""
-    return math.exp(0.5 * s * math.log(2.0) + _gammaln(0.5 * (s + 1.0)) - _gammaln(0.5))
+def _log_abs_normal_moment(s: float) -> float:
+    """log E|N|^s for standard normal N, s > -1."""
+    return 0.5 * s * math.log(2.0) + _gammaln(0.5 * (s + 1.0)) - _gammaln(0.5)
+
+
+def _scaled_normal_moment(c: float, s: float, r: float) -> float:
+    """c^s E|N|^r for c > 0 and standard normal N: the direct product where it
+    is a nonzero float, else from its log, where 0 * inf or inf * 0 would mislead."""
+    log_m = _log_abs_normal_moment(r)
+    v = _pow_abs(c, s) * _exp(log_m)
+    return v if 0.0 < v < math.inf else _exp(s * math.log(c) + log_m)
 
 
 def _exp(x: float) -> float:
@@ -272,10 +280,7 @@ class _BDist:
         if k == "constant":
             return _pow_abs(self.value, s)
         if k == "exponential":
-            try:
-                scale = self.rate ** s
-            except OverflowError:
-                scale = math.inf
+            scale = _pow_abs(self.rate, s)
             if scale == 0.0 or math.isinf(scale):
                 # rate ** s leaves the float range: divide in log space
                 return _exp(_gammaln(s + 1.0) - s * math.log(self.rate))
@@ -283,20 +288,20 @@ class _BDist:
         if k == "pareto":
             if s >= self.index:
                 return math.inf
-            return self.index * self.scale ** s / (self.index - s)
+            return self.index * _pow_abs(self.scale, s) / (self.index - s)
         if k == "uniform":
             # x |x|^s / (s + 1) is an antiderivative of |x|^s on either side of zero
-            lo, hi = (math.copysign(abs(v) ** (s + 1.0), v) for v in (self.low, self.high))
+            lo, hi = (math.copysign(_pow_abs(v, s + 1.0), v) for v in (self.low, self.high))
             return (hi - lo) / ((s + 1.0) * (self.high - self.low))
         if k == "normal":
             if self.std == 0.0:
                 return _pow_abs(self.mean, s)
             if self.mean == 0.0:
-                return self.std ** s * _abs_normal_moment(s)
+                return _scaled_normal_moment(self.std, s, s)
             mu, sd = self.mean, self.std
-            f = lambda x: abs(x) ** s * _phi((x - mu) / sd) / sd
+            f = lambda x: _pow_abs(x, s) * _phi((x - mu) / sd) / sd
             return _quad(f, -math.inf, 0.0) + _quad(f, 0.0, math.inf)
-        return _exp(self.mu * s + 0.5 * self.sigma ** 2 * s ** 2)
+        return _exp(self.mu * s + 0.5 * _pow_abs(self.sigma, 2.0) * _pow_abs(s, 2.0))
 
     def abscissa(self) -> float:
         return self.index if self.dist == "pareto" else math.inf
@@ -385,7 +390,7 @@ class _Atoms(_Family):
 
     def goldie_mean_exact(self, j, alpha):
         return sum(
-            w * abs(v) ** alpha * math.log(abs(v))
+            w * _pow_abs(v, alpha) * math.log(abs(v))
             for w, v in self._atoms(j)
             if v != 0.0 and w > 0.0
         )
@@ -467,18 +472,18 @@ class _LogNormal(_Gaussian):
         np.exp(rows, out=rows)
 
     def kappa_exact(self, j, s):
-        return _exp(self.mu[j] * s + 0.5 * (self.sigma[j] * s) ** 2)
+        return _exp(self.mu[j] * s + 0.5 * _pow_abs(self.sigma[j] * s, 2.0))
 
     def drift_exact(self, j):
         return float(self.mu[j]), 0.0, self.sigma[j] == 0.0
 
     def goldie_mean_exact(self, j, alpha):
-        return (self.mu[j] + self.sigma[j] ** 2 * alpha) * self.kappa_exact(j, alpha)
+        return (self.mu[j] + _pow_abs(self.sigma[j], 2.0) * alpha) * self.kappa_exact(j, alpha)
 
     def joint_moment_exact(self, i, j, s, u):
         rho = self.corr[i, j]
         si, sj = self.sigma[i], self.sigma[j]
-        quad_form = (si * s) ** 2 + 2.0 * rho * si * sj * s * u + (sj * u) ** 2
+        quad_form = _pow_abs(si * s, 2.0) + 2.0 * rho * si * sj * s * u + _pow_abs(sj * u, 2.0)
         return _exp(self.mu[i] * s + self.mu[j] * u + 0.5 * quad_form)
 
 
@@ -514,8 +519,8 @@ class _CCCGarch(_Gaussian):
         if a == 0.0:
             return _pow_abs(g, s)
         if g == 0.0:
-            return _pow_abs(a, s) * _abs_normal_moment(2.0 * s)
-        return 2.0 * _quad(lambda z: (a * z * z + g) ** s * _phi(z), 0.0, math.inf)
+            return _scaled_normal_moment(a, s, 2.0 * s)
+        return 2.0 * _quad(lambda z: _pow_abs(a * z * z + g, s) * _phi(z), 0.0, math.inf)
 
     def drift_exact(self, j):
         a, g = self.arch[j], self.garch[j]
@@ -533,7 +538,7 @@ class _CCCGarch(_Gaussian):
             kap = self.kappa_exact(j, alpha)
             return kap * (math.log(a) + math.log(2.0) + _digamma(alpha + 0.5))
         return 2.0 * _quad(
-            lambda z: (a * z * z + g) ** alpha * math.log(a * z * z + g) * _phi(z),
+            lambda z: _pow_abs(a * z * z + g, alpha) * math.log(a * z * z + g) * _phi(z),
             0.0,
             math.inf,
         )
@@ -571,7 +576,7 @@ class _BekkDiag(_Gaussian):
             return 0.0
         if s == 0.0:
             return 1.0
-        return sig ** s * _abs_normal_moment(s)
+        return _scaled_normal_moment(sig, s, s)
 
     def drift_exact(self, j):
         sig = self.sigma[j]
@@ -598,7 +603,7 @@ class _BekkDiag(_Gaussian):
         if abs(abs(rho) - 1.0) <= 1e-12:
             if s == 0.0 or u == 0.0:
                 return fi * fj
-            return si ** s * sj ** u * _abs_normal_moment(s + u)
+            return _pow_abs(si, s) * _pow_abs(sj, u) * _exp(_log_abs_normal_moment(s + u))
         return None
 
 

@@ -178,6 +178,24 @@ def test_overflowing_closed_form_powers_are_infinite_without_a_warning():
         assert two_point(b={"dist": "constant", "value": 1e10}).b_moment_exact(0, 40.0) == math.inf
 
 
+def test_closed_form_moments_out_of_float_range_are_inf_or_their_value():
+    # E|N|^400 overflows and 0.01^200 underflows, yet 0.01^200 E|N|^400 =
+    # exp(77.6) is a float; the rest are past the float range
+    squared = ModelSpec("CCCGarch", 1, {"arch": 0.01, "garch": 0.0})
+    log_want = 200.0 * math.log(0.01) + 200.0 * math.log(2.0) + special.gammaln(200.5) \
+        - special.gammaln(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert squared.kappa_exact(0, 200.0) == pytest.approx(math.exp(log_want), rel=1e-12)
+        assert ModelSpec("BekkDiag", 1, {"coeff": [[1.0]]}).kappa_exact(0, 400.0) == math.inf
+        for law, s in [({"dist": "pareto", "index": 100.0, "scale": 1e10}, 40.0),
+                       ({"dist": "uniform", "high": 1e10}, 40.0),
+                       ({"dist": "normal", "mean": 0.0}, 400.0)]:
+            assert two_point(b=law).b_moment_exact(0, s) == math.inf, law
+        rare = ModelSpec("TwoPoint", 1, {"p": 1e-30, "up": 1e10, "down": 0.5})
+        assert rare.goldie_mean_exact(0, 40.0) == math.inf
+
+
 def test_gaussian_coefficient_kappa():
     spec = ModelSpec("BekkDiag", 1, {"coeff": [[1.0]]})
     assert spec.kappa_exact(0, 2.0) == pytest.approx(1.0, rel=1e-12)
@@ -274,7 +292,7 @@ def cephes_arguments():
 def test_cephes_ports_match_scipy_bit_for_bit():
     # the closed forms need only log Gamma and psi; the ports keep
     # scipy.special off the import path, so they must have its bits
-    from heavytail_sre.model import _abs_normal_moment, _digamma, _gammaln
+    from heavytail_sre.model import _digamma, _gammaln, _log_abs_normal_moment
 
     args = cephes_arguments()
     hexes = lambda values: [float(v).hex() for v in values]
@@ -290,8 +308,8 @@ def test_cephes_ports_match_scipy_bit_for_bit():
     spec = two_point()  # exponential noise of rate 1
     assert hexes(spec.b_moment_exact(0, s) for s in orders) == hexes(
         math.exp(special.gammaln(s + 1.0)) for s in orders)
-    assert hexes(map(_abs_normal_moment, orders)) == hexes(
-        math.exp(0.5 * s * math.log(2.0) + special.gammaln(0.5 * (s + 1.0)) - special.gammaln(0.5))
+    assert hexes(map(_log_abs_normal_moment, orders)) == hexes(
+        0.5 * s * math.log(2.0) + special.gammaln(0.5 * (s + 1.0)) - special.gammaln(0.5)
         for s in orders)
     psi_args = [0.5] + [0.5 * (a + 1.0) for a in PIPELINE_ALPHAS] + [a + 0.5 for a in PIPELINE_ALPHAS]
     assert hexes(map(_digamma, psi_args)) == hexes(special.digamma(psi_args))
