@@ -140,8 +140,9 @@ def _log_abs_normal_moment(s: float) -> float:
 
 
 def _scaled_normal_moment(c: float, s: float, r: float) -> float:
-    """c^s E|N|^r for c > 0 and standard normal N: the direct product where it
-    is a nonzero float, else from its log, where 0 * inf or inf * 0 would mislead."""
+    """c^s E|N|^r for c > 0 and standard normal N: the direct product where that
+    is a positive float, else the exp of its log, so an underflowing c^s or an
+    overflowing E|N|^r cannot make it 0 * inf."""
     log_m = _log_abs_normal_moment(r)
     v = _pow_abs(c, s) * _exp(log_m)
     return v if 0.0 < v < math.inf else _exp(s * math.log(c) + log_m)

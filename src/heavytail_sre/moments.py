@@ -385,10 +385,11 @@ def positivity_check(
 ) -> PositivityReport:
     """Probe E|B_j|^s / kappa_j(s) on a grid below the moment abscissa.
 
-    A noise coordinate that is identically zero short-circuits to
-    "satisfied" with the degenerate flag set: the fixed point is then the
-    zero path and every tail constant is trivially zero.  A moment scan
-    that finds no stable order leaves no grid to probe: "inconclusive".
+    A noise coordinate with E|B_j| = 0 (identically zero, or so small that
+    E|B_j| underflows) short-circuits to "satisfied" with the degenerate
+    flag set: the fixed point is then the zero path and every tail constant
+    is trivially zero.  A moment scan that finds no stable order leaves no
+    grid to probe: "inconclusive".
     """
     alpha = require(alpha, "alpha")
     scan = moment_abscissa(spec, j, n=n, rng=rng)

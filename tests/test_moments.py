@@ -410,6 +410,15 @@ def test_positivity_zero_noise_degenerate():
     assert report.ratios == ()
 
 
+@pytest.mark.parametrize("law", [{"dist": "normal", "mean": 0.0, "std": 0.0},
+                                 {"dist": "uniform", "low": -1e-170, "high": 1e-170}])
+def test_positivity_noise_of_zero_mean_magnitude_is_degenerate(law):
+    # E|B| = 0 marks the noise degenerate: a normal of std 0 at mean 0, and
+    # a law whose E|B| underflows to 0
+    report = positivity_check(two_point(b=law), 0, 2.0)
+    assert (report.status, report.degenerate_b, report.ratios) == ("satisfied", True, ())
+
+
 def test_positivity_finite_abscissa_ratios():
     spec = two_point(b={"dist": "pareto", "index": 3.0, "scale": 1.0})
     report = positivity_check(spec, 0, 2.0, rng=RNG(0))
