@@ -698,12 +698,20 @@ HOOKS = {
 }
 
 
-@pytest.mark.parametrize("hook", sorted(HOOKS))
+# the three quantities drift_exact answers together, each read at coordinate j
+DRIFT_PARTS = {
+    "log_abs_mean_exact": lambda spec, j: spec.drift_exact(j)[0],
+    "zero_mass_exact": lambda spec, j: spec.drift_exact(j)[1],
+    "constant_magnitude_exact": lambda spec, j: spec.drift_exact(j)[2],
+}
+
+
+@pytest.mark.parametrize("hook", sorted(HOOKS | DRIFT_PARTS))
 @pytest.mark.parametrize("j", [2, -1])
 def test_hooks_check_coordinate_index(hook, j):
     spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5})
     with pytest.raises(ValueError, match="out of range"):
-        HOOKS[hook](spec, j)
+        (HOOKS | DRIFT_PARTS)[hook](spec, j)
 
 
 def test_custom_callable_roundtrip_is_refused():
