@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 
 from .common import AmbiguousPartitionError, Record
+from .geometry import _as_weights
 from .model import ModelSpec
 from .moments import cross_kappa
 
@@ -73,12 +74,10 @@ def detect_blocks(
     have the whole confidence interval strictly below 1.  Disagreement
     raises AmbiguousPartitionError naming the pair.
     """
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = _as_weights(alphas)
     d = spec.d
     if alphas.shape != (d,):
         raise ValueError(f"alphas must have shape ({d},)")
-    if not np.all(np.isfinite(alphas)) or np.any(alphas <= 0.0):
-        raise ValueError("alphas must be positive and finite")
     if n < 2:
         raise ValueError("n must be at least 2")
     xi_probes = tuple(float(x) for x in xi_probes)

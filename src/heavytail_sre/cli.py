@@ -496,7 +496,7 @@ class _Runner:
         min_top, hill_k = params["min_top"], params["hill_k"]
         csv_rows = []
         coord_docs = []
-        c_plus, c_minus = [], []
+        ladders = []
         # |x_j|^alpha_j once per coordinate: the ladder statistic, the y half
         # of the Goldie summands and the block norms all read it
         powers = [magnitude_power(pool.x_post[:, j], a) for j, a in enumerate(alphas)]
@@ -515,8 +515,7 @@ class _Runner:
                 moment_estimate(pool, j, s).to_dict()
                 for s in (0.5 * alphas[j], 2.0 * alphas[j])
             ]
-            c_plus.append(ladder.c_plus)
-            c_minus.append(ladder.c_minus)
+            ladders.append(ladder)
             coord_docs.append(
                 {
                     "coordinate": j,
@@ -531,16 +530,9 @@ class _Runner:
                     e = getattr(ladder, label)[r]
                     csv_rows.append((f"coord{j}_{label}", t, e.value, e.ci_lo, e.ci_hi))
         doc = {"coordinates": coord_docs}
-        # without a partition, c_inf is the single-class block constant
-        whole = tuple(range(pool.d))
-        block_ladder = block_tail_constant(
-            pool,
-            part if part is not None else BlockPartition((whole,), whole, {}),
-            alphas,
-            min_top=min_top,
-            powers=powers,
-        )
-        c_block = ()
+        # without a partition, one of no classes: the whole-vector c_inf alone
+        block_ladder = block_tail_constant(pool, part or BlockPartition((), (), {}), alphas,
+                                           min_top=min_top, powers=powers)
         if part is not None:
             doc["blocks"] = block_ladder.to_dict()
             for r, t in enumerate(block_ladder.thresholds):
@@ -549,8 +541,9 @@ class _Runner:
                     csv_rows.append((f"block{l}", t, e.value, e.ci_lo, e.ci_hi))
                 e = block_ladder.c_inf[r]
                 csv_rows.append(("c_inf", t, e.value, e.ci_lo, e.ci_hi))
-            c_block = block_ladder.block_top
-        constants = TailConstants(tuple(c_plus), tuple(c_minus), c_block, block_ladder.c_inf_top)
+        constants = TailConstants(tuple(lad.c_plus for lad in ladders),
+                                  tuple(lad.c_minus for lad in ladders),
+                                  block_ladder.block_top, block_ladder.c_inf_top)
         doc["tail_constants"] = constants.to_dict()
         _write_csv(
             self.out / "tails.ladders.csv",

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeavinessError, given
-from .common import joint_pow, mean_estimate, number, ranged, read_keys
+from .common import joint_pow, mean_estimate, number, ranged, read_keys, require
 from .model import ModelSpec
 from .moments import cross_kappa
 from .geometry import magnitude_power
@@ -196,8 +196,7 @@ def joint_exceedance(
     alphas = np.asarray(alphas, dtype=float)
     if i == j:
         raise ValueError("need two distinct coordinates")
-    if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
-        raise ValueError("r1 and r2 must be positive and finite")
+    r1, r2 = require(r1, "r1"), require(r2, "r2")
     stat = magnitude_power(pool.x_post[:, i], alphas[i])
     stat /= r1
     sj = magnitude_power(pool.x_post[:, j], alphas[j])
@@ -212,8 +211,8 @@ def joint_exceedance(
     return JointExceedance(
         i=i,
         j=j,
-        r1=float(r1),
-        r2=float(r2),
+        r1=r1,
+        r2=r2,
         thresholds=tuple(float(t) for t in ladder),
         counts=tuple(counts),
         prob=tuple(k / n for k in counts),
@@ -368,7 +367,7 @@ def tau_gamma_bound(
         else:
             first_fail = float(g)
             break
-    if last_pass == 0.0 and first_fail is not None and first_fail == float(gammas[0]):
+    if first_fail == float(gammas[0]):
         raise TauHeavinessError(
             f"tau is too heavy for this pair: k({gammas[0]:g}) = "
             f"{k_values[0]:.6g} is not certified below 1"

@@ -54,6 +54,11 @@ def _quad(f, lo, hi):
     return integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
 
 
+def _even_mean(f) -> float:
+    """E f(Z) for standard normal Z and even f: twice the integral of f phi over [0, inf)."""
+    return 2.0 * _quad(lambda z: f(z) * _phi(z), 0.0, math.inf)
+
+
 def _polevl(x: float, coef) -> float:
     """Horner's rule, highest power first, as cephes polevl."""
     ans = coef[0]
@@ -139,13 +144,19 @@ def _log_abs_normal_moment(s: float) -> float:
     return 0.5 * s * math.log(2.0) + _gammaln(0.5 * (s + 1.0)) - _gammaln(0.5)
 
 
-def _scaled_normal_moment(c: float, s: float, r: float) -> float:
-    """c^s E|N|^r for c > 0 and standard normal N: the direct product where that
-    is a positive float, else the exp of its log, so an underflowing c^s or an
+def _scaled_normal_moment(r: float, *factors) -> float:
+    """The product of c^s over the (c, s) factors, c > 0, times E|N|^r for
+    standard normal N, through _in_range: an underflowing c^s or an
     overflowing E|N|^r cannot make it 0 * inf."""
     log_m = _log_abs_normal_moment(r)
-    v = _pow_abs(c, s) * _exp(log_m)
-    return v if 0.0 < v < math.inf else _exp(s * math.log(c) + log_m)
+    return _in_range(math.prod(_pow_abs(c, s) for c, s in factors) * _exp(log_m),
+                     sum(s * math.log(c) for c, s in factors) + log_m)
+
+
+def _in_range(v: float, log_v: float) -> float:
+    """v where it is a positive float, else exp(log_v): the one rule for a
+    closed form whose direct product or quotient leaves the float range."""
+    return v if 0.0 < v < math.inf else _exp(log_v)
 
 
 def _exp(x: float) -> float:
@@ -280,25 +291,27 @@ class _BDist:
             return 1.0
         if k == "constant":
             return _pow_abs(self.value, s)
-        if k == "exponential":
-            scale = _pow_abs(self.rate, s)
-            if scale == 0.0 or math.isinf(scale):
-                # rate ** s leaves the float range: divide in log space
-                return _exp(_gammaln(s + 1.0) - s * math.log(self.rate))
-            return _exp(_gammaln(s + 1.0)) / scale
+        if k == "exponential":  # Gamma(s + 1) / rate^s
+            log_g, scale = _gammaln(s + 1.0), _pow_abs(self.rate, s)
+            return _in_range(_exp(log_g) / scale if scale else math.inf,
+                             log_g - s * math.log(self.rate))
         if k == "pareto":
             if s >= self.index:
                 return math.inf
             return self.index * _pow_abs(self.scale, s) / (self.index - s)
         if k == "uniform":
-            # x |x|^s / (s + 1) is an antiderivative of |x|^s on either side of zero
-            lo, hi = (math.copysign(_pow_abs(v, s + 1.0), v) for v in (self.low, self.high))
-            return (hi - lo) / ((s + 1.0) * (self.high - self.low))
+            # x |x|^s / (s + 1) is an antiderivative of |x|^s on either side of zero;
+            # where that leaves the float range, take it in units of the larger end, m
+            def mean(low, high):
+                lo, hi = (math.copysign(_pow_abs(v, s + 1.0), v) for v in (low, high))
+                return (hi - lo) / ((s + 1.0) * (high - low))
+            v, m = mean(self.low, self.high), max(abs(self.low), abs(self.high))
+            return v if math.isfinite(v) else _pow_abs(m, s) * mean(self.low / m, self.high / m)
         if k == "normal":
             if self.std == 0.0:
                 return _pow_abs(self.mean, s)
             if self.mean == 0.0:
-                return _scaled_normal_moment(self.std, s, s)
+                return _scaled_normal_moment(s, (self.std, s))
             mu, sd = self.mean, self.std
             f = lambda x: _pow_abs(x, s) * _phi((x - mu) / sd) / sd
             return _quad(f, -math.inf, 0.0) + _quad(f, 0.0, math.inf)
@@ -520,8 +533,8 @@ class _CCCGarch(_Gaussian):
         if a == 0.0:
             return _pow_abs(g, s)
         if g == 0.0:
-            return _scaled_normal_moment(a, s, 2.0 * s)
-        return 2.0 * _quad(lambda z: _pow_abs(a * z * z + g, s) * _phi(z), 0.0, math.inf)
+            return _scaled_normal_moment(2.0 * s, (a, s))
+        return _even_mean(lambda z: _pow_abs(a * z * z + g, s))
 
     def drift_exact(self, j):
         a, g = self.arch[j], self.garch[j]
@@ -529,7 +542,7 @@ class _CCCGarch(_Gaussian):
             return (math.log(g), 0.0, True) if g > 0.0 else (None, 1.0, True)
         if g == 0.0:
             return math.log(a) + _digamma(0.5) + math.log(2.0), 0.0, False
-        return 2.0 * _quad(lambda z: math.log(a * z * z + g) * _phi(z), 0.0, math.inf), 0.0, False
+        return _even_mean(lambda z: math.log(a * z * z + g)), 0.0, False
 
     def goldie_mean_exact(self, j, alpha):
         a, g = self.arch[j], self.garch[j]
@@ -538,19 +551,15 @@ class _CCCGarch(_Gaussian):
         if g == 0.0:
             kap = self.kappa_exact(j, alpha)
             return kap * (math.log(a) + math.log(2.0) + _digamma(alpha + 0.5))
-        return 2.0 * _quad(
-            lambda z: _pow_abs(a * z * z + g, alpha) * math.log(a * z * z + g) * _phi(z),
-            0.0,
-            math.inf,
-        )
+        return _even_mean(lambda z: _pow_abs(a * z * z + g, alpha) * math.log(a * z * z + g))
 
     def joint_moment_exact(self, i, j, s, u):
         ai, gi = self.arch[i], self.garch[i]
         aj, gj = self.arch[j], self.garch[j]
         fi, fj = self.z_map[i], self.z_map[j]
         if fi == fj:
-            f = lambda z: _pow_abs1(ai * z * z + gi, s) * _pow_abs1(aj * z * z + gj, u) * _phi(z)
-            return 2.0 * _quad(f, 0.0, math.inf)
+            f = lambda z: _pow_abs1(ai * z * z + gi, s) * _pow_abs1(aj * z * z + gj, u)
+            return _even_mean(f)
         if self.corr[fi, fj] == 0.0:
             ki = self.kappa_exact(i, s) if s > 0.0 else 1.0
             kj = self.kappa_exact(j, u) if u > 0.0 else 1.0
@@ -577,7 +586,7 @@ class _BekkDiag(_Gaussian):
             return 0.0
         if s == 0.0:
             return 1.0
-        return _scaled_normal_moment(sig, s, s)
+        return _scaled_normal_moment(s, (sig, s))
 
     def drift_exact(self, j):
         sig = self.sigma[j]
@@ -601,10 +610,8 @@ class _BekkDiag(_Gaussian):
         rho = float(self.coeff[:, i] @ self.coeff[:, j]) / (si * sj)
         if rho == 0.0:
             return fi * fj
-        if abs(abs(rho) - 1.0) <= 1e-12:
-            if s == 0.0 or u == 0.0:
-                return fi * fj
-            return _pow_abs(si, s) * _pow_abs(sj, u) * _exp(_log_abs_normal_moment(s + u))
+        if abs(abs(rho) - 1.0) <= 1e-12:  # a zero order's factor is c^0 = 1
+            return _scaled_normal_moment(s + u, (si, s), (sj, u))
         return None
 
 

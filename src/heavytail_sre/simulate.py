@@ -117,11 +117,7 @@ def iterate(spec: ModelSpec, x0, n: int, rng: np.random.Generator) -> np.ndarray
     All coefficients are drawn up front in one call, so a chain generator
     advanced here matches the pooled simulation step for step.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.d,):
-        raise ValueError(f"x0 must have shape ({spec.d},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    x0 = _start(x0, spec.d)
     if n < 1:
         raise ValueError("n must be positive")
     a, b = spec.sample_coeffs(rng, n)
@@ -129,6 +125,14 @@ def iterate(spec: ModelSpec, x0, n: int, rng: np.random.Generator) -> np.ndarray
         t = lost[0]
         raise DivergenceError(f"trajectory left the representable range at step {t}", step=t)
     return b.copy()  # (n, d) in C order, not a view that keeps the a draw alive
+
+
+def _start(x0, d: int) -> np.ndarray:
+    """x0 as a float vector, checked to be finite and of length d."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite vector of length {d}")
+    return x0
 
 
 def _recur(a: np.ndarray, x: np.ndarray, x0: np.ndarray) -> tuple[int, int] | None:
@@ -231,11 +235,7 @@ def stationary_pool(
     if chains < 1 or n_per_chain < 1 or thin < 1:
         raise ValueError("chains, n_per_chain, and thin must be positive")
     d = spec.d
-    if x0 is None:
-        x0 = np.zeros(d)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite vector of length {d}")
+    x0 = _start(np.zeros(d) if x0 is None else x0, d)
 
     diags = drift_diagnostics(spec, seed)
     bad = [j for j, lm in enumerate(diags) if not lm.contractive]

@@ -116,12 +116,25 @@ def test_ambiguous_pair_raises():
     assert part.classes == ((0,), (1,))
 
 
+def test_grouped_pair_off_its_tail_index_raises():
+    # comonotone equal coordinates agree on every sample at any common
+    # weight, but at alpha = 3 their mixed moment is E|A|^3 = 1.7, not 1
+    spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True})
+    with pytest.raises(AmbiguousPartitionError, match="agree on samples") as err:
+        detect_blocks(spec, [3.0, 3.0], RNG(0), n=1_000)
+    assert err.value.pair == (0, 1)
+
+
 def test_detect_blocks_validates_input():
     spec = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5})
     with pytest.raises(ValueError):
         detect_blocks(spec, [2.0], RNG(0))
     with pytest.raises(ValueError):
         detect_blocks(spec, [2.0, -1.0], RNG(0))
+    with pytest.raises(ValueError, match="1-d"):
+        detect_blocks(spec, [[2.0, 2.0]], RNG(0))
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        detect_blocks(spec, [2.0, 2.0], RNG(0), n=1)
     with pytest.raises(ValueError):
         detect_blocks(spec, [2.0, 2.0], RNG(0), xi_probes=(0.0, 0.5))
 

@@ -41,6 +41,15 @@ def test_dilate_rejects_bad_t():
         dilate(-2.0, [1.0, 1.0], ALPHAS)
 
 
+def test_norm_rejects_bad_weights_and_widths():
+    for alphas, message in [([], "nonempty 1-d"), ([[1.0, 2.0]], "nonempty 1-d"),
+                            ([1.0, 0.0], "strictly positive"), ([1.0, np.inf], "finite")]:
+        with pytest.raises(ValueError, match=message):
+            alpha_norm([1.0, 2.0], alphas)
+    with pytest.raises(ValueError, match="2 coordinates on its last axis"):
+        alpha_norm([1.0, 2.0, 3.0], ALPHAS)
+
+
 def test_norm_batch_shape():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(100, 2))

@@ -4,15 +4,20 @@ and of five pools built directly by ``stationary_pool``.
 manifest.json is skipped because it is the one artifact that carries
 wall-clock state.  The recorded digests pin the numbers the pipeline
 produces on this numpy/scipy build; a digest change is a behaviour change
-to be explained, never a table to refresh until the test passes.
+to be explained, never a table to refresh until the test passes.  The same
+runs are kept as text under tests/golden/ (see golden_diff.py), so a failed
+digest lists each JSON path and CSV cell that moved.
 """
 
 import hashlib
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 
+from golden_diff import GOLDEN, LEFT_OUT, moved
 from heavytail_sre import ModelSpec, stationary_pool
 from heavytail_sre.cli import main
 
@@ -132,7 +137,44 @@ def run_digests(name: str, root) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifact_digests(name, tmp_path):
-    assert run_digests(name, tmp_path) == DIGESTS[name]
+    got = run_digests(name, tmp_path)
+    assert got == DIGESTS[name], "\n".join(
+        ["moved from tests/golden:", *moved(GOLDEN / name, tmp_path / "out")]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_text_has_the_digested_bytes(name):
+    # every artifact is kept as text but those left out; report.json is kept
+    # without its stage copies, so it alone differs from its digest
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (GOLDEN / name).iterdir()}
+    assert files.keys() == DIGESTS[name].keys() - set(LEFT_OUT)
+    assert {k: v for k, v in files.items() if v != DIGESTS[name][k]}.keys() == {"report.json"}
+
+
+def test_a_forced_mismatch_lists_each_moved_path_and_cell(tmp_path):
+    # a copy of a golden run with one JSON float 2 ulps up, one JSON count
+    # one up and one CSV cell 1 ulp down
+    name = "two-point-no-blocks"
+    out = tmp_path / "out"
+    shutil.copytree(GOLDEN / name, out)
+    report = out / "tails.report.json"
+    doc = json.loads(report.read_text())
+    c_inf = doc["tail_constants"]["c_inf"]
+    old_value = c_inf["value"]
+    c_inf["value"] = math.nextafter(math.nextafter(old_value, math.inf), math.inf)
+    c_inf["n"] += 1
+    report.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    ladders = out / "tails.ladders.csv"
+    rows = [row.split(",") for row in ladders.read_bytes().decode().split("\r\n")]
+    old_cell = rows[2][3]
+    rows[2][3] = "%.17g" % math.nextafter(float(old_cell), -math.inf)
+    ladders.write_bytes("\r\n".join(",".join(row) for row in rows).encode())
+    assert moved(GOLDEN / name, out) == [
+        f"tails.ladders.csv row 2 ci_lo: {old_cell!r} -> {rows[2][3]!r} (1 ulp)",
+        f"tails.report.json.tail_constants.c_inf.n: {c_inf['n'] - 1} -> {c_inf['n']}",
+        f"tails.report.json.tail_constants.c_inf.value: {old_value!r} -> {c_inf['value']!r} (2 ulp)",
+    ]
 
 
 # distinct per-coordinate atoms, so a coordinate mix-up changes the digest

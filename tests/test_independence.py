@@ -192,6 +192,9 @@ def test_tau_kinds_keep_their_bits(kind):
 def test_submultiplicativity_validates_range():
     with pytest.raises(ValueError):
         submultiplicativity_check(build_tau(LOG), RNG(0), n=0)
+    # a weight that is nan everywhere leaves no ratio to compare
+    with pytest.raises(ValueError, match="every probed ratio was indeterminate"):
+        submultiplicativity_check(Tau("nan", lambda g: np.full(g.shape, np.nan)), RNG(0), n=100)
 
 
 # -- joint exceedance ladders ------------------------------------------------------
@@ -313,3 +316,13 @@ def test_gamma_bound_validates_arguments():
         tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(0), xi=1.0)
     with pytest.raises(ValueError):
         tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(0), gammas=[0.5, 0.2])
+    negative = Tau("negative", lambda g: -np.ones(g.shape), f2=lambda g: np.ones(g.shape))
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        tau_gamma_bound(PAIR, 0, 1, 2.0, 2.0, negative, RNG(0), n=1_000)
+
+
+def test_gamma_bound_refuses_a_sample_not_certified_below_one():
+    # at alphas 3.99 the closed-form cross moment is 0.9958, certified below
+    # 1; the sample mean of the same moment over 20,000 draws is not
+    with pytest.raises(ValueError, match="sampled cross moment not certified below 1"):
+        tau_gamma_bound(PAIR, 0, 1, 3.99, 3.99, build_tau(LOG), RNG(0), n=20_000)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,40 @@ def test_closed_form_moments_out_of_float_range_are_inf_or_their_value():
             assert two_point(b=law).b_moment_exact(0, s) == math.inf, law
         rare = ModelSpec("TwoPoint", 1, {"p": 1e-30, "up": 1e10, "down": 0.5})
         assert rare.goldie_mean_exact(0, 40.0) == math.inf
+
+
+# (low, high, s, E|B|^s): the ends' |v|^(s+1) overflow on one side of zero
+# (inf - inf) or on both (inf / finite), although only the first moment is
+# past the float range
+UNIFORM_PAST_THE_RANGE = [
+    (1e9, 2e9, 40.0, math.inf),
+    (1e300, 2e300, 0.1, 2e300 ** 0.1 * (1.0 - 0.5 ** 1.1) / (1.1 * 0.5)),
+    (-1e300, 1e300, 0.1, 1e300 ** 0.1 / 1.1),
+]
+
+
+@pytest.mark.parametrize("low, high, s, want", UNIFORM_PAST_THE_RANGE)
+def test_uniform_noise_moment_past_the_float_range(low, high, s, want):
+    spec = two_point(b={"dist": "uniform", "low": low, "high": high})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spec.b_moment_exact(0, s) == pytest.approx(want, rel=1e-12)
+
+
+def test_exponential_noise_moment_whose_gamma_overflows():
+    # Gamma(173) overflows a float before the division by 2^172, but
+    # Gamma(173) / 2^172 = 172! / 2^172 does not; the log form loses some
+    # 600 ulps at a log of about 598
+    spec = two_point(b={"dist": "exponential", "rate": 2.0})
+    assert spec.b_moment_exact(0, 172.0) == pytest.approx(math.factorial(172) / 2**172, rel=1e-12)
+
+
+def test_bekk_unit_correlation_joint_moment_below_the_float_range():
+    # rho = 1: E|A_0|^100 |A_1|^100 = 0.01^100 0.02^100 E|N|^200, with
+    # E|N|^200 = 199!! exactly; 0.01^100 0.02^100 underflows to 0 first
+    spec = ModelSpec("BekkDiag", 2, {"coeff": [[0.01, 0.02]]})
+    want = float(Fraction(0.01) ** 100 * Fraction(0.02) ** 100 * math.prod(range(1, 200, 2)))
+    assert spec.joint_moment_exact(0, 1, 100.0, 100.0) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_coefficient_kappa():
@@ -498,6 +533,8 @@ def test_sample_coeffs_fills_coordinate_major_rows(name):
             spec.sample_coeffs(RNG(17), n, out=(out[0], np.empty(bad)))
         with pytest.raises(ValueError, match="out must be"):
             spec.sample_coeffs(RNG(17), n, out=(np.empty(bad), out[1]))
+    with pytest.raises(ValueError, match="n must be positive"):
+        spec.sample_coeffs(RNG(17), 0)
 
 
 def lognormal_a(p, rng, n):
@@ -867,6 +904,7 @@ def test_json_roundtrip_preserves_model():
     doc = spec.to_json()
     clone = ModelSpec.from_json(json.loads(json.dumps(doc)))
     assert clone.fingerprint() == spec.fingerprint()
+    assert repr(clone) == repr(spec) == "ModelSpec(family='CCCGarch', d=3)"
     a1, b1 = spec.sample_coeffs(RNG(8), 64)
     a2, b2 = clone.sample_coeffs(RNG(8), 64)
     assert np.array_equal(a1, a2)

@@ -352,6 +352,8 @@ def test_pool_validates_arguments():
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, thin=0)
     with pytest.raises(ValueError):
         stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, x0=np.zeros(3))
+    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        stationary_pool(REFERENCE, seed=0, chains=1, n_per_chain=10, burn_in=-1)
 
 
 def test_pool_frees_slabs_before_chain_columns(monkeypatch):

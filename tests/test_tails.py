@@ -20,7 +20,7 @@ from heavytail_sre import (
     spectral_measure,
     stationary_pool,
 )
-from heavytail_sre.common import binomial_ci, doubling_change
+from heavytail_sre.common import binomial_ci, doubling_change, mean_estimate
 from heavytail_sre.tails import _ladder
 
 REFERENCE = ModelSpec(
@@ -422,6 +422,15 @@ def test_binomial_ci_full_count_takes_the_rule_of_three_lower_bound():
     # fewer than three trials: the bound stops at 0
     assert binomial_ci(2, 2).ci_lo == 0.0
     assert binomial_ci(0, 50).ci_hi == 3.0 / 50
+
+
+def test_sample_statistics_refuse_too_few_samples():
+    with pytest.raises(ValueError, match="no samples"):
+        mean_estimate(np.empty(0))
+    with pytest.raises(ValueError, match="need at least two samples"):
+        doubling_change(np.ones(1))
+    with pytest.raises(ValueError, match="need n > 0"):
+        binomial_ci(0, 0)
 
 
 def test_doubling_change_of_an_all_zero_sample_is_zero():
