@@ -34,6 +34,7 @@ from .common import (
     METHODS,
     REQUIRED,
     ConfigurationError,
+    Workers,
     atomic_write,
     choice,
     given,
@@ -43,6 +44,7 @@ from .common import (
     ranged,
     read_keys,
     stage_stream,
+    usable_cpus,
 )
 from .geometry import magnitude_power
 from .independence import (
@@ -53,7 +55,8 @@ from .independence import (
     tau_gamma_bound,
 )
 from .model import ModelSpec, log_moment
-from .moments import goldie_mean, moment_abscissa, noise_margin_ok, positivity_check, solve_alpha
+from .moments import (goldie_mean_draw, goldie_mean_on, moment_abscissa_draw, moment_abscissa_on,
+                      noise_margin_ok, positivity_check, solve_alpha_draw, solve_alpha_on)
 from .simulate import SamplePool, stationary_pool
 from .tails import (
     DEFAULT_MIN_TOP,
@@ -444,28 +447,42 @@ class _Runner:
         rng = stage_stream(self.seed, STAGE_IDS["solve-alpha"])
         method, n, scan_n = params["method"], params["n"], params["abscissa_n"]
         spec = self.spec
-        coords = []
-        alphas = []
-        for j in range(spec.d):
-            drift = log_moment(spec, j, n=min(n, 200_000), rng=rng, method=method)
-            root = solve_alpha(spec, j, tol=params["tol"], method=method, n=n, rng=rng)
-            gm = goldie_mean(spec, j, root.alpha, method=method, n=n, rng=rng)
-            scan = moment_abscissa(spec, j, n=scan_n, rng=rng, method=method)
-            pos = positivity_check(spec, j, root.alpha, n=scan_n, rng=rng)
-            margin_ok = noise_margin_ok(spec, j, root.alpha, scan_n, rng)
-            alphas.append(root.alpha)
-            coords.append(
+        # Every draw is made here, from the one stream in its order.  The
+        # arithmetic on a Monte Carlo draw goes to a forked worker, which
+        # computes while the next block is drawn; this process drops the
+        # draw at once, so it holds one at a time.
+        with Workers(usable_cpus() - 1) as workers:
+
+            def on(fn, j, draw, *args):  # fn on the draw, forked off if there is one
+                return workers.call(fn, spec, j, draw, *args, fork=draw is not None)
+
+            pending = []
+            for j in range(spec.d):
+                drift = log_moment(spec, j, n=min(n, 200_000), rng=rng, method=method)
+                root = on(solve_alpha_on, j, solve_alpha_draw(spec, j, method, n, rng),
+                          params["tol"])
+                draw = goldie_mean_draw(spec, j, method, n, rng)  # while the root is solved
+                alpha = root().alpha
+                gm = on(goldie_mean_on, j, draw, alpha)
+                del draw
+                scan = on(moment_abscissa_on, j, moment_abscissa_draw(spec, j, scan_n, rng, method))
+                pos = positivity_check(spec, j, alpha, n=scan_n, rng=rng)
+                margin_ok = noise_margin_ok(spec, j, alpha, scan_n, rng)
+                pending.append((drift, root, gm, scan, pos, margin_ok))
+            coords = [
                 {
-                    "abscissa": scan.to_dict(),
-                    "alpha": root.alpha,
-                    "alpha_solver": root.to_dict(),
-                    "goldie_mean": gm.to_dict(),
+                    "abscissa": scan().to_dict(),
+                    "alpha": root().alpha,
+                    "alpha_solver": root().to_dict(),
+                    "goldie_mean": gm().to_dict(),
                     "log_moment": drift.to_dict(),
                     "margin_ok": margin_ok,
                     "positivity": pos.to_dict(),
                 }
-            )
-        doc = {"alphas": alphas, "coordinates": coords, "sigma_margin": spec.sigma_margin}
+                for drift, root, gm, scan, pos, margin_ok in pending
+            ]
+        doc = {"alphas": [c["alpha"] for c in coords], "coordinates": coords,
+               "sigma_margin": spec.sigma_margin}
         self._write_report(doc)
 
     def _stage_simulate(self, params: dict) -> None:

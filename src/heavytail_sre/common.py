@@ -1,4 +1,5 @@
-"""Shared result containers, error types, RNG stream derivation, file writes."""
+"""Shared result containers, error types, RNG stream derivation, file writes,
+forked workers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ import dataclasses
 import math
 import numbers
 import os
+import pickle
+import signal
+import warnings
 
 import numpy as np
 
@@ -349,3 +353,95 @@ def atomic_write(path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class Workers:
+    """Calls run in forked worker processes, at most ``cap`` alive at once;
+    with cap 0 every call runs here.  ``call`` returns the getter of its
+    result.  A worker sends back its result, or the exception it raised,
+    pickled through a pipe, and results are awaited in call order.
+
+    Leaving the block on an exception first awaits the calls still out,
+    all made before it, so the earliest failure in call order is the one
+    raised, as if every call had run here in turn.  Then, and on any other
+    exit, every worker still alive is killed and reaped.
+    """
+
+    def __init__(self, cap: int):
+        self.cap, self._calls = cap, 0
+        self._live: list[tuple[int, int, int]] = []  # (call, pid, read end), oldest first
+        self._done: dict = {}  # call -> result of a collected worker
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            if kind is not None and issubclass(kind, Exception):
+                while self._live:  # an earlier call's failure comes first
+                    self._collect()
+        finally:
+            self._kill()
+
+    def call(self, fn, *args, fork: bool = True):
+        """fn(*args): in a worker unless cap is 0 or fork is false, in which
+        case it runs (and raises) here at once.  The getter returns the
+        result or raises the exception."""
+        k, self._calls = self._calls, self._calls + 1
+        if not (fork and self.cap):
+            value = fn(*args)
+            return lambda: value
+        while len(self._live) >= self.cap:
+            self._collect()
+        r, w = os.pipe()
+        with warnings.catch_warnings():  # Python >= 3.12: BLAS threads, see README
+            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # leaves only through os._exit: no handler, atexit hook or flush
+            status = 1
+            try:
+                try:
+                    out = True, fn(*args)
+                except BaseException as exc:
+                    out = False, exc
+                data = memoryview(pickle.dumps(out))
+                while data:
+                    data = data[os.write(w, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._live.append((k, pid, r))
+        return lambda: self._result(k)
+
+    def _result(self, k: int):
+        while k not in self._done:
+            self._collect()
+        return self._done[k]
+
+    def _collect(self) -> None:
+        """Await the oldest worker: keep its result, or kill the later ones
+        and raise its exception."""
+        k, pid, r = self._live[0]
+        data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del self._live[0]
+        os.close(r)
+        ok, value = (False, RuntimeError(f"exit status {status}")) if status else pickle.loads(data)
+        if not ok:
+            self._kill()
+            raise value
+        self._done[k] = value
+
+    def _kill(self) -> None:
+        while self._live:
+            _, pid, r = self._live[-1]
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+            self._live.pop()

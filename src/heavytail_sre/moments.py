@@ -17,6 +17,9 @@ Monte Carlo routes reuse one coefficient draw across all evaluations of a
 root search (common random numbers), so the estimated kappa is a smooth
 deterministic function of s within a call.  Each routine computes in place
 in the rows of its draw, and the rows it does not read serve as scratch.
+solve_alpha, goldie_mean and moment_abscissa are split at their draw:
+<name>_draw takes the route and draws, <name>_on computes on the draw, so
+a caller can hand the arithmetic to another process and draw on.
 """
 
 from __future__ import annotations
@@ -145,6 +148,12 @@ def _pilot_from_drift(mean_log: float, var_log: float) -> float:
     return min(max(pilot, 1e-3), 1e3)
 
 
+def _draw(spec: ModelSpec, available: bool, what: str, method: str, n: int, rng):
+    """The n-row draw of a Monte Carlo route, or None where use_closed_form
+    takes the closed form."""
+    return None if use_closed_form(method, available, what, rng) else spec.sample_coeffs(rng, n)
+
+
 def solve_alpha(
     spec: ModelSpec,
     j: int,
@@ -164,7 +173,18 @@ def solve_alpha(
     Monte Carlo calls freeze a single coefficient draw and solve on the
     empirical kappa, so the achieved tolerance is relative to that draw.
     """
-    if use_closed_form(method, spec.kappa_exact(j, 1.0) is not None, "solve_alpha", rng):
+    return solve_alpha_on(spec, j, solve_alpha_draw(spec, j, method, n, rng), tol)
+
+
+def solve_alpha_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
+    """solve_alpha's route, taken: the draw of its Monte Carlo route, or
+    None for the closed form."""
+    return _draw(spec, spec.kappa_exact(j, 1.0) is not None, "solve_alpha", method, n, rng)
+
+
+def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> AlphaRoot:
+    """solve_alpha on the route that solve_alpha_draw took."""
+    if draw is None:
         tol = 1e-8 if tol is None else float(tol)
         mean_log, zero_mass, _ = spec.drift_exact(j)
         if zero_mass >= 1.0:
@@ -183,7 +203,8 @@ def solve_alpha(
         tag = "closed-form"
     else:
         tol = 1e-3 if tol is None else float(tol)
-        a, b = spec.sample_coeffs(rng, n)
+        a, b = draw
+        n = len(a)
         logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))  # in place in the A row
         buf = b[: logs.size, j]  # the spare noise row takes the powers
         if logs.size == 0:
@@ -255,10 +276,21 @@ def goldie_mean(
     from finitely many draws.
     """
     alpha = require(alpha, "alpha")
-    closed = spec.goldie_mean_exact(j, alpha)
-    if use_closed_form(method, closed is not None, "goldie_mean", rng):
-        return exact(closed)
-    a, b = spec.sample_coeffs(rng, n)
+    return goldie_mean_on(spec, j, goldie_mean_draw(spec, j, method, n, rng), alpha)
+
+
+def goldie_mean_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
+    """goldie_mean's route, taken before alpha is known (a family has the
+    closed form at every alpha or at none): the draw of its Monte Carlo
+    route, or None for the closed form."""
+    return _draw(spec, spec.goldie_mean_exact(j, 1.0) is not None, "goldie_mean", method, n, rng)
+
+
+def goldie_mean_on(spec: ModelSpec, j: int, draw, alpha: float) -> Estimate:
+    """goldie_mean at alpha on the route that goldie_mean_draw took."""
+    if draw is None:
+        return exact(spec.goldie_mean_exact(j, alpha))
+    a, b = draw
     w, logs = a[:, j], b[:, j]
     np.abs(w, out=w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -338,13 +370,24 @@ def moment_abscissa(
     sample doubling; the reported s_inf is the last stable order before the
     first unstable one.  This is a cheap divergence heuristic, not a proof.
     """
+    return moment_abscissa_on(spec, j, moment_abscissa_draw(spec, j, n, rng, method))
+
+
+def moment_abscissa_draw(spec: ModelSpec, j: int, n: int, rng, method: str):
+    """moment_abscissa's route, taken: the 2n-row draw of its Monte Carlo
+    route, or None for the closed form."""
+    return _draw(spec, spec.b_abscissa(j) is not None, "moment_abscissa", method, 2 * n, rng)
+
+
+def moment_abscissa_on(spec: ModelSpec, j: int, draw) -> AbscissaScan:
+    """moment_abscissa on the route that moment_abscissa_draw took."""
     grid = np.arange(0.5, 8.001, 0.5)
     b_abs = spec.b_abscissa(j)
-    if use_closed_form(method, b_abs is not None, "moment_abscissa", rng):
+    if draw is None:
         return AbscissaScan(float(b_abs), "closed-form", tuple(grid), None, None)
-    a, b = spec.sample_coeffs(rng, 2 * n)
+    a, b = draw
     ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
-    buf = a[:, j - 1] if spec.d > 1 else np.empty(2 * n)  # another A row, or a fresh one
+    buf = a[:, j - 1] if spec.d > 1 else np.empty(len(a))  # another A row, or a fresh one
     a_stable = [bool(doubling_change(abs_pow(ca, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
     b_stable = [bool(doubling_change(abs_pow(cb, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
     # the first order where either moment is unstable, or the grid's end

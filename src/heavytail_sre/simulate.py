@@ -22,14 +22,12 @@ import dataclasses
 import json
 import math
 import mmap
-import os
 import pathlib
-import signal
-import warnings
 
 import numpy as np
 
-from .common import DivergenceError, NonContractiveError, atomic_write, chain_stream, diagnostic_stream
+from .common import (DivergenceError, NonContractiveError, Workers, atomic_write, chain_stream,
+                     diagnostic_stream, usable_cpus)
 from .model import LogMoment, ModelSpec, log_moment
 
 POOL_SCHEMA = "pool-columnar-v1"
@@ -153,42 +151,6 @@ def _recur(a: np.ndarray, x: np.ndarray, x0: np.ndarray) -> tuple[int, int] | No
     return i + 1, int(lost[:, i].argmax())
 
 
-def _run_shares(run_share, procs: int) -> None:
-    """run_share(0) here and run_share(k), 0 < k < procs, in forked workers.
-    Every worker is reaped, and killed first if this process fails or is
-    interrupted, also while it waits; a failed worker raises here."""
-    workers, statuses = [], []
-    try:
-        for k in range(1, procs):
-            r, w = os.pipe()
-            with warnings.catch_warnings():  # Python >= 3.12: BLAS threads, see README
-                warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # leaves only through os._exit: no handler, atexit hook or flush
-                status = 1
-                try:
-                    run_share(k)
-                    status = 0
-                except BaseException as exc:  # one write, which the empty pipe holds
-                    os.write(w, f"{type(exc).__name__}: {exc}"[:1000].encode())
-                finally:
-                    os._exit(status)
-            os.close(w)
-            workers.append((pid, r))
-        run_share(0)
-        for pid, _ in workers:
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    finally:
-        for pid, _ in workers[len(statuses):]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        texts = [os.read(r, 4096).decode() for _, r in workers]
-        for _, r in workers:
-            os.close(r)
-    if errors := [text or f"exit status {s}" for text, s in zip(texts, statuses) if s]:
-        raise RuntimeError(f"simulation worker failed: {errors[0]}")
-
-
 def default_burn_in(drifts) -> int:
     """ceil(20 / |median log drift|), at least 1.
 
@@ -259,8 +221,7 @@ def stationary_pool(
     # CPU, block and chain split that budget, in a multiple of procs blocks
     n_blocks = -(-chains // max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1)))
     block = -(-chains // n_blocks)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(cpus, n_blocks, block)
+    procs = min(usable_cpus(), n_blocks, block)
     block = -(-chains // (-(-chains // (block // procs * procs)) * procs))
     starts = range(0, chains, block)
     # shared with the workers: the float groups in pool.bin order, so every
@@ -294,7 +255,15 @@ def stationary_pool(
                 x_pre[rows, :, 0] = x0
                 x_pre[rows, :, 1:] = x[:, :, :-1]
 
-    _run_shares(run_share, procs)
+    # share 0 here and share k, 0 < k < procs, in forked workers
+    with Workers(procs - 1) as workers:
+        shares = [workers.call(run_share, k) for k in range(1, procs)]
+        run_share(0)
+        try:
+            for share in shares:
+                share()
+        except Exception as exc:
+            raise RuntimeError(f"simulation worker failed: {type(exc).__name__}: {exc}") from None
     if failures := [(int(t), int(c)) for t, c in failed if t]:
         t, c = min(failures)
         raise DivergenceError(

@@ -9,10 +9,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_simulate import assert_no_child_left, use_cpus
 
 from heavytail_sre import cli
 from heavytail_sre.cli import main
+from heavytail_sre.model import ModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1159,3 +1162,80 @@ def test_run_hands_the_stages_the_read_only_map_of_pool_bin(tmp_path, monkeypatc
                                             "pipeline": ["solve-alpha", simulate, "tails"]})
     assert main(["run", "--config", cfg]) == 0
     assert seen == [[False] * 4]
+
+
+# -- the solve-alpha stage's forked workers ------------------------------------
+
+BEKK3 = {"family": "BekkDiag", "d": 3, "params": {
+    "coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+    "b": {"dist": "exponential", "rate": 1.0}}}
+FORKED_MODELS = {
+    "bekk-diag": BEKK3,
+    # d = 1: the abscissa scan has no spare A row and takes a fresh one
+    "ccc-garch-d1-pareto": {"family": "CCCGarch", "d": 1, "params": {
+        "arch": 0.35, "garch": 0.25, "b": {"dist": "pareto", "index": 3.0}}},
+    # mass at A = 0: the log drift is taken over the compacted nonzero logs
+    "two-point-zero-mass": pair_model(down=0.0),
+    "custom-atoms": atoms_model([0.3, 0.7], [[1.5, 0.5], [0.6, 1.2]], [[1.0, 1.0], [0.5, -0.5]]),
+}
+
+
+def monte_carlo_config(path: Path, model: dict, n: int, scan_n: int, seed: int = 3) -> str:
+    params = {"method": "monte-carlo", "n": n, "abscissa_n": scan_n}
+    return write_config(path, {"model": model, "seed": seed, "out": str(path.parent / "o"),
+                               "pipeline": [{"stage": "solve-alpha", "params": params}]})
+
+
+@pytest.mark.parametrize("model", sorted(FORKED_MODELS))
+def test_solve_alpha_keeps_its_bytes_at_one_and_two_cpus(model, tmp_path, monkeypatch):
+    spec = FORKED_MODELS[model]
+    cfg = monte_carlo_config(tmp_path / "c.json", spec, 20_000, 5_000)
+    reports = []
+    for procs in (1, 2):
+        forks = use_cpus(monkeypatch, procs)
+        out = tmp_path / f"o{procs}"
+        assert main(["solve-alpha", "--config", cfg, "--out", str(out)]) == 0
+        # solve_alpha, goldie_mean and moment_abscissa draw once per coordinate
+        assert len(forks) == (procs - 1) * 3 * spec["d"]
+        assert_no_child_left()
+        reports.append((out / "solve-alpha.report.json").read_bytes())
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_a_failing_solve_alpha_worker_fails_the_stage_as_one_process(procs, tmp_path,
+                                                                     monkeypatch, capsys):
+    model = {"family": "TwoPoint", "d": 1, "params": {
+        "p": 0.5, "up": 2.0, "down": 0.6, "b": {"dist": "exponential", "rate": 1.0}}}
+    cfg = monte_carlo_config(tmp_path / "c.json", model, 100_000, 20_000)
+    forks = use_cpus(monkeypatch, procs)
+    assert main(["solve-alpha", "--config", cfg]) == 1
+    # the line the stage printed when it ran every routine in one process
+    assert capsys.readouterr().err == (
+        '{"detail": "tail index does not exist for coordinate 0: negative log drift not '
+        'certified (95% CI [0.08678, 0.09424])", "error": "TailIndexError", '
+        '"stage": "solve-alpha"}\n')
+    assert len(forks) == procs - 1
+    assert not (tmp_path / "o" / "solve-alpha.report.json").exists()
+    assert_no_child_left()
+
+
+def test_solve_alpha_holds_one_draw_at_a_time(tmp_path, monkeypatch):
+    # each draw is dropped once its worker forks, so the next draw does not
+    # stand beside it; the n-row draws are the stage's largest
+    n = 100_000
+    cfg = monte_carlo_config(tmp_path / "c.json", BEKK3, n, n // 4)
+    spec = ModelSpec.from_json(BEKK3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec.sample_coeffs(np.random.default_rng(7), n)
+        draw = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        forks = use_cpus(monkeypatch, 2)
+        assert main(["solve-alpha", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 9
+    assert peak <= draw + 8 * n, (peak, draw)

@@ -250,6 +250,30 @@ def test_goldie_mean_validates_alpha():
         goldie_mean(two_point(), 0, 0.0)
 
 
+# every family, with the branches its goldie_mean_exact takes
+GOLDIE_ROUTED = {
+    "two-point": two_point(),
+    "two-point-zero-mass": two_point(down=0.0),
+    "lognormal": ModelSpec("LogNormal", 1, {"mu": -0.5, "sigma": 1.0}),
+    "ccc-garch": ModelSpec("CCCGarch", 3, {"arch": [0.35, 0.0, 0.4], "garch": [0.25, 0.5, 0.0]}),
+    "ccc-garch-zero": ModelSpec("CCCGarch", 1, {"arch": 0.0, "garch": 0.0}),
+    "bekk-diag": ModelSpec("BekkDiag", 2, {"coeff": [[0.8, 0.0], [0.6, 0.0]]}),
+    "custom-atoms": ModelSpec("Custom", 1, {"atoms": {"prob": [0.3, 0.7], "a": [[1.5], [0.6]],
+                                                      "b": [[1.0], [0.5]]}}),
+    "custom-callable": ModelSpec("Custom", 1, {"sampler": lambda rng, n: (np.ones((n, 1)),) * 2}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDIE_ROUTED))
+def test_goldie_mean_routes_without_the_value_of_alpha(model):
+    # the solve-alpha stage takes goldie_mean's route, and draws, before
+    # alpha is known: the route asks for the closed form at alpha = 1
+    spec = GOLDIE_ROUTED[model]
+    for j in range(spec.d):
+        routes = {spec.goldie_mean_exact(j, alpha) is None for alpha in (0.1, 1.0, 2.5, 7.0)}
+        assert routes == {model == "custom-callable"}, j
+
+
 # -- cross_kappa -----------------------------------------------------------------
 
 

@@ -321,6 +321,39 @@ def test_interrupted_parent_kills_and_reaps_its_workers(monkeypatch, where):
     assert_no_child_left()
 
 
+def fail(text):
+    raise ValueError(text)
+
+
+def test_workers_await_their_calls_in_call_order(monkeypatch):
+    forks = use_cpus(monkeypatch, 2)
+    with common.Workers(1) as workers:
+        results = [workers.call(lambda k: (k, os.getpid()), k) for k in range(3)]
+        got = [result() for result in results]
+    assert [k for k, _ in got] == [0, 1, 2] and os.getpid() not in {pid for _, pid in got}
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("later", ["failing call", "failure here"])
+def test_the_earliest_failure_in_call_order_is_raised(later):
+    # as if every call had run here in turn
+    with pytest.raises(ValueError, match="first"):
+        with common.Workers(2) as workers:
+            workers.call(fail, "first")
+            if later == "failing call":
+                workers.call(fail, "second")()
+            fail("second")
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_raises_its_exit_status():
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        with common.Workers(1) as workers:
+            workers.call(os._exit, 3)()
+    assert_no_child_left()
+
+
 def test_pool_extends_by_adding_chains():
     # the first chains of a larger pool replicate the smaller pool exactly
     small = stationary_pool(REFERENCE, seed=9, chains=4, n_per_chain=20)

@@ -3,16 +3,20 @@
 Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer
 that records lines of src/heavytail_sre/ only, then prints
 ``file:line: source`` for every statement, docstrings aside, none of whose
-lines ran.  The tracer sees this process alone: statements that run only
-in forked simulation workers, or in subprocesses a test starts, read as
-unreached.  Pytest does not collect this file.
+lines ran.  The tracer keeps running in forked children, which leave
+through ``os._exit``: each writes the lines it ran to a file that this
+process merges.  Statements that run only in subprocesses a test starts
+read as unreached.  Pytest does not collect this file.
 
     python tests/unreached.py [extra pytest arguments]
 """
 
 import ast
+import marshal
 import os
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -69,6 +73,17 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set]:
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                              os.environ.get("PYTHONPATH")]))
+    # a forked child starts an empty hit set and writes it out as it leaves
+    parent, real_exit, dumps = os.getpid(), os._exit, Path(tempfile.mkdtemp())
+
+    def child_exit(status):
+        if os.getpid() != parent:
+            with open(dumps / str(os.getpid()), "wb") as fh:
+                marshal.dump(list(hits), fh)
+        real_exit(status)
+
+    os.register_at_fork(after_in_child=hits.clear)
+    os._exit = child_exit
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -76,6 +91,10 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = real_exit
+    for dump in dumps.iterdir():
+        hits.update(map(tuple, marshal.loads(dump.read_bytes())))
+    shutil.rmtree(dumps)
     resolved = {(str(Path(f).resolve()), line) for f, line in hits}
     return int(code), resolved
 
