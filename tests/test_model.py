@@ -537,6 +537,28 @@ def test_sample_coeffs_fills_coordinate_major_rows(name):
         spec.sample_coeffs(RNG(17), 0)
 
 
+@pytest.mark.parametrize("name", sorted(FILL_MODELS))
+def test_kept_coordinates_are_the_full_draws_columns(name):
+    from heavytail_sre import model
+
+    spec, chunk = FILL_MODELS[name], model._CHUNK
+    # one record, one below a chunk, one chunk, and two chunks with a short last one
+    for n in (1, chunk - 1, chunk, 2 * chunk + 7):
+        rng = RNG(23)
+        a, b = spec.sample_coeffs(rng, n)
+        after = rng.random()
+        singles = [(j,) for j in range(spec.d)]
+        pairs = [(i, j) for i in range(spec.d) for j in range(spec.d)]
+        for coords in singles + pairs:
+            rng = RNG(23)
+            ka, kb = spec.sample_coeffs(rng, n, coords=coords)
+            assert ka.shape == kb.shape == (n, len(coords)), (name, n, coords)
+            assert np.array_equal(ka, a[:, coords]), (name, n, coords)
+            assert np.array_equal(kb, b[:, coords]), (name, n, coords)
+            # the same draws: the generator ends where the full draw leaves it
+            assert rng.random() == after, (name, n, coords)
+
+
 def lognormal_a(p, rng, n):
     z = rng.standard_normal((n, len(p["mu"]))) @ np.linalg.cholesky(p["corr"]).T
     return np.exp(np.asarray(p["mu"]) + np.asarray(p["sigma"]) * z)
