@@ -206,10 +206,16 @@ def mean_estimate(samples: np.ndarray, flag: str | None = None, scratch=None) ->
     if x.size == 0:
         raise ValueError("no samples")
     m = float(x.mean())
+    return normal_interval(m, variance(x, m, scratch) if math.isfinite(m) else math.nan, x.size,
+                           flag)
+
+
+def normal_interval(m: float, var: float, size: int, flag: str | None = None) -> Estimate:
+    """The interval of mean_estimate from the sample mean m and variance var."""
     if not math.isfinite(m):
-        return Estimate(m, m, m, x.size, "monte-carlo", flag or "possibly-infinite")
-    hw = Z95 * math.sqrt(variance(x, m, scratch)) / math.sqrt(x.size)
-    return Estimate(m, m - hw, m + hw, x.size, "monte-carlo", flag)
+        return Estimate(m, m, m, size, "monte-carlo", flag or "possibly-infinite")
+    hw = Z95 * math.sqrt(var) / math.sqrt(size)
+    return Estimate(m, m - hw, m + hw, size, "monte-carlo", flag)
 
 
 def variance(x: np.ndarray, mean: float, scratch=None) -> float:

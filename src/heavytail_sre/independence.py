@@ -19,7 +19,7 @@ from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeaviness
 from .common import joint_pow, mean_estimate, number, ranged, read_keys, require
 from .model import ModelSpec
 from .moments import cross_kappa
-from .geometry import magnitude_power
+from .geometry import _as_weights, magnitude_power
 from .tails import DEFAULT_MIN_TOP, _ladder, _scaled_binomials
 
 
@@ -193,7 +193,9 @@ def joint_exceedance(
     rule-of-three upper bound rather than an error, so custom ladders can
     probe beyond the data.
     """
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = _as_weights(alphas)
+    if alphas.shape != (pool.d,):
+        raise ValueError(f"alphas must have shape ({pool.d},)")
     if i == j:
         raise ValueError("need two distinct coordinates")
     r1, r2 = require(r1, "r1"), require(r2, "r2")
@@ -318,9 +320,9 @@ def tau_gamma_bound(
             "the pair may share a class"
         )
 
-    a, b = spec.sample_coeffs(rng, n)
-    ai, aj = a[:, i], a[:, j]
-    w, scratch = b[:, i], b[:, j]
+    a, b = spec.sample_coeffs(rng, n, coords=(i, j))
+    ai, aj = a[:, 0], a[:, 1]
+    w, scratch = b[:, 0], b[:, 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         joint_pow(np.abs(ai, out=w), alpha_i * xi, w)
         np.multiply(w, joint_pow(np.abs(aj, out=scratch), alpha_j * (1.0 - xi), scratch), out=w)

@@ -19,7 +19,8 @@ atom tables carry their own joint (a, b) columns instead.
 A is diagonal, so each coordinate runs its own scalar recursion, and every
 family draws straight into coordinate-major (d, n) rows, the layout of the
 simulation slabs.  ``ModelSpec.sample_coeffs`` fills the rows it is given
-with ``out=``, or allocates them and returns their (n, d) transposes.
+with ``out=``, or allocates them and returns their (n, d) transposes; with
+``coords=`` it keeps only those coordinates' rows, drawn chunk by chunk.
 
 Closed-form moment hooks return None when the family cannot provide the
 quantity analytically; callers then fall back to Monte Carlo.  For the
@@ -33,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .common import use_closed_form
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 FAMILIES = ("TwoPoint", "LogNormal", "CCCGarch", "BekkDiag", "Custom")
+_CHUNK = 1 << 12  # records per chunk of a draw that keeps some coordinates
 
 
 def _phi(z: float) -> float:
@@ -337,15 +340,19 @@ class _BSpec:
         else:
             raise ConfigurationError("noise spec must be a dict or a list of dicts")
 
-    def fill(self, rng: np.random.Generator, rows: np.ndarray) -> None:
-        """Draw coordinate by coordinate into the (d, n) rows; a shared spec
-        draws its first row and copies it into the others."""
-        if self.shared:
-            self.dists[0].fill(rng, rows[0])
-            rows[1:] = rows[0]
-            return
-        for row, dist in zip(rows, self.dists):
-            dist.fill(rng, row)
+    def fill(self, rng: np.random.Generator, rows: np.ndarray, coords) -> None:
+        """Draw coordinate by coordinate, all n at once, into the rows that
+        hold it (row r holds coords[r]), or a chunk at a time into a spare
+        row; a shared spec draws its first row once, for every row."""
+        n, spare = rows.shape[1], np.empty(min(rows.shape[1], _CHUNK))
+        for j, dist in enumerate(self.dists[:1] if self.shared else self.dists):
+            if at := [r for r, c in enumerate(coords) if c == j or self.shared]:
+                dist.fill(rng, rows[at[0]])
+                for r in at[1:]:
+                    rows[r] = rows[at[0]]
+            else:
+                for lo in range(0, n, _CHUNK):
+                    dist.fill(rng, spare[: n - lo])
 
     def to_doc(self):
         if self.shared:
@@ -366,14 +373,15 @@ class _Family:
     ``drift_exact``, ``goldie_mean_exact`` and ``joint_moment_exact`` from
     its law of A, ``b_moment_exact`` and ``b_abscissa`` here, from the
     per-coordinate noise spec ``b``.  fill draws the A block, then the B
-    block, in place into C-contiguous (d, n) rows, one coordinate per row:
-    the family's fill_a writes A and the noise spec writes B.  Custom atoms
-    draw (a, b) jointly and answer the noise hooks from their table.
+    block, in place into C-contiguous (d, n) rows, one coordinate per row
+    (or coords[r] in row r): the family's fill_a writes A and the noise
+    spec writes B.  Custom atoms draw (a, b) jointly and answer the noise
+    hooks from their table.
     """
 
-    def fill(self, rng, a, b):
-        self.fill_a(rng, a)
-        self.b.fill(rng, b)
+    def fill(self, rng, a, b, coords=None):
+        _in_chunks(self.fill_a, rng, (a,), coords, self.d)
+        self.b.fill(rng, b, range(self.d) if coords is None else coords)
 
     def params_doc(self) -> dict:
         """The params in JSON form, read back from the attributes KEYS names."""
@@ -637,15 +645,12 @@ class _CustomAtoms(_Atoms):
         self.cum[-1] = 1.0
 
     def params_doc(self):
-        return {
-            "atoms": {
-                "prob": self.prob.tolist(),
-                "a": self.a.tolist(),
-                "b": self.bvals.tolist(),
-            }
-        }
+        table = {"prob": self.prob, "a": self.a, "b": self.bvals}
+        return {"atoms": {k: v.tolist() for k, v in table.items()}}
 
-    def fill(self, rng, a, b):
+    def fill(self, rng, a, b, coords=None):
+        if coords is not None:  # one uniform per record, so it chunks as A does
+            return _in_chunks(self.fill, rng, (a, b), coords, self.d)
         idx = np.searchsorted(self.cum, rng.random(a.shape[1]), side="right")
         np.take(self.a.T, idx, axis=1, out=a)
         np.take(self.bvals.T, idx, axis=1, out=b)
@@ -678,12 +683,29 @@ class _CustomCallable:
         self.sampler = sampler
         self.label = str(getattr(sampler, "__name__", "sampler") if name is None else name)
 
-    def fill(self, rng, a, b):
-        # the sampler's contract is (n, d), so its draw is copied in transposed
-        draws = [np.asarray(v, dtype=float) for v in self.sampler(rng, a.shape[1])]
-        if [v.shape for v in draws] != [a.T.shape] * 2:
-            raise ConfigurationError(f"custom sampler must return arrays of shape {a.T.shape}")
-        a[...], b[...] = (v.T for v in draws)
+    def fill(self, rng, a, b, coords=None):
+        # the sampler's contract is (n, d), all n at once: its draw is copied in transposed
+        shape = (a.shape[1], self.d)
+        draws = [np.asarray(v, dtype=float) for v in self.sampler(rng, shape[0])]
+        if [v.shape for v in draws] != [shape] * 2:
+            raise ConfigurationError(f"custom sampler must return arrays of shape {shape}")
+        for rows, v in zip((a, b), draws):  # row by row: no temporary beside the draw
+            for r, j in enumerate(range(self.d) if coords is None else coords):
+                rows[r] = v[:, j]
+
+
+def _in_chunks(fill, rng, groups, coords, d: int) -> None:
+    """fill(rng, *groups), a record-major draw into (d, n) blocks; with
+    coords, fill on fresh (d, m) blocks of _CHUNK records in turn instead,
+    the same random numbers, and each block's coords rows copied out."""
+    if coords is None:
+        return fill(rng, *groups)
+    n = groups[0].shape[1]
+    for lo in range(0, n, _CHUNK):
+        blocks = np.empty((len(groups), d, min(_CHUNK, n - lo)))
+        fill(rng, *blocks)
+        for kept, block in zip(groups, blocks):
+            kept[:, lo:lo + _CHUNK] = block[list(coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -729,24 +751,26 @@ class ModelSpec:
     # -- sampling -----------------------------------------------------------
 
     def sample_coeffs(
-        self, rng: np.random.Generator, n: int, out: tuple[np.ndarray, np.ndarray] | None = None
+        self, rng: np.random.Generator, n: int, out: tuple[np.ndarray, np.ndarray] | None = None,
+        *, coords: tuple[int, ...] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n i.i.d. coefficient pairs; returns (a, b) of shape (n, d).
+        """Draw n i.i.d. coefficient pairs; returns (a, b) of shape (n, d),
+        the transposes of one (2, d, n) array, a coordinate per row.  The A
+        block is drawn first, then B, so a generator state fixes the pairs.
 
-        The draw order is fixed (A block first, then B block) so a given
-        generator state always yields the same pairs.  Each coordinate is
-        drawn into its own row: (a, b) are the (n, d) transposes of one
-        (2, d, n) array.
-
-        ``out=(a, b)`` takes two C-contiguous float64 arrays of shape (d, n)
-        and fills them instead: row j receives column j of the draw above,
-        from the same random numbers.  The filled pair is returned.
+        ``out=(a, b)``, two C-contiguous float64 (d, n) arrays, is filled
+        instead and returned: row j gets column j, the same random numbers.
+        ``coords`` (without ``out``) keeps those columns only, in that order,
+        the same random numbers; no (d, n) block is held, and the kept rows
+        are an anonymous map of their own, given back to the OS once freed.
         """
         if n < 1:
             raise ValueError("n must be positive")
         if out is None:
-            rows = np.empty((2, self.d, n))
-            self._impl.fill(rng, rows[0], rows[1])
+            self._closed("", coords or ())
+            rows = np.empty((2, self.d, n)) if coords is None else np.frombuffer(
+                mmap.mmap(-1, 16 * len(coords) * n, mmap.MAP_PRIVATE)).reshape(2, -1, n)
+            self._impl.fill(rng, rows[0], rows[1], coords)
             return rows[0].T, rows[1].T
         if any(r.shape != (self.d, n) or r.dtype != float or not r.flags.c_contiguous for r in out):
             raise ValueError(f"out must be two C-contiguous float64 arrays of shape ({self.d}, {n})")
@@ -756,7 +780,8 @@ class ModelSpec:
     # -- closed-form hooks (None when unavailable) ---------------------------
 
     def _closed(self, name: str, coords: tuple, *orders):
-        """The family's closed form ``name`` at checked coordinates, or None if it has none."""
+        """The family's closed form ``name`` at checked coordinates, or None if
+        it has none (name "" only checks the coordinates)."""
         if bad := [c for c in coords if not 0 <= int(c) < self.d]:
             raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
         answer = getattr(self._impl, name, None)
@@ -847,12 +872,12 @@ def log_moment(
             return LogMoment(None, 1.0, True, True)
         return LogMoment(exact(float(mean)), float(zero_mass), bool(zero_mass > 0.0 or mean < 0.0),
                          bool(const))
-    a, b = spec.sample_coeffs(rng, n)
-    logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))
+    a, b = spec.sample_coeffs(rng, n, coords=(j,))
+    logs = nonzero_logs(np.abs(a[:, 0], out=a[:, 0]))
     zero_mass = 1.0 - logs.size / n
     if logs.size == 0:
         return LogMoment(None, 1.0, True, True)
-    est = mean_estimate(logs, scratch=b[: logs.size, j])
+    est = mean_estimate(logs, scratch=b[: logs.size, 0])
     spread = float(logs.max() - logs.min())
     return LogMoment(
         est,

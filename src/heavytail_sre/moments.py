@@ -15,8 +15,8 @@ magnitudes |A_i|^alpha_i and |A_j|^alpha_j are not a.s. equal.
 
 Monte Carlo routes reuse one coefficient draw across all evaluations of a
 root search (common random numbers), so the estimated kappa is a smooth
-deterministic function of s within a call.  Each routine computes in place
-in the rows of its draw, and the rows it does not read serve as scratch.
+deterministic function of s within a call.  Each routine draws only the
+coordinates it reads (sample_coeffs' coords) and computes in their rows.
 solve_alpha, goldie_mean and moment_abscissa are split at their draw:
 <name>_draw takes the route and draws, <name>_on computes on the draw, so
 a caller can hand the arithmetic to another process and draw on.
@@ -30,21 +30,9 @@ import math
 
 import numpy as np
 
-from .common import (
-    STABLE_REL_CHANGE,
-    Estimate,
-    Record,
-    TailIndexError,
-    abs_pow,
-    doubling_change,
-    exact,
-    joint_pow,
-    mean_estimate,
-    nonzero_logs,
-    require,
-    use_closed_form,
-    variance,
-)
+from .common import (STABLE_REL_CHANGE, Estimate, Record, TailIndexError, abs_pow, doubling_change,
+                     exact, joint_pow, mean_estimate, nonzero_logs, normal_interval, require,
+                     use_closed_form, variance)
 from .model import ModelSpec
 
 _MAX_BRACKET_STEPS = 60
@@ -120,11 +108,11 @@ def kappa(
     closed = spec.kappa_exact(j, s)
     if use_closed_form(method, closed is not None, "kappa", rng):
         return exact(closed)
-    a, b = spec.sample_coeffs(rng, n)
-    w = a[:, j]
+    a, b = spec.sample_coeffs(rng, n, coords=(j,))
+    w = a[:, 0]
     abs_pow(np.abs(w, out=w), s, w)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
-    return mean_estimate(w, flag=flag, scratch=b[:, j])
+    return mean_estimate(w, flag=flag, scratch=b[:, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,10 +136,11 @@ def _pilot_from_drift(mean_log: float, var_log: float) -> float:
     return min(max(pilot, 1e-3), 1e3)
 
 
-def _draw(spec: ModelSpec, available: bool, what: str, method: str, n: int, rng):
-    """The n-row draw of a Monte Carlo route, or None where use_closed_form
-    takes the closed form."""
-    return None if use_closed_form(method, available, what, rng) else spec.sample_coeffs(rng, n)
+def _draw(spec: ModelSpec, j: int, closed, what: str, method: str, n: int, rng):
+    """The n-row draw of coordinate j for a Monte Carlo route, or None
+    where use_closed_form takes the closed form (given, not None)."""
+    use = use_closed_form(method, closed is not None, what, rng)
+    return None if use else spec.sample_coeffs(rng, n, coords=(j,))
 
 
 def solve_alpha(
@@ -179,7 +168,7 @@ def solve_alpha(
 def solve_alpha_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
     """solve_alpha's route, taken: the draw of its Monte Carlo route, or
     None for the closed form."""
-    return _draw(spec, spec.kappa_exact(j, 1.0) is not None, "solve_alpha", method, n, rng)
+    return _draw(spec, j, spec.kappa_exact(j, 1.0), "solve_alpha", method, n, rng)
 
 
 def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> AlphaRoot:
@@ -205,25 +194,25 @@ def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> A
         tol = 1e-3 if tol is None else float(tol)
         a, b = draw
         n = len(a)
-        logs = nonzero_logs(np.abs(a[:, j], out=a[:, j]))  # in place in the A row
-        buf = b[: logs.size, j]  # the spare noise row takes the powers
+        logs = nonzero_logs(np.abs(a[:, 0], out=a[:, 0]))  # in place in the A row
+        buf = b[: logs.size, 0]  # the spare noise row takes the powers
         if logs.size == 0:
             raise TailIndexError(f"tail index does not exist for coordinate {j}: A = 0 a.s.")
-        if logs.size == n:
-            drift = mean_estimate(logs, scratch=buf)
-            if drift.ci_hi >= 0.0:
-                raise TailIndexError(
-                    f"tail index does not exist for coordinate {j}: negative log drift "
-                    f"not certified (95% CI [{drift.ci_lo:.4g}, {drift.ci_hi:.4g}])"
-                )
+        mean_log = float(logs.mean())
+        var_log = variance(logs, mean_log, buf) if math.isfinite(mean_log) else math.nan
+        drift = normal_interval(mean_log, var_log, n)
+        if logs.size == n and drift.ci_hi >= 0.0:
+            raise TailIndexError(
+                f"tail index does not exist for coordinate {j}: negative log drift "
+                f"not certified (95% CI [{drift.ci_lo:.4g}, {drift.ci_hi:.4g}])"
+            )
 
         def kap(s):  # the empirical mean |a|^s, called at s > 0 only
             with np.errstate(over="ignore"):
                 np.exp(np.multiply(s, logs, out=buf), out=buf)
             return float(buf.sum()) / n
 
-        mean_log = float(logs.mean())
-        pilot = _pilot_from_drift(mean_log, variance(logs, mean_log, buf))
+        pilot = _pilot_from_drift(mean_log, var_log)
         used_n = n
         tag = "monte-carlo"
 
@@ -283,7 +272,7 @@ def goldie_mean_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
     """goldie_mean's route, taken before alpha is known (a family has the
     closed form at every alpha or at none): the draw of its Monte Carlo
     route, or None for the closed form."""
-    return _draw(spec, spec.goldie_mean_exact(j, 1.0) is not None, "goldie_mean", method, n, rng)
+    return _draw(spec, j, spec.goldie_mean_exact(j, 1.0), "goldie_mean", method, n, rng)
 
 
 def goldie_mean_on(spec: ModelSpec, j: int, draw, alpha: float) -> Estimate:
@@ -291,7 +280,7 @@ def goldie_mean_on(spec: ModelSpec, j: int, draw, alpha: float) -> Estimate:
     if draw is None:
         return exact(spec.goldie_mean_exact(j, alpha))
     a, b = draw
-    w, logs = a[:, j], b[:, j]
+    w, logs = a[:, 0], b[:, 0]
     np.abs(w, out=w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.log(w, out=logs)
@@ -332,9 +321,9 @@ def cross_kappa(
         closed = spec.joint_moment_exact(i, j, s, u)
     if use_closed_form(method, closed is not None, "cross_kappa", rng):
         return exact(closed)
-    a, b = spec.sample_coeffs(rng, n)
-    w, v = a[:, i], b[:, j]
-    np.abs(a[:, j], out=v)  # first: i may equal j
+    a, b = spec.sample_coeffs(rng, n, coords=(i, j) if i != j else (i,))
+    w, v = a[:, 0], b[:, -1]
+    np.abs(a[:, -1], out=v)  # first: i may equal j
     with np.errstate(over="ignore"):
         np.multiply(joint_pow(np.abs(w, out=w), s, w), joint_pow(v, u, v), out=w)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
@@ -376,7 +365,7 @@ def moment_abscissa(
 def moment_abscissa_draw(spec: ModelSpec, j: int, n: int, rng, method: str):
     """moment_abscissa's route, taken: the 2n-row draw of its Monte Carlo
     route, or None for the closed form."""
-    return _draw(spec, spec.b_abscissa(j) is not None, "moment_abscissa", method, 2 * n, rng)
+    return _draw(spec, j, spec.b_abscissa(j), "moment_abscissa", method, 2 * n, rng)
 
 
 def moment_abscissa_on(spec: ModelSpec, j: int, draw) -> AbscissaScan:
@@ -386,8 +375,8 @@ def moment_abscissa_on(spec: ModelSpec, j: int, draw) -> AbscissaScan:
     if draw is None:
         return AbscissaScan(float(b_abs), "closed-form", tuple(grid), None, None)
     a, b = draw
-    ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
-    buf = a[:, j - 1] if spec.d > 1 else np.empty(len(a))  # another A row, or a fresh one
+    ca, cb = np.abs(a[:, 0], out=a[:, 0]), np.abs(b[:, 0], out=b[:, 0])
+    buf = np.empty(len(a))
     a_stable = [bool(doubling_change(abs_pow(ca, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
     b_stable = [bool(doubling_change(abs_pow(cb, s, buf)) <= STABLE_REL_CHANGE) for s in grid]
     # the first order where either moment is unstable, or the grid's end
@@ -449,9 +438,9 @@ def positivity_check(
     # every family has both closed forms, E|B|^s and kappa, or neither
     moments = [(spec.b_moment_exact(j, float(s)), spec.kappa_exact(j, float(s))) for s in grid]
     if not use_closed_form("auto", moments[0][1] is not None, "positivity_check", rng):
-        a, b = spec.sample_coeffs(rng, n)
-        ca, cb = np.abs(a[:, j], out=a[:, j]), np.abs(b[:, j], out=b[:, j])
-        buf = a[:, j - 1] if spec.d > 1 else np.empty(n)
+        a, b = spec.sample_coeffs(rng, n, coords=(j,))
+        ca, cb = np.abs(a[:, 0], out=a[:, 0]), np.abs(b[:, 0], out=b[:, 0])
+        buf = np.empty(n)
         with np.errstate(over="ignore"):
             moments = [(float(abs_pow(cb, s, buf).mean()), float(abs_pow(ca, s, buf).mean()))
                        for s in grid]
@@ -479,7 +468,6 @@ def noise_margin_ok(
     closed = spec.b_moment_exact(j, probe)
     if use_closed_form("auto", closed is not None, "noise_margin_ok", rng):
         return bool(math.isfinite(closed))
-    _, b = spec.sample_coeffs(rng, n)
-    w = b[:, j]
+    w = spec.sample_coeffs(rng, n, coords=(j,))[1][:, 0]
     return bool(doubling_change(abs_pow(np.abs(w, out=w), probe, w)) <= STABLE_REL_CHANGE)
 

@@ -238,6 +238,14 @@ def test_joint_ladder_validation(pair_pool):
         joint_exceedance(pair_pool, 0, 1, [2.0, 2.0], ladder=[3.0, 2.0])
 
 
+@pytest.mark.parametrize("alphas", [[-1.0, 2.0], [math.nan, 2.0], [2.0]])
+def test_joint_exceedance_checks_its_alphas(pair_pool, alphas):
+    # a negative weight once gave a ladder of |x_0|^-1, and one weight too
+    # few an IndexError
+    with pytest.raises(ValueError, match="alphas"):
+        joint_exceedance(pair_pool, 0, 1, alphas)
+
+
 # -- decay fit ----------------------------------------------------------------------
 
 

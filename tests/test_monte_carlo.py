@@ -11,9 +11,11 @@ moment routine on three more models:
 * a Custom callable, the only family whose positivity check samples.
 """
 
+import copy
 import gc
 import hashlib
 import json
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from heavytail_sre import (
     solve_alpha,
     tau_gamma_bound,
 )
+from heavytail_sre import model
 from heavytail_sre.moments import noise_margin_ok
 
 MC = "monte-carlo"
@@ -194,6 +197,55 @@ def test_no_draw_outlives_its_routine(model):
             # buffers and the weight beside the draw
             if name != "tau_gamma_bound":
                 assert peak <= draw_peak + row, (name, peak, draw_peak)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class HeapMaps:
+    """Stands in for the mmap module of heavytail_sre.model: an anonymous
+    map becomes a bytearray, which tracemalloc counts."""
+
+    MAP_PRIVATE = mmap.MAP_PRIVATE
+
+    @staticmethod
+    def mmap(fileno, length, flags):
+        assert fileno == -1 and flags == mmap.MAP_PRIVATE
+        return bytearray(length)
+
+
+ONE_COORDINATE_ROUTINES = ("log_moment", "kappa-0", "kappa-1.5", "solve_alpha", "goldie_mean",
+                           "moment_abscissa", "positivity_check", "noise_margin_ok")
+
+
+def test_one_coordinate_routines_hold_three_rows(monkeypatch):
+    # The kept rows of a draw are an anonymous map, which tracemalloc does
+    # not see; here they are bytearrays, which it does.  With every closed
+    # form hidden, so that each routine samples, a routine that reads one
+    # coordinate holds its A and B rows and at most one scratch row,
+    # besides the chunk buffers of its draw, where the full draw holds 2 d
+    # rows and the normal temporary.  And no kept map outlives a routine.
+    monkeypatch.setattr(model, "mmap", HeapMaps)
+    spec, n = copy.copy(BEKK), 50_000
+    for hook in ("kappa_exact", "drift_exact", "goldie_mean_exact", "b_moment_exact",
+                 "b_abscissa", "joint_moment_exact"):
+        monkeypatch.setattr(spec, hook, lambda *args: None)
+    row = 8 * n
+    _, full_peak = traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n))
+    _, kept_peak = traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n, coords=(1,)))
+    chunks = kept_peak - 2 * row  # a few (d, chunk) blocks, not n-sized
+    assert 0 < chunks < 4 * 8 * model._CHUNK * spec.d
+    assert 3 * row + chunks < full_peak / 2, (full_peak, kept_peak)
+    calls = routines(spec, n)  # every draw here has at most n records
+    enabled = gc.isenabled()
+    gc.disable()  # as above: a map kept alive by a cycle stays counted
+    try:
+        for name, call in calls.items():
+            call(np.random.default_rng(7))  # lazy imports and caches settle first
+            left, peak = traced(lambda: call(np.random.default_rng(7)))
+            assert left < row // 100, (name, left)
+            if name in ONE_COORDINATE_ROUTINES:
+                assert peak <= 3 * row + chunks, (name, peak, chunks)
     finally:
         if enabled:
             gc.enable()
