@@ -137,8 +137,8 @@ def _pilot_from_drift(mean_log: float, var_log: float) -> float:
 
 
 def _draw(spec: ModelSpec, j: int, closed, what: str, method: str, n: int, rng):
-    """The n-row draw of coordinate j for a Monte Carlo route, or None
-    where use_closed_form takes the closed form (given, not None)."""
+    """The n-row draw of coordinate j for a Monte Carlo route, or None where
+    use_closed_form takes the closed form ``closed`` (None if there is none)."""
     use = use_closed_form(method, closed is not None, what, rng)
     return None if use else spec.sample_coeffs(rng, n, coords=(j,))
 
