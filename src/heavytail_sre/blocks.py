@@ -74,10 +74,8 @@ def detect_blocks(
     have the whole confidence interval strictly below 1.  Disagreement
     raises AmbiguousPartitionError naming the pair.
     """
-    alphas = _as_weights(alphas)
     d = spec.d
-    if alphas.shape != (d,):
-        raise ValueError(f"alphas must have shape ({d},)")
+    alphas = _as_weights(alphas, d)
     if n < 2:
         raise ValueError("n must be at least 2")
     xi_probes = tuple(float(x) for x in xi_probes)

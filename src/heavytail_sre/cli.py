@@ -249,7 +249,6 @@ class _DirLock:
             os.unlink(self.path)
         os.close(self.fd)
         self.fd = None
-        return False
 
 
 def _load_plan(args) -> _Runner:
@@ -314,10 +313,7 @@ class _Runner:
         self.spec, self.seed, self.out, self.config_sha = spec, seed, out, config_sha
         self.pipeline = pipeline  # (stage, params as given, params as read) per entry
         self.origin = {"model_fingerprint": spec.fingerprint(), "seed": seed}
-        self.current_stage: str | None = None
-        self._inputs: dict[str, str] = {}
-        self._params_given: dict = {}
-        self._manifest_stages: dict = {}
+        self.current_stage: str | None = None  # execute sets the rest of the run state
 
     # ---- artifact plumbing -------------------------------------------
 
@@ -575,11 +571,10 @@ class _Runner:
         part = self._get_partition(required=True)
         est = spectral_measure(pool, part, alphas, **params)
         rows = []
-        edges = est.bin_edges
         for r, t in enumerate(est.thresholds):
             for j, hist in enumerate(est.marginals[r]):
                 for b, mass in enumerate(hist):
-                    rows.append((t, j, edges[b], edges[b + 1], mass))
+                    rows.append((t, j, est.bin_edges[b], est.bin_edges[b + 1], mass))
         _write_csv(
             self.out / "spectral.angular.csv",
             ["threshold", "coordinate", "bin_lo", "bin_hi", "mass"],

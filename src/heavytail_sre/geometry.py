@@ -24,12 +24,14 @@ NORM_CAP = 1e300
 _LOG_CAP = math.log(NORM_CAP)
 
 
-def _as_weights(alphas) -> np.ndarray:
+def _as_weights(alphas, d: int | None = None) -> np.ndarray:
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alphas must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise ValueError("alphas must be finite and strictly positive")
+    if d is not None and a.size != d:
+        raise ValueError(f"alphas must have shape ({d},)")
     return a
 
 
@@ -122,10 +124,9 @@ def polar(x, alphas):
     on the unit sphere of the norm.  The inverse map is dilate(radius,
     direction).  Zero vectors have no direction and raise ValueError.
     """
-    a = _as_weights(alphas)
-    s = alpha_norm(x, a)
+    s = alpha_norm(x, alphas)
     if np.any(np.asarray(s) == 0.0):
         raise ValueError("polar coordinates are undefined at the origin")
     with np.errstate(over="ignore"):
-        omega = dilate(1.0 / np.asarray(s), x, a)
+        omega = dilate(1.0 / np.asarray(s), x, alphas)
     return s, omega

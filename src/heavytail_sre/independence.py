@@ -193,9 +193,7 @@ def joint_exceedance(
     rule-of-three upper bound rather than an error, so custom ladders can
     probe beyond the data.
     """
-    alphas = _as_weights(alphas)
-    if alphas.shape != (pool.d,):
-        raise ValueError(f"alphas must have shape ({pool.d},)")
+    alphas = _as_weights(alphas, pool.d)
     if i == j:
         raise ValueError("need two distinct coordinates")
     r1, r2 = require(r1, "r1"), require(r2, "r2")

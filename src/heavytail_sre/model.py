@@ -19,8 +19,7 @@ atom tables carry their own joint (a, b) columns instead.
 A is diagonal, so each coordinate runs its own scalar recursion, and every
 family draws straight into coordinate-major (d, n) rows, the layout of the
 simulation slabs.  ``ModelSpec.sample_coeffs`` fills the rows it is given
-with ``out=``, or allocates them and returns their (n, d) transposes; with
-``coords=`` it keeps only those coordinates' rows, drawn chunk by chunk.
+with ``out=``, or allocates them and returns their (n, d) transposes.
 
 Closed-form moment hooks return None when the family cannot provide the
 quantity analytically; callers then fall back to Monte Carlo.  For the
@@ -373,15 +372,27 @@ class _Family:
     ``drift_exact``, ``goldie_mean_exact`` and ``joint_moment_exact`` from
     its law of A, ``b_moment_exact`` and ``b_abscissa`` here, from the
     per-coordinate noise spec ``b``.  fill draws the A block, then the B
-    block, in place into C-contiguous (d, n) rows, one coordinate per row
-    (or coords[r] in row r): the family's fill_a writes A and the noise
-    spec writes B.  Custom atoms draw (a, b) jointly and answer the noise
-    hooks from their table.
+    block, in place into C-contiguous rows, one per kept coordinate: the
+    family's fill_a writes A and the noise spec writes B.  Custom atoms
+    draw (a, b) jointly and answer the noise hooks from their table.
     """
 
     def fill(self, rng, a, b, coords=None):
-        _in_chunks(self.fill_a, rng, (a,), coords, self.d)
+        self._in_chunks(self.fill_a, rng, (a,), coords)
         self.b.fill(rng, b, range(self.d) if coords is None else coords)
+
+    def _in_chunks(self, fill, rng, groups, coords) -> None:
+        """fill(rng, *groups), a record-major draw into (d, n) blocks; with
+        coords, fill on fresh (d, m) blocks of _CHUNK records in turn instead,
+        the same random numbers, and each block's coords rows copied out."""
+        if coords is None:
+            return fill(rng, *groups)
+        n = groups[0].shape[1]
+        for lo in range(0, n, _CHUNK):
+            blocks = np.empty((len(groups), self.d, min(_CHUNK, n - lo)))
+            fill(rng, *blocks)
+            for kept, block in zip(groups, blocks):
+                kept[:, lo:lo + _CHUNK] = block[list(coords)]
 
     def params_doc(self) -> dict:
         """The params in JSON form, read back from the attributes KEYS names."""
@@ -592,8 +603,6 @@ class _BekkDiag(_Gaussian):
         sig = self.sigma[j]
         if sig == 0.0:
             return 0.0
-        if s == 0.0:
-            return 1.0
         return _scaled_normal_moment(s, (sig, s))
 
     def drift_exact(self, j):
@@ -645,12 +654,17 @@ class _CustomAtoms(_Atoms):
         self.cum[-1] = 1.0
 
     def params_doc(self):
-        table = {"prob": self.prob, "a": self.a, "b": self.bvals}
-        return {"atoms": {k: v.tolist() for k, v in table.items()}}
+        return {
+            "atoms": {
+                "prob": self.prob.tolist(),
+                "a": self.a.tolist(),
+                "b": self.bvals.tolist(),
+            }
+        }
 
     def fill(self, rng, a, b, coords=None):
         if coords is not None:  # one uniform per record, so it chunks as A does
-            return _in_chunks(self.fill, rng, (a, b), coords, self.d)
+            return self._in_chunks(self.fill, rng, (a, b), coords)
         idx = np.searchsorted(self.cum, rng.random(a.shape[1]), side="right")
         np.take(self.a.T, idx, axis=1, out=a)
         np.take(self.bvals.T, idx, axis=1, out=b)
@@ -692,20 +706,6 @@ class _CustomCallable:
         for rows, v in zip((a, b), draws):  # row by row: no temporary beside the draw
             for r, j in enumerate(range(self.d) if coords is None else coords):
                 rows[r] = v[:, j]
-
-
-def _in_chunks(fill, rng, groups, coords, d: int) -> None:
-    """fill(rng, *groups), a record-major draw into (d, n) blocks; with
-    coords, fill on fresh (d, m) blocks of _CHUNK records in turn instead,
-    the same random numbers, and each block's coords rows copied out."""
-    if coords is None:
-        return fill(rng, *groups)
-    n = groups[0].shape[1]
-    for lo in range(0, n, _CHUNK):
-        blocks = np.empty((len(groups), d, min(_CHUNK, n - lo)))
-        fill(rng, *blocks)
-        for kept, block in zip(groups, blocks):
-            kept[:, lo:lo + _CHUNK] = block[list(coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -760,18 +760,20 @@ class ModelSpec:
 
         ``out=(a, b)``, two C-contiguous float64 (d, n) arrays, is filled
         instead and returned: row j gets column j, the same random numbers.
-        ``coords`` (without ``out``) keeps those columns only, in that order,
+        ``coords`` (never with ``out``) keeps those columns only, in that order,
         the same random numbers; no (d, n) block is held, and the kept rows
         are an anonymous map of their own, given back to the OS once freed.
         """
         if n < 1:
             raise ValueError("n must be positive")
         if out is None:
-            self._closed("", coords or ())
+            self._check_coords(coords or ())
             rows = np.empty((2, self.d, n)) if coords is None else np.frombuffer(
                 mmap.mmap(-1, 16 * len(coords) * n, mmap.MAP_PRIVATE)).reshape(2, -1, n)
             self._impl.fill(rng, rows[0], rows[1], coords)
             return rows[0].T, rows[1].T
+        if coords is not None:
+            raise ValueError("coords cannot be given with out")
         if any(r.shape != (self.d, n) or r.dtype != float or not r.flags.c_contiguous for r in out):
             raise ValueError(f"out must be two C-contiguous float64 arrays of shape ({self.d}, {n})")
         self._impl.fill(rng, *out)
@@ -779,11 +781,13 @@ class ModelSpec:
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 
-    def _closed(self, name: str, coords: tuple, *orders):
-        """The family's closed form ``name`` at checked coordinates, or None if
-        it has none (name "" only checks the coordinates)."""
+    def _check_coords(self, coords: tuple) -> None:
         if bad := [c for c in coords if not 0 <= int(c) < self.d]:
             raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
+
+    def _closed(self, name: str, coords: tuple, *orders):
+        """The family's closed form ``name`` at checked coordinates, or None if it has none."""
+        self._check_coords(coords)
         answer = getattr(self._impl, name, None)
         return None if answer is None else answer(*coords, *map(float, orders))
 

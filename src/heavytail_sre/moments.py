@@ -30,9 +30,22 @@ import math
 
 import numpy as np
 
-from .common import (STABLE_REL_CHANGE, Estimate, Record, TailIndexError, abs_pow, doubling_change,
-                     exact, joint_pow, mean_estimate, nonzero_logs, normal_interval, require,
-                     use_closed_form, variance)
+from .common import (
+    STABLE_REL_CHANGE,
+    Estimate,
+    Record,
+    TailIndexError,
+    abs_pow,
+    doubling_change,
+    exact,
+    joint_pow,
+    mean_estimate,
+    nonzero_logs,
+    normal_interval,
+    require,
+    use_closed_form,
+    variance,
+)
 from .model import ModelSpec
 
 _MAX_BRACKET_STEPS = 60
@@ -316,9 +329,7 @@ def cross_kappa(
     s = require(alpha_i, "alpha_i") * xi
     u = require(alpha_j, "alpha_j") * (1.0 - xi)
 
-    closed = spec.kappa_exact(j, s + u) if i == j else None
-    if closed is None:
-        closed = spec.joint_moment_exact(i, j, s, u)
+    closed = spec.kappa_exact(j, s + u) if i == j else spec.joint_moment_exact(i, j, s, u)
     if use_closed_form(method, closed is not None, "cross_kappa", rng):
         return exact(closed)
     a, b = spec.sample_coeffs(rng, n, coords=(i, j) if i != j else (i,))
@@ -447,14 +458,13 @@ def positivity_check(
     ratios = [math.inf if den == 0.0 else num / den for num, den in moments]
     r = np.asarray(ratios)
 
-    if math.isinf(s_inf):
+    finite = np.all(np.isfinite(r))
+    if math.isinf(s_inf):  # bounded
         cut = max(1, (2 * r.size) // 3)
-        bounded = np.all(np.isfinite(r)) and r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
-        status = "satisfied" if bounded else "inconclusive"
-    else:
-        finite = np.all(np.isfinite(r))
-        decaying = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
-        status = "satisfied" if decaying else "inconclusive"
+        ok = finite and r[cut:].max() <= 2.0 * max(r[:cut].max(), 1e-300)
+    else:  # decaying
+        ok = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
+    status = "satisfied" if ok else "inconclusive"
     return PositivityReport(status, s_inf, tuple(float(g) for g in grid), tuple(ratios), False)
 
 

@@ -116,9 +116,7 @@ def iterate(spec: ModelSpec, x0, n: int, rng: np.random.Generator) -> np.ndarray
     advanced here matches the pooled simulation step for step.
     """
     x0 = _start(x0, spec.d)
-    if n < 1:
-        raise ValueError("n must be positive")
-    a, b = spec.sample_coeffs(rng, n)
+    a, b = spec.sample_coeffs(rng, n)  # raises for n < 1 before it draws
     if (lost := _recur(a.T, b.T, x0)) is not None:
         t = lost[0]
         raise DivergenceError(f"trajectory left the representable range at step {t}", step=t)
@@ -161,9 +159,7 @@ def default_burn_in(drifts) -> int:
     med = (s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2 if s else math.nan
     if not med < 0.0 or any(map(math.isnan, s)):
         raise ValueError("burn-in default needs a negative median drift")
-    if math.isinf(med):
-        return 1
-    return max(1, math.ceil(20.0 / abs(med)))
+    return max(1, math.ceil(20.0 / abs(med)))  # 1 at a drift of -inf
 
 
 def drift_diagnostics(

@@ -542,8 +542,9 @@ def test_kept_coordinates_are_the_full_draws_columns(name):
     from heavytail_sre import model
 
     spec, chunk = FILL_MODELS[name], model._CHUNK
-    # one record, one below a chunk, one chunk, and two chunks with a short last one
-    for n in (1, chunk - 1, chunk, 2 * chunk + 7):
+    # one record, one below a chunk, one chunk, and one or two chunks with a
+    # short last one, of one record (a matrix-vector product) or of seven
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 2 * chunk + 7):
         rng = RNG(23)
         a, b = spec.sample_coeffs(rng, n)
         after = rng.random()
@@ -557,6 +558,13 @@ def test_kept_coordinates_are_the_full_draws_columns(name):
             assert np.array_equal(kb, b[:, coords]), (name, n, coords)
             # the same draws: the generator ends where the full draw leaves it
             assert rng.random() == after, (name, n, coords)
+    with pytest.raises(ValueError, match="coordinate index -1 out of range"):
+        spec.sample_coeffs(RNG(23), 5, coords=(0, -1))
+    with pytest.raises(ValueError, match=f"coordinate index {spec.d} out of range"):
+        spec.sample_coeffs(RNG(23), 5, coords=(spec.d,))
+    with pytest.raises(ValueError, match="coords cannot be given with out"):
+        spec.sample_coeffs(RNG(23), 5, out=(np.empty((spec.d, 5)), np.empty((spec.d, 5))),
+                           coords=(0,))
 
 
 def lognormal_a(p, rng, n):

@@ -218,34 +218,49 @@ ONE_COORDINATE_ROUTINES = ("log_moment", "kappa-0", "kappa-1.5", "solve_alpha", 
                            "moment_abscissa", "positivity_check", "noise_margin_ok")
 
 
-def test_one_coordinate_routines_hold_three_rows(monkeypatch):
+@pytest.mark.parametrize("name", sorted(MODELS) + ["bekk-diag"])
+def test_routines_hold_only_the_rows_they_read(monkeypatch, name):
     # The kept rows of a draw are an anonymous map, which tracemalloc does
-    # not see; here they are bytearrays, which it does.  With every closed
-    # form hidden, so that each routine samples, a routine that reads one
-    # coordinate holds its A and B rows and at most one scratch row,
-    # besides the chunk buffers of its draw, where the full draw holds 2 d
-    # rows and the normal temporary.  And no kept map outlives a routine.
+    # not see; here they are bytearrays, which it does, so a kept draw that
+    # outlives its routine, or is held twice, shows.  With every closed
+    # form hidden, so that each routine samples: a routine that reads one
+    # coordinate holds that coordinate's kept draw and at most one scratch
+    # row; cross_kappa computes in its kept pair, or in one coordinate's
+    # draw when i == j; tau_gamma_bound holds its kept pair and at most
+    # three n-sized arrays of its own (the weights and the weight
+    # function's temporaries).
     monkeypatch.setattr(model, "mmap", HeapMaps)
-    spec, n = copy.copy(BEKK), 50_000
+    spec, n = copy.copy(MODELS.get(name, BEKK)), 50_000
     for hook in ("kappa_exact", "drift_exact", "goldie_mean_exact", "b_moment_exact",
                  "b_abscissa", "joint_moment_exact"):
         monkeypatch.setattr(spec, hook, lambda *args: None)
-    row = 8 * n
-    _, full_peak = traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n))
-    _, kept_peak = traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n, coords=(1,)))
-    chunks = kept_peak - 2 * row  # a few (d, chunk) blocks, not n-sized
-    assert 0 < chunks < 4 * 8 * model._CHUNK * spec.d
-    assert 3 * row + chunks < full_peak / 2, (full_peak, kept_peak)
+    row, other = 8 * n, 1 if spec.d > 1 else 0
+
+    def draw_peak(**keep):
+        spec.sample_coeffs(np.random.default_rng(7), n, **keep)  # caches settle first
+        return traced(lambda: spec.sample_coeffs(np.random.default_rng(7), n, **keep))[1]
+
+    one = draw_peak(coords=(0,))
+    pair = draw_peak(coords=(0, other)) if other else one
+    if name == "bekk-diag":
+        # beside its two rows, a kept draw holds a few (d, chunk) blocks,
+        # not n-sized ones; the full draw holds 2 d rows and the normal
+        # temporary
+        chunks = one - 2 * row
+        assert 0 < chunks < 4 * 8 * model._CHUNK * spec.d
+        assert one + row < draw_peak() / 2, (draw_peak(), one)
+    bounds = dict.fromkeys(ONE_COORDINATE_ROUTINES, one + row)
+    bounds.update({"cross_kappa-0.5": pair + row // 100, "cross_kappa-1": pair + row // 100,
+                   "tau_gamma_bound": pair + 3 * row})
     calls = routines(spec, n)  # every draw here has at most n records
     enabled = gc.isenabled()
     gc.disable()  # as above: a map kept alive by a cycle stays counted
     try:
-        for name, call in calls.items():
+        for routine, call in calls.items():
             call(np.random.default_rng(7))  # lazy imports and caches settle first
             left, peak = traced(lambda: call(np.random.default_rng(7)))
-            assert left < row // 100, (name, left)
-            if name in ONE_COORDINATE_ROUTINES:
-                assert peak <= 3 * row + chunks, (name, peak, chunks)
+            assert left < row // 100, (routine, left)
+            assert peak <= bounds[routine], (routine, peak, bounds[routine])
     finally:
         if enabled:
             gc.enable()
