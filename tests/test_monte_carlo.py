@@ -246,9 +246,9 @@ def test_routines_hold_only_the_rows_they_read(monkeypatch, name):
         # beside its two rows, a kept draw holds a few (d, chunk) blocks,
         # not n-sized ones; the full draw holds 2 d rows and the normal
         # temporary
-        chunks = one - 2 * row
+        chunks, full = one - 2 * row, draw_peak()
         assert 0 < chunks < 4 * 8 * model._CHUNK * spec.d
-        assert one + row < draw_peak() / 2, (draw_peak(), one)
+        assert one + row < full / 2, (full, one)
     bounds = dict.fromkeys(ONE_COORDINATE_ROUTINES, one + row)
     bounds.update({"cross_kappa-0.5": pair + row // 100, "cross_kappa-1": pair + row // 100,
                    "tau_gamma_bound": pair + 3 * row})
