@@ -44,7 +44,6 @@ from .common import (
     ranged,
     read_keys,
     stage_stream,
-    usable_cpus,
 )
 from .geometry import magnitude_power
 from .independence import (
@@ -447,7 +446,7 @@ class _Runner:
         # arithmetic on a Monte Carlo draw goes to a forked worker, which
         # computes while the next block is drawn; this process drops the
         # draw at once, so it holds one at a time.
-        with Workers(usable_cpus() - 1) as workers:
+        with Workers() as workers:
 
             def on(fn, j, draw, *args):  # fn on the draw, forked off if there is one
                 return workers.call(fn, spec, j, draw, *args, fork=draw is not None)

@@ -253,6 +253,12 @@ def require(value: float, name: str, sign: str = "positive") -> float:
     return value
 
 
+def check_coords(d: int, *coords) -> None:
+    """ValueError naming the first coordinate index outside 0..d-1."""
+    if bad := [c for c in coords if not 0 <= int(c) < d]:
+        raise ValueError(f"coordinate index {bad[0]} out of range for d={d}")
+
+
 def use_closed_form(method: str, available: bool, what: str, rng) -> bool:
     """Route one moment computation: True for the closed form, False for
     Monte Carlo.
@@ -367,10 +373,10 @@ def usable_cpus() -> int:
 
 
 class Workers:
-    """Calls run in forked worker processes, at most ``cap`` alive at once;
-    with cap 0 every call runs here.  ``call`` returns the getter of its
-    result.  A worker sends back its result, or the exception it raised,
-    pickled through a pipe, and results are awaited in call order.
+    """Calls run in forked workers, at most one alive per usable CPU beyond
+    this process; on one CPU every call runs here.  ``call`` returns the
+    getter of its result.  A worker sends back its result, or the exception
+    it raised, pickled through a pipe, and results are awaited in call order.
 
     Leaving the block on an exception first awaits the calls still out,
     all made before it, so the earliest failure in call order is the one
@@ -378,8 +384,8 @@ class Workers:
     exit, every worker still alive is killed and reaped.
     """
 
-    def __init__(self, cap: int):
-        self.cap, self._calls = cap, 0
+    def __init__(self):
+        self.cap, self._calls = usable_cpus() - 1, 0
         self._live: list[tuple[int, int, int]] = []  # (call, pid, read end), oldest first
         self._done: dict = {}  # call -> result of a collected worker
 
@@ -395,9 +401,9 @@ class Workers:
             self._kill()
 
     def call(self, fn, *args, fork: bool = True):
-        """fn(*args): in a worker unless cap is 0 or fork is false, in which
-        case it runs (and raises) here at once.  The getter returns the
-        result or raises the exception."""
+        """fn(*args): in a worker unless there is one CPU or fork is false,
+        in which case it runs (and raises) here at once.  The getter returns
+        the result or raises the exception."""
         k, self._calls = self._calls, self._calls + 1
         if not (fork and self.cap):
             value = fn(*args)

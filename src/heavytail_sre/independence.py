@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeavinessError, given
-from .common import joint_pow, mean_estimate, number, ranged, read_keys, require
+from .common import check_coords, joint_pow, mean_estimate, number, ranged, read_keys, require
 from .model import ModelSpec
 from .moments import cross_kappa
 from .geometry import _as_weights, magnitude_power
@@ -194,6 +194,7 @@ def joint_exceedance(
     probe beyond the data.
     """
     alphas = _as_weights(alphas, pool.d)
+    check_coords(pool.d, i, j)
     if i == j:
         raise ValueError("need two distinct coordinates")
     r1, r2 = require(r1, "r1"), require(r2, "r2")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .common import REQUIRED, ConfigurationError, Estimate, Record, choice, exact, flag, given
 from .common import integer, mean_estimate, nonzero_logs, number, optional, ranged, read_keys
-from .common import use_closed_form
+from .common import check_coords, use_closed_form
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -767,7 +767,7 @@ class ModelSpec:
         if n < 1:
             raise ValueError("n must be positive")
         if out is None:
-            self._check_coords(coords or ())
+            check_coords(self.d, *(coords or ()))
             rows = np.empty((2, self.d, n)) if coords is None else np.frombuffer(
                 mmap.mmap(-1, 16 * len(coords) * n, mmap.MAP_PRIVATE)).reshape(2, -1, n)
             self._impl.fill(rng, rows[0], rows[1], coords)
@@ -781,13 +781,9 @@ class ModelSpec:
 
     # -- closed-form hooks (None when unavailable) ---------------------------
 
-    def _check_coords(self, coords: tuple) -> None:
-        if bad := [c for c in coords if not 0 <= int(c) < self.d]:
-            raise ValueError(f"coordinate index {bad[0]} out of range for d={self.d}")
-
     def _closed(self, name: str, coords: tuple, *orders):
         """The family's closed form ``name`` at checked coordinates, or None if it has none."""
-        self._check_coords(coords)
+        check_coords(self.d, *coords)
         answer = getattr(self._impl, name, None)
         return None if answer is None else answer(*coords, *map(float, orders))
 

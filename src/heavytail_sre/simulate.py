@@ -220,16 +220,15 @@ def stationary_pool(
     procs = min(usable_cpus(), n_blocks, block)
     block = -(-chains // (-(-chains // (block // procs * procs)) * procs))
     starts = range(0, chains, block)
-    # shared with the workers: the float groups in pool.bin order, so every
-    # column is contiguous, and each block's first failing (step, chain)
+    # shared with the workers: the float groups in pool.bin order, every column contiguous
     floats = np.frombuffer(mmap.mmap(-1, 32 * d * chains * n_per_chain)).reshape(4, d, -1)
-    failed = np.frombuffer(mmap.mmap(-1, 16 * len(starts)), np.int64).reshape(-1, 2)
     # (chain, coordinate, record) views of the output, matching the slabs
     x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
 
-    def run_share(k: int) -> None:
+    def run_share(k: int) -> list[tuple[int, int]]:
+        """Step share k; return the (step, chain) where each block first diverged."""
         # the a and b slabs; the recursion overwrites the b slab with states
-        slabs = np.empty((2, block, d, steps))
+        slabs, lost_at = np.empty((2, block, d, steps)), []
         for i in range(k, len(starts), procs):
             c0 = starts[i]
             nb = min(block, chains - c0)
@@ -242,7 +241,7 @@ def stationary_pool(
             # row c * d + j of the flat slabs is coordinate j of chain c
             lost = _recur(a.reshape(nb * d, steps), x.reshape(nb * d, steps), np.tile(x0, nb))
             if lost is not None:
-                failed[i] = lost[0], c0 + lost[1] // d
+                lost_at.append((lost[0], c0 + lost[1] // d))
                 continue
             x_post[rows] = x[:, :, first::thin]
             if first:
@@ -250,18 +249,14 @@ def stationary_pool(
             else:
                 x_pre[rows, :, 0] = x0
                 x_pre[rows, :, 1:] = x[:, :, :-1]
+        return lost_at
 
     # share 0 here and share k, 0 < k < procs, in forked workers
-    with Workers(procs - 1) as workers:
+    with Workers() as workers:
         shares = [workers.call(run_share, k) for k in range(1, procs)]
-        run_share(0)
-        try:
-            for share in shares:
-                share()
-        except Exception as exc:
-            raise RuntimeError(f"simulation worker failed: {type(exc).__name__}: {exc}") from None
-    if failures := [(int(t), int(c)) for t, c in failed if t]:
-        t, c = min(failures)
+        diverged = run_share(0) + [at for share in shares for at in share()]
+    if diverged:
+        t, c = min(diverged)
         raise DivergenceError(
             f"chain {c} left the representable range at step {t}", step=t, chain=c
         )

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .common import (
-    STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, doubling_change,
-    mean_estimate, require,
+    STABLE_REL_CHANGE, Estimate, LadderError, Record, Z95, binomial_ci, check_coords,
+    doubling_change, mean_estimate, require,
 )
 from .geometry import alpha_norm, magnitude_power, polar
 
@@ -183,6 +183,7 @@ def empirical_tail_constant(
     computed (magnitude_power).
     """
     require(alpha, "alpha")
+    check_coords(pool.x_post.shape[1], j)
     x = pool.x_post[:, j]
     ladder, _ = _ladder(magnitude_power(x, alpha) if power is None else power, ladder, min_top)
     cuts = [t ** (1.0 / alpha) for t in ladder]
@@ -231,6 +232,7 @@ def goldie_constant(
     """
     require(alpha, "alpha")
     require(mean_log, "mean_log")
+    check_coords(pool.x_post.shape[1], j)
     y = pool.x_post[:, j]
     py = magnitude_power(y, alpha) if power is None else power
     # one power per operand: (v^+)^alpha is |v|^alpha where v > 0 and 0
@@ -424,6 +426,7 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     unstable or infinite; that is the diagnostic, not a failure.
     """
     s = require(s, "moment order")
+    check_coords(pool.x_post.shape[1], j)
     w = magnitude_power(pool.x_post[:, j], s)
     rel = doubling_change(w)
     stable = bool(rel <= STABLE_REL_CHANGE)

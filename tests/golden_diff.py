@@ -8,9 +8,10 @@ two such directories, floats with their distance in ulps; test_golden
 prints that list against the golden text when a digest fails.
 
     python tests/golden_diff.py OLD_DIR NEW_DIR   # list what moved, exit 1 if any
-    python tests/golden_diff.py --record          # rewrite tests/golden/ from fresh runs
+    python tests/golden_diff.py --record          # rewrite tests/golden/, print DIGESTS
 
-A re-record quotes the list and commits the rewritten text with its digests.
+A re-record quotes the list and commits the rewritten text with the printed
+digests, which replace test_golden.DIGESTS as they stand.
 """
 
 import json
@@ -113,18 +114,25 @@ def moved(old_root, new_root) -> list[str]:
 
 
 def record() -> None:
-    """Run every test_golden config and write its text under tests/golden/."""
+    """Run every test_golden config, write its text under tests/golden/, and
+    print the artifact digests in the layout of test_golden.DIGESTS."""
     import test_golden
 
+    print("DIGESTS = {")
     for name in sorted(test_golden.CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
-            test_golden.run_digests(name, Path(tmp))
+            digests = test_golden.run_digests(name, Path(tmp))
+            print(f'    "{name}": {{')
+            for file, digest in digests.items():
+                print(f'        "{file}": "{digest}",')
+            print("    },")
             dest = GOLDEN / name
             dest.mkdir(parents=True, exist_ok=True)
             for old in dest.iterdir():
                 old.unlink()
             for file, text in artifacts(Path(tmp) / "out").items():
                 (dest / file).write_bytes(text.encode())
+    print("}")
 
 
 if __name__ == "__main__":

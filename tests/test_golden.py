@@ -13,10 +13,12 @@ import hashlib
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import golden_diff
 from golden_diff import GOLDEN, LEFT_OUT, moved
 from heavytail_sre import ModelSpec, stationary_pool
 from heavytail_sre.cli import main
@@ -175,6 +177,18 @@ def test_a_forced_mismatch_lists_each_moved_path_and_cell(tmp_path):
         f"tails.report.json.tail_constants.c_inf.n: {c_inf['n'] - 1} -> {c_inf['n']}",
         f"tails.report.json.tail_constants.c_inf.value: {old_value!r} -> {c_inf['value']!r} (2 ulp)",
     ]
+
+
+def test_a_record_prints_digests_and_rewrites_the_golden_text(tmp_path, monkeypatch, capsys):
+    # a re-record copies the printed table over DIGESTS as it stands
+    monkeypatch.setattr(golden_diff, "GOLDEN", tmp_path)
+    golden_diff.record()
+    source = Path(__file__).read_text()
+    start = source.index("DIGESTS = {")
+    assert capsys.readouterr().out == source[start : source.index("\n}\n", start) + 3]
+    for name in CONFIGS:
+        kept = {p.name: p.read_bytes() for p in (GOLDEN / name).iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == kept
 
 
 # distinct per-coordinate atoms, so a coordinate mix-up changes the digest

@@ -198,7 +198,7 @@ def test_divergence_is_invariant_under_chain_blocks(monkeypatch):
 
 
 def use_cpus(monkeypatch, procs):
-    """Make stationary_pool see procs usable CPUs, and count its forks."""
+    """Make common.Workers and stationary_pool see procs usable CPUs, and count forks."""
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(procs)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -273,25 +273,33 @@ def test_divergence_in_a_worker_share_reports_as_one_process(monkeypatch, procs)
     assert_no_child_left()
 
 
-def test_failed_worker_raises_in_the_parent(monkeypatch, tmp_path):
-    parent = os.getpid()
+@pytest.mark.parametrize("where", ["parent", "worker"])
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_a_failing_share_raises_as_itself_at_every_cpu_count(monkeypatch, tmp_path, procs, where):
+    # blocks of 5, 2 and 1 chains at 1, 2 and 3 processes (see above): chain 0
+    # is the parent's, chain 2 a worker's wherever there is one
+    parent, bad, raised = os.getpid(), 0 if where == "parent" else 2, tmp_path / "raised"
 
     def stream(seed, chain):
-        if os.getpid() != parent:
+        if chain == bad:
+            raised.write_text(str(os.getpid()))
             raise MemoryError("no room for the slab")
         return chain_stream(seed, chain)
 
     monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 5 * 45 * 2)
     monkeypatch.setattr(simulate, "chain_stream", stream)
-    use_cpus(monkeypatch, 2)
+    forks = use_cpus(monkeypatch, procs)
     exits = tmp_path / "exits"
     try:
-        with pytest.raises(RuntimeError, match="simulation worker failed: MemoryError: no room"):
+        with pytest.raises(MemoryError) as err:
             stationary_pool(reference(2), seed=5, chains=20, n_per_chain=20, burn_in=5, thin=2)
     finally:
         # a worker leaves through os._exit, so only the parent gets here
         with open(exits, "a") as fh:
             fh.write(f"{os.getpid()}\n")
+    assert type(err.value) is MemoryError and str(err.value) == "no room for the slab"
+    assert (int(raised.read_text()) != parent) == (where == "worker" and procs > 1)
+    assert len(forks) == procs - 1
     assert exits.read_text() == f"{parent}\n"
     assert_no_child_left()
 
@@ -327,7 +335,7 @@ def fail(text):
 
 def test_workers_await_their_calls_in_call_order(monkeypatch):
     forks = use_cpus(monkeypatch, 2)
-    with common.Workers(1) as workers:
+    with common.Workers() as workers:
         results = [workers.call(lambda k: (k, os.getpid()), k) for k in range(3)]
         got = [result() for result in results]
     assert [k for k, _ in got] == [0, 1, 2] and os.getpid() not in {pid for _, pid in got}
@@ -336,10 +344,11 @@ def test_workers_await_their_calls_in_call_order(monkeypatch):
 
 
 @pytest.mark.parametrize("later", ["failing call", "failure here"])
-def test_the_earliest_failure_in_call_order_is_raised(later):
+def test_the_earliest_failure_in_call_order_is_raised(monkeypatch, later):
     # as if every call had run here in turn
+    use_cpus(monkeypatch, 3)
     with pytest.raises(ValueError, match="first"):
-        with common.Workers(2) as workers:
+        with common.Workers() as workers:
             workers.call(fail, "first")
             if later == "failing call":
                 workers.call(fail, "second")()
@@ -347,9 +356,10 @@ def test_the_earliest_failure_in_call_order_is_raised(later):
     assert_no_child_left()
 
 
-def test_a_worker_that_dies_raises_its_exit_status():
+def test_a_worker_that_dies_raises_its_exit_status(monkeypatch):
+    use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="exit status 3"):
-        with common.Workers(1) as workers:
+        with common.Workers() as workers:
             workers.call(os._exit, 3)()
     assert_no_child_left()
 

@@ -49,6 +49,23 @@ def pair_pool():
     return stationary_pool(spec, seed=21, chains=400, n_per_chain=500)
 
 
+@pytest.mark.parametrize("c", [-1, 2])
+@pytest.mark.parametrize(
+    "routine",
+    [
+        lambda pool, c: empirical_tail_constant(pool, c, 2.0),
+        lambda pool, c: goldie_constant(pool, c, 2.0, 0.5),
+        lambda pool, c: moment_estimate(pool, c, 1.0),
+        lambda pool, c: joint_exceedance(pool, c, 0, [2.0, 2.0]),
+    ],
+    ids=["empirical_tail_constant", "goldie_constant", "moment_estimate", "joint_exceedance"],
+)
+def test_pool_routines_refuse_a_coordinate_out_of_range(pair_pool, routine, c):
+    # -1 once read the last column under its own label, and d raised numpy's IndexError
+    with pytest.raises(ValueError, match=f"^coordinate index {c} out of range for d=2$"):
+        routine(pair_pool, c)
+
+
 # -- quantile_ladder -------------------------------------------------------------
 
 
