@@ -35,6 +35,12 @@ class BlockPartition(Record):
     permutation: tuple[int, ...]
     evidence: dict
 
+    def __post_init__(self):
+        if tuple(j for c in self.classes for j in c) != tuple(self.permutation):
+            raise ValueError("permutation does not match the classes")
+        if sorted(self.permutation) != list(range(len(self.permutation))):
+            raise ValueError("classes must partition 0..d-1")
+
     def class_of(self, j: int) -> int:
         for l, cls in enumerate(self.classes):
             if j in cls:
@@ -46,11 +52,6 @@ class BlockPartition(Record):
         """Partition from its parsed JSON document, as ``to_dict`` writes it."""
         classes = tuple(tuple(int(j) for j in c) for c in doc["classes"])
         perm = tuple(int(j) for j in doc["permutation"])
-        got = tuple(j for c in classes for j in c)
-        if got != perm:
-            raise ValueError("permutation does not match the classes")
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError("classes must partition 0..d-1")
         return cls(classes, perm, doc.get("evidence", {}))
 
 

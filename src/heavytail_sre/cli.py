@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -81,6 +82,9 @@ STAGE_DEPS = {
 }
 STAGE_ORDER = tuple(STAGE_DEPS)
 STAGE_IDS = {name: k + 1 for k, name in enumerate(STAGE_ORDER)}
+# the waves of run: no stage reads an artifact of its own wave or a later one (tails and
+# independence read blocks.report.json when it exists, report reads every report)
+WAVES = dict(zip(STAGE_ORDER, (0, 1, 1, 2, 2, 2, 3)))
 
 
 def _count(least: int):
@@ -95,6 +99,7 @@ def _many(cast):
 _positive, _numbers = _count(1), _many(number)
 _fraction = ranged(number, lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
 _above_zero = ranged(number, lambda v: v > 0.0, "positive")
+_tau = ranged(given, build_tau, "a tau document")  # build_tau refuses a bad one by name
 _rungs = optional(ranged(  # a ladder or a gamma grid
     _numbers, lambda v: v and v[0] > 0.0 and all(a < b for a, b in zip(v, v[1:])),
     "a nonempty list of positive, strictly increasing numbers"))
@@ -107,11 +112,6 @@ def _pairs(value) -> list:
     if any(i == j for i, j in pairs):
         raise ValueError(f"each pair needs two distinct coordinates, got {value!r}")
     return pairs
-
-
-def _tau(doc):
-    build_tau(doc)
-    return doc
 
 
 def _pipeline(value) -> list:
@@ -198,18 +198,15 @@ def _refusal(name: str, problem: str) -> ConfigurationError:
 
 
 def _csv_cell(v) -> str:
-    # no row holds a bool, and its strings (coord{j}_{label}, block{l}, c_inf) need no quoting
+    # no cell is a bool, no name needs quoting, and %.17g prints a count (< 2**53) as an integer
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return "%.17g" % float(v)
 
 
 def _write_csv(path: Path, header, rows) -> None:
     with atomic_write(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
+        for row in [header, *rows]:
             fh.write(",".join(_csv_cell(v) for v in row) + "\r\n")
 
 
@@ -247,7 +244,6 @@ class _DirLock:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.path)
         os.close(self.fd)
-        self.fd = None
 
 
 def _load_plan(args) -> _Runner:
@@ -317,16 +313,15 @@ class _Runner:
     # ---- artifact plumbing -------------------------------------------
 
     def preflight(self) -> None:
-        produced = set()
+        listed = {name for name, _, _ in self.pipeline}
         for name, _, _ in self.pipeline:
             for dep in STAGE_DEPS[name]:
                 files = ["pool.bin", "pool.meta.json"] if dep == "simulate" else [_report_name(dep)]
-                if dep not in produced and not all((self.out / f).exists() for f in files):
+                if dep not in listed and not all((self.out / f).exists() for f in files):
                     raise ConfigurationError(
                         f"stage {name!r} needs {dep!r} first; add it to the "
                         f"pipeline or point --out at a directory holding its artifacts"
                     )
-            produced.add(name)
 
     def _read(self, name: str, *keys: str) -> dict:
         """Load a stage report or pool.meta.json and note its sha256 among
@@ -396,29 +391,17 @@ class _Runner:
             return None
         return BlockPartition.from_json(self._read("blocks.report.json", "classes", "permutation"))
 
-    def _write_report(self, doc: dict, *artifacts: str) -> None:
-        """Write the current stage's report under its provenance envelope,
-        then record the stage and everything it wrote in manifest.json."""
+    def _write_report(self, doc: dict, *artifacts: str) -> dict:
+        """Write the current stage's report under its provenance envelope;
+        returns the stage's manifest entry, which lists everything it wrote."""
         stage = self.current_stage
         name = _report_name(stage)
         _dump_json(self.out / name, {**doc, "stage": stage, **self.origin, "inputs": self._inputs})
-        self._manifest_stages[stage] = {
+        return {
             "artifacts": sorted([name, *artifacts]),
             "completed_utc": datetime.now(timezone.utc).isoformat(),
             "params": self._params_given,
         }
-        manifest = {
-            "config_sha256": self.config_sha,
-            **self.origin,
-            "stages": self._manifest_stages,
-            "versions": {
-                "numpy": np.__version__,
-                "package": __version__,
-                "python": sys.version.split()[0],
-                "scipy": scipy.__version__,
-            },
-        }
-        _dump_json(self.out / "manifest.json", manifest)
 
     # ---- stages -------------------------------------------------------
 
@@ -431,14 +414,42 @@ class _Runner:
                 stages = json.loads((self.out / "manifest.json").read_text())["stages"]
             except (OSError, ValueError, TypeError, KeyError):
                 stages = None
-            self._manifest_stages = stages if isinstance(stages, dict) else {}
-            for name, self._params_given, params in self.pipeline:
-                self.current_stage = name
-                self._inputs = {}
-                getattr(self, "_stage_" + name.replace("-", "_"))(params)
+            manifest = {
+                "config_sha256": self.config_sha,
+                **self.origin,
+                "stages": stages if isinstance(stages, dict) else {},
+                "versions": {
+                    "numpy": np.__version__,
+                    "package": __version__,
+                    "python": sys.version.split()[0],
+                    "scipy": scipy.__version__,
+                },
+            }
+            # a wave's first stages fork, the rest run here; the manifest stops at the first failure
+            for _, wave in itertools.groupby(self.pipeline, lambda entry: WAVES[entry[0]]):
+                wave, steps = list(wave), []
+                with Workers() as workers:
+                    forks = min(workers.cap, len(wave) - 1)
+                    for k, entry in enumerate(wave):
+                        steps.append(workers.call(self._step, *entry, fork=k < forks))
+                        if k >= forks and isinstance(steps[-1](), Exception):
+                            break
+                    for (self.current_stage, _, _), step in zip(wave, steps):
+                        if isinstance(entry := step(), Exception):
+                            raise entry
+                        manifest["stages"][self.current_stage] = entry
+                        _dump_json(self.out / "manifest.json", manifest)
             self.current_stage = None
 
-    def _stage_solve_alpha(self, params: dict) -> None:
+    def _step(self, name: str, given: dict, params: dict):
+        """Run one stage: its manifest entry, or the exception it raised."""
+        self.current_stage, self._params_given, self._inputs = name, given, {}
+        try:
+            return getattr(self, "_stage_" + name.replace("-", "_"))(params)
+        except Exception as exc:
+            return exc
+
+    def _stage_solve_alpha(self, params: dict) -> dict:
         rng = stage_stream(self.seed, STAGE_IDS["solve-alpha"])
         method, n, scan_n = params["method"], params["n"], params["abscissa_n"]
         spec = self.spec
@@ -478,9 +489,9 @@ class _Runner:
             ]
         doc = {"alphas": [c["alpha"] for c in coords], "coordinates": coords,
                "sigma_margin": spec.sigma_margin}
-        self._write_report(doc)
+        return self._write_report(doc)
 
-    def _stage_simulate(self, params: dict) -> None:
+    def _stage_simulate(self, params: dict) -> dict:
         pool = stationary_pool(self.spec, seed=self.seed, **params)
         pool.save(self.out / "pool.bin")
         doc = {
@@ -493,15 +504,15 @@ class _Runner:
             "n_records": len(pool),
             "thin": pool.meta["thin"],
         }
-        self._write_report(doc, "pool.bin", "pool.meta.json")
+        return self._write_report(doc, "pool.bin", "pool.meta.json")
 
-    def _stage_blocks(self, params: dict) -> None:
+    def _stage_blocks(self, params: dict) -> dict:
         rng = stage_stream(self.seed, STAGE_IDS["blocks"])
         alphas, _ = self._solved()
         part = detect_blocks(self.spec, alphas, rng=rng, **params)
-        self._write_report(part.to_dict())
+        return self._write_report(part.to_dict())
 
-    def _stage_tails(self, params: dict) -> None:
+    def _stage_tails(self, params: dict) -> dict:
         pool = self._get_pool()
         alphas, goldie = self._solved()
         part = self._get_partition(required=False)
@@ -562,9 +573,9 @@ class _Runner:
             ["series", "threshold", "value", "ci_lo", "ci_hi"],
             csv_rows,
         )
-        self._write_report(doc, "tails.ladders.csv")
+        return self._write_report(doc, "tails.ladders.csv")
 
-    def _stage_spectral(self, params: dict) -> None:
+    def _stage_spectral(self, params: dict) -> dict:
         pool = self._get_pool()
         alphas, _ = self._solved()
         part = self._get_partition(required=True)
@@ -579,9 +590,9 @@ class _Runner:
             ["threshold", "coordinate", "bin_lo", "bin_hi", "mass"],
             rows,
         )
-        self._write_report(est.to_dict(), "spectral.angular.csv")
+        return self._write_report(est.to_dict(), "spectral.angular.csv")
 
-    def _stage_independence(self, params: dict) -> None:
+    def _stage_independence(self, params: dict) -> dict:
         rng = stage_stream(self.seed, STAGE_IDS["independence"])
         part = self._get_partition(required=False)
         pairs = params["pairs"]
@@ -630,15 +641,15 @@ class _Runner:
             artifacts.append(name)
         doc = {"pairs": pair_docs, "submultiplicativity": check.to_dict(), "tau": params["tau"],
                "xi": xi}
-        self._write_report(doc, *artifacts)
+        return self._write_report(doc, *artifacts)
 
-    def _stage_report(self, params: dict) -> None:
+    def _stage_report(self, params: dict) -> dict:
         stages = {
             name: self._read(_report_name(name))
             for name in STAGE_ORDER[:-1]
             if (self.out / _report_name(name)).exists()
         }
-        self._write_report({"stages": stages})
+        return self._write_report({"stages": stages})
 
 
 def _emit_error(kind: str, stage: str | None, exc: BaseException) -> None:
@@ -668,23 +679,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    runner = None
     try:
         runner = _load_plan(args)
-    except ConfigurationError as exc:
-        _emit_error("validation", None, exc)
-        return 2
-    try:
         runner.execute()
     except ConfigurationError as exc:
-        _emit_error("validation", runner.current_stage, exc)
+        _emit_error("validation", runner and runner.current_stage, exc)
         return 2
     except Exception as exc:  # a runtime failure: name its type and the stage
-        _emit_error(type(exc).__name__, runner.current_stage, exc)
+        _emit_error(type(exc).__name__, runner and runner.current_stage, exc)
         return 1
     return 0
 

@@ -99,8 +99,6 @@ def _gammaln(x: float) -> float:
     if x > 2.556348e305:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log sqrt(2 pi)
-    if x > 1.0e8:
-        return q
     p = 1.0 / (x * x)
     return q + _polevl(p, _LGAM_A if x < 1000.0 else _LGAM_L) / x
 
@@ -209,10 +207,10 @@ def _matrix(value) -> np.ndarray:
     return np.array(_numbers(value), dtype=float)
 
 
-def _corr_factor(corr, k: int, name: str) -> np.ndarray:
-    """Validate a correlation matrix and factor it once (Cholesky, else
-    spectral for PSD-singular input).  Non-PSD input is a hard error."""
-    c = np.asarray(corr, dtype=float)
+def _corr_factor(corr, k: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A correlation matrix, the identity if corr is None, and its one factor
+    (Cholesky, else spectral for PSD-singular input).  Non-PSD input is a hard error."""
+    c = np.eye(k) if corr is None else np.asarray(corr, dtype=float)
     if c.shape != (k, k):
         raise ConfigurationError(f"{name} must be a {k}x{k} matrix")
     if not np.allclose(c, c.T, atol=1e-12):
@@ -220,12 +218,12 @@ def _corr_factor(corr, k: int, name: str) -> np.ndarray:
     if not np.allclose(np.diag(c), 1.0, atol=1e-12):
         raise ConfigurationError(f"{name} must have unit diagonal")
     try:
-        return np.linalg.cholesky(c)
+        return c, np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(c)
         if w.min() < -1e-10:
             raise ConfigurationError(f"{name} is not positive semidefinite") from None
-        return v * np.sqrt(np.clip(w, 0.0, None))
+        return c, v * np.sqrt(np.clip(w, 0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +312,7 @@ class _BDist:
                 return _pow_abs(self.mean, s)
             if self.mean == 0.0:
                 return _scaled_normal_moment(s, (self.std, s))
-            mu, sd = self.mean, self.std
-            f = lambda x: _pow_abs(x, s) * _phi((x - mu) / sd) / sd
+            f = lambda x: _pow_abs(x, s) * _phi((x - self.mean) / self.std) / self.std
             return _quad(f, -math.inf, 0.0) + _quad(f, 0.0, math.inf)
         return _exp(self.mu * s + 0.5 * _pow_abs(self.sigma, 2.0) * _pow_abs(s, 2.0))
 
@@ -494,9 +491,7 @@ class _LogNormal(_Gaussian):
         self.sigma = _as_vector(params["sigma"], d, "sigma")
         if np.any(self.sigma < 0):
             raise ConfigurationError("sigma must be nonnegative")
-        corr = params["corr"]
-        self.corr = np.eye(d) if corr is None else corr
-        self.load = _corr_factor(self.corr, d, "corr")
+        self.corr, self.load = _corr_factor(params["corr"], d, "corr")
         self.b = _BSpec(params["b"], d)
 
     def transform(self, rows):
@@ -535,9 +530,8 @@ class _CCCGarch(_Gaussian):
         self.z_map = list(range(d)) if z_map is None else z_map
         if len(self.z_map) != d or min(self.z_map) < 0:
             raise ConfigurationError(f"z_map must be {d} nonnegative factor indices")
-        corr, k = params["corr"], max(self.z_map) + 1
-        self.corr = np.eye(k) if corr is None else corr
-        self.load = _corr_factor(self.corr, k, "corr")[self.z_map]  # row j is factor z_map[j]
+        self.corr, load = _corr_factor(params["corr"], max(self.z_map) + 1, "corr")
+        self.load = load[self.z_map]  # row j is factor z_map[j]
         self.b = _BSpec(params["b"], d)
 
     def transform(self, rows):
@@ -568,8 +562,7 @@ class _CCCGarch(_Gaussian):
         if a == 0.0:
             return _pow_abs(g, alpha) * math.log(g) if g > 0.0 else 0.0
         if g == 0.0:
-            kap = self.kappa_exact(j, alpha)
-            return kap * (math.log(a) + math.log(2.0) + _digamma(alpha + 0.5))
+            return self.kappa_exact(j, alpha) * (math.log(a) + math.log(2.0) + _digamma(alpha + 0.5))
         return _even_mean(lambda z: _pow_abs(a * z * z + g, alpha) * math.log(a * z * z + g))
 
     def joint_moment_exact(self, i, j, s, u):
@@ -622,9 +615,8 @@ class _BekkDiag(_Gaussian):
         fi = 1.0 if s == 0.0 else self.kappa_exact(i, s)
         fj = 1.0 if u == 0.0 else self.kappa_exact(j, u)
         si, sj = self.sigma[i], self.sigma[j]
-        if si == 0.0 or sj == 0.0:
-            return fi * fj
-        rho = float(self.coeff[:, i] @ self.coeff[:, j]) / (si * sj)
+        # a coordinate with sigma 0 is 0 a.s., independent of every other
+        rho = 0.0 if 0.0 in (si, sj) else float(self.coeff[:, i] @ self.coeff[:, j]) / (si * sj)
         if rho == 0.0:
             return fi * fj
         if abs(abs(rho) - 1.0) <= 1e-12:  # a zero order's factor is c^0 = 1

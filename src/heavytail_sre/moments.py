@@ -201,8 +201,7 @@ def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> A
         h = 1e-3
         var_proxy = 2.0 * (math.log(kap(h)) - mean_log * h) / h ** 2
         pilot = _pilot_from_drift(mean_log, var_proxy)
-        used_n = 0
-        tag = "closed-form"
+        n = 0
     else:
         tol = 1e-3 if tol is None else float(tol)
         a, b = draw
@@ -226,8 +225,6 @@ def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> A
             return float(buf.sum()) / n
 
         pilot = _pilot_from_drift(mean_log, var_log)
-        used_n = n
-        tag = "monte-carlo"
 
     lo, hi = 0.5 * pilot, 2.0 * pilot
     for _ in range(_MAX_BRACKET_STEPS):
@@ -260,7 +257,7 @@ def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> A
         raise TailIndexError(
             f"root residual {residual:.3g} exceeds tol {tol:.3g} for coordinate {j}"
         )
-    return AlphaRoot(root, residual, tag, (lo, hi), used_n)
+    return AlphaRoot(root, residual, "closed-form" if draw is None else "monte-carlo", (lo, hi), n)
 
 
 def goldie_mean(

@@ -297,6 +297,7 @@ def block_tail_constant(
     """
     alphas = np.asarray(alphas, dtype=float)
     x = pool.x_post
+    check_coords(x.shape[1], *partition.permutation)
     if powers is None:
         powers = [magnitude_power(x[:, j], a) for j, a in enumerate(alphas)]
     s_full = alpha_norm(x, alphas, powers)
@@ -363,9 +364,10 @@ def spectral_measure(
         raise ValueError("eps must lie strictly inside (0, 1)")
     if bins < 2:
         raise ValueError("bins must be at least 2")
+    d = pool.d
+    check_coords(d, *partition.permutation)
     s = alpha_norm(pool.x_post, alphas)
     ladder, counts = _ladder(s, ladder, max(min_top, 1))
-    d = pool.d
     edges = np.linspace(-1.0, 1.0, bins + 1)
     # angles, class proximity and bins are row-wise, so they are computed
     # once on the lowest rung and each higher rung takes a nested subset;

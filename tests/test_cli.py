@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import CONFIGS, DIGESTS
 from test_simulate import assert_no_child_left, use_cpus
 
 from heavytail_sre import cli
@@ -1239,3 +1241,133 @@ def test_solve_alpha_holds_one_draw_at_a_time(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(forks) == 9
     assert peak <= draw + 8 * n, (peak, draw)
+
+
+# -- run steps the stages of one wave side by side ------------------------------
+
+def readme_config(tmp_path: Path) -> str:
+    text = re.search(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    return write_config(tmp_path / "readme.json", json.loads(text))
+
+
+def golden_config(tmp_path: Path, name: str) -> str:
+    model, pipeline = CONFIGS[name]
+    return write_config(tmp_path / f"{name}.json", {"model": model, "seed": 11,
+                                                     "out": str(tmp_path / "o"), "pipeline": pipeline})
+
+
+def artifact_digests(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+            if p.name != "manifest.json"}
+
+
+def test_a_wave_holds_the_stages_that_read_none_of_each_others_artifacts():
+    # what a stage reads: STAGE_DEPS, blocks.report.json for tails and
+    # independence when it exists, and every report for report
+    reads = {**cli.STAGE_DEPS, "report": cli.STAGE_ORDER[:-1]}
+    for name in ("tails", "independence"):
+        reads[name] += ("blocks",)
+    for a in cli.STAGE_ORDER:
+        for b in cli.STAGE_ORDER:
+            assert (cli.WAVES[a] == cli.WAVES[b]) == (a not in reads[b] and b not in reads[a])
+            if b in reads[a]:
+                assert cli.WAVES[b] < cli.WAVES[a]
+    waves = [[name for name in cli.STAGE_ORDER if cli.WAVES[name] == w] for w in range(4)]
+    assert waves == [["solve-alpha"], ["simulate", "blocks"], ["tails", "spectral", "independence"],
+                     ["report"]]
+
+
+@pytest.mark.parametrize("config", ["readme", "bekk-monte-carlo"])
+def test_run_writes_the_same_bytes_at_one_two_and_three_cpus(config, tmp_path, monkeypatch):
+    cfg = readme_config(tmp_path) if config == "readme" else golden_config(tmp_path, config)
+    got, forked = [], []
+    for procs in (1, 2, 3):
+        forks = use_cpus(monkeypatch, procs)
+        out = tmp_path / f"o{procs}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert_no_child_left()
+        got.append(artifact_digests(out))
+        forked.append(len(forks))
+    assert got[1] == got[0] and got[2] == got[0]
+    if config == "readme":
+        # the head of [simulate, blocks] forks (simulate's shares fork inside
+        # it, uncounted here) and up to two heads of [tails, spectral,
+        # independence]; one CPU keeps every stage here
+        assert forked == [0, 2, 3]
+    else:
+        assert got[0] == DIGESTS[config]
+
+
+def test_a_stage_subcommand_never_forks(tmp_path, monkeypatch):
+    # the small golden pool is one block of chains, so simulate has no share to fork
+    cfg = golden_config(tmp_path, "two-point-all-stages")
+    forks = use_cpus(monkeypatch, 2)
+    for command in cli.STAGE_ORDER:
+        assert main([command, "--config", cfg]) == 0, command
+    assert forks == []
+    assert artifact_digests(tmp_path / "o") == DIGESTS["two-point-all-stages"]
+
+
+# failing stages -> (the stages that also write their report at 2 CPUs,
+# having run here beside the first failing one; the forks at 2 CPUs)
+FAILURES = {
+    "simulate (forked head)": (("simulate",), ("blocks",), 1),
+    "blocks (here, beside a fork)": (("blocks",), (), 1),
+    "tails (forked head)": (("tails",), ("spectral", "independence"), 2),
+    "spectral (here)": (("spectral",), (), 2),
+    "tails and spectral": (("tails", "spectral"), (), 2),
+    "simulate and blocks": (("simulate", "blocks"), (), 1),
+}
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_the_earliest_failing_stage_names_the_failure_at_every_cpu_count(
+        case, procs, tmp_path, monkeypatch, capsys):
+    failing, beside, want = FAILURES[case]
+
+    def fail(name):
+        def stage(self, params):
+            raise FloatingPointError(f"{name} overflowed")
+        return stage
+
+    for name in failing:
+        monkeypatch.setattr(cli._Runner, "_stage_" + name, fail(name))
+    cfg = golden_config(tmp_path, "two-point-all-stages")
+    forks = use_cpus(monkeypatch, procs)
+    assert main(["run", "--config", cfg]) == 1
+    first = failing[0]
+    assert last_stderr_doc(capsys) == {"detail": f"{first} overflowed",
+                                       "error": "FloatingPointError", "stage": first}
+    out = tmp_path / "o"
+    before = list(cli.STAGE_ORDER[:cli.STAGE_ORDER.index(first)])
+    assert sorted(json.loads((out / "manifest.json").read_text())["stages"]) == sorted(before)
+    assert not (out / "report.json").exists()
+    # a stage beside the failing one may have finished: its report is whole
+    wrote = before + list(beside if procs > 1 else ())
+    reports = artifact_digests(out)
+    assert sorted(name for name in reports if name.endswith(".report.json")) == sorted(
+        cli._report_name(name) for name in wrote)
+    assert all(DIGESTS["two-point-all-stages"][name] == digest for name, digest in reports.items())
+    assert len(forks) == (want if procs > 1 else 0)
+    assert_no_child_left()
+
+
+def test_a_stage_worker_killed_by_a_signal_fails_the_run_naming_its_stage(tmp_path, monkeypatch,
+                                                                          capsys):
+    parent, tails = os.getpid(), cli._Runner._stage_tails
+
+    def killed(self, params):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return tails(self, params)
+
+    monkeypatch.setattr(cli._Runner, "_stage_tails", killed)
+    cfg = golden_config(tmp_path, "two-point-all-stages")
+    use_cpus(monkeypatch, 2)
+    assert main(["run", "--config", cfg]) == 1
+    assert last_stderr_doc(capsys) == {"detail": f"exit status {-signal.SIGKILL}",
+                                       "error": "RuntimeError", "stage": "tails"}
+    assert sorted(json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"]) == [
+        "blocks", "simulate", "solve-alpha"]
+    assert_no_child_left()

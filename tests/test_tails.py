@@ -251,6 +251,25 @@ def test_block_additivity_independent_pair(pair_pool):
     assert bl.c_inf_top.value == pytest.approx(top_sum, rel=0.05)
 
 
+@pytest.mark.parametrize("classes", [((0, 1), (-1,)), ((0,), (-2,)), ((0,), (2,))],
+                         ids=["negative-class", "negative-twin", "beyond-d"])
+def test_a_partition_outside_0_to_d_is_refused_however_it_is_built(classes):
+    # on a d = 2 pool the first read coordinate 1 as -1 and reported a
+    # consistent c_inf, the second counted coordinate 0 twice
+    perm = tuple(j for c in classes for j in c)
+    with pytest.raises(ValueError, match=r"classes must partition 0\.\.d-1"):
+        BlockPartition(classes, perm, {})
+    with pytest.raises(ValueError, match=r"classes must partition 0\.\.d-1"):
+        BlockPartition.from_json({"classes": [list(c) for c in classes], "permutation": list(perm)})
+
+
+@pytest.mark.parametrize("estimator", [block_tail_constant, spectral_measure])
+def test_a_partition_wider_than_the_pool_is_refused(pair_pool, estimator):
+    part = BlockPartition(((0,), (1,), (2,)), (0, 1, 2), {})
+    with pytest.raises(ValueError, match="coordinate index 2 out of range for d=2"):
+        estimator(pair_pool, part, [2.0, 2.0])
+
+
 def test_block_single_class_equals_full():
     spec = ModelSpec(
         "TwoPoint",
