@@ -430,15 +430,17 @@ class _Runner:
                 wave, steps = list(wave), []
                 with Workers() as workers:
                     forks = min(workers.cap, len(wave) - 1)
-                    for k, entry in enumerate(wave):
-                        steps.append(workers.call(self._step, *entry, fork=k < forks))
+                    for k, args in enumerate(wave):
+                        steps.append(workers.call(self._step, *args, fork=k < forks))
                         if k >= forks and isinstance(steps[-1](), Exception):
                             break
                     for (self.current_stage, _, _), step in zip(wave, steps):
                         if isinstance(entry := step(), Exception):
-                            raise entry
+                            break  # leaving the block kills the later stages' workers
                         manifest["stages"][self.current_stage] = entry
                         _dump_json(self.out / "manifest.json", manifest)
+                if isinstance(entry, Exception):
+                    raise entry
             self.current_stage = None
 
     def _step(self, name: str, given: dict, params: dict):

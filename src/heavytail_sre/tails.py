@@ -129,8 +129,7 @@ def hill_estimate(values, k: int) -> HillEstimate:
         raise ValueError("values must be positive and finite")
     part = np.partition(v, v.size - k - 1)
     threshold = float(part[v.size - k - 1])
-    top = part[v.size - k:]
-    mean_log = float(np.mean(np.log(top / threshold)))
+    mean_log = float(np.mean(np.log(part[v.size - k:] / threshold)))
     if mean_log == 0.0:
         return HillEstimate(
             math.inf, math.inf, math.inf, k, threshold, v.size, "constant-sample"

@@ -1252,8 +1252,8 @@ def readme_config(tmp_path: Path) -> str:
 
 def golden_config(tmp_path: Path, name: str) -> str:
     model, pipeline = CONFIGS[name]
-    return write_config(tmp_path / f"{name}.json", {"model": model, "seed": 11,
-                                                     "out": str(tmp_path / "o"), "pipeline": pipeline})
+    doc = {"model": model, "seed": 11, "out": str(tmp_path / "o"), "pipeline": pipeline}
+    return write_config(tmp_path / f"{name}.json", doc)
 
 
 def artifact_digests(out: Path) -> dict:
@@ -1370,4 +1370,28 @@ def test_a_stage_worker_killed_by_a_signal_fails_the_run_naming_its_stage(tmp_pa
                                        "error": "RuntimeError", "stage": "tails"}
     assert sorted(json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"]) == [
         "blocks", "simulate", "solve-alpha"]
+    assert_no_child_left()
+
+
+def test_a_later_worker_that_dies_does_not_hide_an_earlier_failure(tmp_path, monkeypatch,
+                                                                   capsys):
+    # at 3 CPUs tails and spectral fork: tails fails first, and spectral's
+    # worker, killed while it is still out, must not replace that failure
+    parent = os.getpid()
+
+    def tails(self, params):
+        raise FloatingPointError("tails overflowed")
+
+    def spectral(self, params):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli._Runner, "_stage_tails", tails)
+    monkeypatch.setattr(cli._Runner, "_stage_spectral", spectral)
+    cfg = golden_config(tmp_path, "two-point-all-stages")
+    forks = use_cpus(monkeypatch, 3)
+    assert main(["run", "--config", cfg]) == 1
+    assert last_stderr_doc(capsys) == {"detail": "tails overflowed",
+                                       "error": "FloatingPointError", "stage": "tails"}
+    assert len(forks) == 3
     assert_no_child_left()
