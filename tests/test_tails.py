@@ -254,8 +254,8 @@ def test_block_additivity_independent_pair(pair_pool):
 @pytest.mark.parametrize("classes", [((0, 1), (-1,)), ((0,), (-2,)), ((0,), (2,))],
                          ids=["negative-class", "negative-twin", "beyond-d"])
 def test_a_partition_outside_0_to_d_is_refused_however_it_is_built(classes):
-    # on a d = 2 pool the first read coordinate 1 as -1 and reported a
-    # consistent c_inf, the second counted coordinate 0 twice
+    # on a d = 2 pool the first counted coordinate 1 twice (as 1 and -1)
+    # and still read consistent; the second counted coordinate 0 twice
     perm = tuple(j for c in classes for j in c)
     with pytest.raises(ValueError, match=r"classes must partition 0\.\.d-1"):
         BlockPartition(classes, perm, {})
