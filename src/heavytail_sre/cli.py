@@ -45,6 +45,7 @@ from .common import (
     ranged,
     read_keys,
     stage_stream,
+    value,
 )
 from .geometry import magnitude_power
 from .independence import (
@@ -434,22 +435,16 @@ class _Runner:
                         steps.append(workers.call(self._step, *args, fork=k < forks))
                         if k >= forks and isinstance(steps[-1](), Exception):
                             break
+                    # in pipeline order; a raise leaves the block, which kills the later workers
                     for (self.current_stage, _, _), step in zip(wave, steps):
-                        if isinstance(entry := step(), Exception):
-                            break  # leaving the block kills the later stages' workers
-                        manifest["stages"][self.current_stage] = entry
+                        manifest["stages"][self.current_stage] = value(step())
                         _dump_json(self.out / "manifest.json", manifest)
-                if isinstance(entry, Exception):
-                    raise entry
             self.current_stage = None
 
-    def _step(self, name: str, given: dict, params: dict):
-        """Run one stage: its manifest entry, or the exception it raised."""
+    def _step(self, name: str, given: dict, params: dict) -> dict:
+        """Run one stage; returns its manifest entry."""
         self.current_stage, self._params_given, self._inputs = name, given, {}
-        try:
-            return getattr(self, "_stage_" + name.replace("-", "_"))(params)
-        except Exception as exc:
-            return exc
+        return getattr(self, "_stage_" + name.replace("-", "_"))(params)
 
     def _stage_solve_alpha(self, params: dict) -> dict:
         rng = stage_stream(self.seed, STAGE_IDS["solve-alpha"])
@@ -464,31 +459,28 @@ class _Runner:
             def on(fn, j, draw, *args):  # fn on the draw, forked off if there is one
                 return workers.call(fn, spec, j, draw, *args, fork=draw is not None)
 
-            pending = []
+            def read(c):  # a coordinate's forked outcomes, in call order
+                for key in ("goldie_mean", "abscissa"):
+                    c[key] = value(c[key]()).to_dict()
+
+            coords = []
             for j in range(spec.d):
                 drift = log_moment(spec, j, n=min(n, 200_000), rng=rng, method=method)
                 root = on(solve_alpha_on, j, solve_alpha_draw(spec, j, method, n, rng),
                           params["tol"])
                 draw = goldie_mean_draw(spec, j, method, n, rng)  # while the root is solved
-                alpha = root().alpha
-                gm = on(goldie_mean_on, j, draw, alpha)
+                if coords:  # the last coordinate's outcomes come before this root
+                    read(coords[-1])
+                solver = value(root())
+                gm = on(goldie_mean_on, j, draw, solver.alpha)
                 del draw
                 scan = on(moment_abscissa_on, j, moment_abscissa_draw(spec, j, scan_n, rng, method))
-                pos = positivity_check(spec, j, alpha, n=scan_n, rng=rng)
-                margin_ok = noise_margin_ok(spec, j, alpha, scan_n, rng)
-                pending.append((drift, root, gm, scan, pos, margin_ok))
-            coords = [
-                {
-                    "abscissa": scan().to_dict(),
-                    "alpha": root().alpha,
-                    "alpha_solver": root().to_dict(),
-                    "goldie_mean": gm().to_dict(),
-                    "log_moment": drift.to_dict(),
-                    "margin_ok": margin_ok,
-                    "positivity": pos.to_dict(),
-                }
-                for drift, root, gm, scan, pos, margin_ok in pending
-            ]
+                pos = positivity_check(spec, j, solver.alpha, n=scan_n, rng=rng).to_dict()
+                coords.append({"abscissa": scan, "alpha": solver.alpha, "goldie_mean": gm,
+                               "alpha_solver": solver.to_dict(), "log_moment": drift.to_dict(),
+                               "margin_ok": noise_margin_ok(spec, j, solver.alpha, scan_n, rng),
+                               "positivity": pos})
+            read(coords[-1])
         doc = {"alphas": [c["alpha"] for c in coords], "coordinates": coords,
                "sigma_margin": spec.sigma_margin}
         return self._write_report(doc)

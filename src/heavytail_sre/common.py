@@ -372,42 +372,54 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def value(outcome):
+    """A call's result: its outcome, raised if that is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class Workers:
     """Calls run in forked workers, at most one alive per usable CPU beyond
     this process; on one CPU every call runs here.  ``call`` returns the
-    getter of its result.  A worker sends back its result, or the exception
-    it raised, pickled through a pipe, and results are awaited in call order.
-
-    Leaving the block on an exception first awaits the calls still out,
-    all made before it, so the earliest failure in call order is the one
-    raised, as if every call had run here in turn.  Then, and on any other
-    exit, every worker still alive is killed and reaped.
+    getter of its outcome: the result, or the ``Exception`` the call raised.
+    A worker pickles its outcome through a pipe; one that dies (a
+    non-``Exception`` raise included) gives ``RuntimeError("exit status N")``.
+    Leaving the block only kills and reaps the workers still alive.  Each
+    caller reads its outcomes in its own fixed order, so the failure it
+    reports does not depend on the CPU count.
     """
 
     def __init__(self):
         self.cap, self._calls = usable_cpus() - 1, 0
         self._live: list[tuple[int, int, int]] = []  # (call, pid, read end), oldest first
-        self._done: dict = {}  # call -> result of a collected worker
+        self._done: dict = {}  # call -> outcome of a collected worker
 
     def __enter__(self):
         return self
 
-    def __exit__(self, kind, exc, tb):
-        try:
-            if kind is not None and issubclass(kind, Exception):
-                while self._live:  # an earlier call's failure comes first
-                    self._collect()
-        finally:
-            self._kill()
+    def __exit__(self, *exc):
+        while self._live:
+            _, pid, r = self._live[-1]
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+            self._live.pop()
 
     def call(self, fn, *args, fork: bool = True):
         """fn(*args): in a worker unless there is one CPU or fork is false,
-        in which case it runs (and raises) here at once.  The getter returns
-        the result or raises the exception."""
+        in which case it runs here at once."""
+
+        def run():
+            try:
+                return fn(*args)
+            except Exception as exc:
+                return exc
+
         k, self._calls = self._calls, self._calls + 1
         if not (fork and self.cap):
-            value = fn(*args)
-            return lambda: value
+            out = run()
+            return lambda: out
         while len(self._live) >= self.cap:
             self._collect()
         r, w = os.pipe()
@@ -417,11 +429,7 @@ class Workers:
         if pid == 0:  # leaves only through os._exit: no handler, atexit hook or flush
             status = 1
             try:
-                try:
-                    out = True, fn(*args)
-                except BaseException as exc:
-                    out = False, exc
-                data = memoryview(pickle.dumps(out))
+                data = memoryview(pickle.dumps(run()))
                 while data:
                     data = data[os.write(w, data):]
                 status = 0
@@ -429,31 +437,18 @@ class Workers:
                 os._exit(status)
         os.close(w)
         self._live.append((k, pid, r))
-        return lambda: self._result(k)
+        return lambda: self._outcome(k)
 
-    def _result(self, k: int):
+    def _outcome(self, k: int):
         while k not in self._done:
             self._collect()
         return self._done[k]
 
     def _collect(self) -> None:
-        """Await the oldest worker: keep its result, or kill the later ones
-        and raise its exception."""
+        """Await the oldest worker and keep its outcome."""
         k, pid, r = self._live[0]
         data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         del self._live[0]
         os.close(r)
-        ok, value = (False, RuntimeError(f"exit status {status}")) if status else pickle.loads(data)
-        if not ok:
-            self._kill()
-            raise value
-        self._done[k] = value
-
-    def _kill(self) -> None:
-        while self._live:
-            _, pid, r = self._live[-1]
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(r)
-            self._live.pop()
+        self._done[k] = RuntimeError(f"exit status {status}") if status else pickle.loads(data)

@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 
 from .common import (DivergenceError, NonContractiveError, Workers, atomic_write, chain_stream,
-                     diagnostic_stream, usable_cpus)
+                     diagnostic_stream, usable_cpus, value)
 from .model import LogMoment, ModelSpec, log_moment
 
 POOL_SCHEMA = "pool-columnar-v1"
@@ -187,8 +187,9 @@ def stationary_pool(
     Refuses to run unless every coordinate has a certified negative log
     drift.  The default burn-in is ceil(20 / |median_j E log|A_j||).
 
-    A divergence reports the earliest failing step and, among the chains
-    failing there, the lowest chain, whatever the chain batching.
+    Whatever the chain batching, the lowest chain that raises is raised as
+    itself; failing that, a divergence reports the earliest failing step and,
+    among the chains failing there, the lowest chain.
     """
     if chains < 1 or n_per_chain < 1 or thin < 1:
         raise ValueError("chains, n_per_chain, and thin must be positive")
@@ -225,8 +226,9 @@ def stationary_pool(
     # (chain, coordinate, record) views of the output, matching the slabs
     x_pre, a_rec, b_rec, x_post = (g.reshape(d, chains, n_per_chain).swapaxes(0, 1) for g in floats)
 
-    def run_share(k: int) -> list[tuple[int, int]]:
-        """Step share k; return the (step, chain) where each block first diverged."""
+    def run_share(k: int) -> list[tuple]:
+        """Step share k; return the (step, chain) where each block first diverged,
+        then (-1, chain, exception) if a chain raised, which ends the share."""
         # the a and b slabs; the recursion overwrites the b slab with states
         slabs, lost_at = np.empty((2, block, d, steps)), []
         for i in range(k, len(starts), procs):
@@ -234,8 +236,11 @@ def stationary_pool(
             nb = min(block, chains - c0)
             rows = slice(c0, c0 + nb)
             a, x = slabs[:, :nb]
-            for c in range(nb):
-                spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
+            try:
+                for c in range(nb):
+                    spec.sample_coeffs(chain_stream(seed, c0 + c), steps, out=(a[c], x[c]))
+            except Exception as exc:
+                return [*lost_at, (-1, c0 + c, exc)]
             a_rec[rows] = a[:, :, first::thin]
             b_rec[rows] = x[:, :, first::thin]
             # row c * d + j of the flat slabs is coordinate j of chain c
@@ -254,9 +259,11 @@ def stationary_pool(
     # share 0 here and share k, 0 < k < procs, in forked workers
     with Workers() as workers:
         shares = [workers.call(run_share, k) for k in range(1, procs)]
-        diverged = run_share(0) + [at for share in shares for at in share()]
-    if diverged:
-        t, c = min(diverged)
+        diverged = run_share(0) + [at for share in shares for at in value(share())]
+    if diverged:  # as one process: the lowest chain that raised, else the earliest divergence
+        t, c, *raised = min(diverged)
+        if raised:
+            raise raised[0]
         raise DivergenceError(
             f"chain {c} left the representable range at step {t}", step=t, chain=c
         )

@@ -1222,6 +1222,29 @@ def test_a_failing_solve_alpha_worker_fails_the_stage_as_one_process(procs, tmp_
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_solve_alpha_names_the_earliest_failing_routine_at_every_cpu_count(procs, tmp_path,
+                                                                           monkeypatch, capsys):
+    # goldie_mean fails for coordinate 0 and solve_alpha for coordinate 1: in
+    # call order, and so in one process, the goldie_mean failure comes first
+    def failing(routine, bad):
+        def run(spec, j, *args):
+            if j == bad:
+                raise FloatingPointError(f"{routine.__name__} overflowed for coordinate {j}")
+            return routine(spec, j, *args)
+        return run
+
+    monkeypatch.setattr(cli, "goldie_mean_on", failing(cli.goldie_mean_on, 0))
+    monkeypatch.setattr(cli, "solve_alpha_on", failing(cli.solve_alpha_on, 1))
+    cfg = monte_carlo_config(tmp_path / "c.json", PAIR_MODEL, 20_000, 5_000)
+    use_cpus(monkeypatch, procs)
+    assert main(["solve-alpha", "--config", cfg]) == 1
+    assert last_stderr_doc(capsys) == {"detail": "goldie_mean_on overflowed for coordinate 0",
+                                       "error": "FloatingPointError", "stage": "solve-alpha"}
+    assert not (tmp_path / "o" / "solve-alpha.report.json").exists()
+    assert_no_child_left()
+
+
 def test_solve_alpha_holds_one_draw_at_a_time(tmp_path, monkeypatch):
     # each draw is dropped once its worker forks, so the next draw does not
     # stand beside it; the n-row draws are the stage's largest

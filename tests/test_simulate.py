@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -273,6 +275,28 @@ def test_divergence_in_a_worker_share_reports_as_one_process(monkeypatch, procs)
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_a_chain_that_raises_comes_before_any_divergence(monkeypatch, procs):
+    # the setup above, where every process meets a divergence before chain 6
+    # raises; one process raises it, so every CPU count does
+    def stream(seed, chain):
+        if chain == 6:
+            raise MemoryError("no room for chain 6")
+        return chain_stream(seed, chain)
+
+    expanding = ModelSpec(
+        "TwoPoint", 2, {"p": 0.8, "up": 2.0, "down": 0.5, "b": {"dist": "exponential", "rate": 1.0}}
+    )
+    fake = (LogMoment(exact(-1.0), 0.0, True, False),) * 2
+    monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 2 * 3000 * 2)
+    monkeypatch.setattr(simulate, "drift_diagnostics", lambda spec, seed: fake)
+    monkeypatch.setattr(simulate, "chain_stream", stream)
+    use_cpus(monkeypatch, procs)
+    with pytest.raises(MemoryError, match="no room for chain 6"):
+        stationary_pool(expanding, seed=6, chains=7, n_per_chain=3000, thin=1, burn_in=0)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("where", ["parent", "worker"])
 @pytest.mark.parametrize("procs", [1, 2, 3])
 def test_a_failing_share_raises_as_itself_at_every_cpu_count(monkeypatch, tmp_path, procs, where):
@@ -301,6 +325,25 @@ def test_a_failing_share_raises_as_itself_at_every_cpu_count(monkeypatch, tmp_pa
     assert (int(raised.read_text()) != parent) == (where == "worker" and procs > 1)
     assert len(forks) == procs - 1
     assert exits.read_text() == f"{parent}\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_the_lowest_failing_chain_raises_at_every_cpu_count(monkeypatch, procs):
+    # chain 0 is the parent's and chain 2 a worker's wherever there is one;
+    # one process meets chain 0 first, so every CPU count raises its failure
+    def stream(seed, chain):
+        if chain in (0, 2):
+            raise MemoryError(f"no room for chain {chain}")
+        return chain_stream(seed, chain)
+
+    monkeypatch.setattr(simulate, "_BLOCK_TARGET_FLOATS", 5 * 45 * 2)
+    monkeypatch.setattr(simulate, "chain_stream", stream)
+    forks = use_cpus(monkeypatch, procs)
+    with pytest.raises(MemoryError) as err:
+        stationary_pool(reference(2), seed=5, chains=20, n_per_chain=20, burn_in=5, thin=2)
+    assert str(err.value) == "no room for chain 0"
+    assert len(forks) == procs - 1
     assert_no_child_left()
 
 
@@ -343,24 +386,39 @@ def test_workers_await_their_calls_in_call_order(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("later", ["failing call", "failure here"])
-def test_the_earliest_failure_in_call_order_is_raised(monkeypatch, later):
-    # as if every call had run here in turn
+@pytest.mark.parametrize("where", ["worker", "here"])
+def test_a_failing_call_hands_back_its_exception(monkeypatch, where):
+    # the getters are read against call order: neither raises
     use_cpus(monkeypatch, 3)
-    with pytest.raises(ValueError, match="first"):
-        with common.Workers() as workers:
-            workers.call(fail, "first")
-            if later == "failing call":
-                workers.call(fail, "second")()
-            fail("second")
+    with common.Workers() as workers:
+        first, second = (workers.call(fail, text, fork=where == "worker") for text in ("1", "2"))
+        got = [second(), first()]
+    assert [type(e) for e in got] == [ValueError] * 2 and [str(e) for e in got] == ["2", "1"]
     assert_no_child_left()
 
 
-def test_a_worker_that_dies_raises_its_exit_status(monkeypatch):
+def test_a_worker_that_dies_hands_back_its_exit_status(monkeypatch):
     use_cpus(monkeypatch, 2)
+    with common.Workers() as workers:
+        got = workers.call(os._exit, 3)()
+    assert type(got) is RuntimeError and str(got) == "exit status 3"
+    assert common.value(5) == 5
     with pytest.raises(RuntimeError, match="exit status 3"):
+        common.value(got)
+    # a BaseException that is not an Exception ends the worker as exit status 1
+    with common.Workers() as workers:
+        assert str(workers.call(sys.exit, "bye")()) == "exit status 1"
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_block_leaves_at_once_and_kills_the_workers(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="here"):
         with common.Workers() as workers:
-            workers.call(os._exit, 3)()
+            workers.call(time.sleep, 10)
+            fail("here")
+    assert time.monotonic() - start < 5
     assert_no_child_left()
 
 

@@ -73,13 +73,15 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set]:
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                              os.environ.get("PYTHONPATH")]))
-    # a forked child starts an empty hit set and writes it out as it leaves
+    # a forked child starts an empty hit set and writes it out as it leaves,
+    # through a rename: a child killed while it writes leaves only a .tmp file
     parent, real_exit, dumps = os.getpid(), os._exit, Path(tempfile.mkdtemp())
 
     def child_exit(status):
         if os.getpid() != parent:
-            with open(dumps / str(os.getpid()), "wb") as fh:
+            with open(dumps / f"{os.getpid()}.tmp", "wb") as fh:
                 marshal.dump(list(hits), fh)
+            os.rename(dumps / f"{os.getpid()}.tmp", dumps / str(os.getpid()))
         real_exit(status)
 
     os.register_at_fork(after_in_child=hits.clear)
@@ -93,7 +95,8 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set]:
         threading.settrace(None)
         os._exit = real_exit
     for dump in dumps.iterdir():
-        hits.update(map(tuple, marshal.loads(dump.read_bytes())))
+        if dump.suffix != ".tmp":
+            hits.update(map(tuple, marshal.loads(dump.read_bytes())))
     shutil.rmtree(dumps)
     resolved = {(str(Path(f).resolve()), line) for f, line in hits}
     return int(code), resolved
