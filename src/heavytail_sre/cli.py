@@ -55,9 +55,9 @@ from .independence import (
     submultiplicativity_check,
     tau_gamma_bound,
 )
-from .model import ModelSpec, log_moment
-from .moments import (goldie_mean_draw, goldie_mean_on, moment_abscissa_draw, moment_abscissa_on,
-                      noise_margin_ok, positivity_check, solve_alpha_draw, solve_alpha_on)
+from .model import ModelSpec, log_moment, route
+from .moments import (goldie_mean_on, moment_abscissa_draw, moment_abscissa_on, noise_margin_ok,
+                      positivity_check, solve_alpha_on)
 from .simulate import SamplePool, stationary_pool
 from .tails import (
     DEFAULT_MIN_TOP,
@@ -466,9 +466,9 @@ class _Runner:
             coords = []
             for j in range(spec.d):
                 drift = log_moment(spec, j, n=min(n, 200_000), rng=rng, method=method)
-                root = on(solve_alpha_on, j, solve_alpha_draw(spec, j, method, n, rng),
+                root = on(solve_alpha_on, j, route(spec, j, "solve_alpha", method, n, rng),
                           params["tol"])
-                draw = goldie_mean_draw(spec, j, method, n, rng)  # while the root is solved
+                draw = route(spec, j, "goldie_mean", method, n, rng)  # while the root is solved
                 if coords:  # the last coordinate's outcomes come before this root
                     read(coords[-1])
                 solver = value(root())

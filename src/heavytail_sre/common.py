@@ -367,11 +367,6 @@ def atomic_write(path, mode: str = "w", **kwargs):
         raise
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def value(outcome):
     """A call's result: its outcome, raised if that is an exception."""
     if isinstance(outcome, Exception):
@@ -390,8 +385,9 @@ class Workers:
     reports does not depend on the CPU count.
     """
 
-    def __init__(self):
-        self.cap, self._calls = usable_cpus() - 1, 0
+    def __init__(self):  # the CPUs this process may run on; 1 where the OS does not say
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        self.cap, self._calls = cpus - 1, 0
         self._live: list[tuple[int, int, int]] = []  # (call, pid, read end), oldest first
         self._done: dict = {}  # call -> outcome of a collected worker
 

@@ -22,7 +22,7 @@ simulation slabs.  ``ModelSpec.sample_coeffs`` fills the rows it is given
 with ``out=``, or allocates them and returns their (n, d) transposes.
 
 Closed-form moment hooks return None when the family cannot provide the
-quantity analytically; callers then fall back to Monte Carlo.  For the
+quantity; ``ModelSpec.closed_forms`` says once which routes exist.  For the
 CCCGarch family the hooks are deterministic Gaussian quadratures, reported
 under the "closed-form" method tag.
 """
@@ -728,7 +728,9 @@ class ModelSpec:
 
     Six closed-form hooks read the family: ``kappa_exact``, ``drift_exact``,
     ``goldie_mean_exact``, ``joint_moment_exact``, ``b_moment_exact`` and
-    ``b_abscissa``.  Each returns None where the family has no closed form.
+    ``b_abscissa``.  ``closed_forms`` is False for a Custom callable, which
+    answers None to all six; every other family answers the five marginal
+    hooks at every order, and only ``joint_moment_exact`` may give None.
     """
 
     def __init__(self, family: str, d: int, params: dict, sigma_margin: float = 0.5):
@@ -739,6 +741,7 @@ class ModelSpec:
             family += " callable" if isinstance(params, dict) and "sampler" in params else " atoms"
         impl = _FAMILY_CLASSES[family]
         self._impl = impl(self.d, read_keys(params, impl.KEYS, f"{family} params"))
+        self.closed_forms = impl is not _CustomCallable
 
     # -- sampling -----------------------------------------------------------
 
@@ -824,6 +827,14 @@ class ModelSpec:
         return f"ModelSpec(family={self.family!r}, d={self.d})"
 
 
+def route(spec: ModelSpec, j: int, what: str, method: str, n: int, rng):
+    """The route of moment routine ``what`` at coordinate j, taken through
+    common.use_closed_form on ``spec.closed_forms``: None for the closed
+    form, or the n-row draw of coordinate j for Monte Carlo."""
+    use = use_closed_form(method, spec.closed_forms, what, rng)
+    return None if use else spec.sample_coeffs(rng, n, coords=(j,))
+
+
 @dataclasses.dataclass(frozen=True)
 class LogMoment(Record):
     """Drift diagnostics for one coordinate.
@@ -856,15 +867,13 @@ def log_moment(
     The Monte Carlo route certifies contraction only when the 95% interval
     lies strictly below zero (or when mass at zero is observed).
     """
-    drift = spec.drift_exact(j)
-    if use_closed_form(method, drift is not None and (drift[0] is not None or drift[1] == 1.0),
-                       "log_moment", rng):
-        mean, zero_mass, const = drift
-        if zero_mass == 1.0:
+    if (draw := route(spec, j, "log_moment", method, n, rng)) is None:
+        mean, zero_mass, const = spec.drift_exact(j)
+        if zero_mass >= 1.0:  # a sum of atom weights may pass 1 by an ulp
             return LogMoment(None, 1.0, True, True)
         return LogMoment(exact(float(mean)), float(zero_mass), bool(zero_mass > 0.0 or mean < 0.0),
                          bool(const))
-    a, b = spec.sample_coeffs(rng, n, coords=(j,))
+    a, b = draw
     logs = nonzero_logs(np.abs(a[:, 0], out=a[:, 0]))
     zero_mass = 1.0 - logs.size / n
     if logs.size == 0:

@@ -17,9 +17,11 @@ Monte Carlo routes reuse one coefficient draw across all evaluations of a
 root search (common random numbers), so the estimated kappa is a smooth
 deterministic function of s within a call.  Each routine draws only the
 coordinates it reads (sample_coeffs' coords) and computes in their rows.
+Routes follow ModelSpec.closed_forms, one fact per model, through
+model.route; only cross_kappa asks its pair's hook for None.
 solve_alpha, goldie_mean and moment_abscissa are split at their draw:
-<name>_draw takes the route and draws, <name>_on computes on the draw, so
-a caller can hand the arithmetic to another process and draw on.
+route takes the route and draws, <name>_on computes on the draw, so a
+caller can hand the arithmetic to another process and draw on.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .common import (
     use_closed_form,
     variance,
 )
-from .model import ModelSpec
+from .model import ModelSpec, route
 
 _MAX_BRACKET_STEPS = 60
 
@@ -118,10 +120,9 @@ def kappa(
     "possibly-infinite" flag.
     """
     s = require(s, "moment order s", "nonnegative")
-    closed = spec.kappa_exact(j, s)
-    if use_closed_form(method, closed is not None, "kappa", rng):
-        return exact(closed)
-    a, b = spec.sample_coeffs(rng, n, coords=(j,))
+    if (draw := route(spec, j, "kappa", method, n, rng)) is None:
+        return exact(spec.kappa_exact(j, s))
+    a, b = draw
     w = a[:, 0]
     abs_pow(np.abs(w, out=w), s, w)
     flag = "possibly-infinite" if doubling_change(w) > STABLE_REL_CHANGE else None
@@ -149,13 +150,6 @@ def _pilot_from_drift(mean_log: float, var_log: float) -> float:
     return min(max(pilot, 1e-3), 1e3)
 
 
-def _draw(spec: ModelSpec, j: int, closed, what: str, method: str, n: int, rng):
-    """The n-row draw of coordinate j for a Monte Carlo route, or None where
-    use_closed_form takes the closed form ``closed`` (None if there is none)."""
-    use = use_closed_form(method, closed is not None, what, rng)
-    return None if use else spec.sample_coeffs(rng, n, coords=(j,))
-
-
 def solve_alpha(
     spec: ModelSpec,
     j: int,
@@ -175,17 +169,11 @@ def solve_alpha(
     Monte Carlo calls freeze a single coefficient draw and solve on the
     empirical kappa, so the achieved tolerance is relative to that draw.
     """
-    return solve_alpha_on(spec, j, solve_alpha_draw(spec, j, method, n, rng), tol)
-
-
-def solve_alpha_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
-    """solve_alpha's route, taken: the draw of its Monte Carlo route, or
-    None for the closed form."""
-    return _draw(spec, j, spec.kappa_exact(j, 1.0), "solve_alpha", method, n, rng)
+    return solve_alpha_on(spec, j, route(spec, j, "solve_alpha", method, n, rng), tol)
 
 
 def solve_alpha_on(spec: ModelSpec, j: int, draw, tol: float | None = None) -> AlphaRoot:
-    """solve_alpha on the route that solve_alpha_draw took."""
+    """solve_alpha on the route that route took for it."""
     if draw is None:
         tol = 1e-8 if tol is None else float(tol)
         mean_log, zero_mass, _ = spec.drift_exact(j)
@@ -275,18 +263,11 @@ def goldie_mean(
     from finitely many draws.
     """
     alpha = require(alpha, "alpha")
-    return goldie_mean_on(spec, j, goldie_mean_draw(spec, j, method, n, rng), alpha)
-
-
-def goldie_mean_draw(spec: ModelSpec, j: int, method: str, n: int, rng):
-    """goldie_mean's route, taken before alpha is known (a family has the
-    closed form at every alpha or at none): the draw of its Monte Carlo
-    route, or None for the closed form."""
-    return _draw(spec, j, spec.goldie_mean_exact(j, 1.0), "goldie_mean", method, n, rng)
+    return goldie_mean_on(spec, j, route(spec, j, "goldie_mean", method, n, rng), alpha)
 
 
 def goldie_mean_on(spec: ModelSpec, j: int, draw, alpha: float) -> Estimate:
-    """goldie_mean at alpha on the route that goldie_mean_draw took."""
+    """goldie_mean at alpha on the route that route took for it."""
     if draw is None:
         return exact(spec.goldie_mean_exact(j, alpha))
     a, b = draw
@@ -373,7 +354,7 @@ def moment_abscissa(
 def moment_abscissa_draw(spec: ModelSpec, j: int, n: int, rng, method: str):
     """moment_abscissa's route, taken: the 2n-row draw of its Monte Carlo
     route, or None for the closed form."""
-    return _draw(spec, j, spec.b_abscissa(j), "moment_abscissa", method, 2 * n, rng)
+    return route(spec, j, "moment_abscissa", method, 2 * n, rng)
 
 
 def moment_abscissa_on(spec: ModelSpec, j: int, draw) -> AbscissaScan:
@@ -443,10 +424,10 @@ def positivity_check(
     else:
         grid = np.linspace(0.45 * s_inf, 0.95 * s_inf, 11)
 
-    # every family has both closed forms, E|B|^s and kappa, or neither
-    moments = [(spec.b_moment_exact(j, float(s)), spec.kappa_exact(j, float(s))) for s in grid]
-    if not use_closed_form("auto", moments[0][1] is not None, "positivity_check", rng):
-        a, b = spec.sample_coeffs(rng, n, coords=(j,))
+    if (draw := route(spec, j, "positivity_check", "auto", n, rng)) is None:
+        moments = [(spec.b_moment_exact(j, float(s)), spec.kappa_exact(j, float(s))) for s in grid]
+    else:
+        a, b = draw
         ca, cb = np.abs(a[:, 0], out=a[:, 0]), np.abs(b[:, 0], out=b[:, 0])
         buf = np.empty(n)
         with np.errstate(over="ignore"):
@@ -472,9 +453,8 @@ def noise_margin_ok(
     limits need: exactly for known noise laws, otherwise by the doubling
     heuristic on n fresh noise draws."""
     probe = alpha + spec.sigma_margin
-    closed = spec.b_moment_exact(j, probe)
-    if use_closed_form("auto", closed is not None, "noise_margin_ok", rng):
-        return bool(math.isfinite(closed))
-    w = spec.sample_coeffs(rng, n, coords=(j,))[1][:, 0]
+    if (draw := route(spec, j, "noise_margin_ok", "auto", n, rng)) is None:
+        return bool(math.isfinite(spec.b_moment_exact(j, probe)))
+    w = draw[1][:, 0]
     return bool(doubling_change(abs_pow(np.abs(w, out=w), probe, w)) <= STABLE_REL_CHANGE)
 

@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 
 from .common import (DivergenceError, NonContractiveError, Workers, atomic_write, chain_stream,
-                     diagnostic_stream, usable_cpus, value)
+                     diagnostic_stream, value)
 from .model import LogMoment, ModelSpec, log_moment
 
 POOL_SCHEMA = "pool-columnar-v1"
@@ -218,7 +218,7 @@ def stationary_pool(
     # CPU, block and chain split that budget, in a multiple of procs blocks
     n_blocks = -(-chains // max(1, min(chains, _BLOCK_TARGET_FLOATS // (steps * d) + 1)))
     block = -(-chains // n_blocks)
-    procs = min(usable_cpus(), n_blocks, block)
+    procs = min(Workers().cap + 1, n_blocks, block)
     block = -(-chains // (-(-chains // (block // procs * procs)) * procs))
     starts = range(0, chains, block)
     # shared with the workers: the float groups in pool.bin order, every column contiguous

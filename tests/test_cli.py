@@ -891,6 +891,37 @@ def test_corrupt_upstream_artifact_exits_two(name, keep, tmp_path, capsys):
     assert not (out / "tails.report.json").exists()
 
 
+def test_upstream_artifact_gone_after_preflight_exits_two(tmp_path, capsys, monkeypatch):
+    # preflight finds every artifact, and the stage then finds one gone
+    out = tmp_path / "o"
+    doc = {
+        "model": REF_MODEL,
+        "seed": 3,
+        "out": str(out),
+        "pipeline": [
+            "solve-alpha",
+            {"stage": "simulate", "params": {"chains": 50, "n_per_chain": 100, "thin": 2}},
+        ],
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    preflight = cli._Runner.preflight
+
+    def preflight_then_delete(runner):
+        preflight(runner)
+        (out / "solve-alpha.report.json").unlink()
+
+    monkeypatch.setattr(cli._Runner, "preflight", preflight_then_delete)
+    capsys.readouterr()
+
+    assert main(["tails", "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == "tails"
+    assert err["detail"] == ("solve-alpha.report.json is missing; rerun 'solve-alpha' "
+                             "or point --out at another directory")
+    assert not (out / "tails.report.json").exists()
+
+
 def test_run_and_stage_by_stage_write_the_same_bytes(tmp_path):
     # run and every stage subcommand load the pool from pool.bin alike, so
     # only manifest.json may differ (alpha is exactly 2.0, as E A_j^2 = 1)

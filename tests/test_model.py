@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from heavytail_sre import ConfigurationError, ModelSpec, log_moment
+from heavytail_sre import ConfigurationError, LogMoment, ModelSpec, log_moment
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -804,16 +804,18 @@ def test_custom_callable_shape_check():
 
 
 def test_kappa_and_noise_moment_closed_forms_come_together():
-    # positivity_check takes one route for its whole grid: every family
-    # answers both E|A_j|^s and E|B_j|^s in closed form, or neither
+    # every moment routine but cross_kappa routes on the model's one flag,
+    # with no hook asked: every family answers all five marginal hooks at
+    # every order, E|A_j|^s and E|B_j|^s alike, or none of them
     from heavytail_sre.model import _FAMILY_CLASSES
 
     assert {type(spec._impl) for spec in FILL_MODELS.values()} == set(_FAMILY_CLASSES.values())
     for name, spec in FILL_MODELS.items():
         for j in range(spec.d):
-            for s in (0.5, 2.0, 7.5):
-                both = (spec.kappa_exact(j, s) is None, spec.b_moment_exact(j, s) is None)
-                assert both in ((True, True), (False, False)), (name, j, s)
+            for s in (0.0, 0.5, 2.0, 7.5):
+                answers = (spec.kappa_exact(j, s), spec.b_moment_exact(j, s),
+                           spec.goldie_mean_exact(j, s), spec.drift_exact(j), spec.b_abscissa(j))
+                assert {v is not None for v in answers} == {spec.closed_forms}, (name, j, s)
 
 
 def test_every_family_closed_form_is_a_hook():
@@ -984,6 +986,14 @@ def test_log_moment_of_zero_coefficient_on_both_routes():
         assert lm.zero_mass == 1.0
         assert lm.contractive is True
         assert lm.constant_magnitude is True
+
+
+@pytest.mark.parametrize("prob", [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2]])
+def test_log_moment_of_zero_atoms_does_not_depend_on_their_order(prob):
+    # in the first order the zero mass sums to 1.0000000000000002
+    spec = ModelSpec("Custom", 1, {"atoms": {"prob": prob, "a": [[0.0]] * 3, "b": [[1.0]] * 3}})
+    for method in ("auto", "closed-form"):
+        assert log_moment(spec, 0, method=method) == LogMoment(None, 1.0, True, True)
 
 
 def test_log_moment_monte_carlo():

@@ -267,11 +267,27 @@ GOLDIE_ROUTED = {
 @pytest.mark.parametrize("model", sorted(GOLDIE_ROUTED))
 def test_goldie_mean_routes_without_the_value_of_alpha(model):
     # the solve-alpha stage takes goldie_mean's route, and draws, before
-    # alpha is known: the route asks for the closed form at alpha = 1
+    # alpha is known: the route reads the model's flag, which must hold at
+    # every alpha
     spec = GOLDIE_ROUTED[model]
     for j in range(spec.d):
         routes = {spec.goldie_mean_exact(j, alpha) is None for alpha in (0.1, 1.0, 2.5, 7.0)}
-        assert routes == {model == "custom-callable"}, j
+        assert routes == {not spec.closed_forms} == {model == "custom-callable"}, j
+
+
+def test_monte_carlo_routes_evaluate_no_closed_form(monkeypatch):
+    # CCCGarch's closed forms are quadratures: a Monte Carlo route that
+    # probed one to find its route would run one and throw it away
+    def quad(*args):
+        raise AssertionError("a closed form was evaluated on a Monte Carlo route")
+
+    spec = ModelSpec("CCCGarch", 1, {"arch": 0.35, "garch": 0.25})
+    monkeypatch.setattr("heavytail_sre.model._quad", quad)
+    mc = {"method": "monte-carlo", "n": 20_000}
+    root = solve_alpha(spec, 0, rng=RNG(4), **mc)
+    assert root.method == "monte-carlo"
+    assert goldie_mean(spec, 0, root.alpha, rng=RNG(5), **mc).method == "monte-carlo"
+    assert moment_abscissa(spec, 0, rng=RNG(6), **mc).method == "monte-carlo"
 
 
 # -- cross_kappa -----------------------------------------------------------------

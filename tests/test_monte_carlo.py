@@ -234,6 +234,7 @@ def test_routines_hold_only_the_rows_they_read(monkeypatch, name):
     for hook in ("kappa_exact", "drift_exact", "goldie_mean_exact", "b_moment_exact",
                  "b_abscissa", "joint_moment_exact"):
         monkeypatch.setattr(spec, hook, lambda *args: None)
+    monkeypatch.setattr(spec, "closed_forms", False)
     row, other = 8 * n, 1 if spec.d > 1 else 0
 
     def draw_peak(**keep):
