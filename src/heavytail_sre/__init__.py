@@ -63,7 +63,6 @@ from .tails import (
     MomentCheck,
     SpectralEstimate,
     TailConstantLadder,
-    TailConstants,
     block_tail_constant,
     empirical_tail_constant,
     goldie_constant,

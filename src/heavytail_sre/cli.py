@@ -62,7 +62,6 @@ from .simulate import SamplePool, stationary_pool
 from .tails import (
     DEFAULT_MIN_TOP,
     SPECTRAL_MIN_TOP,
-    TailConstants,
     block_tail_constant,
     empirical_tail_constant,
     goldie_constant,
@@ -558,10 +557,11 @@ class _Runner:
                     csv_rows.append((f"block{l}", t, e.value, e.ci_lo, e.ci_hi))
                 e = block_ladder.c_inf[r]
                 csv_rows.append(("c_inf", t, e.value, e.ci_lo, e.ci_hi))
-        constants = TailConstants(tuple(lad.c_plus for lad in ladders),
-                                  tuple(lad.c_minus for lad in ladders),
-                                  block_ladder.block_top, block_ladder.c_inf_top)
-        doc["tail_constants"] = constants.to_dict()
+        doc["tail_constants"] = {
+            "c_plus": [lad.plus[-1].to_dict() for lad in ladders],
+            "c_minus": [lad.minus[-1].to_dict() for lad in ladders],
+            "c_block": [series[-1].to_dict() for series in block_ladder.block],
+            "c_inf": block_ladder.c_inf[-1].to_dict()}
         _write_csv(
             self.out / "tails.ladders.csv",
             ["series", "threshold", "value", "ci_lo", "ci_hi"],

@@ -26,28 +26,22 @@ from .tails import DEFAULT_MIN_TOP, _ladder, _scaled_binomials
 class Tau:
     """Submultiplicative weight on coefficient pairs, tau(g1, g2) = f1(g1) * f2(g2).
 
-    A single-argument weight tau(g) = f1(g) has no f2 and weighs both
-    coefficients with f1.  Submultiplicativity, tau(g * h) <= tau(g) tau(h),
-    holds for every kind build_tau makes; for any other weight it is the
-    caller's claim.  growth, when declared, is (C1, C2) with
+    A single-argument weight has no f2: tau(g) = f1(g), and tau(g1, g2)
+    weighs both coefficients with f1; a two-argument weight refuses one
+    argument.  Submultiplicativity, tau(g * h) <= tau(g) tau(h), holds for
+    every kind build_tau makes; for any other weight it is the caller's
+    claim.  growth, when declared, is (C1, C2) with
     tau(g) <= C1 * (1 + |g|)^C2 in each argument.
     """
 
     def __init__(self, name: str, f1, f2=None, growth: tuple[float, float] | None = None):
         self.name, self.f1, self.f2, self.growth = name, f1, f2, growth
 
-    @property
-    def two_arg(self) -> bool:
-        return self.f2 is not None
-
-    def value(self, g):
-        if self.two_arg:
-            raise ValueError(f"{self.name} needs two arguments; use value2")
-        return self.f1(np.asarray(g, dtype=float))
-
-    def value2(self, g1, g2):
-        f2 = self.f1 if self.f2 is None else self.f2
-        return self.f1(np.asarray(g1, dtype=float)) * f2(np.asarray(g2, dtype=float))
+    def __call__(self, g1, g2=None):
+        if g2 is None and self.f2 is not None:
+            raise ValueError(f"{self.name} needs two arguments")
+        v = self.f1(np.asarray(g1, dtype=float))
+        return v if g2 is None else v * (self.f2 or self.f1)(np.asarray(g2, dtype=float))
 
 
 def _factors(value) -> list:
@@ -58,7 +52,7 @@ def _factors(value) -> list:
 
 def _product(factors: list) -> Tau:
     left, right = factors
-    if left.two_arg or right.two_arg:
+    if left.f2 is not None or right.f2 is not None:
         raise ValueError("product factors must be single-argument weights")
     growth = (left.growth[0] * right.growth[0], max(left.growth[1], right.growth[1]))
     return Tau(f"product({left.name}, {right.name})", left.f1, right.f1, growth)
@@ -119,20 +113,17 @@ def submultiplicativity_check(
     if n < 1:
         raise ValueError("n must be positive")
 
-    cols = 2 if tau.two_arg else 1  # one column per argument of tau
+    cols = 1 if tau.f2 is None else 2  # one column per argument of tau
 
     def draw() -> np.ndarray:
         mags = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(n, cols)))
         signs = rng.integers(0, 2, size=(n, cols)) * 2 - 1
         return mags * signs
 
-    def weight(g: np.ndarray) -> np.ndarray:
-        return tau.value2(g[:, 0], g[:, 1]) if tau.two_arg else tau.value(g[:, 0])
-
     g, h = draw(), draw()
     with np.errstate(over="ignore"):
-        num = weight(g * h)
-        den = weight(g) * weight(h)
+        num = tau(*(g * h).T)
+        den = tau(*g.T) * tau(*h.T)
     # compare in log space; overflowed num and den together are
     # indeterminate and dropped rather than reported as nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -142,7 +133,7 @@ def submultiplicativity_check(
         raise ValueError("every probed ratio was indeterminate")
     worst = int(np.argmax(np.where(valid, log_ratio, -np.inf)))
     worst_ratio = float(np.exp(min(log_ratio[worst], 709.0)))
-    worst_args = tuple(tuple(map(float, x[worst])) if tau.two_arg else float(x[worst, 0])
+    worst_args = tuple(tuple(map(float, x[worst])) if cols == 2 else float(x[worst, 0])
                        for x in (g, h))
     passed = bool(log_ratio[worst] <= math.log1p(1e-9))
 
@@ -151,7 +142,7 @@ def submultiplicativity_check(
         c1, c2 = tau.growth
         with np.errstate(over="ignore"):
             caps = c1 * np.prod((1.0 + np.abs(g)) ** c2, axis=1)
-            growth_ok = bool(np.all(weight(g) <= caps * (1.0 + 1e-12)))
+            growth_ok = bool(np.all(tau(*g.T) <= caps * (1.0 + 1e-12)))
     return SubmultiplicativityCheck(passed, worst_ratio, worst_args, n, growth_ok)
 
 
@@ -325,7 +316,7 @@ def tau_gamma_bound(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         joint_pow(np.abs(ai, out=w), alpha_i * xi, w)
         np.multiply(w, joint_pow(np.abs(aj, out=scratch), alpha_j * (1.0 - xi), scratch), out=w)
-        tv = np.asarray(tau.value2(ai, aj), dtype=float)
+        tv = np.asarray(tau(ai, aj), dtype=float)
     # overflow artifacts (inf, or nan from inf * 0) are kept as inf: an
     # unbounded weight can never certify k < 1 and lands in
     # TauHeavinessError below

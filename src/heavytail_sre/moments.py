@@ -307,7 +307,8 @@ def cross_kappa(
     s = require(alpha_i, "alpha_i") * xi
     u = require(alpha_j, "alpha_j") * (1.0 - xi)
 
-    closed = spec.kappa_exact(j, s + u) if i == j else spec.joint_moment_exact(i, j, s, u)
+    closed = (None if method == "monte-carlo" else  # a Monte-Carlo route evaluates no closed form
+              spec.kappa_exact(j, s + u) if i == j else spec.joint_moment_exact(i, j, s, u))
     if use_closed_form(method, closed is not None, "cross_kappa", rng):
         return exact(closed)
     a, b = spec.sample_coeffs(rng, n, coords=(i, j) if i != j else (i,))

@@ -157,14 +157,6 @@ class TailConstantLadder(Record):
     n: int
     converged: bool
 
-    @property
-    def c_plus(self) -> Estimate:
-        return self.plus[-1]
-
-    @property
-    def c_minus(self) -> Estimate:
-        return self.minus[-1]
-
 
 def _interval_overlap(ests: tuple[Estimate, ...]) -> bool:
     tail = ests[-3:]
@@ -206,8 +198,7 @@ class GoldieConstant(Record):
     """Tail constants from the stationary moment identity.
 
     total = plus + minus holds exactly by construction.  unstable is set
-    when doubling the sample moves the mean by more than 5% or the
-    interval is wider than half the value.
+    when doubling the sample moves the mean of the total by more than 5%.
     """
 
     coordinate: int
@@ -274,14 +265,6 @@ class BlockTailLadder(Record):
     c_inf: tuple[Estimate, ...]
     n: int
     consistent: bool
-
-    @property
-    def block_top(self) -> tuple[Estimate, ...]:
-        return tuple(series[-1] for series in self.block)
-
-    @property
-    def c_inf_top(self) -> Estimate:
-        return self.c_inf[-1]
 
 
 def block_tail_constant(
@@ -434,12 +417,3 @@ def moment_estimate(pool, j: int, s: float) -> MomentCheck:
     est = mean_estimate(w, flag=None if stable else "unstable", scratch=w)
     return MomentCheck(s, est, float(rel), stable)
 
-
-@dataclasses.dataclass(frozen=True)
-class TailConstants(Record):
-    """Top-rung tail constants assembled from the ladder estimators."""
-
-    c_plus: tuple[Estimate, ...]
-    c_minus: tuple[Estimate, ...]
-    c_block: tuple[Estimate, ...]
-    c_inf: Estimate

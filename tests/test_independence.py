@@ -57,15 +57,15 @@ LOGLOG = {"kind": "loglog"}
 
 
 def test_tau_values():
-    assert build_tau({"kind": "power", "beta": 2.0}).value(3.0) == 9.0
-    assert build_tau(LOG).value(math.e - 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert build_tau(LOGLOG).value(0.0) == 1.0
+    assert build_tau({"kind": "power", "beta": 2.0})(3.0) == 9.0
+    assert build_tau(LOG)(math.e - 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert build_tau(LOGLOG)(0.0) == 1.0
     prod = build_tau({"kind": "product", "factors": [LOG, {"kind": "power", "beta": 1.0}]})
-    assert prod.two_arg is True
-    assert prod.value2(0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert prod.f2 is not None
+    assert prod(0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
     assert prod.growth == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        prod.value(1.0)
+    with pytest.raises(ValueError, match="needs two arguments"):
+        prod(1.0)
 
 
 def test_tau_validation():
@@ -88,12 +88,12 @@ def test_build_tau_roundtrip():
     ]
     for doc, name, growth, want in cases:
         tau = build_tau(doc)
-        assert (tau.name, tau.growth, tau.two_arg) == (name, growth, False)
-        np.testing.assert_array_equal(tau.value(g), want)
-        np.testing.assert_array_equal(tau.value2(g, g), want * want)
+        assert (tau.name, tau.growth, tau.f2) == (name, growth, None)
+        np.testing.assert_array_equal(tau(g), want)
+        np.testing.assert_array_equal(tau(g, g), want * want)
     prod = build_tau({"kind": "product", "factors": [{"kind": "log"}, LOGLOG]})
     assert prod.name == "product(log(1), loglog)"
-    np.testing.assert_array_equal(prod.value2(g, g), build_tau(LOG).value(g) * build_tau(LOGLOG).value(g))
+    np.testing.assert_array_equal(prod(g, g), build_tau(LOG)(g) * build_tau(LOGLOG)(g))
 
 
 def test_build_tau_rejects_bad_docs():
@@ -135,7 +135,7 @@ def test_exponential_weight_fails():
     assert chk.worst_ratio > 10.0
     assert chk.growth_ok is None
     # direct witness: tau(3 * 3) = e^9 > e^6 = tau(3) tau(3)
-    assert tau.value(9.0) / (tau.value(3.0) * tau.value(3.0)) == pytest.approx(
+    assert tau(9.0) / (tau(3.0) * tau(3.0)) == pytest.approx(
         math.e**3, rel=1e-12
     )
 

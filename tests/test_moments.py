@@ -290,6 +290,21 @@ def test_monte_carlo_routes_evaluate_no_closed_form(monkeypatch):
     assert moment_abscissa(spec, 0, rng=RNG(6), **mc).method == "monte-carlo"
 
 
+def test_monte_carlo_cross_kappa_evaluates_no_closed_form(monkeypatch):
+    # detect_blocks calls cross_kappa per pair and per xi probe: a joint
+    # quadrature taken only to be thrown away ran twice per call for i != j
+    def quad(*args):
+        raise AssertionError("a closed form was evaluated on a Monte Carlo route")
+
+    spec = ModelSpec("CCCGarch", 2, {"arch": [0.35, 0.3], "garch": [0.25, 0.3]})
+    want = [cross_kappa(spec, i, j, 2.0, 2.5, method="monte-carlo", n=5_000, rng=RNG(7))
+            for i, j in ((0, 1), (1, 1))]
+    monkeypatch.setattr("heavytail_sre.model._quad", quad)
+    for (i, j), before in zip(((0, 1), (1, 1)), want):
+        got = cross_kappa(spec, i, j, 2.0, 2.5, method="monte-carlo", n=5_000, rng=RNG(7))
+        assert got == before and got.method == "monte-carlo"
+
+
 # -- cross_kappa -----------------------------------------------------------------
 
 

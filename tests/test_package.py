@@ -74,7 +74,6 @@ def results():
         blocks,
         hs.spectral_measure(pool, part, alphas, min_top=10),
         hs.moment_estimate(pool, 0, 4.0),
-        hs.TailConstants((ladder.c_plus,), (ladder.c_minus,), blocks.block_top, blocks.c_inf_top),
         hs.submultiplicativity_check(build_tau({"kind": "log"}), rng, n=1_000),
         hs.joint_exceedance(pool, 0, 1, alphas, min_top=5),
         hs.decay_rate_fit([1.0, 10.0, 100.0], [1.0, 0.5, 0.25]),

@@ -190,10 +190,10 @@ def test_tail_constant_ladder_reference(ref_pool):
     assert np.all(np.diff(lad.thresholds) > 0)
     assert lad.n == len(ref_pool)
     # X >= 0 a.s., so the left tail is empty with a rule-of-three bound
-    assert lad.c_minus.value == 0.0
-    assert lad.c_minus.flag == "rule-of-three"
+    assert lad.minus[-1].value == 0.0
+    assert lad.minus[-1].flag == "rule-of-three"
     # the top rung brackets the closed-form constant
-    assert lad.c_plus.ci_lo < C_PLUS < lad.c_plus.ci_hi
+    assert lad.plus[-1].ci_lo < C_PLUS < lad.plus[-1].ci_hi
     assert lad.converged is True
     doc = lad.to_dict()
     assert len(doc["plus"]) == len(doc["thresholds"])
@@ -247,8 +247,8 @@ def test_block_additivity_independent_pair(pair_pool):
     assert bl.consistent is True
     assert len(bl.block) == 2
     assert len(bl.c_inf) == len(bl.thresholds)
-    top_sum = sum(e.value for e in bl.block_top)
-    assert bl.c_inf_top.value == pytest.approx(top_sum, rel=0.05)
+    top_sum = sum(series[-1].value for series in bl.block)
+    assert bl.c_inf[-1].value == pytest.approx(top_sum, rel=0.05)
 
 
 @pytest.mark.parametrize("classes", [((0, 1), (-1,)), ((0,), (-2,)), ((0,), (2,))],
