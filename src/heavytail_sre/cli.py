@@ -56,8 +56,8 @@ from .independence import (
     tau_gamma_bound,
 )
 from .model import ModelSpec, log_moment, route
-from .moments import (goldie_mean_on, moment_abscissa_draw, moment_abscissa_on, noise_margin_ok,
-                      positivity_check, solve_alpha_on)
+from .moments import (goldie_mean_on, moment_abscissa_draw, moment_abscissa_on, positivity_check,
+                      solve_alpha_on)
 from .simulate import SamplePool, stationary_pool
 from .tails import (
     DEFAULT_MIN_TOP,
@@ -458,9 +458,13 @@ class _Runner:
             def on(fn, j, draw, *args):  # fn on the draw, forked off if there is one
                 return workers.call(fn, spec, j, draw, *args, fork=draw is not None)
 
-            def read(c):  # a coordinate's forked outcomes, in call order
+            def read(j):  # j's forked outcomes in call order, then the checks on its scan
+                c = coords[j]
                 for key in ("goldie_mean", "abscissa"):
                     c[key] = value(c[key]()).to_dict()
+                alpha, s_inf = c["alpha"], c["abscissa"]["s_inf"]  # j's one abscissa
+                c["positivity"] = positivity_check(spec, j, alpha, s_inf, scan_n, rng).to_dict()
+                c["margin_ok"] = alpha + spec.sigma_margin < s_inf
 
             coords = []
             for j in range(spec.d):
@@ -468,18 +472,15 @@ class _Runner:
                 root = on(solve_alpha_on, j, route(spec, j, "solve_alpha", method, n, rng),
                           params["tol"])
                 draw = route(spec, j, "goldie_mean", method, n, rng)  # while the root is solved
-                if coords:  # the last coordinate's outcomes come before this root
-                    read(coords[-1])
+                if j:  # the last coordinate's outcomes come before this root
+                    read(j - 1)
                 solver = value(root())
                 gm = on(goldie_mean_on, j, draw, solver.alpha)
                 del draw
                 scan = on(moment_abscissa_on, j, moment_abscissa_draw(spec, j, scan_n, rng, method))
-                pos = positivity_check(spec, j, solver.alpha, n=scan_n, rng=rng).to_dict()
                 coords.append({"abscissa": scan, "alpha": solver.alpha, "goldie_mean": gm,
-                               "alpha_solver": solver.to_dict(), "log_moment": drift.to_dict(),
-                               "margin_ok": noise_margin_ok(spec, j, solver.alpha, scan_n, rng),
-                               "positivity": pos})
-            read(coords[-1])
+                               "alpha_solver": solver.to_dict(), "log_moment": drift.to_dict()})
+            read(spec.d - 1)
         doc = {"alphas": [c["alpha"] for c in coords], "coordinates": coords,
                "sigma_margin": spec.sigma_margin}
         return self._write_report(doc)

@@ -402,10 +402,11 @@ def positivity_check(
     spec: ModelSpec,
     j: int,
     alpha: float,
+    s_inf: float,
     n: int = 200_000,
     rng: np.random.Generator | None = None,
 ) -> PositivityReport:
-    """Probe E|B_j|^s / kappa_j(s) on a grid below the moment abscissa.
+    """Probe E|B_j|^s / kappa_j(s) on a grid below s_inf (moment_abscissa's).
 
     A noise coordinate with E|B_j| = 0 (identically zero, or so small that
     E|B_j| underflows) short-circuits to "satisfied" with the degenerate
@@ -414,8 +415,6 @@ def positivity_check(
     grid to probe: "inconclusive".
     """
     alpha = require(alpha, "alpha")
-    scan = moment_abscissa(spec, j, n=n, rng=rng)
-    s_inf = scan.s_inf
     if spec.b_moment_exact(j, 1.0) == 0.0:
         return PositivityReport("satisfied", s_inf, (), (), True)
     if s_inf == 0.0:
@@ -445,17 +444,3 @@ def positivity_check(
         ok = finite and r[-1] <= 0.1 * r.max() and r[-1] <= r[-2] <= r[-3]
     status = "satisfied" if ok else "inconclusive"
     return PositivityReport(status, s_inf, tuple(float(g) for g in grid), tuple(ratios), False)
-
-
-def noise_margin_ok(
-    spec: ModelSpec, j: int, alpha: float, n: int, rng: np.random.Generator | None
-) -> bool:
-    """Whether E|B_j|^(alpha + sigma_margin) looks finite, as the tail
-    limits need: exactly for known noise laws, otherwise by the doubling
-    heuristic on n fresh noise draws."""
-    probe = alpha + spec.sigma_margin
-    if (draw := route(spec, j, "noise_margin_ok", "auto", n, rng)) is None:
-        return bool(math.isfinite(spec.b_moment_exact(j, probe)))
-    w = draw[1][:, 0]
-    return bool(doubling_change(abs_pow(np.abs(w, out=w), probe, w)) <= STABLE_REL_CHANGE)
-

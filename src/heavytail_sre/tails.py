@@ -217,8 +217,10 @@ def goldie_constant(
 
     Averages ((a x + b)^+)^alpha - ((a x)^+)^alpha (and the minus part)
     over pool rows, scaled by 1 / (alpha * mean_log).  Valid only because
-    x_pre is independent of (a, b) within a row.  power, when given, is
-    the column |x_post_j|^alpha already computed (magnitude_power).
+    x_pre is independent of (a, b) within a row.  The split needs A_j >= 0:
+    an a_j column with a negative entry has c_+ = c_- (Goldie 1991, Thm
+    4.1), so both halves are total / 2, flagged "signed".  power, when
+    given, is the column |x_post_j|^alpha already computed (magnitude_power).
     """
     require(alpha, "alpha")
     require(mean_log, "mean_log")
@@ -234,8 +236,9 @@ def goldie_constant(
     with np.errstate(over="ignore"):
         pa **= alpha
     scale = 1.0 / (alpha * mean_log)
+    signed = bool((pool.a[:, j] < 0.0).any())
     halves = []
-    for y_side, a_side in ((~(y < 0.0), pa_plus), (~(y > 0.0), pa_minus)):
+    for y_side, a_side in () if signed else ((~(y < 0.0), pa_plus), (~(y > 0.0), pa_minus)):
         w = np.where(y_side, py, 0.0)
         np.subtract(w, pa, out=w, where=a_side)
         # the deviations of the variance go over the summands
@@ -249,6 +252,7 @@ def goldie_constant(
     et = mean_estimate(wt, scratch=wt).scaled(scale)
     if unstable and et.flag is None:
         et = dataclasses.replace(et, flag="unstable")
+    halves = [dataclasses.replace(et.scaled(0.5), flag="signed")] * 2 if signed else halves
     return GoldieConstant(j, float(alpha), float(mean_log), *halves, et, unstable)
 
 

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import signal
@@ -608,6 +609,45 @@ def test_misshapen_manifest_is_rewritten(manifest, tmp_path):
     assert main(["run", "--config", cfg]) == 0
     doc = json.loads((out / "manifest.json").read_text())
     assert set(doc["stages"]) == {"solve-alpha", "report"}
+
+
+def solve_alpha_report(tmp_path, noise: dict) -> dict:
+    """solve-alpha.report.json of REF_MODEL's A law (alpha 2) with the given noise."""
+    model = {**REF_MODEL, "params": {**REF_MODEL["params"], "b": noise}}
+    doc = {"model": model, "seed": 1, "out": str(tmp_path / "out"), "pipeline": ["solve-alpha"]}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    return json.loads((tmp_path / "out" / "solve-alpha.report.json").read_text())
+
+
+def test_margin_ok_holds_where_the_noise_moment_overflows_a_float(tmp_path):
+    # E|B|^2.5 = e^800 for lognormal(0, 16) noise: finite, but beyond a float
+    doc = solve_alpha_report(tmp_path, {"dist": "lognormal", "mu": 0.0, "sigma": 16.0})
+    assert doc["coordinates"][0]["abscissa"]["s_inf"] == "inf"
+    assert doc["coordinates"][0]["margin_ok"] is True
+
+
+MARGIN_NOISE = {
+    "pareto-2.2": {"dist": "pareto", "index": 2.2},
+    "pareto-2.5": {"dist": "pareto", "index": 2.5},  # alpha + sigma_margin is the index
+    "exponential-1": {"dist": "exponential", "rate": 1.0},
+    "exponential-1e-12": {"dist": "exponential", "rate": 1e-12},
+    "exponential-1e12": {"dist": "exponential", "rate": 1e12},
+    "uniform": {"dist": "uniform", "low": -1.0, "high": 2.0},
+    "normal": {"dist": "normal", "mean": 0.5, "std": 2.0},
+    "constant": {"dist": "constant", "value": 3.0},
+    "lognormal": {"dist": "lognormal", "mu": 0.0, "sigma": 1.0},
+}
+
+
+@pytest.mark.parametrize("law", sorted(MARGIN_NOISE))
+def test_margin_ok_is_the_finiteness_of_the_noise_moment(tmp_path, law):
+    doc = solve_alpha_report(tmp_path, MARGIN_NOISE[law])
+    spec = ModelSpec("TwoPoint", 1, {**REF_MODEL["params"], "b": MARGIN_NOISE[law]})
+    c = doc["coordinates"][0]
+    # none of these laws has a finite moment that overflows at alpha + sigma_margin
+    moment = spec.b_moment_exact(0, c["alpha"] + doc["sigma_margin"])
+    assert c["margin_ok"] is math.isfinite(moment)
 
 
 def test_full_run_artifacts(full_run):

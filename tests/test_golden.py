@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import golden_diff
+import invariants
 from golden_diff import GOLDEN, LEFT_OUT, moved
 from test_simulate import use_cpus
 from heavytail_sre import ModelSpec, stationary_pool
@@ -72,18 +73,18 @@ CONFIGS = {
 
 DIGESTS = {
     "bekk-monte-carlo": {
-        "blocks.report.json": "a40729ebf2545145559cd051cd82cc6ce449c7d1ac0b82b448a30948a2a9b166",
+        "blocks.report.json": "71c4aa40b1948059d04090aa17693ff61ccc83d2e2314ac2e6cf3bb34d58b85d",
         "independence.pair_0_1.csv": "57eebb389630f69d1066b165aef8a447c1321bf36fadba6f7ece0db0a1117fc6",
-        "independence.report.json": "47ed7754bd11ddfc60ec9463e28652417c268f659d4ebf295b818a12c13713fb",
+        "independence.report.json": "fccc1e2f2ef4614fd041b09b99b20d88f80623ada33307add8a54f6126d0ea8d",
         "pool.bin": "d49e90f003fc277c48080bc1ec79ad1b3333638de045ebea401137824ed666c2",
         "pool.meta.json": "d64a0b6b7f7a095ed56877f1c0207a222721e59056527840fd6cdd3b3c6e6231",
-        "report.json": "24bc4833374c5d8509bdd1fd9b55507f7a378787d418f7fca20d8df4bbe96ef6",
+        "report.json": "d9df9690a3ee2392705369b2832327e9cacebf8edacd6f2caf979d795978a3e8",
         "simulate.report.json": "7bac3e33406d53706d6e156b6ed1f0843deae651809bc3bef852f3c6df5a3eb1",
-        "solve-alpha.report.json": "b8765df3ea0dd9cf9b0e7b32a806faf55f27a8c1352df7aab85ed5e8821f9b7a",
+        "solve-alpha.report.json": "2f18c3d971269525a87ce97d18ee022bb0800c54128e16354b0140ef71bbb3a3",
         "spectral.angular.csv": "c5b30069e3aa714496c75c37961ad5262d3b558e9a6ec5e23000ee077d740612",
-        "spectral.report.json": "9affbbbf219938bd999053680fcd9051bd092403201275840abc18654dfb483f",
+        "spectral.report.json": "4de8d073980499b13e310cbfe4a894fb628e3cf356f2fe7f3ce90cd5292f49fa",
         "tails.ladders.csv": "db30d43623eca95326fb51fdb5961c45495f644561fb5ac11ff77b3769e21c92",
-        "tails.report.json": "c1324223968a5f952d376949c8dd2c5dd830a4190ecba3b18a378210d03e27b2",
+        "tails.report.json": "9d405bbe75c647dd4298d94c032612171391568b01d2b6f0c2148a3edb42d5fe",
     },
     "ccc-shared-factor": {
         "blocks.report.json": "48029e4bd0c4785098f0a9edbd93fbcd903a4bd7b0c6a7cf1895e393ba32f525",
@@ -150,6 +151,12 @@ def test_artifact_digests(name, procs, tmp_path, monkeypatch):
     assert got == DIGESTS[name], "\n".join(
         ["moved from tests/golden:", *moved(GOLDEN / name, tmp_path / "out")]
     )
+    assert invariants.violations(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_reports_keep_the_invariants(name):
+    assert invariants.violations(GOLDEN / name) == []
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

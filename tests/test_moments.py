@@ -17,7 +17,7 @@ from heavytail_sre import (
     positivity_check,
     solve_alpha,
 )
-from heavytail_sre.moments import _brentq, _log_kappa, noise_margin_ok
+from heavytail_sre.moments import _brentq, _log_kappa
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -446,7 +446,7 @@ def test_abscissa_grid_limited_flag():
 
 def test_positivity_bounded_noise_satisfied():
     spec = two_point(b={"dist": "uniform", "low": 0.0, "high": 1.0})
-    report = positivity_check(spec, 0, 2.0)
+    report = positivity_check(spec, 0, 2.0, math.inf)
     assert report.status == "satisfied"
     assert report.degenerate_b is False
     assert report.s_inf == math.inf
@@ -455,11 +455,11 @@ def test_positivity_bounded_noise_satisfied():
 def test_positivity_unbounded_noise_inconclusive():
     # Gamma(s+1) outgrows every geometric kappa, so the bounded-ratio probe
     # cannot certify the sufficient condition
-    assert positivity_check(two_point(), 0, 2.0).status == "inconclusive"
+    assert positivity_check(two_point(), 0, 2.0, math.inf).status == "inconclusive"
 
 
 def test_positivity_zero_noise_degenerate():
-    report = positivity_check(two_point(b={"dist": "constant", "value": 0.0}), 0, 2.0)
+    report = positivity_check(two_point(b={"dist": "constant", "value": 0.0}), 0, 2.0, math.inf)
     assert report.status == "satisfied"
     assert report.degenerate_b is True
     assert report.ratios == ()
@@ -470,13 +470,13 @@ def test_positivity_zero_noise_degenerate():
 def test_positivity_noise_of_zero_mean_magnitude_is_degenerate(law):
     # E|B| = 0 marks the noise degenerate: a normal of std 0 at mean 0, and
     # a law whose E|B| underflows to 0
-    report = positivity_check(two_point(b=law), 0, 2.0)
+    report = positivity_check(two_point(b=law), 0, 2.0, math.inf)
     assert (report.status, report.degenerate_b, report.ratios) == ("satisfied", True, ())
 
 
 def test_positivity_finite_abscissa_ratios():
     spec = two_point(b={"dist": "pareto", "index": 3.0, "scale": 1.0})
-    report = positivity_check(spec, 0, 2.0, rng=RNG(0))
+    report = positivity_check(spec, 0, 2.0, 3.0, rng=RNG(0))
     assert report.s_inf == 3.0
     assert report.status == "inconclusive"
     assert len(report.ratios) == len(report.grid)
@@ -490,17 +490,12 @@ def test_positivity_without_a_stable_order_is_inconclusive():
         return np.where(u < 0.2, 2.0, 0.5), rng.pareto(0.3, (n, 1))
 
     spec = ModelSpec("Custom", 1, {"sampler": sampler})
-    assert moment_abscissa(spec, 0, n=50_000, rng=RNG(1)).s_inf == 0.0
-    report = positivity_check(spec, 0, 2.0, n=50_000, rng=RNG(1))
+    rng = RNG(1)
+    scan = moment_abscissa(spec, 0, n=50_000, rng=rng)
+    assert scan.s_inf == 0.0
+    report = positivity_check(spec, 0, 2.0, scan.s_inf, n=50_000, rng=rng)
     assert report.to_dict() == {
         "status": "inconclusive", "s_inf": 0.0, "grid": [], "ratios": [], "degenerate_b": False}
-
-
-def test_noise_margin_closed_form():
-    # alpha = 2 with the default sigma_margin 0.5 needs E|B|^2.5 < inf
-    assert noise_margin_ok(two_point(), 0, 2.0, 1_000, None) is True
-    heavy = two_point(b={"dist": "pareto", "index": 2.2})
-    assert noise_margin_ok(heavy, 0, 2.0, 1_000, None) is False
 
 
 # -- route contract ----------------------------------------------------------------

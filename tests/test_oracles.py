@@ -2,7 +2,8 @@
 
 The symmetric README model has equal axis masses, so a swap of classes
 passes unseen there; the asymmetric two-block model below has
-different constants per coordinate, so it cannot.
+different constants per coordinate, so it cannot.  The signed model
+below has A of both signs, where Goldie's c_+ = c_- holds.
 """
 
 import json
@@ -10,6 +11,7 @@ import math
 
 import pytest
 
+from heavytail_sre import ModelSpec, goldie_constant, goldie_mean, solve_alpha, stationary_pool
 from heavytail_sre.cli import main
 
 # TwoPoint d = 2 with Exp(1) noise: E A_j^2 = 1 for both coordinates, so both
@@ -77,3 +79,22 @@ def test_asymmetric_two_block_model_recovers_its_constants_and_masses(seed, tmp_
         "c_block": [series[-1] for series in tails["blocks"]["block"]],
         "c_inf": tails["blocks"]["c_inf"][-1],
     }
+
+
+# TwoPoint d = 1 with a negative down: E A^2 = 0.2 * 4 + 0.8 * 0.25 = 1, so
+# alpha = 2, and E A = 0 drops the cross term of E (A X + B)^2 - (A X)^2, so
+# c = E B^2 / (2 m) = 1 / m with m = 0.6 log 2, and c_+ = c_- = 1 / (2 m)
+SIGNED = ModelSpec("TwoPoint", 1, {"p": 0.2, "up": 2.0, "down": -0.5,
+                                    "b": {"dist": "exponential", "rate": 1.0}})
+C_SIGNED = 1.0 / (2.0 * 0.6 * math.log(2.0))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_signed_model_has_equal_goldie_halves_at_the_closed_form(seed):
+    assert C_SIGNED == pytest.approx(1.2022, abs=1e-4)
+    alpha = solve_alpha(SIGNED, 0).alpha
+    pool = stationary_pool(SIGNED, seed=seed, chains=1_000, n_per_chain=500)
+    got = goldie_constant(pool, 0, alpha, goldie_mean(SIGNED, 0, alpha).value)
+    assert got.plus == got.minus
+    assert got.plus.flag == "signed" and got.plus.value == got.total.value / 2
+    assert got.plus.ci_lo <= C_SIGNED <= got.plus.ci_hi

@@ -65,7 +65,7 @@ def results():
         hs.solve_alpha(PAIR, 0),
         hs.moment_abscissa(PAIR, 0),
         hs.moment_abscissa(PAIR, 0, n=2_000, rng=rng, method="monte-carlo"),
-        hs.positivity_check(PAIR, 0, alphas[0]),
+        hs.positivity_check(PAIR, 0, alphas[0], hs.moment_abscissa(PAIR, 0).s_inf),
         hs.log_moment(PAIR, 0),
         hs.hill_estimate(pool.x_post[:, 0], 50),
         hs.hill_estimate(np.ones(20), 5),

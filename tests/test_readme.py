@@ -46,7 +46,8 @@ def keys_of(doc) -> set:
     return set()
 
 
-@pytest.mark.parametrize("artifact", ["tails.report.json", "tails.ladders.csv"])
+@pytest.mark.parametrize("artifact", ["solve-alpha.report.json", "tails.report.json",
+                                      "tails.ladders.csv"])
 def test_reading_the_reports_names_every_field(artifact):
     guide = section("Reading the reports")
     for golden in GOLDEN:

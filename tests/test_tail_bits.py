@@ -105,6 +105,8 @@ def ref_goldie(pool, j, alpha, mean_log):
     ep, em, et = (mean_estimate(w).scaled(scale) for w in (wp, wm, wt))
     if unstable and et.flag is None:
         et = dataclasses.replace(et, flag="unstable")
+    if np.any(pool.a[:, j] < 0.0):  # A_j of both signs: c+ = c- (Goldie 1991, Thm 4.1)
+        ep = em = dataclasses.replace(et.scaled(0.5), flag="signed")
     return GoldieConstant(j, float(alpha), float(mean_log), ep, em, et, unstable)
 
 

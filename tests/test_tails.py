@@ -11,12 +11,14 @@ from heavytail_sre import (
     block_tail_constant,
     empirical_tail_constant,
     goldie_constant,
+    goldie_mean,
     alpha_norm,
     dilate,
     hill_estimate,
     joint_exceedance,
     moment_estimate,
     quantile_ladder,
+    solve_alpha,
     spectral_measure,
     stationary_pool,
 )
@@ -229,6 +231,20 @@ def test_goldie_constant_flags_unstable_order(ref_pool):
     got = goldie_constant(pool, 0, 2.0, GOLDIE_MEAN)
     assert got.unstable is True
     assert got.total.flag == "possibly-infinite"
+
+
+def test_goldie_halves_of_signed_coefficients_are_equal_and_nonnegative():
+    # BekkDiag's A_j are centred normals; on this pool the (.)^+ and (.)^-
+    # split read 4.649 / -1.718 for coordinate 0, whose total is 2.931
+    spec = ModelSpec("BekkDiag", 3, {"coeff": [[0.8, 0.5, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.05]],
+                                     "b": {"dist": "exponential", "rate": 1.0}})
+    pool = stationary_pool(spec, seed=5, chains=200, n_per_chain=250)
+    for j in range(spec.d):
+        alpha = solve_alpha(spec, j).alpha
+        got = goldie_constant(pool, j, alpha, goldie_mean(spec, j, alpha).value)
+        assert got.plus == got.minus
+        assert got.plus.value >= 0.0 and got.plus.flag == "signed"
+        assert got.plus.value + got.minus.value == got.total.value
 
 
 def test_goldie_constant_validates_arguments(ref_pool):
