@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .common import AmbiguousPartitionError, Record
+from .common import AmbiguousPartitionError, Record, check_coords
 from .geometry import _as_weights
 from .model import ModelSpec
 from .moments import cross_kappa
@@ -40,6 +40,13 @@ class BlockPartition(Record):
             raise ValueError("permutation does not match the classes")
         if sorted(self.permutation) != list(range(len(self.permutation))):
             raise ValueError("classes must partition 0..d-1")
+
+    def check(self, d: int) -> None:
+        """ValueError unless the classes partition 0..d-1."""
+        check_coords(d, *self.permutation)
+        if len(self.permutation) != d:  # a permutation of 0..len-1, so it leaves out the rest
+            raise ValueError(f"classes must partition 0..d-1, d={d}; "
+                             f"{self.classes} cover {len(self.permutation)} of {d} coordinates")
 
     def class_of(self, j: int) -> int:
         for l, cls in enumerate(self.classes):

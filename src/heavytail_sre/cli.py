@@ -35,6 +35,7 @@ from .common import (
     METHODS,
     REQUIRED,
     ConfigurationError,
+    LadderError,
     Workers,
     atomic_write,
     choice,
@@ -389,7 +390,13 @@ class _Runner:
     def _get_partition(self, required: bool) -> BlockPartition | None:
         if not required and not (self.out / "blocks.report.json").exists():
             return None
-        return BlockPartition.from_json(self._read("blocks.report.json", "classes", "permutation"))
+        doc = self._read("blocks.report.json", "classes", "permutation")
+        try:
+            part = BlockPartition.from_json(doc)
+            part.check(self.spec.d)
+        except (TypeError, ValueError) as exc:
+            raise _refusal("blocks.report.json", f"is misshapen ({exc})") from None
+        return part
 
     def _write_report(self, doc: dict, *artifacts: str) -> dict:
         """Write the current stage's report under its provenance envelope;
@@ -491,8 +498,7 @@ class _Runner:
         doc = {
             "burn_in": pool.meta["burn_in"],
             "chains": pool.meta["chains"],
-            # a record-major copy keeps the row-by-row sum of earlier reports
-            "column_mean_x_post": np.ascontiguousarray(pool.x_post).mean(axis=0).tolist(),
+            "column_mean_x_post": pool.x_post.mean(axis=0).tolist(),
             "d": pool.d,
             "n_per_chain": pool.meta["n_per_chain"],
             "n_records": len(pool),
@@ -517,6 +523,9 @@ class _Runner:
         # |x_j|^alpha_j once per coordinate: the ladder statistic, the y half
         # of the Goldie summands and the block norms all read it
         powers = [magnitude_power(pool.x_post[:, j], a) for j, a in enumerate(alphas)]
+        for j, a in enumerate(alphas):  # an inf power would read as a pool too small
+            if powers[j].max() == math.inf:
+                raise LadderError(f"coordinate {j}: |x|^alpha overflows a float at alpha {a}")
         for j in range(pool.d):
             mag = np.abs(pool.x_post[:, j])
             pos = mag[mag > 0.0]

@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from .common import REQUIRED, ConfigurationError, Estimate, Record, TauHeavinessError, given
-from .common import check_coords, joint_pow, mean_estimate, number, ranged, read_keys, require
+from .common import REQUIRED, AmbiguousPartitionError, ConfigurationError, Estimate, Record, given
+from .common import TauHeavinessError, check_coords, joint_pow, mean_estimate, number, ranged
+from .common import read_keys, require
 from .model import ModelSpec
 from .moments import cross_kappa
 from .geometry import _as_weights, magnitude_power
@@ -286,9 +287,9 @@ def tau_gamma_bound(
     passes only when the whole 95% interval sits below 1, so the reported
     k(gamma0) keeps a noise margin from the boundary.  The first grid point
     that fails is refined by 20 bisection steps from the last one that
-    passed.  The precondition is a cross moment certified below 1; a weight
-    so heavy that even the smallest grid point fails raises
-    TauHeavinessError.
+    passed.  The precondition is a cross moment certified below 1, or
+    AmbiguousPartitionError names the pair; a weight so heavy that even the
+    smallest grid point fails raises TauHeavinessError.
     """
     if i == j:
         raise ValueError("need two distinct coordinates")
@@ -304,11 +305,9 @@ def tau_gamma_bound(
         spec, i, j, alpha_i, alpha_j, xi=xi, method=cross_method, n=n, rng=rng
     )
     if not cross.ci_hi < 1.0:
-        raise ValueError(
-            f"cross moment at xi={xi} is not certified below 1 "
-            f"(interval [{cross.ci_lo:.6g}, {cross.ci_hi:.6g}]); "
-            "the pair may share a class"
-        )
+        raise AmbiguousPartitionError(
+            f"cross moment at xi={xi} is not certified below 1 (interval [{cross.ci_lo:.6g}, "
+            f"{cross.ci_hi:.6g}]); the pair may share a class", pair=(i, j))
 
     a, b = spec.sample_coeffs(rng, n, coords=(i, j))
     ai, aj = a[:, 0], a[:, 1]
@@ -325,10 +324,8 @@ def tau_gamma_bound(
         raise ValueError("tau must be nonnegative on the coefficients")
     k_zero = mean_estimate(w, scratch=scratch)
     if not k_zero.ci_hi < 1.0:
-        raise ValueError(
-            "sampled cross moment not certified below 1; increase n or "
-            "revisit the pair"
-        )
+        raise AmbiguousPartitionError("sampled cross moment not certified below 1; increase n "
+                                      "or revisit the pair", pair=(i, j))
 
     # k(gamma) sums exp(gamma log tau) w where tau > 0 and w > 0, else 0: the
     # terms fill the A_i row, free once tau is taken, and the rest are zeroed

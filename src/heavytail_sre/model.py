@@ -146,17 +146,9 @@ def _log_abs_normal_moment(s: float) -> float:
 
 def _scaled_normal_moment(r: float, *factors) -> float:
     """The product of c^s over the (c, s) factors, c > 0, times E|N|^r for
-    standard normal N, through _in_range: an underflowing c^s or an
-    overflowing E|N|^r cannot make it 0 * inf."""
-    log_m = _log_abs_normal_moment(r)
-    return _in_range(math.prod(_pow_abs(c, s) for c, s in factors) * _exp(log_m),
-                     sum(s * math.log(c) for c, s in factors) + log_m)
-
-
-def _in_range(v: float, log_v: float) -> float:
-    """v where it is a positive float, else exp(log_v): the one rule for a
-    closed form whose direct product or quotient leaves the float range."""
-    return v if 0.0 < v < math.inf else _exp(log_v)
+    standard normal N, in log space: an underflowing c^s or an overflowing
+    E|N|^r cannot make it 0 * inf."""
+    return _exp(sum(s * math.log(c) for c, s in factors) + _log_abs_normal_moment(r))
 
 
 def _exp(x: float) -> float:
@@ -291,10 +283,8 @@ class _BDist:
             return 1.0
         if k == "constant":
             return _pow_abs(self.value, s)
-        if k == "exponential":  # Gamma(s + 1) / rate^s
-            log_g, scale = _gammaln(s + 1.0), _pow_abs(self.rate, s)
-            return _in_range(_exp(log_g) / scale if scale else math.inf,
-                             log_g - s * math.log(self.rate))
+        if k == "exponential":  # Gamma(s + 1) / rate^s, in log space
+            return _exp(_gammaln(s + 1.0) - s * math.log(self.rate))
         if k == "pareto":
             if s >= self.index:
                 return math.inf

@@ -68,25 +68,20 @@ def _top_quantiles(v: np.ndarray, qs: list[float]) -> tuple[np.ndarray, list]:
 
     Both come from one partition of the top tail, sorted: the quantiles
     by numpy's own linear interpolation between the same order
-    statistics, the counts by bisection.  Samples where that could differ
-    from np.quantile (NaN, or a quantile at the last order statistic)
-    take np.quantile itself.
+    statistics, the counts by bisection.  A NaN in v raises LadderError.
     """
-    n = v.size
-    virtual = (n - 1) * np.asarray(qs)
+    virtual = (v.size - 1) * np.asarray(qs)
     lo = np.floor(virtual).astype(np.intp)
-    if virtual[-1] < n - 1:
-        k0 = int(lo[0])
-        top = np.sort(np.partition(v, k0)[k0:])
-        if not np.isnan(top[-1]):
-            a, b = top[lo - k0], top[lo - k0 + 1]
-            gamma = virtual - lo
-            diff = b - a
-            cuts = a + diff * gamma
-            np.subtract(b, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
-            return cuts, list(top.size - np.searchsorted(top, cuts, side="right"))
-    cuts = np.quantile(v, qs)
-    return cuts, _exceedances(v, cuts)
+    k0 = int(lo[0])
+    top = np.sort(np.partition(v, k0)[k0:])  # a NaN sorts last
+    if np.isnan(top[-1]):
+        raise LadderError("cannot build a ladder from a sample that holds a NaN")
+    a, b = top[lo - k0], top[np.minimum(lo - k0 + 1, top.size - 1)]  # n = 1 has one neighbour
+    gamma = virtual - lo
+    diff = b - a
+    cuts = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+    return cuts, list(top.size - np.searchsorted(top, cuts, side="right"))
 
 
 def _exceedances(stat: np.ndarray, cuts) -> list[int]:
@@ -283,7 +278,8 @@ def block_tail_constant(
     """
     alphas = np.asarray(alphas, dtype=float)
     x = pool.x_post
-    check_coords(x.shape[1], *partition.permutation)
+    if partition.classes:  # no classes: the whole-vector c_inf alone
+        partition.check(x.shape[1])
     if powers is None:
         powers = [magnitude_power(x[:, j], a) for j, a in enumerate(alphas)]
     s_full = alpha_norm(x, alphas, powers)
@@ -351,7 +347,7 @@ def spectral_measure(
     if bins < 2:
         raise ValueError("bins must be at least 2")
     d = pool.d
-    check_coords(d, *partition.permutation)
+    partition.check(d)
     s = alpha_norm(pool.x_post, alphas)
     ladder, counts = _ladder(s, ladder, max(min_top, 1))
     edges = np.linspace(-1.0, 1.0, bins + 1)

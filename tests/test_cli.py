@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -1024,6 +1025,47 @@ def test_misshapen_upstream_report_exits_two(edit, tmp_path, capsys):
     assert err["error"] == "validation" and err["stage"] == "tails"
     assert "solve-alpha.report.json" in err["detail"]
     assert not (out / "tails.report.json").exists()
+
+
+BLOCKS_PIPELINE = ["solve-alpha",
+                   {"stage": "simulate", "params": {"chains": 100, "n_per_chain": 200}},
+                   "blocks", "tails", "spectral"]
+
+
+@pytest.fixture(scope="module")
+def blocks_run(tmp_path_factory):
+    """The README model, seed 11, 100 x 200 records, run through spectral."""
+    out = tmp_path_factory.mktemp("blocks_run") / "o"
+    doc = {"model": PAIR_MODEL, "seed": 11, "out": str(out), "pipeline": BLOCKS_PIPELINE}
+    assert main(["run", "--config", write_config(out.parent / "c.json", doc)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage", ["tails", "spectral"])
+@pytest.mark.parametrize(
+    "classes, permutation",
+    [([[0]], [0]), ([[1], [0]], [0, 1])],
+    ids=["one-of-two-coordinates", "permutation-of-other-classes"],
+)
+def test_a_blocks_report_that_does_not_partition_the_coordinates_exits_two(
+        blocks_run, stage, classes, permutation, tmp_path, capsys):
+    # the first partitions 0..0 of d = 2; the second fails BlockPartition's own check
+    out = tmp_path / "o"
+    shutil.copytree(blocks_run, out)
+    doc = {"model": PAIR_MODEL, "seed": 11, "out": str(out), "pipeline": BLOCKS_PIPELINE}
+    cfg = write_config(tmp_path / "c.json", doc)
+    path = out / "blocks.report.json"
+    report = json.loads(path.read_text())
+    path.write_text(json.dumps({**report, "classes": classes, "permutation": permutation}))
+    (out / f"{stage}.report.json").unlink()
+    capsys.readouterr()
+
+    assert main([stage, "--config", cfg]) == 2
+    err = last_stderr_doc(capsys)
+    assert err["error"] == "validation" and err["stage"] == stage
+    assert err["detail"].startswith("blocks.report.json is misshapen (")
+    assert "partition" in err["detail"] or "permutation" in err["detail"]
+    assert not (out / f"{stage}.report.json").exists()
 
 
 EXP_NOISE = {"dist": "exponential", "rate": 1.0}

@@ -73,18 +73,18 @@ CONFIGS = {
 
 DIGESTS = {
     "bekk-monte-carlo": {
-        "blocks.report.json": "71c4aa40b1948059d04090aa17693ff61ccc83d2e2314ac2e6cf3bb34d58b85d",
+        "blocks.report.json": "2321efd6ec5c2d96ae2e212ecf98e457afaac8e2c183d1ff4c3234802125aef9",
         "independence.pair_0_1.csv": "57eebb389630f69d1066b165aef8a447c1321bf36fadba6f7ece0db0a1117fc6",
-        "independence.report.json": "fccc1e2f2ef4614fd041b09b99b20d88f80623ada33307add8a54f6126d0ea8d",
+        "independence.report.json": "96221a95255278c06602f4c7019c60df0d1ace8f10296f7686293188e4486ee4",
         "pool.bin": "d49e90f003fc277c48080bc1ec79ad1b3333638de045ebea401137824ed666c2",
         "pool.meta.json": "d64a0b6b7f7a095ed56877f1c0207a222721e59056527840fd6cdd3b3c6e6231",
-        "report.json": "d9df9690a3ee2392705369b2832327e9cacebf8edacd6f2caf979d795978a3e8",
-        "simulate.report.json": "7bac3e33406d53706d6e156b6ed1f0843deae651809bc3bef852f3c6df5a3eb1",
-        "solve-alpha.report.json": "2f18c3d971269525a87ce97d18ee022bb0800c54128e16354b0140ef71bbb3a3",
+        "report.json": "acdf213f5e983244fcdf2138f4297b3d5a5c32f6ec2119169d397ed5923784d6",
+        "simulate.report.json": "c3706ae6d11719e8ec80576707e4fbc161b34487aefe931b3aaa330b72676e38",
+        "solve-alpha.report.json": "5159a5a79b81734bfb1207983c174386ff43215ab731a909fcdd4b196fec8ac3",
         "spectral.angular.csv": "c5b30069e3aa714496c75c37961ad5262d3b558e9a6ec5e23000ee077d740612",
-        "spectral.report.json": "4de8d073980499b13e310cbfe4a894fb628e3cf356f2fe7f3ce90cd5292f49fa",
+        "spectral.report.json": "50011b8afcd372dccb5b85936ccdef1b47a2c2a04310e04907e3b03df62e8ad1",
         "tails.ladders.csv": "db30d43623eca95326fb51fdb5961c45495f644561fb5ac11ff77b3769e21c92",
-        "tails.report.json": "9d405bbe75c647dd4298d94c032612171391568b01d2b6f0c2148a3edb42d5fe",
+        "tails.report.json": "4cd599ea339ba30248a99d976c1614ccb83c9231c91502070bca22e52a32f849",
     },
     "ccc-shared-factor": {
         "blocks.report.json": "48029e4bd0c4785098f0a9edbd93fbcd903a4bd7b0c6a7cf1895e393ba32f525",
@@ -92,8 +92,8 @@ DIGESTS = {
         "independence.report.json": "bb4a829d793706145c275b1ddce2f656c2c354843c2667e6cd66381f18dc9f58",
         "pool.bin": "a73230de70ef790adade1f3e5108c4171e18eb615e67138946637a7d18513755",
         "pool.meta.json": "9419e14a91a2086b72034af782a798c8afc2609339503ef06f0dab9e7b4c69a5",
-        "report.json": "b27d82c81da65f2f4abcf91f79a81b16e4b09c0cc657498fc305e24c1733a225",
-        "simulate.report.json": "78ba218990114246c80034bd2a5546cd3f8e7bcdf2e02fc5b352fcd6e36f5cb5",
+        "report.json": "0b442fbf2d6ed5b64777d8198f0301035bc6ac2bd484a5bab737b4284978a710",
+        "simulate.report.json": "4021ab3d253b996bc17d7f9565d5437cca33a8a72761e325c0ae1b776182e1d1",
         "solve-alpha.report.json": "48a4062ad0be03aa88577a00a29c430f573c0e4fe8f034d234feb69ae3c5785f",
         "spectral.angular.csv": "7b981c528b8b8c095f944690ea4d40964526f481384881528ea038a2a184b999",
         "spectral.report.json": "e946b8ec05d83d07d5ceac5d7548588a5c15df2b70f8cf413aa04fd9b4825e4b",
@@ -106,8 +106,8 @@ DIGESTS = {
         "independence.report.json": "f65f210d5cd657f390a9f3f6d76855f69a17bb27e266530b35b14ffb550193c1",
         "pool.bin": "49f0ce5717a88352930a81a08fa40c83ed7aea138984bfe5e287d5665397e182",
         "pool.meta.json": "bda4366711e488603eafd2ac43f038f6f8a4ebc4acea24860f04ad9e90ece461",
-        "report.json": "c48dfc4fc720b5b6b379875f12befb16bf6a032c5eb3b9af2524f1e438e28f00",
-        "simulate.report.json": "8956eda8a670110b7e154d3cc4a40c65249bfa131b26fb8907e723d28cb5b3ff",
+        "report.json": "4d82dc9bc0ac42a1c1bba3c80638b64b51031bb93518244f4cfeb3e50198ade2",
+        "simulate.report.json": "227f47bf6aa70a849ff1ba5f25d023283fee0083471a596349fe765357ff689a",
         "solve-alpha.report.json": "d7ede8c53fc4efd3c69d5e0981708a749c6248a98a78f9759b9e142a6a741c77",
         "spectral.angular.csv": "883129463c52c0e2fc1e7695ebf939165f704cd16c85777128197c2a48f9a13f",
         "spectral.report.json": "5da462e0797142bb300773de9f22838717301ed76d8e9ddfe459b5c1ff802013",
@@ -117,8 +117,8 @@ DIGESTS = {
     "two-point-no-blocks": {
         "pool.bin": "49f0ce5717a88352930a81a08fa40c83ed7aea138984bfe5e287d5665397e182",
         "pool.meta.json": "bda4366711e488603eafd2ac43f038f6f8a4ebc4acea24860f04ad9e90ece461",
-        "report.json": "97f3c3bbcd18a1cff5596847d54f0603253bfa6d8e056b0b0fef4134c1bfccd1",
-        "simulate.report.json": "8956eda8a670110b7e154d3cc4a40c65249bfa131b26fb8907e723d28cb5b3ff",
+        "report.json": "70e110669b626cf48bd43103da4c5596331051c36a8e014bc633608c7104fd28",
+        "simulate.report.json": "227f47bf6aa70a849ff1ba5f25d023283fee0083471a596349fe765357ff689a",
         "solve-alpha.report.json": "d7ede8c53fc4efd3c69d5e0981708a749c6248a98a78f9759b9e142a6a741c77",
         "tails.ladders.csv": "abb858aaf228358aaaf94ecf32cf659a953c72c7a10aecdb5b0157071bea9634",
         "tails.report.json": "616fdcd8852d9b8348c06a442e5a67b55936db6897202a045214b3ae471857c9",

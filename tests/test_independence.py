@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heavytail_sre import (
+    AmbiguousPartitionError,
     ConfigurationError,
     LadderError,
     ModelSpec,
@@ -313,7 +314,7 @@ def test_gamma_bound_heavy_weight_raises():
 
 def test_gamma_bound_refuses_shared_class():
     com = ModelSpec("TwoPoint", 2, {"p": 0.2, "up": 2.0, "down": 0.5, "comonotone": True})
-    with pytest.raises(ValueError, match="share a class"):
+    with pytest.raises(AmbiguousPartitionError, match="share a class"):
         tau_gamma_bound(com, 0, 1, 2.0, 2.0, build_tau(LOG), RNG(3), n=50_000)
 
 
@@ -332,5 +333,7 @@ def test_gamma_bound_validates_arguments():
 def test_gamma_bound_refuses_a_sample_not_certified_below_one():
     # at alphas 3.99 the closed-form cross moment is 0.9958, certified below
     # 1; the sample mean of the same moment over 20,000 draws is not
-    with pytest.raises(ValueError, match="sampled cross moment not certified below 1"):
+    with pytest.raises(AmbiguousPartitionError,
+                       match="sampled cross moment not certified below 1") as exc:
         tau_gamma_bound(PAIR, 0, 1, 3.99, 3.99, build_tau(LOG), RNG(0), n=20_000)
+    assert exc.value.pair == (0, 1)

@@ -1,6 +1,7 @@
 """The report invariants of invariants.py: the checker itself, a seeded sweep
 of small random configs over every closed-form family, noise law and sign
-pattern, and the known findings that still break a rule.
+pattern, the findings it made that are mended, and the known finding that
+still breaks a rule.
 
 Each sweep run must exit 0 with reports that keep every invariant, or
 refuse by design: exit 2 with a validation error, or exit 1 with one of the
@@ -14,7 +15,6 @@ import io
 import json
 import random
 import shutil
-import warnings
 from pathlib import Path
 
 import pytest
@@ -163,6 +163,33 @@ def test_a_random_config_keeps_the_invariants_or_refuses_by_design(seed, tmp_pat
         assert (code, kind) == (2, "validation") or (code == 1 and kind in DESIGNED), err
 
 
+# -- mended findings ----------------------------------------------------------
+
+
+def test_an_uncertified_cross_moment_refuses_by_design(tmp_path):
+    # CCCGarch with one factor for both coordinates, at the sweep's n = 20,000:
+    # the sampled cross moment is not certified below 1, which is evidence
+    # about blocks, not a bad argument
+    model = {"family": "CCCGarch", "d": 2,
+             "params": {"arch": [0.337, 0.337], "garch": [0.455, 0.256], "z_map": [0, 0],
+                        "b": {"dist": "exponential", "rate": 1.461}}}
+    code, err = run(tmp_path, model, 13, sweep_pipeline(2))
+    assert code == 1 and json.loads(err[0])["error"] == "AmbiguousPartitionError", err
+    assert "increase n" in json.loads(err[0])["detail"]
+
+
+def test_a_huge_alpha_is_not_blamed_on_the_pool_size(tmp_path):
+    # alpha = 587.17, where |x|^alpha overflows a float: the tails stage names
+    # the overflow before any estimator reads the inf (under the suite's
+    # RuntimeWarning filter, a warning would exit as "RuntimeWarning")
+    model = {"family": "BekkDiag", "d": 1,
+             "params": {"coeff": [[0.068]], "b": {"dist": "lognormal", "mu": 0.0, "sigma": 0.5}}}
+    code, err = run(tmp_path, model, 0, ["solve-alpha", SIMULATE, "tails"])
+    doc = json.loads(err[0])
+    assert (code, doc["error"], doc["stage"]) == (1, "LadderError", "tails"), err
+    assert "coordinate 0: |x|^alpha overflows a float at alpha 587.1" in doc["detail"], err
+
+
 # -- known findings ------------------------------------------------------------
 
 
@@ -170,28 +197,6 @@ def known(finding: str):
     """A finding that breaks a rule today: the test fails on its assertion
     until the program is mended, and then must be un-marked."""
     return pytest.mark.xfail(raises=AssertionError, strict=True, reason=finding)
-
-
-@known("tau_gamma_bound's refusal to certify a sampled cross moment exits as a bare "
-       "ValueError, the type of an argument error")
-def test_an_uncertified_cross_moment_refuses_by_design(tmp_path):
-    # CCCGarch with one factor for both coordinates, at the sweep's n = 20,000
-    model = {"family": "CCCGarch", "d": 2,
-             "params": {"arch": [0.337, 0.337], "garch": [0.455, 0.256], "z_map": [0, 0],
-                        "b": {"dist": "exponential", "rate": 1.461}}}
-    code, err = run(tmp_path, model, 13, sweep_pipeline(2))
-    assert code == 1 and json.loads(err[0])["error"] in DESIGNED, err
-
-
-@known("at alpha = 587 |x|^alpha overflows, and the tails stage blames the pool size "
-       "with a LadderError")
-def test_a_huge_alpha_is_not_blamed_on_the_pool_size(tmp_path):
-    model = {"family": "BekkDiag", "d": 1,
-             "params": {"coeff": [[0.068]], "b": {"dist": "lognormal", "mu": 0.0, "sigma": 0.5}}}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # as outside the test suite
-        code, err = run(tmp_path, model, 0, ["solve-alpha", SIMULATE, "tails"])
-    assert code == 0 or "pool too small" not in err[0], err
 
 
 @known("above alpha = 2 the Goldie summand has no variance, and the plus half of an "

@@ -296,12 +296,38 @@ def test_noise_moments_of_degenerate_and_centred_laws():
 
 @pytest.mark.parametrize("rate, want", [(1e-12, math.inf), (1e12, 0.0)])
 def test_exponential_noise_moment_at_extreme_rates(rate, want):
-    # rate ** 32 underflows to 0 (1e-12) or overflows (1e12); the moment
-    # Gamma(33) / rate ** 32 is then taken in log space
+    # rate ** 32 would underflow to 0 (1e-12) or overflow (1e12); in log
+    # space the moment Gamma(33) / rate ** 32 leaves the range cleanly
     spec = two_point(b={"dist": "exponential", "rate": rate})
     assert spec.b_moment_exact(0, 32.0) == want
-    # an ordinary power keeps the plain quotient, bit for bit
-    assert spec.b_moment_exact(0, 2.0) == math.exp(special.gammaln(3.0)) / rate ** 2.0
+    # an ordinary power takes the same log-space form, bit for bit
+    assert spec.b_moment_exact(0, 2.0) == math.exp(special.gammaln(3.0) - 2.0 * math.log(rate))
+
+
+LOG_SPACE_ORDERS = np.arange(0.25, 40.25, 0.25)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.461, 2.0, 3.0])
+def test_exponential_noise_moments_in_log_space_stay_accurate(rate):
+    # exp(log Gamma(s + 1) - s log rate) against Gamma(s + 1) / rate^s: the
+    # exponential carries about |log value| ulps, far inside 1e-13
+    spec = two_point(b={"dist": "exponential", "rate": rate})
+    for s in LOG_SPACE_ORDERS:
+        want = special.gamma(s + 1.0) / rate**s
+        assert spec.b_moment_exact(0, s) == pytest.approx(want, rel=1e-13, abs=0.0), s
+
+
+def test_unit_exponential_noise_keeps_its_exact_second_moment():
+    assert two_point().b_moment_exact(0, 2.0) == 2.0
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.7, 1.0, 1.5, 2.0])
+def test_gaussian_moments_in_log_space_stay_accurate(sigma):
+    # BekkDiag A = sigma N: E|A|^s = sigma^s 2^(s/2) Gamma((s + 1) / 2) / sqrt(pi)
+    spec = ModelSpec("BekkDiag", 1, {"coeff": [[sigma]]})
+    for s in LOG_SPACE_ORDERS:
+        want = sigma**s * 2.0 ** (s / 2.0) * special.gamma((s + 1.0) / 2.0) / math.sqrt(math.pi)
+        assert spec.kappa_exact(0, s) == pytest.approx(want, rel=1e-13, abs=0.0), s
 
 
 # the tail indices the readme-run (closed form) and bekk-mc (Monte Carlo,
@@ -750,7 +776,7 @@ def test_closed_form_hooks_of_every_family_keep_their_bits():
     digest = hashlib.sha256()
     for family, d, params in CLOSED_FORM_MODELS:
         digest.update(json.dumps(closed_form_bits(ModelSpec(family, d, params))).encode())
-    assert digest.hexdigest() == "22584000748eacc9dcc35855aa07f7499759ccf3f904980e00a7a9ee31780909"
+    assert digest.hexdigest() == "c569829c1555d324e4dc95c84cf7263e8bdb4281cd92f0d5b330a921d5da97ee"
 
 
 # every closed-form hook of ModelSpec, called at coordinate j

@@ -286,6 +286,14 @@ def test_a_partition_wider_than_the_pool_is_refused(pair_pool, estimator):
         estimator(pair_pool, part, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("estimator", [block_tail_constant, spectral_measure])
+def test_a_partition_narrower_than_the_pool_is_refused(pair_pool, estimator):
+    # class (0,) alone would leave coordinate 1 out of every class
+    part = BlockPartition(((0,),), (0,), {})
+    with pytest.raises(ValueError, match=r"classes must partition 0\.\.d-1, d=2"):
+        estimator(pair_pool, part, [2.0, 2.0])
+
+
 def test_block_single_class_equals_full():
     spec = ModelSpec(
         "TwoPoint",
